@@ -21,7 +21,7 @@ lint:
 	fi
 
 # race exercises every parallelised stage (the parallel engine, fleet
-# simulation, cleaning, the fused frame pipeline, the MFPAC block
+# simulation, the fused clean+cumulate frame pipeline, the MFPAC block
 # codec, labelling, extraction, training, sampling views, the pipeline
 # front-end, search, the sharded serving engine, and the batched
 # agent) under the race detector; determinism tests double as ordering
@@ -40,29 +40,11 @@ chaos:
 # verify is the full local gate: build, lint, unit tests, chaos suite.
 verify: build lint test chaos
 
-# Seed-commit BenchmarkForestTrain numbers (pre histogram engine),
-# measured with `git worktree add <dir> <ref>` + `go test -bench
-# BenchmarkForestTrain -benchmem -benchtime 2s ./internal/ml/forest`.
-# Re-measure on new hardware before comparing.
-BASELINE_REF    ?= 0e00b81
-BASELINE_NS     ?= 77893883
-BASELINE_BYTES  ?= 21106284
-BASELINE_ALLOCS ?= 34346
-
-# bench writes BENCH_train.json (training: histogram vs exact split
-# finding), BENCH_predict.json (scoring: flattened batch kernel vs the
-# per-row interface path), BENCH_search.json (bin-once SampleSet views
-# vs the per-candidate slice-copy representation), BENCH_pipeline.json
-# (columnar frame data plane vs the record path), BENCH_serve.json
-# (incremental sharded fleet scoring vs the full-replay seed serving
-# path), and BENCH_io.json (MFPAC binary telemetry container vs the
-# CSV compat format, gated on a bit-exact load equivalence check) via
-# cmd/mfpabench.
+# bench runs the package micro-benchmarks. The end-to-end benchmark
+# (workloads, gates, per-layer breakdown) lives in bench/; see
+# bench/README.md and BENCHMARK.json.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./internal/parallel ./internal/simfleet ./internal/dataset ./internal/features ./internal/ml/search ./internal/ml/predict ./internal/ml/forest ./internal/ml/gbdt
-	$(GO) run ./cmd/mfpabench -out BENCH_train.json -predict-out BENCH_predict.json -search-out BENCH_search.json -pipeline-out BENCH_pipeline.json -serve-out BENCH_serve.json -io-out BENCH_io.json -benchtime 2s \
-		-baseline-ref $(BASELINE_REF) -baseline-ns $(BASELINE_NS) \
-		-baseline-bytes $(BASELINE_BYTES) -baseline-allocs $(BASELINE_ALLOCS)
 
 report:
 	$(GO) run ./cmd/mfpareport -scale 0.2

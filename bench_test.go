@@ -329,15 +329,11 @@ func BenchmarkPredictLatency(b *testing.B) {
 	fleet := c.Fleet
 	cfg := DefaultConfig("I")
 	cfg.Registries = c.Registries
-	model, _, err := Train(fleet.Data, fleet.Tickets, cfg)
+	model, report, err := Train(fleet.Data, fleet.Tickets, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := Prepare(fleet.Data, fleet.Tickets, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	samples, err := p.BuildSamples()
+	samples, err := report.Prepared.BuildSamples()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -47,7 +47,6 @@ func main() {
 		savePath    = flag.String("save", "", "write the trained model envelope to this path (optional)")
 		workers     = flag.Int("workers", 0, "worker goroutines for simulation and pipeline stages (0 = GOMAXPROCS, 1 = serial; output is identical)")
 		bins        = flag.Int("bins", 0, "histogram training engine bin budget for RF/GBDT (0 = 256, max 256, negative = exact sort-based splitter)")
-		recordPipe  = flag.Bool("record-pipeline", false, "use the legacy record-based pipeline instead of the columnar frame path (results are identical)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
 		memprofile  = flag.String("memprofile", "", "write a heap profile taken after training to this path")
 	)
@@ -119,18 +118,7 @@ func main() {
 			frame.Drives(), frame.Len(), fleet.FaultyCount())
 	}
 
-	var (
-		model  *core.Model
-		report *core.TrainReport
-		err    error
-	)
-	if *recordPipe {
-		// Legacy path: materialise records and run the original
-		// per-stage pipeline. Bit-identical results, more allocation.
-		model, report, err = core.TrainOnFleet(frame.ToDataset(), store, cfg)
-	} else {
-		model, report, err = core.TrainOnFrame(frame, store, cfg)
-	}
+	model, report, err := core.TrainOnFrame(frame, store, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,12 +22,12 @@ func main() {
 	// after day 165 (an OS update).
 	cfg := simfleet.DriftConfig()
 	cfg.FailureScale = 0.08
-	fleet, err := simfleet.Simulate(cfg)
+	fleet, err := simfleet.SimulateFrame(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("fleet: %d drives, %d records, drift begins day %d\n\n",
-		fleet.Data.Drives(), fleet.Data.Len(), cfg.DriftStartDay)
+		fleet.Frame.Drives(), fleet.Frame.Len(), cfg.DriftStartDay)
 
 	svc, err := fleetops.New(fleetops.Options{IterationDays: 60})
 	if err != nil {
@@ -38,7 +38,7 @@ func main() {
 	// when each vendor's model is due.
 	fmt.Println("day   action")
 	for today := 100; today <= cfg.Days-1; today += 30 {
-		retrained, err := svc.Step(fleet.Data, fleet.Tickets, []string{"I"}, today)
+		retrained, err := svc.Step(fleet.Frame, fleet.Tickets, []string{"I"}, today)
 		if err != nil {
 			log.Fatal(err)
 		}

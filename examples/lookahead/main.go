@@ -40,7 +40,7 @@ func main() {
 	fmt.Println("== TPR vs lookahead window (Fig 19) ==")
 	fmt.Printf("%-10s %8s %8s\n", "N (days)", "TPR", "probes")
 	for n := 1; n <= 21; n += 4 {
-		probes := features.PositiveSamplesAt(prep.Data, prep.Labels, prep.Extractor, n, 1)
+		probes := features.PositiveSamplesAt(prep.Dataset(), prep.Labels, prep.Extractor, n, 1)
 		flagged := 0
 		for _, p := range probes {
 			if model.Predict(p.X) >= model.Threshold {
@@ -65,7 +65,7 @@ func main() {
 	}
 	sort.Strings(sns)
 	for _, sn := range sns {
-		if _, ok := prep.Data.Series(sn); ok {
+		if _, ok := prep.Dataset().Series(sn); ok {
 			faultySN = sn
 			failDay = prep.Labels[sn].FailDay
 			break
@@ -74,7 +74,7 @@ func main() {
 	if faultySN == "" {
 		log.Fatal("no labelled faulty drive with telemetry")
 	}
-	series, _ := prep.Data.Series(faultySN)
+	series, _ := prep.Dataset().Series(faultySN)
 	fmt.Printf("\n== Live scoring of drive %s (fails day %d) ==\n", faultySN, failDay)
 	fmt.Printf("%-6s %-12s %s\n", "Day", "P(faulty)", "")
 	start := len(series.Records) - 12

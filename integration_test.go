@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/agent"
+	"repro/internal/dataset"
 	"repro/internal/fleetops"
 	"repro/internal/modelio"
 	"repro/internal/simfleet"
@@ -28,7 +29,11 @@ func TestFullDeploymentLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := svc.Train(fleet.Data, fleet.Tickets, "I", 100)
+	frame, err := dataset.FrameFromDataset(fleet.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := svc.Train(frame, fleet.Tickets, "I", 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 // the whole test binary.
 var (
 	cachedFleet *simfleet.Result
+	cachedFrame *dataset.Frame
 	cachedModel *core.Model
 )
 
@@ -25,11 +26,15 @@ func setup(t *testing.T) (*simfleet.Result, *core.Model) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model, _, err := core.TrainOnFleet(fleet.Data, fleet.Tickets, core.DefaultConfig("I"))
+		frame, err := dataset.FrameFromDataset(fleet.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cachedFleet, cachedModel = fleet, model
+		model, _, err := core.TrainOnFrame(frame, fleet.Tickets, core.DefaultConfig("I"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cachedFleet, cachedFrame, cachedModel = fleet, frame, model
 	}
 	return cachedFleet, cachedModel
 }
@@ -149,10 +154,15 @@ func TestAgentCumulationMatchesPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := dataset.Cumulate(d); err != nil {
+	raw, err := dataset.FrameFromDataset(d)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cumSeries, _ := d.Series(faulty)
+	cum, _, err := dataset.PreparePipeline(raw, dataset.PipelineOptions{SkipClean: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cumSeries, _ := cum.ToDataset().Series(faulty)
 
 	// Agent-side: observe raw records, compare internal accumulation by
 	// scoring — identical cumulated vectors give identical scores.
@@ -219,7 +229,7 @@ func TestAgentModelUpdate(t *testing.T) {
 	// Retrain with a different seed and push.
 	cfg := core.DefaultConfig("I")
 	cfg.Seed = 9
-	next, _, err := core.TrainOnFleet(fleet.Data, fleet.Tickets, cfg)
+	next, _, err := core.TrainOnFrame(cachedFrame, fleet.Tickets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +242,7 @@ func TestAgentModelUpdate(t *testing.T) {
 	// Group mismatch must be rejected.
 	bad := core.DefaultConfig("I")
 	bad.Group = features.GroupS
-	wrong, _, err := core.TrainOnFleet(fleet.Data, fleet.Tickets, bad)
+	wrong, _, err := core.TrainOnFrame(cachedFrame, fleet.Tickets, bad)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -13,14 +14,14 @@ import (
 )
 
 // testFleet simulates one small fleet per test binary run.
-var testFleetCache *simfleet.Result
+var testFleetCache *simfleet.FrameResult
 
-func testFleet(t *testing.T) *simfleet.Result {
+func testFleet(t *testing.T) *simfleet.FrameResult {
 	t.Helper()
 	if testFleetCache == nil {
 		cfg := simfleet.TinyConfig()
 		cfg.FailureScale = 0.05
-		res, err := simfleet.Simulate(cfg)
+		res, err := simfleet.SimulateFrame(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,18 +87,23 @@ func TestAlgorithms(t *testing.T) {
 
 func TestPrepare(t *testing.T) {
 	fleet := testFleet(t)
-	p, err := Prepare(fleet.Data, fleet.Tickets, DefaultConfig("I"))
+	p, err := PrepareFrame(fleet.Frame, fleet.Tickets, DefaultConfig("I"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Data.Drives() == 0 {
+	if p.Frame.Drives() == 0 {
 		t.Fatal("no drives after preparation")
 	}
-	for _, sn := range p.Data.SerialNumbers() {
-		s, _ := p.Data.Series(sn)
-		if s.Vendor != "I" {
-			t.Fatalf("vendor filter leaked %s", s.Vendor)
+	for i := 0; i < p.Frame.Drives(); i++ {
+		if v := p.Frame.Drive(i).Vendor; v != "I" {
+			t.Fatalf("vendor filter leaked %s", v)
 		}
+	}
+	if !p.Frame.Cumulated() || p.RecordCount != p.Frame.Len() {
+		t.Fatalf("prepared frame: cumulated %v, %d rows, RecordCount %d", p.Frame.Cumulated(), p.Frame.Len(), p.RecordCount)
+	}
+	if d := p.Dataset(); d.Drives() != p.Frame.Drives() || d.Len() != p.Frame.Len() {
+		t.Fatalf("record view: %d drives/%d records, frame %d/%d", d.Drives(), d.Len(), p.Frame.Drives(), p.Frame.Len())
 	}
 	if p.LabelStats.Labelled == 0 {
 		t.Fatal("no failures labelled")
@@ -113,14 +119,19 @@ func TestPrepare(t *testing.T) {
 
 func TestPrepareUnknownVendor(t *testing.T) {
 	fleet := testFleet(t)
-	if _, err := Prepare(fleet.Data, fleet.Tickets, DefaultConfig("XX")); err == nil {
+	// The one-call path surfaces the preparation error untouched.
+	_, _, err := TrainOnFrame(fleet.Frame, fleet.Tickets, DefaultConfig("XX"))
+	if err == nil {
 		t.Fatal("unknown vendor accepted")
+	}
+	if !strings.Contains(err.Error(), `"XX"`) {
+		t.Fatalf("error %q does not name the vendor", err)
 	}
 }
 
 func TestTrainEndToEnd(t *testing.T) {
 	fleet := testFleet(t)
-	m, rep, err := TrainOnFleet(fleet.Data, fleet.Tickets, DefaultConfig("I"))
+	m, rep, err := TrainOnFrame(fleet.Frame, fleet.Tickets, DefaultConfig("I"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,20 +151,30 @@ func TestTrainEndToEnd(t *testing.T) {
 	if fpr := rep.Eval.FPR(); fpr > 0.2 {
 		t.Fatalf("FPR = %g is implausibly high", fpr)
 	}
-	// Training never sees the future: every test sample is at or after
-	// the train end day.
+	// BuildSamples is the sample set's rows in order.
 	samples, err := rep.Prepared.BuildSamples()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = samples
+	set, err := rep.Prepared.BuildSampleSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) != set.Len() {
+		t.Fatalf("BuildSamples: %d samples, sample set has %d rows", len(samples), set.Len())
+	}
+	for i := range samples {
+		if samples[i].Y != set.Y(i) || samples[i].Day != set.Day(i) || samples[i].SN != set.SN(i) {
+			t.Fatalf("sample %d differs from sample set row %d", i, i)
+		}
+	}
 }
 
 func TestTrainFixedThreshold(t *testing.T) {
 	fleet := testFleet(t)
 	cfg := DefaultConfig("I")
 	cfg.FixedThreshold = true
-	m, _, err := TrainOnFleet(fleet.Data, fleet.Tickets, cfg)
+	m, _, err := TrainOnFrame(fleet.Frame, fleet.Tickets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +260,7 @@ func TestAblationSwitches(t *testing.T) {
 	} {
 		cfg := DefaultConfig("I")
 		mutate(&cfg)
-		if _, _, err := TrainOnFleet(fleet.Data, fleet.Tickets, cfg); err != nil {
+		if _, _, err := TrainOnFrame(fleet.Frame, fleet.Tickets, cfg); err != nil {
 			t.Fatalf("ablation variant failed: %v", err)
 		}
 	}

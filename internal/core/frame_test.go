@@ -6,145 +6,67 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/simfleet"
 )
-
-// testFrame converts the shared test fleet's telemetry to a frame.
-func testFrame(t *testing.T) *dataset.Frame {
-	t.Helper()
-	f, err := dataset.FrameFromDataset(testFleet(t).Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
-// requirePreparedEquivalent asserts a frame-path preparation matches a
-// record-path one: same stats, labels, and (bit-exactly) the same
-// cleaned/cumulated telemetry and sample set.
-func requirePreparedEquivalent(t *testing.T, want, got *Prepared) {
-	t.Helper()
-	if want.CleanStats != got.CleanStats {
-		t.Fatalf("clean stats %+v, want %+v", got.CleanStats, want.CleanStats)
-	}
-	if want.LabelStats != got.LabelStats {
-		t.Fatalf("label stats %+v, want %+v", got.LabelStats, want.LabelStats)
-	}
-	if !reflect.DeepEqual(want.Labels, got.Labels) {
-		t.Fatal("labels differ")
-	}
-	if want.RecordCount != got.RecordCount {
-		t.Fatalf("record count %d, want %d", got.RecordCount, want.RecordCount)
-	}
-	wd, gd := want.Dataset(), got.Dataset()
-	if !reflect.DeepEqual(wd.SerialNumbers(), gd.SerialNumbers()) {
-		t.Fatal("drive order differs")
-	}
-	for _, sn := range wd.SerialNumbers() {
-		ws, _ := wd.Series(sn)
-		gs, _ := gd.Series(sn)
-		if !reflect.DeepEqual(ws, gs) {
-			t.Fatalf("drive %s telemetry differs", sn)
-		}
-	}
-	wset, err := want.BuildSampleSet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gset, err := got.BuildSampleSet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wset.Len() != gset.Len() || wset.Width() != gset.Width() {
-		t.Fatalf("sample set %dx%d, want %dx%d", gset.Len(), gset.Width(), wset.Len(), wset.Width())
-	}
-	wx, gx := wset.Arena(), gset.Arena()
-	for i := range wx {
-		if math.Float64bits(wx[i]) != math.Float64bits(gx[i]) {
-			t.Fatalf("sample arena differs at %d: %x vs %x", i, gx[i], wx[i])
-		}
-	}
-	for i := 0; i < wset.Len(); i++ {
-		if wset.Y(i) != gset.Y(i) || wset.Day(i) != gset.Day(i) || wset.SN(i) != gset.SN(i) {
-			t.Fatalf("sample row %d metadata differs", i)
-		}
-	}
-}
-
-func TestPrepareFrameMatchesPrepare(t *testing.T) {
-	fleet := testFleet(t)
-	want, err := Prepare(fleet.Data, fleet.Tickets, DefaultConfig("I"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := PrepareFrame(testFrame(t), fleet.Tickets, DefaultConfig("I"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Frame == nil {
-		t.Fatal("frame path did not keep its frame")
-	}
-	requirePreparedEquivalent(t, want, got)
-}
 
 func TestPrepareFrameAblations(t *testing.T) {
 	fleet := testFleet(t)
-	for _, mutate := range []func(*Config){
-		func(c *Config) { c.SkipClean = true },
-		func(c *Config) { c.SkipCumulate = true },
-		func(c *Config) { c.SkipClean = true; c.SkipCumulate = true },
-		func(c *Config) { c.Workers = 3 },
-	} {
+	vendor := fleet.Frame.FilterVendor("I")
+	base, err := PrepareFrame(fleet.Frame, fleet.Tickets, DefaultConfig("I"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		skipClean, skipCumulate bool
+		workers                 int
+	}{{true, false, 0}, {false, true, 0}, {true, true, 0}, {false, false, 3}} {
 		cfg := DefaultConfig("I")
-		mutate(&cfg)
-		want, err := Prepare(fleet.Data, fleet.Tickets, cfg)
+		cfg.SkipClean, cfg.SkipCumulate, cfg.Workers = c.skipClean, c.skipCumulate, c.workers
+		p, err := PrepareFrame(fleet.Frame, fleet.Tickets, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := PrepareFrame(testFrame(t), fleet.Tickets, cfg)
+		if p.Frame.Cumulated() == c.skipCumulate {
+			t.Fatalf("%+v: cumulated = %v", c, p.Frame.Cumulated())
+		}
+		if c.skipClean {
+			if p.CleanStats != (dataset.CleanStats{}) || p.RecordCount != vendor.Len() || p.Frame.Drives() != vendor.Drives() {
+				t.Fatalf("%+v: clean stage ran: stats %+v, %d rows of %d", c, p.CleanStats, p.RecordCount, vendor.Len())
+			}
+			continue
+		}
+		if p.CleanStats.DrivesIn != vendor.Drives() {
+			t.Fatalf("%+v: clean stats %+v for %d vendor drives", c, p.CleanStats, vendor.Drives())
+		}
+		if c.skipCumulate {
+			continue
+		}
+		// Only the worker count differs from base: nothing may move.
+		if p.CleanStats != base.CleanStats || p.RecordCount != base.RecordCount || !reflect.DeepEqual(p.Labels, base.Labels) {
+			t.Fatalf("workers=%d: preparation differs from the default", c.workers)
+		}
+		want, err := base.BuildSampleSet()
 		if err != nil {
 			t.Fatal(err)
 		}
-		requirePreparedEquivalent(t, want, got)
+		got, err := p.BuildSampleSet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wx, gx := want.Arena(), got.Arena()
+		if len(wx) != len(gx) {
+			t.Fatalf("workers=%d: %d arena values, want %d", c.workers, len(gx), len(wx))
+		}
+		for i := range wx {
+			if math.Float64bits(wx[i]) != math.Float64bits(gx[i]) {
+				t.Fatalf("workers=%d: sample arena differs at %d", c.workers, i)
+			}
+		}
 	}
 }
 
 func TestPrepareFrameUnknownVendor(t *testing.T) {
 	fleet := testFleet(t)
-	if _, err := PrepareFrame(testFrame(t), fleet.Tickets, DefaultConfig("XX")); err == nil {
+	if _, err := PrepareFrame(fleet.Frame, fleet.Tickets, DefaultConfig("XX")); err == nil {
 		t.Fatal("unknown vendor accepted")
-	}
-}
-
-// TestTrainOnFrameMatchesTrainOnFleet is the end-to-end pin: the same
-// fleet through simulate→frame→train equals the record path exactly,
-// down to the calibrated threshold and every evaluation number.
-func TestTrainOnFrameMatchesTrainOnFleet(t *testing.T) {
-	fleet := testFleet(t)
-	wantModel, wantRep, err := TrainOnFleet(fleet.Data, fleet.Tickets, DefaultConfig("I"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	frameRes, err := simfleet.SimulateFrame(fleet.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotModel, gotRep, err := TrainOnFrame(frameRes.Frame, frameRes.Tickets, DefaultConfig("I"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotModel.TrainerName != wantModel.TrainerName ||
-		gotModel.Threshold != wantModel.Threshold ||
-		gotModel.TrainEndDay != wantModel.TrainEndDay {
-		t.Fatalf("model %s/%g/%d, want %s/%g/%d",
-			gotModel.TrainerName, gotModel.Threshold, gotModel.TrainEndDay,
-			wantModel.TrainerName, wantModel.Threshold, wantModel.TrainEndDay)
-	}
-	if gotRep.TrainSamples != wantRep.TrainSamples || gotRep.TestSamples != wantRep.TestSamples {
-		t.Fatalf("splits %d/%d, want %d/%d",
-			gotRep.TrainSamples, gotRep.TestSamples, wantRep.TrainSamples, wantRep.TestSamples)
-	}
-	if gotRep.Eval != wantRep.Eval {
-		t.Fatalf("evaluation differs:\n%+v\n%+v", gotRep.Eval, wantRep.Eval)
 	}
 }

@@ -14,17 +14,13 @@ import (
 )
 
 // Prepared is the output of the preprocessing stages: a cleaned,
-// cumulated, vendor-filtered dataset with resolved failure labels and a
-// fitted extractor — everything model training consumes. Preparing once
-// and training several models on it is the normal experiment flow.
+// cumulated, vendor-filtered telemetry frame with resolved failure
+// labels and a fitted extractor — everything model training consumes.
+// Preparing once and training several models on it is the normal
+// experiment flow.
 type Prepared struct {
 	Config Config
-	// Data is the record-form prepared telemetry. On the columnar
-	// PrepareFrame path it starts nil and is materialised from Frame on
-	// first use; call Dataset() instead of reading the field.
-	Data *dataset.Dataset
-	// Frame is the columnar prepared telemetry (PrepareFrame path
-	// only); nil when Prepare ran on records.
+	// Frame is the prepared telemetry.
 	Frame      *dataset.Frame
 	Labels     labeling.Labels
 	Extractor  *features.Extractor
@@ -34,86 +30,28 @@ type Prepared struct {
 	CleanTime   time.Duration
 	LabelTime   time.Duration
 	RecordCount int
+
+	// data is Frame in record form, materialised by Dataset on first
+	// use.
+	data *dataset.Dataset
 }
 
 // Dataset returns the prepared telemetry in record form, converting
-// from the columnar frame on first use (the compat adapter for sample
-// builders that still walk []Record).
+// from the frame on first use — for the CNN_LSTM sequence builder and
+// per-record probes such as features.PositiveSamplesAt.
 func (p *Prepared) Dataset() *dataset.Dataset {
-	if p.Data == nil && p.Frame != nil {
-		p.Data = p.Frame.ToDataset()
+	if p.data == nil {
+		p.data = p.Frame.ToDataset()
 	}
-	return p.Data
+	return p.data
 }
 
-// Prepare runs MFPA's data stages: vendor filter → discontinuity
-// optimisation → cumulative W/B transform → failure-time
-// identification → extractor construction.
-func Prepare(data *dataset.Dataset, tickets *ticket.Store, cfg Config) (*Prepared, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-
-	if cfg.Vendor != "" {
-		data = data.Filter(func(s *dataset.DriveSeries) bool { return s.Vendor == cfg.Vendor })
-		if data.Drives() == 0 {
-			return nil, fmt.Errorf("core: no drives for vendor %q", cfg.Vendor)
-		}
-	}
-
-	p := &Prepared{Config: cfg}
-	start := time.Now()
-	if cfg.SkipClean {
-		if cfg.SkipCumulate {
-			// Double-ablation path: with cleaning and cumulation both
-			// off, nothing downstream mutates the dataset, so the
-			// defensive copy would be pure overhead.
-			p.Data = data
-		} else {
-			// Ablation path: keep gaps; work on a private copy because
-			// Cumulate mutates records in place.
-			p.Data = data.Clone()
-		}
-	} else {
-		cleaned, stats, err := dataset.CleanDiscontinuityWorkers(data, cfg.GapPolicy, cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		p.Data = cleaned
-		p.CleanStats = stats
-	}
-	if !cfg.SkipCumulate {
-		if err := dataset.Cumulate(p.Data); err != nil {
-			return nil, err
-		}
-	}
-	p.CleanTime = time.Since(start)
-	p.RecordCount = p.Data.Len()
-
-	start = time.Now()
-	labels, err := labeling.Identify(p.Data, tickets, cfg.Theta)
-	if err != nil {
-		return nil, err
-	}
-	p.Labels = labels
-	p.LabelStats = labeling.Summarise(labels)
-	p.LabelTime = time.Since(start)
-
-	ext, err := features.NewExtractor(cfg.Group, cfg.Registries)
-	if err != nil {
-		return nil, err
-	}
-	p.Extractor = ext
-	return p, nil
-}
-
-// PrepareFrame is Prepare on the columnar data plane: vendor filter as
-// a zero-copy drive-range view, then the fused clean+cumulate pass
-// (one traversal per drive, no intermediate dataset), then label
-// identification straight off the day column. The result is
-// bit-identical to Prepare on the equivalent record-form fleet; sample
-// construction dispatches to the frame extractor automatically.
+// PrepareFrame runs MFPA's data stages on columnar telemetry: vendor
+// filter as a zero-copy drive-range view, then the fused
+// discontinuity-optimisation + cumulative W/B pass
+// (dataset.PreparePipeline, one traversal per drive), then
+// failure-time identification straight off the day column, then
+// extractor construction.
 func PrepareFrame(f *dataset.Frame, tickets *ticket.Store, cfg Config) (*Prepared, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -139,9 +77,7 @@ func PrepareFrame(f *dataset.Frame, tickets *ticket.Store, cfg Config) (*Prepare
 		return nil, err
 	}
 	p.Frame = out
-	if !cfg.SkipClean {
-		p.CleanStats = stats
-	}
+	p.CleanStats = stats
 	p.CleanTime = time.Since(start)
 	p.RecordCount = out.Len()
 
@@ -163,31 +99,34 @@ func PrepareFrame(f *dataset.Frame, tickets *ticket.Store, cfg Config) (*Prepare
 }
 
 // BuildSamples extracts the labelled samples appropriate for the
-// configured algorithm (flat, or sequence-shaped for CNN_LSTM).
+// configured algorithm: sequence-shaped for CNN_LSTM, otherwise the
+// rows of BuildSampleSet, in the same order, with vectors aliasing its
+// arena.
 func (p *Prepared) BuildSamples() ([]ml.Sample, error) {
-	opts := features.DefaultBuildOptions()
-	opts.PositiveWindowDays = p.Config.PositiveWindowDays
-	opts.Workers = p.Config.Workers
 	if p.Config.Algorithm.Sequential() {
-		return features.BuildSeqSamples(p.Dataset(), p.Labels, p.Extractor, p.Config.SeqLen, opts)
+		return features.BuildSeqSamples(p.Dataset(), p.Labels, p.Extractor, p.Config.SeqLen, p.buildOptions())
 	}
-	return features.BuildSamples(p.Dataset(), p.Labels, p.Extractor, opts)
+	set, err := p.BuildSampleSet()
+	if err != nil {
+		return nil, err
+	}
+	return set.All().Materialize(), nil
 }
 
 // BuildSampleSet extracts the flat labelled samples directly into a
 // columnar ml.SampleSet — the representation the view-based training
 // path shares across splits, calibration folds, and search candidates.
-// Row content and order match BuildSamples exactly. The sequential
-// CNN_LSTM representation (overlapping windows) has no flat-arena
-// form; its call sites stay on BuildSamples.
+// The sequential CNN_LSTM representation (overlapping windows) has no
+// flat-arena form; its call sites stay on BuildSamples.
 func (p *Prepared) BuildSampleSet() (*ml.SampleSet, error) {
+	return features.BuildSampleSetFrame(p.Frame, p.Labels, p.Extractor, p.buildOptions())
+}
+
+func (p *Prepared) buildOptions() features.BuildOptions {
 	opts := features.DefaultBuildOptions()
 	opts.PositiveWindowDays = p.Config.PositiveWindowDays
 	opts.Workers = p.Config.Workers
-	if p.Frame != nil {
-		return features.BuildSampleSetFrame(p.Frame, p.Labels, p.Extractor, opts)
-	}
-	return features.BuildSampleSet(p.Data, p.Labels, p.Extractor, opts)
+	return opts
 }
 
 // Model is a trained MFPA failure predictor.
@@ -307,9 +246,8 @@ func Train(p *Prepared, tests ...[]ml.Sample) (*Model, *TrainReport, error) {
 	return m, report, nil
 }
 
-// trainSlices is the legacy []ml.Sample training path, retained for
-// the sequential CNN_LSTM whose overlapping windows cannot share a
-// flat arena.
+// trainSlices is the []ml.Sample training path of the sequential
+// CNN_LSTM, whose overlapping windows cannot share a flat arena.
 func trainSlices(p *Prepared, tests ...[]ml.Sample) (*Model, *TrainReport, error) {
 	cfg := p.Config
 	report := &TrainReport{Prepared: p}
@@ -498,18 +436,8 @@ func bothClassesView(v ml.View) bool {
 	return neg > 0 && pos > 0
 }
 
-// TrainOnFleet is the one-call convenience: Prepare followed by Train.
-func TrainOnFleet(data *dataset.Dataset, tickets *ticket.Store, cfg Config) (*Model, *TrainReport, error) {
-	p, err := Prepare(data, tickets, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return Train(p)
-}
-
-// TrainOnFrame is TrainOnFleet on the columnar data plane: PrepareFrame
-// followed by Train, with no record-form dataset on the way to the
-// SampleSet.
+// TrainOnFrame is the one-call convenience: PrepareFrame followed by
+// Train.
 func TrainOnFrame(f *dataset.Frame, tickets *ticket.Store, cfg Config) (*Model, *TrainReport, error) {
 	p, err := PrepareFrame(f, tickets, cfg)
 	if err != nil {

@@ -23,48 +23,27 @@ func benchDataset(b *testing.B, drives, days int) *Dataset {
 	return d
 }
 
-func BenchmarkCleanDiscontinuity(b *testing.B) {
-	d := benchDataset(b, 200, 120)
-	policy := DefaultGapPolicy()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := CleanDiscontinuity(d, policy); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkPreparePipelineWorkers compares the serial fused
+// clean+cumulate pass against the full per-drive fan-out.
+func BenchmarkPreparePipelineWorkers(b *testing.B) {
+	f, err := FrameFromDataset(benchDataset(b, 200, 120))
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkCleanDiscontinuityWorkers compares the serial per-drive
-// cleaning loop against the full fan-out.
-func BenchmarkCleanDiscontinuityWorkers(b *testing.B) {
-	d := benchDataset(b, 200, 120)
-	policy := DefaultGapPolicy()
 	for _, bc := range []struct {
 		name    string
 		workers int
 	}{{"workers=1", 1}, {"workers=gomaxprocs", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
+			opts := PipelineOptions{Policy: DefaultGapPolicy(), Workers: bc.workers}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := CleanDiscontinuityWorkers(d, policy, bc.workers); err != nil {
+				if _, _, err := PreparePipeline(f, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkCumulate(b *testing.B) {
-	d := benchDataset(b, 200, 120)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := d.Clone()
-		if err := Cumulate(c); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

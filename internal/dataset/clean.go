@@ -1,12 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-
-	"repro/internal/bsod"
-	"repro/internal/parallel"
-	"repro/internal/winevent"
-)
+import "fmt"
 
 // GapPolicy configures the discontinuity optimisation of the paper's
 // Section III-C(1): consumer machines are powered on irregularly, so
@@ -39,158 +33,12 @@ func (p GapPolicy) Validate() error {
 	return nil
 }
 
-// CleanStats summarises what a CleanDiscontinuity pass did.
+// CleanStats summarises what the clean stage of PreparePipeline did.
 type CleanStats struct {
 	DrivesIn      int
 	DrivesDropped int
 	RecordsIn     int
 	RecordsFilled int
-}
-
-// CleanDiscontinuity applies the discontinuity optimisation to d and
-// returns a new dataset plus statistics. Drives containing any interval
-// ≥ policy.DropGap are removed entirely; remaining intervals of
-// 2..policy.FillGap days are filled with synthetic records carrying the
-// mean of the adjacent observations (marked Interpolated). Intervals
-// between FillGap and DropGap are left as-is — the series survives but
-// keeps its hole, which is exactly the data-quality hazard the paper
-// notes for time-series models such as CNN_LSTM.
-//
-// Per-drive gap analysis and filling fan out across GOMAXPROCS
-// goroutines; use CleanDiscontinuityWorkers to pin the worker count
-// (1 = serial). Output is identical at any setting.
-func CleanDiscontinuity(d *Dataset, policy GapPolicy) (*Dataset, CleanStats, error) {
-	return CleanDiscontinuityWorkers(d, policy, 0)
-}
-
-// CleanDiscontinuityWorkers is CleanDiscontinuity with an explicit
-// worker count (0 = GOMAXPROCS, 1 = serial). Drives are filtered and
-// filled independently and merged in dataset order, so the result does
-// not depend on workers.
-func CleanDiscontinuityWorkers(d *Dataset, policy GapPolicy, workers int) (*Dataset, CleanStats, error) {
-	if err := policy.Validate(); err != nil {
-		return nil, CleanStats{}, err
-	}
-	stats := CleanStats{DrivesIn: d.Drives(), RecordsIn: d.Len()}
-	// Cleaning a cumulated dataset is unusual (mean-fill of running
-	// totals) but well-defined; carry the marker through.
-	cumulated := d.cumulated
-
-	type cleaned struct {
-		dropped bool
-		series  *DriveSeries
-		filled  int
-	}
-	outs, err := parallel.Map(len(d.order), workers, func(i int) (cleaned, error) {
-		s := d.bySN[d.order[i]]
-		if s.MaxGap() >= policy.DropGap {
-			return cleaned{dropped: true}, nil
-		}
-		filled, n := fillSeries(s, policy.FillGap)
-		return cleaned{series: filled, filled: n}, nil
-	})
-	if err != nil {
-		return nil, CleanStats{}, err
-	}
-
-	out := New()
-	out.cumulated = cumulated
-	for i := range outs {
-		c := &outs[i]
-		if c.dropped {
-			stats.DrivesDropped++
-			continue
-		}
-		stats.RecordsFilled += c.filled
-		for _, r := range c.series.Records {
-			if err := out.Append(r); err != nil {
-				return nil, CleanStats{}, err
-			}
-		}
-	}
-	return out, stats, nil
-}
-
-// fillSeries mean-fills gaps of at most fillGap days in s and returns
-// the filled series plus the number of records synthesised.
-func fillSeries(s *DriveSeries, fillGap int) (*DriveSeries, int) {
-	out := &DriveSeries{SerialNumber: s.SerialNumber, Vendor: s.Vendor, Model: s.Model}
-	// Size the output exactly: one slot per record plus one per filled
-	// day, so the append loop never reallocates.
-	extra := 0
-	for i := 1; i < len(s.Records); i++ {
-		if g := s.Records[i].Day - s.Records[i-1].Day; g >= 2 && g <= fillGap {
-			extra += g - 1
-		}
-	}
-	out.Records = make([]Record, 0, len(s.Records)+extra)
-	filled := 0
-	for i := range s.Records {
-		if i > 0 {
-			prev := &s.Records[i-1]
-			cur := &s.Records[i]
-			gap := cur.Day - prev.Day
-			if gap >= 2 && gap <= fillGap {
-				for day := prev.Day + 1; day < cur.Day; day++ {
-					out.Records = append(out.Records, meanRecord(prev, cur, day))
-					filled++
-				}
-			}
-		}
-		out.Records = append(out.Records, s.Records[i].Clone())
-	}
-	return out, filled
-}
-
-// meanRecord synthesises the mean of two adjacent observations for the
-// missing day. Counts and SMART values are averaged element-wise; the
-// firmware version is carried from the earlier record (firmware cannot
-// change while the machine is off).
-func meanRecord(a, b *Record, day int) Record {
-	r := Record{
-		SerialNumber: a.SerialNumber,
-		Vendor:       a.Vendor,
-		Model:        a.Model,
-		Day:          day,
-		Firmware:     a.Firmware,
-		WCounts:      winevent.NewCounts(),
-		BCounts:      bsod.NewCounts(),
-		Interpolated: true,
-	}
-	for i := range r.Smart {
-		r.Smart[i] = (a.Smart[i] + b.Smart[i]) / 2
-	}
-	for i := range r.WCounts {
-		r.WCounts[i] = (a.WCounts[i] + b.WCounts[i]) / 2
-	}
-	for i := range r.BCounts {
-		r.BCounts[i] = (a.BCounts[i] + b.BCounts[i]) / 2
-	}
-	return r
-}
-
-// Cumulate converts the daily W and B counts of every series into
-// running per-drive totals, in place. The paper uses accumulated values
-// as model input because daily counts are too sparse to show trends.
-// The dataset is marked, and a second Cumulate call errors instead of
-// silently double-applying the transform.
-func Cumulate(d *Dataset) error {
-	if d.cumulated {
-		return fmt.Errorf("dataset: Cumulate called twice: counts are already running totals")
-	}
-	d.Each(func(s *DriveSeries) {
-		for i := 1; i < len(s.Records); i++ {
-			prev, cur := &s.Records[i-1], &s.Records[i]
-			for j := range cur.WCounts {
-				cur.WCounts[j] += prev.WCounts[j]
-			}
-			for j := range cur.BCounts {
-				cur.BCounts[j] += prev.BCounts[j]
-			}
-		}
-	})
-	d.cumulated = true
-	return nil
 }
 
 // GapHistogram tallies, over all drives, how many consecutive-record

@@ -3,6 +3,7 @@ package dataset
 import (
 	"testing"
 
+	"repro/internal/bsod"
 	"repro/internal/smartattr"
 	"repro/internal/winevent"
 )
@@ -37,15 +38,120 @@ func TestGapPolicyValidate(t *testing.T) {
 	}
 }
 
+// cleanRef is the record-form discontinuity optimisation, kept as the
+// oracle PreparePipeline's fused clean stage is pinned against: drives
+// with a gap ≥ DropGap are removed, gaps of 2..FillGap days are filled
+// with Interpolated records carrying the mean of the two adjacent
+// observations and the earlier record's firmware.
+func cleanRef(d *Dataset, policy GapPolicy) (*Dataset, CleanStats) {
+	stats := CleanStats{DrivesIn: d.Drives(), RecordsIn: d.Len()}
+	out := New()
+	out.cumulated = d.cumulated
+	d.Each(func(s *DriveSeries) {
+		if s.MaxGap() >= policy.DropGap {
+			stats.DrivesDropped++
+			return
+		}
+		c := &DriveSeries{SerialNumber: s.SerialNumber, Vendor: s.Vendor, Model: s.Model}
+		for i := range s.Records {
+			if i > 0 {
+				prev, cur := &s.Records[i-1], &s.Records[i]
+				if gap := cur.Day - prev.Day; gap >= 2 && gap <= policy.FillGap {
+					for day := prev.Day + 1; day < cur.Day; day++ {
+						c.Records = append(c.Records, meanRecordRef(prev, cur, day))
+						stats.RecordsFilled++
+					}
+				}
+			}
+			c.Records = append(c.Records, s.Records[i].Clone())
+		}
+		out.bySN[c.SerialNumber] = c
+		out.order = append(out.order, c.SerialNumber)
+	})
+	return out, stats
+}
+
+// meanRecordRef synthesises the fill record for day between a and b.
+func meanRecordRef(a, b *Record, day int) Record {
+	r := Record{
+		SerialNumber: a.SerialNumber,
+		Vendor:       a.Vendor,
+		Model:        a.Model,
+		Day:          day,
+		Firmware:     a.Firmware,
+		WCounts:      winevent.NewCounts(),
+		BCounts:      bsod.NewCounts(),
+		Interpolated: true,
+	}
+	for i := range r.Smart {
+		r.Smart[i] = (a.Smart[i] + b.Smart[i]) / 2
+	}
+	for i := range r.WCounts {
+		r.WCounts[i] = (a.WCounts[i] + b.WCounts[i]) / 2
+	}
+	for i := range r.BCounts {
+		r.BCounts[i] = (a.BCounts[i] + b.BCounts[i]) / 2
+	}
+	return r
+}
+
+// cumulateRef is the record-form cumulative W/B transform, in place:
+// the oracle of PreparePipeline's cumulate stage.
+func cumulateRef(d *Dataset) {
+	d.Each(func(s *DriveSeries) {
+		for i := 1; i < len(s.Records); i++ {
+			prev, cur := &s.Records[i-1], &s.Records[i]
+			for j := range cur.WCounts {
+				cur.WCounts[j] += prev.WCounts[j]
+			}
+			for j := range cur.BCounts {
+				cur.BCounts[j] += prev.BCounts[j]
+			}
+		}
+	})
+	d.cumulated = true
+}
+
+// frameOf converts a test dataset to a frame, failing on error.
+func frameOf(t *testing.T, d *Dataset) *Frame {
+	t.Helper()
+	f, err := FrameFromDataset(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// prepare runs PreparePipeline on d's frame and returns the result in
+// record form.
+func prepare(t *testing.T, d *Dataset, opts PipelineOptions) (*Dataset, CleanStats) {
+	t.Helper()
+	out, stats, err := PreparePipeline(frameOf(t, d), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.ToDataset(), stats
+}
+
+// clean runs only the clean stage of PreparePipeline.
+func clean(t *testing.T, d *Dataset) (*Dataset, CleanStats) {
+	t.Helper()
+	return prepare(t, d, PipelineOptions{Policy: DefaultGapPolicy(), SkipCumulate: true})
+}
+
+// cumulate runs only the cumulate stage of PreparePipeline.
+func cumulate(t *testing.T, d *Dataset) *Dataset {
+	t.Helper()
+	out, _ := prepare(t, d, PipelineOptions{SkipClean: true})
+	return out
+}
+
 func TestCleanDropsLongGaps(t *testing.T) {
 	d := buildSet(t, map[string][]int{
 		"keep": {0, 1, 2, 3},
 		"drop": {0, 1, 15}, // gap of 14 ≥ 10
 	})
-	out, stats, err := CleanDiscontinuity(d, DefaultGapPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, stats := clean(t, d)
 	if _, ok := out.Series("drop"); ok {
 		t.Fatal("drive with ≥10 day gap survived")
 	}
@@ -59,10 +165,7 @@ func TestCleanDropsLongGaps(t *testing.T) {
 
 func TestCleanFillsShortGaps(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0, 3}}) // gap of 3 → fill days 1, 2
-	out, stats, err := CleanDiscontinuity(d, DefaultGapPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, stats := clean(t, d)
 	s, _ := out.Series("A")
 	if len(s.Records) != 4 {
 		t.Fatalf("filled series has %d records, want 4", len(s.Records))
@@ -92,10 +195,7 @@ func TestCleanLeavesMediumGaps(t *testing.T) {
 	// A gap of 5 is between FillGap (3) and DropGap (10): the drive
 	// survives but keeps its hole.
 	d := buildSet(t, map[string][]int{"A": {0, 5}})
-	out, stats, err := CleanDiscontinuity(d, DefaultGapPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, stats := clean(t, d)
 	s, _ := out.Series("A")
 	if len(s.Records) != 2 {
 		t.Fatalf("records = %d, want 2 (no fill)", len(s.Records))
@@ -106,28 +206,26 @@ func TestCleanLeavesMediumGaps(t *testing.T) {
 }
 
 func TestCleanDoesNotMutateInput(t *testing.T) {
-	d := buildSet(t, map[string][]int{"A": {0, 3}})
-	before := d.Len()
-	if _, _, err := CleanDiscontinuity(d, DefaultGapPolicy()); err != nil {
+	d := buildSet(t, map[string][]int{"A": {0, 3}, "B": {0, 1, 2}})
+	f := frameOf(t, d)
+	if _, _, err := PreparePipeline(f, PipelineOptions{Policy: DefaultGapPolicy()}); err != nil {
 		t.Fatal(err)
 	}
-	if d.Len() != before {
-		t.Fatal("CleanDiscontinuity mutated its input")
+	if f.Cumulated() {
+		t.Fatal("PreparePipeline marked its input cumulated")
 	}
+	requireDatasetsEqualBits(t, d, f.ToDataset())
 }
 
 func TestCleanRejectsBadPolicy(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0, 1}})
-	if _, _, err := CleanDiscontinuity(d, GapPolicy{DropGap: 3, FillGap: 5}); err == nil {
+	if _, _, err := PreparePipeline(frameOf(t, d), PipelineOptions{Policy: GapPolicy{DropGap: 3, FillGap: 5}}); err == nil {
 		t.Fatal("invalid policy accepted")
 	}
 }
 
 func TestCumulate(t *testing.T) {
-	d := buildSet(t, map[string][]int{"A": {0, 1, 2}})
-	if err := Cumulate(d); err != nil {
-		t.Fatal(err)
-	}
+	d := cumulate(t, buildSet(t, map[string][]int{"A": {0, 1, 2}}))
 	s, _ := d.Series("A")
 	want := []float64{1, 2, 3}
 	for i, r := range s.Records {
@@ -140,14 +238,12 @@ func TestCumulate(t *testing.T) {
 func TestCumulateMonotone(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0, 1, 2, 3, 4, 5}})
 	// Vary daily counts.
-	s, _ := d.Series("A")
-	for i := range s.Records {
-		s.Records[i].WCounts[1] = float64(i % 3)
-		s.Records[i].BCounts[0] = float64((i + 1) % 2)
+	raw, _ := d.Series("A")
+	for i := range raw.Records {
+		raw.Records[i].WCounts[1] = float64(i % 3)
+		raw.Records[i].BCounts[0] = float64((i + 1) % 2)
 	}
-	if err := Cumulate(d); err != nil {
-		t.Fatal(err)
-	}
+	s, _ := cumulate(t, d).Series("A")
 	for i := 1; i < len(s.Records); i++ {
 		for j := range s.Records[i].WCounts {
 			if s.Records[i].WCounts[j] < s.Records[i-1].WCounts[j] {

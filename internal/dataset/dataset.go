@@ -107,15 +107,17 @@ func (s *DriveSeries) Clone() *DriveSeries {
 	return c
 }
 
-// Dataset is a collection of drive series keyed by serial number; it is
-// the unit the MFPA preprocessing and sampling stages operate on.
+// Dataset is a collection of drive series keyed by serial number: the
+// record form of telemetry that the simulator emits and online
+// consumers walk. The batch pipeline runs on its columnar twin, Frame
+// (convert with FrameFromDataset).
 type Dataset struct {
 	bySN  map[string]*DriveSeries
 	order []string // serial numbers in insertion order
 
 	// cumulated marks datasets whose W/B counts hold running totals
-	// (set by Cumulate); a second Cumulate call errors instead of
-	// silently double-applying.
+	// (carried over from a cumulated Frame by ToDataset), so converting
+	// back with FrameFromDataset cannot lead to cumulating twice.
 	cumulated bool
 }
 
@@ -155,8 +157,7 @@ func (d *Dataset) Append(r Record) error {
 // Drives returns the number of drives in the dataset.
 func (d *Dataset) Drives() int { return len(d.bySN) }
 
-// Cumulated reports whether Cumulate has converted the W/B counts to
-// running totals.
+// Cumulated reports whether the W/B counts hold running totals.
 func (d *Dataset) Cumulated() bool { return d.cumulated }
 
 // Len returns the total number of records across all drives.
@@ -206,21 +207,6 @@ func (d *Dataset) Remove(sn string) bool {
 	return true
 }
 
-// Filter returns a new dataset containing only the drives for which
-// keep returns true. Series are shared, not copied.
-func (d *Dataset) Filter(keep func(*DriveSeries) bool) *Dataset {
-	out := New()
-	out.cumulated = d.cumulated
-	for _, sn := range d.order {
-		s := d.bySN[sn]
-		if keep(s) {
-			out.bySN[sn] = s
-			out.order = append(out.order, sn)
-		}
-	}
-	return out
-}
-
 // Vendors returns the distinct vendor names present, sorted.
 func (d *Dataset) Vendors() []string {
 	set := make(map[string]bool)
@@ -264,30 +250,6 @@ func (d *Dataset) Clone() *Dataset {
 	out.cumulated = d.cumulated
 	for _, sn := range d.order {
 		out.bySN[sn] = d.bySN[sn].Clone()
-		out.order = append(out.order, sn)
-	}
-	return out
-}
-
-// Until returns a new dataset containing only records observed on or
-// before day — the fleet's knowledge as of that date. Series views
-// share backing arrays with d; callers that mutate records (Cumulate)
-// must operate on cleaned or cloned data, which the core pipeline does.
-func (d *Dataset) Until(day int) *Dataset {
-	out := New()
-	out.cumulated = d.cumulated
-	for _, sn := range d.order {
-		s := d.bySN[sn]
-		hi := sort.Search(len(s.Records), func(i int) bool { return s.Records[i].Day > day })
-		if hi == 0 {
-			continue
-		}
-		out.bySN[sn] = &DriveSeries{
-			SerialNumber: s.SerialNumber,
-			Vendor:       s.Vendor,
-			Model:        s.Model,
-			Records:      s.Records[:hi],
-		}
 		out.order = append(out.order, sn)
 	}
 	return out

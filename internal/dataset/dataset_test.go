@@ -185,12 +185,16 @@ func TestFilterShares(t *testing.T) {
 	b := rec("B", 1)
 	b.Vendor = "II"
 	mustAppend(t, d, b)
-	only := d.Filter(func(s *DriveSeries) bool { return s.Vendor == "I" })
-	if only.Drives() != 1 {
-		t.Fatalf("filtered drives = %d", only.Drives())
+	f := frameOf(t, d)
+	only := f.FilterVendor("I")
+	if only.Drives() != 1 || only.Len() != 1 {
+		t.Fatalf("filtered frame: %d drives, %d rows", only.Drives(), only.Len())
 	}
-	if _, ok := only.Series("B"); ok {
+	if _, ok := only.DriveIndex("B"); ok {
 		t.Fatal("vendor II drive leaked through filter")
+	}
+	if &only.smart[0] != &f.smart[0] || &only.w[0] != &f.w[0] || &only.day[0] != &f.day[0] {
+		t.Fatal("FilterVendor copied the columns instead of sharing them")
 	}
 }
 
@@ -229,23 +233,31 @@ func TestEachOrder(t *testing.T) {
 	}
 }
 
+// TestUntil pins Frame.Until on random fleets, raw and cumulated: a
+// cut before, inside, or after the observed day range keeps exactly
+// the records with Day ≤ day, omits drives left empty, carries the
+// cumulated marker, shares the parent's columns, and leaves the
+// parent untouched.
 func TestUntil(t *testing.T) {
-	d := New()
-	mustAppend(t, d, rec("A", 1))
-	mustAppend(t, d, rec("A", 5))
-	mustAppend(t, d, rec("A", 9))
-	mustAppend(t, d, rec("B", 7))
-	cut := d.Until(5)
-	if cut.Drives() != 1 {
-		t.Fatalf("drives = %d, want 1 (B starts after the cut)", cut.Drives())
-	}
-	s, _ := cut.Series("A")
-	if len(s.Records) != 2 || s.LastDay() != 5 {
-		t.Fatalf("A after cut: %d records, last %d", len(s.Records), s.LastDay())
-	}
-	// The original is untouched.
-	orig, _ := d.Series("A")
-	if len(orig.Records) != 3 {
-		t.Fatal("Until mutated the source")
+	for seed := int64(0); seed < 4; seed++ {
+		d := randomDataset(seed, 20)
+		if seed%2 == 1 {
+			cumulateRef(d)
+		}
+		f := frameOf(t, d)
+		lo, hi, _ := d.DayRange()
+		for _, day := range []int{lo - 1, lo, (lo + hi) / 2, hi - 1, hi, hi + 5} {
+			cut := f.Until(day)
+			want := subset(d, func(r *Record) bool { return r.Day <= day })
+			if cut.Drives() != want.Drives() || cut.Len() != want.Len() {
+				t.Fatalf("seed %d until %d: %d drives/%d rows, want %d/%d",
+					seed, day, cut.Drives(), cut.Len(), want.Drives(), want.Len())
+			}
+			requireDatasetsEqualBits(t, want, cut.ToDataset())
+			if &cut.smart[0] != &f.smart[0] || &cut.b[0] != &f.b[0] || &cut.fw[0] != &f.fw[0] {
+				t.Fatalf("seed %d until %d: columns copied instead of shared", seed, day)
+			}
+		}
+		requireDatasetsEqualBits(t, d, f.ToDataset())
 	}
 }

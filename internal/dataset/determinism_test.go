@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 )
 
@@ -27,12 +26,12 @@ func gapDataset(t *testing.T, drives int) *Dataset {
 	return d
 }
 
-// TestCleanWorkersIdentical asserts the per-drive cleaning fan-out is
-// bit-identical to the serial pass at every worker count.
+// TestCleanWorkersIdentical asserts the per-drive clean stage fan-out
+// is bit-identical to the serial pass at every worker count.
 func TestCleanWorkersIdentical(t *testing.T) {
-	d := gapDataset(t, 40)
-	policy := DefaultGapPolicy()
-	want, wantStats, err := CleanDiscontinuityWorkers(d, policy, 1)
+	f := frameOf(t, gapDataset(t, 40))
+	opts := PipelineOptions{Policy: DefaultGapPolicy(), SkipCumulate: true, Workers: 1}
+	want, wantStats, err := PreparePipeline(f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,22 +39,14 @@ func TestCleanWorkersIdentical(t *testing.T) {
 		t.Fatalf("fixture exercises nothing: stats = %+v", wantStats)
 	}
 	for _, w := range []int{0, 2, 3, 8} {
-		got, stats, err := CleanDiscontinuityWorkers(d, policy, w)
+		opts.Workers = w
+		got, stats, err := PreparePipeline(f, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		if stats != wantStats {
 			t.Fatalf("workers=%d: stats = %+v, want %+v", w, stats, wantStats)
 		}
-		if !reflect.DeepEqual(got.SerialNumbers(), want.SerialNumbers()) {
-			t.Fatalf("workers=%d: drive order differs", w)
-		}
-		for _, sn := range want.SerialNumbers() {
-			ws, _ := want.Series(sn)
-			gs, _ := got.Series(sn)
-			if !reflect.DeepEqual(gs, ws) {
-				t.Fatalf("workers=%d: drive %s differs after cleaning", w, sn)
-			}
-		}
+		requireDatasetsEqualBits(t, want.ToDataset(), got.ToDataset())
 	}
 }

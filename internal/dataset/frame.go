@@ -3,6 +3,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/bsod"
 	"repro/internal/firmware"
@@ -44,8 +45,9 @@ func (d *FrameDrive) Rows() int { return int(d.End - d.Start) }
 // (the Set*/AddDrive/Intern* methods); once handed to readers it must
 // be treated as immutable. Drive row ranges do not have to cover the
 // whole arena (the fleet simulator leaves slack rows between drives,
-// and FilterVendor shares the arena of its parent), so all iteration
-// goes through the drives' [Start, End) ranges, never over raw rows.
+// and the FilterVendor and Until views share their parent's arena), so
+// all iteration goes through the drives' [Start, End) ranges, never
+// over raw rows.
 type Frame struct {
 	drives []FrameDrive
 	bySN   map[string]int32
@@ -102,8 +104,8 @@ func (f *Frame) Len() int { return f.length }
 // when drive ranges leave slack between them.
 func (f *Frame) ArenaRows() int { return len(f.day) }
 
-// Cumulated reports whether the W/B columns hold running totals (the
-// Cumulate marker of the record path, carried by the fused pipeline).
+// Cumulated reports whether the W/B columns hold running totals (set
+// by PreparePipeline, which refuses to cumulate a frame twice).
 func (f *Frame) Cumulated() bool { return f.cumulated }
 
 // Day returns the observation day of row.
@@ -231,7 +233,36 @@ func (f *Frame) FilterVendor(vendor string) *Frame {
 	if vendor == "" {
 		return f
 	}
-	out := &Frame{
+	out := f.view()
+	for i := range f.drives {
+		if d := &f.drives[i]; d.Vendor == vendor {
+			out.addView(*d)
+		}
+	}
+	return out
+}
+
+// Until returns a frame holding only the rows observed on or before
+// day — the fleet's knowledge as of that date. Drives with no such row
+// are omitted. Columns are shared with f, not copied; the result is a
+// read-only view.
+func (f *Frame) Until(day int) *Frame {
+	out := f.view()
+	for i := range f.drives {
+		d := f.drives[i]
+		lo := int(d.Start)
+		d.End = int32(lo + sort.Search(d.Rows(), func(k int) bool { return int(f.day[lo+k]) > day }))
+		if d.End > d.Start {
+			out.addView(d)
+		}
+	}
+	return out
+}
+
+// view returns a drive-less frame sharing f's columns, firmware table,
+// and cumulated marker.
+func (f *Frame) view() *Frame {
+	return &Frame{
 		bySN:      make(map[string]int32),
 		day:       f.day,
 		interp:    f.interp,
@@ -243,16 +274,14 @@ func (f *Frame) FilterVendor(vendor string) *Frame {
 		fwIdx:     f.fwIdx,
 		cumulated: f.cumulated,
 	}
-	for i := range f.drives {
-		d := &f.drives[i]
-		if d.Vendor != vendor {
-			continue
-		}
-		out.bySN[d.SerialNumber] = int32(len(out.drives))
-		out.drives = append(out.drives, *d)
-		out.length += d.Rows()
-	}
-	return out
+}
+
+// addView registers an already-validated drive range of a shared
+// arena on a view built by view.
+func (f *Frame) addView(d FrameDrive) {
+	f.bySN[d.SerialNumber] = int32(len(f.drives))
+	f.drives = append(f.drives, d)
+	f.length += d.Rows()
 }
 
 // Vendors returns the distinct vendor names present, in first-seen
@@ -300,9 +329,9 @@ func FrameFromDataset(d *Dataset) (*Frame, error) {
 	return f, nil
 }
 
-// ToDataset materialises the frame as record-form telemetry — the
-// compat adapter for consumers that still walk []Record slices. Count
-// vectors are copied, so the dataset does not alias the arena.
+// ToDataset materialises the frame as record-form telemetry, for
+// consumers that walk []Record slices. Count vectors are copied, so the
+// dataset does not alias the arena.
 func (f *Frame) ToDataset() *Dataset {
 	d := New()
 	for di := range f.drives {

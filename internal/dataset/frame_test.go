@@ -148,9 +148,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameRoundTripCumulated(t *testing.T) {
 	d := randomDataset(2, 10)
-	if err := Cumulate(d); err != nil {
-		t.Fatal(err)
-	}
+	cumulateRef(d)
 	f, err := FrameFromDataset(d)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +269,7 @@ func TestFilterVendorView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := d.Filter(func(s *DriveSeries) bool { return s.Vendor == "I" })
+	want := subset(d, func(r *Record) bool { return r.Vendor == "I" })
 	got := f.FilterVendor("I")
 	requireDatasetsEqualBits(t, want, got.ToDataset())
 	if f.FilterVendor("") != f {
@@ -346,49 +344,53 @@ func TestReadCSVFrameFallbackOnInterleavedRows(t *testing.T) {
 
 func TestCumulateTwiceErrors(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0, 1, 2}})
-	if err := Cumulate(d); err != nil {
+	once, _, err := PreparePipeline(frameOf(t, d), PipelineOptions{SkipClean: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Cumulated() {
+	if !once.Cumulated() {
 		t.Fatal("cumulated marker not set")
 	}
-	if err := Cumulate(d); err == nil {
-		t.Fatal("second Cumulate accepted")
+	if _, _, err := PreparePipeline(once, PipelineOptions{SkipClean: true}); err == nil {
+		t.Fatal("second cumulation accepted")
 	}
 }
 
 func TestCumulatedMarkerPropagates(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0, 1, 2}, "B": {0, 1}})
-	if err := Cumulate(d); err != nil {
+	cum, _, err := PreparePipeline(frameOf(t, d), PipelineOptions{SkipClean: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Clone().Cumulated() {
-		t.Fatal("Clone dropped the cumulated marker")
+	if !cum.FilterVendor("I").Cumulated() {
+		t.Fatal("FilterVendor dropped the cumulated marker")
 	}
-	if !d.Filter(func(*DriveSeries) bool { return true }).Cumulated() {
-		t.Fatal("Filter dropped the cumulated marker")
-	}
-	if !d.Until(1).Cumulated() {
+	if !cum.Until(1).Cumulated() {
 		t.Fatal("Until dropped the cumulated marker")
 	}
-	cleaned, _, err := CleanDiscontinuity(d, DefaultGapPolicy())
+	cleaned, _, err := PreparePipeline(cum, PipelineOptions{Policy: DefaultGapPolicy(), SkipCumulate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cleaned.Cumulated() {
-		t.Fatal("CleanDiscontinuity dropped the cumulated marker")
+		t.Fatal("the clean stage dropped the cumulated marker")
+	}
+	back := cum.ToDataset()
+	if !back.Cumulated() {
+		t.Fatal("ToDataset dropped the cumulated marker")
+	}
+	if !back.Clone().Cumulated() {
+		t.Fatal("Clone dropped the cumulated marker")
+	}
+	if !frameOf(t, back).Cumulated() {
+		t.Fatal("FrameFromDataset dropped the cumulated marker")
 	}
 }
 
 func TestPreparePipelineRejectsCumulatedFrame(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0, 1, 2}})
-	if err := Cumulate(d); err != nil {
-		t.Fatal(err)
-	}
-	f, err := FrameFromDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cumulateRef(d)
+	f := frameOf(t, d)
 	if _, _, err := PreparePipeline(f, PipelineOptions{Policy: DefaultGapPolicy()}); err == nil {
 		t.Fatal("cumulating a cumulated frame accepted")
 	}
@@ -418,27 +420,40 @@ func TestGapHistogramGuardsNonPositiveGaps(t *testing.T) {
 	}
 }
 
-// preparedRecordPath runs the record-path pipeline (clean + cumulate)
-// that PreparePipeline fuses.
-func preparedRecordPath(t *testing.T, d *Dataset, policy GapPolicy, skipClean, skipCumulate bool, workers int) (*Dataset, CleanStats) {
-	t.Helper()
+// preparedRecordPath runs the record-form reference pipeline (clean
+// + cumulate) that PreparePipeline fuses.
+func preparedRecordPath(d *Dataset, policy GapPolicy, skipClean, skipCumulate bool) (*Dataset, CleanStats) {
 	var stats CleanStats
 	out := d
 	if !skipClean {
-		var err error
-		out, stats, err = CleanDiscontinuityWorkers(d, policy, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out, stats = cleanRef(d, policy)
 	} else if !skipCumulate {
 		out = d.Clone()
 	}
 	if !skipCumulate {
-		if err := Cumulate(out); err != nil {
-			t.Fatal(err)
-		}
+		cumulateRef(out)
 	}
 	return out, stats
+}
+
+// subset returns the records of d that keep accepts, in d's drive
+// order, omitting drives left empty and carrying the cumulated marker.
+func subset(d *Dataset, keep func(*Record) bool) *Dataset {
+	out := New()
+	out.cumulated = d.cumulated
+	d.Each(func(s *DriveSeries) {
+		c := &DriveSeries{SerialNumber: s.SerialNumber, Vendor: s.Vendor, Model: s.Model}
+		for i := range s.Records {
+			if keep(&s.Records[i]) {
+				c.Records = append(c.Records, s.Records[i])
+			}
+		}
+		if len(c.Records) > 0 {
+			out.bySN[c.SerialNumber] = c
+			out.order = append(out.order, c.SerialNumber)
+		}
+	})
+	return out
 }
 
 func TestPreparePipelineMatchesRecordPath(t *testing.T) {
@@ -451,7 +466,7 @@ func TestPreparePipelineMatchesRecordPath(t *testing.T) {
 		}
 		for _, policy := range policies {
 			for _, workers := range []int{1, 0, 3} {
-				want, wantStats := preparedRecordPath(t, d, policy, false, false, 1)
+				want, wantStats := preparedRecordPath(d, policy, false, false)
 				got, gotStats, err := PreparePipeline(f, PipelineOptions{Policy: policy, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
@@ -473,10 +488,10 @@ func TestPreparePipelineAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct{ skipClean, skipCumulate bool }{
-		{true, false}, {false, true}, {true, true},
+		{false, false}, {true, false}, {false, true}, {true, true},
 	}
 	for _, c := range cases {
-		want, wantStats := preparedRecordPath(t, d, DefaultGapPolicy(), c.skipClean, c.skipCumulate, 1)
+		want, wantStats := preparedRecordPath(d, DefaultGapPolicy(), c.skipClean, c.skipCumulate)
 		got, gotStats, err := PreparePipeline(f, PipelineOptions{
 			Policy: DefaultGapPolicy(), SkipClean: c.skipClean, SkipCumulate: c.skipCumulate,
 		})
@@ -526,7 +541,7 @@ func FuzzPreparePipeline(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantStats := preparedRecordPath(t, d, policy, false, false, 1)
+		want, wantStats := preparedRecordPath(d, policy, false, false)
 		got, gotStats, err := PreparePipeline(fr, PipelineOptions{Policy: policy, Workers: int(workers)})
 		if err != nil {
 			t.Fatal(err)

@@ -94,9 +94,7 @@ func TestMFPACRoundTrip(t *testing.T) {
 // container, so a cumulated file cannot be cumulated twice downstream.
 func TestMFPACRoundTripCumulated(t *testing.T) {
 	d := randomDataset(3, 6)
-	if err := Cumulate(d); err != nil {
-		t.Fatal(err)
-	}
+	cumulateRef(d)
 	want, err := FrameFromDataset(d)
 	if err != nil {
 		t.Fatal(err)

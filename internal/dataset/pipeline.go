@@ -31,23 +31,26 @@ var cumPool = sync.Pool{New: func() any {
 	return &cumScratch{w: make([]float64, wWidth), b: make([]float64, bWidth)}
 }}
 
-// PreparePipeline runs the record path's CleanDiscontinuity+Cumulate
-// preprocessing as one fused traversal of each drive's row range: gap
-// analysis, drop, mean-fill, and cumulation happen in a single pass
-// that writes survivors and synthesised fill rows straight into a
-// pre-sized output arena. No intermediate cleaned dataset exists and
-// the counters are never swept twice.
+// PreparePipeline runs the paper's preprocessing — the discontinuity
+// optimisation (drop drives with a gap of Policy.DropGap days or more,
+// mean-fill gaps of 2..Policy.FillGap days with Interpolated rows whose
+// firmware is carried from the earlier observation) followed by the
+// cumulative W/B transform — as one fused traversal of each drive's
+// row range. Gap analysis, drop, mean-fill, and cumulation happen in a
+// single pass that writes survivors and synthesised fill rows straight
+// into a pre-sized output arena. Gaps between FillGap and DropGap are
+// left as-is: the drive survives but keeps its hole, the data-quality
+// hazard the paper notes for sequence models such as CNN_LSTM.
 //
-// The result is bit-identical to CleanDiscontinuity followed by
-// Cumulate on the equivalent Dataset: fills average the two adjacent
-// daily observations element-wise, running totals accumulate in day
-// order, and the first observed row's counter bits are copied, not
-// recomputed. Per-drive work fans out over opts.Workers with a
-// deterministic ordered merge.
+// Fills average the two adjacent daily observations element-wise,
+// running totals accumulate in day order, and the first observed row's
+// counter bits are copied, not recomputed. Per-drive work fans out
+// over opts.Workers with a deterministic ordered merge, so the output
+// is bit-identical at any worker count. The input frame is never
+// modified.
 //
 // With both SkipClean and SkipCumulate set, f itself is returned.
-// Cleaning statistics are reported only when the clean stage runs,
-// matching the record path.
+// Cleaning statistics are reported only when the clean stage runs.
 func PreparePipeline(f *Frame, opts PipelineOptions) (*Frame, CleanStats, error) {
 	if f.cumulated && !opts.SkipCumulate {
 		return nil, CleanStats{}, fmt.Errorf("dataset: PreparePipeline on cumulated frame: counts are already running totals")

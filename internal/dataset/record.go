@@ -40,10 +40,10 @@ type Record struct {
 	// layer label-encodes it.
 	Firmware firmware.Version
 	// WCounts holds the per-day counts of the Table III Windows
-	// events. After Dataset.Cumulate they hold running totals.
+	// events. Once cumulated (PreparePipeline) they hold running totals.
 	WCounts winevent.Counts
 	// BCounts holds the per-day counts of the Table IV stop codes.
-	// After Dataset.Cumulate they hold running totals.
+	// Once cumulated they hold running totals.
 	BCounts bsod.Counts
 	// Interpolated marks records synthesised by the discontinuity
 	// optimisation (mean fill) rather than observed.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/ml/metrics"
 	"repro/internal/sampling"
 	"repro/internal/simfleet"
+	"repro/internal/ticket"
 )
 
 // AblationRow is one configuration of an ablation sweep.
@@ -50,14 +51,18 @@ func (r *AblationResult) Row(setting string) (AblationRow, bool) {
 
 // runVariant trains one pipeline variant and converts it to a row.
 func (c *Context) runVariant(setting string, mutate func(*core.Config)) (AblationRow, error) {
-	return c.runVariantOn(c.Fleet, setting, mutate)
+	f, err := c.FleetFrame()
+	if err != nil {
+		return AblationRow{}, err
+	}
+	return c.runVariantOn(f, c.Fleet.Tickets, setting, mutate)
 }
 
 // runVariantOn trains one pipeline variant against an explicit fleet.
-func (c *Context) runVariantOn(fleet *simfleet.Result, setting string, mutate func(*core.Config)) (AblationRow, error) {
+func (c *Context) runVariantOn(f *dataset.Frame, tickets *ticket.Store, setting string, mutate func(*core.Config)) (AblationRow, error) {
 	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
 	mutate(&cfg)
-	_, rep, err := core.TrainOnFleet(fleet.Data, fleet.Tickets, cfg)
+	_, rep, err := core.TrainOnFrame(f, tickets, cfg)
 	if err != nil {
 		return AblationRow{}, fmt.Errorf("experiments: variant %s: %w", setting, err)
 	}
@@ -70,7 +75,7 @@ func (c *Context) runVariantOn(fleet *simfleet.Result, setting string, mutate fu
 // from flaky machines early, a small θ leaves many failures
 // unlabellable (starving the positive class) while a large θ back-dates
 // labels into barely-degraded territory (polluting it).
-func (c *Context) thetaFleet() (*simfleet.Result, error) {
+func (c *Context) thetaFleet() (*simfleet.FrameResult, error) {
 	if c.slowTicketFleet != nil {
 		return c.slowTicketFleet, nil
 	}
@@ -79,7 +84,7 @@ func (c *Context) thetaFleet() (*simfleet.Result, error) {
 	cfg.TicketDelayMaxDays = 30
 	cfg.AbandonShare = 0.5
 	cfg.AbandonMaxDays = 15
-	fleet, err := simfleet.Simulate(cfg)
+	fleet, err := simfleet.SimulateFrame(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +102,7 @@ func (c *Context) AblationTheta() (*AblationResult, error) {
 	}
 	res := &AblationResult{Title: "Ablation: failure-time threshold θ (delays mean 9d, 50% early abandonment)"}
 	for _, theta := range []int{1, 3, 5, 7, 10, 14, 21} {
-		row, err := c.runVariantOn(fleet, fmt.Sprintf("θ=%d", theta), func(cfg *core.Config) { cfg.Theta = theta })
+		row, err := c.runVariantOn(fleet.Frame, fleet.Tickets, fmt.Sprintf("θ=%d", theta), func(cfg *core.Config) { cfg.Theta = theta })
 		if err != nil {
 			return nil, err
 		}

@@ -40,8 +40,8 @@ type Context struct {
 	// and never changes results, only wall-clock time.
 	Workers int
 
-	driftFleet      *simfleet.Result
-	slowTicketFleet *simfleet.Result
+	driftFleet      *simfleet.FrameResult
+	slowTicketFleet *simfleet.FrameResult
 
 	// frame is the fleet telemetry in columnar form, converted lazily;
 	// Prepared runs the fused frame pipeline on it.
@@ -104,16 +104,21 @@ func (c *Context) Prepared(vendor string, group features.Group) (*core.Prepared,
 	if p, ok := c.prepCache[key]; ok {
 		return p, nil
 	}
-	f, err := c.FleetFrame()
-	if err != nil {
-		return nil, err
-	}
-	p, err := core.PrepareFrame(f, c.Fleet.Tickets, c.PipelineConfig(vendor, group))
+	p, err := c.prepare(c.PipelineConfig(vendor, group))
 	if err != nil {
 		return nil, err
 	}
 	c.prepCache[key] = p
 	return p, nil
+}
+
+// prepare runs the data stages on the context fleet, uncached.
+func (c *Context) prepare(cfg core.Config) (*core.Prepared, error) {
+	f, err := c.FleetFrame()
+	if err != nil {
+		return nil, err
+	}
+	return core.PrepareFrame(f, c.Fleet.Tickets, cfg)
 }
 
 // FleetFrame returns (converting once) the fleet telemetry as a
@@ -130,20 +135,18 @@ func (c *Context) FleetFrame() (*dataset.Frame, error) {
 	return f, nil
 }
 
-// Samples returns (caching) the flat samples of a vendor/group pair.
+// Samples returns (caching) the flat samples of a vendor/group pair:
+// the rows of SampleSet in order, with vectors aliasing its arena.
 func (c *Context) Samples(vendor string, group features.Group) ([]ml.Sample, *core.Prepared, error) {
 	key := vendor + "/" + group.String()
-	p, err := c.Prepared(vendor, group)
+	set, p, err := c.SampleSet(vendor, group)
 	if err != nil {
 		return nil, nil, err
 	}
 	if s, ok := c.sampleCache[key]; ok {
 		return s, p, nil
 	}
-	s, err := p.BuildSamples()
-	if err != nil {
-		return nil, nil, err
-	}
+	s := set.All().Materialize()
 	c.sampleCache[key] = s
 	return s, p, nil
 }
@@ -192,14 +195,14 @@ func (c *Context) SplitSet(vendor string, group features.Group) (train, test ml.
 
 // DriftFleet simulates (once) the longer drifting fleet of the
 // Figs. 12/16 time-period study.
-func (c *Context) DriftFleet() (*simfleet.Result, error) {
+func (c *Context) DriftFleet() (*simfleet.FrameResult, error) {
 	if c.driftFleet != nil {
 		return c.driftFleet, nil
 	}
 	cfg := simfleet.DriftConfig()
 	cfg.FailureScale = c.Cfg.FailureScale
 	cfg.Seed = c.Cfg.Seed
-	fleet, err := simfleet.Simulate(cfg)
+	fleet, err := simfleet.SimulateFrame(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ const sampleBytes = 45*8 + 48
 // Fig20 instruments a full pipeline run on vendor I.
 func (c *Context) Fig20() (*Fig20Result, error) {
 	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
-	p, err := core.Prepare(c.Fleet.Data, c.Fleet.Tickets, cfg)
+	p, err := c.prepare(cfg)
 	if err != nil {
 		return nil, err
 	}

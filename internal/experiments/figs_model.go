@@ -60,7 +60,7 @@ func (c *Context) Fig9() (*Fig9Result, error) {
 	res := &Fig9Result{}
 	for _, g := range features.AllGroups() {
 		cfg := c.PipelineConfig(primaryVendor, g)
-		p, err := core.Prepare(c.Fleet.Data, c.Fleet.Tickets, cfg)
+		p, err := c.prepare(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +101,7 @@ func (c *Context) Fig10() (*Fig10Result, error) {
 	for _, algo := range core.Algorithms() {
 		cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
 		cfg.Algorithm = algo
-		p, err := core.Prepare(c.Fleet.Data, c.Fleet.Tickets, cfg)
+		p, err := c.prepare(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +145,7 @@ func (c *Context) Fig11() (*Fig11Result, error) {
 	for _, st := range c.Fleet.Stats {
 		res.Failures[st.Name] = st.Failures
 		cfg := c.PipelineConfig(st.Name, features.GroupSFWB)
-		p, err := core.Prepare(c.Fleet.Data, c.Fleet.Tickets, cfg)
+		p, err := c.prepare(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +206,7 @@ func (c *Context) Fig12() (*Fig12Result, error) {
 	// Close the learning window around day 105 of the 270-day window,
 	// leaving five clean months of walk-forward evaluation.
 	cfg.TrainFrac = 0.4
-	p, err := core.Prepare(fleet.Data, fleet.Tickets, cfg)
+	p, err := core.PrepareFrame(fleet.Frame, fleet.Tickets, cfg)
 	if err != nil {
 		return nil, err
 	}

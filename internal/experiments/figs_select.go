@@ -69,7 +69,7 @@ func (c *Context) Fig18() (*Fig18Result, error) {
 
 	// MFPA (RF on SFWB with the full pipeline).
 	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
-	p, err := core.Prepare(c.Fleet.Data, c.Fleet.Tickets, cfg)
+	p, err := c.prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +158,7 @@ type Fig19Result struct {
 // distance from failure.
 func (c *Context) Fig19() (*Fig19Result, error) {
 	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
-	p, err := core.Prepare(c.Fleet.Data, c.Fleet.Tickets, cfg)
+	p, err := c.prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +168,7 @@ func (c *Context) Fig19() (*Fig19Result, error) {
 	}
 	res := &Fig19Result{}
 	for n := 1; n <= 21; n += 2 {
-		pos := features.PositiveSamplesAt(p.Data, p.Labels, p.Extractor, n, 1)
+		pos := features.PositiveSamplesAt(p.Dataset(), p.Labels, p.Extractor, n, 1)
 		// Only failures after the learning window are fair probes.
 		var test []float64
 		flagged := 0

@@ -40,10 +40,14 @@ func benchFleet(b *testing.B, drives, days int) (*dataset.Dataset, labeling.Labe
 	return d, labels
 }
 
-// BenchmarkBuildSamplesWorkers compares the serial per-drive extraction
-// loop against the full fan-out.
-func BenchmarkBuildSamplesWorkers(b *testing.B) {
+// BenchmarkBuildSampleSetFrameWorkers compares the serial per-drive
+// extraction loop against the full fan-out.
+func BenchmarkBuildSampleSetFrameWorkers(b *testing.B) {
 	d, labels := benchFleet(b, 150, 90)
+	f, err := dataset.FrameFromDataset(d)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, bc := range []struct {
 		name    string
 		workers int
@@ -58,12 +62,8 @@ func BenchmarkBuildSamplesWorkers(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				samples, err := BuildSamples(d, labels, e, opts)
-				if err != nil {
+				if _, err := BuildSampleSetFrame(f, labels, e, opts); err != nil {
 					b.Fatal(err)
-				}
-				if len(samples) == 0 {
-					b.Fatal("no samples")
 				}
 			}
 		})

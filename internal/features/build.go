@@ -36,33 +36,6 @@ func DefaultBuildOptions() BuildOptions {
 	return BuildOptions{PositiveWindowDays: 7, ExclusionDays: 7}
 }
 
-// BuildSamples constructs flat per-record samples from a cumulated,
-// cleaned dataset and its failure labels. Extraction fans out across
-// opts.Workers goroutines (0 = GOMAXPROCS, 1 = serial); per-drive
-// sample slices are concatenated in dataset order, so the output is
-// identical at any worker count.
-func BuildSamples(data *dataset.Dataset, labels labeling.Labels, e *Extractor, opts BuildOptions) ([]ml.Sample, error) {
-	if opts.PositiveWindowDays < 1 {
-		return nil, fmt.Errorf("features: PositiveWindowDays %d must be ≥ 1", opts.PositiveWindowDays)
-	}
-	// Register every firmware version serially before fanning out, so
-	// Extract performs only reads on the shared extractor.
-	e.prime(data)
-	sns := data.SerialNumbers()
-	perDrive, err := parallel.Map(len(sns), opts.Workers, func(i int) ([]ml.Sample, error) {
-		s, _ := data.Series(sns[i])
-		return buildDriveSamples(s, labels, e, &opts), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	samples := concatSamples(perDrive)
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("features: no samples produced")
-	}
-	return samples, nil
-}
-
 // rowLabel applies the labelling rules of BuildOptions to one record
 // of a drive: the returned label is valid only when keep is true —
 // dropped records are post-failure stragglers, guard-band rows, and
@@ -80,107 +53,6 @@ func rowLabel(faulty bool, failDay, day int, opts *BuildOptions) (y int8, keep b
 	default:
 		return 0, opts.NegativeFromFaulty
 	}
-}
-
-// BuildSampleSet is BuildSamples in columnar form: it extracts the
-// fleet directly into one flat feature arena and returns the shared
-// ml.SampleSet that the zero-copy view pipeline — splits,
-// under-sampling, CV folds, grid search, feature selection — operates
-// on. Construction is two-pass: a cheap labelling pass counts each
-// drive's surviving rows, then every drive extracts straight into its
-// pre-computed arena segment in parallel — no per-row vector
-// allocations, no per-drive chunk buffers, no concatenation copy. Row
-// content and order are identical to BuildSamples at any worker count.
-func BuildSampleSet(data *dataset.Dataset, labels labeling.Labels, e *Extractor, opts BuildOptions) (*ml.SampleSet, error) {
-	if opts.PositiveWindowDays < 1 {
-		return nil, fmt.Errorf("features: PositiveWindowDays %d must be ≥ 1", opts.PositiveWindowDays)
-	}
-	e.prime(data)
-	width := e.Width()
-	sns := data.SerialNumbers()
-	counts, err := parallel.Map(len(sns), opts.Workers, func(i int) (int, error) {
-		s, _ := data.Series(sns[i])
-		label, faulty := labels[s.SerialNumber]
-		n := 0
-		for j := range s.Records {
-			if _, keep := rowLabel(faulty, label.FailDay, s.Records[j].Day, &opts); keep {
-				n++
-			}
-		}
-		return n, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	offs := make([]int, len(sns)+1)
-	for i, c := range counts {
-		offs[i+1] = offs[i] + c
-	}
-	total := offs[len(sns)]
-	if total == 0 {
-		return nil, fmt.Errorf("features: no samples produced")
-	}
-	x := make([]float64, total*width)
-	y := make([]int8, total)
-	day := make([]int32, total)
-	sn := make([]string, total)
-	if err := parallel.Do(len(sns), opts.Workers, func(i int) error {
-		s, _ := data.Series(sns[i])
-		label, faulty := labels[s.SerialNumber]
-		lo, hi := offs[i], offs[i+1]
-		xseg := x[lo*width : lo*width : hi*width]
-		j := lo
-		for k := range s.Records {
-			r := &s.Records[k]
-			yk, keep := rowLabel(faulty, label.FailDay, r.Day, &opts)
-			if !keep {
-				continue
-			}
-			xseg = e.ExtractInto(r, xseg)
-			y[j] = yk
-			day[j] = int32(r.Day)
-			sn[j] = s.SerialNumber
-			j++
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return ml.NewSampleSet(width, x, y, day, sn)
-}
-
-// buildDriveSamples labels and extracts one drive's records.
-func buildDriveSamples(s *dataset.DriveSeries, labels labeling.Labels, e *Extractor, opts *BuildOptions) []ml.Sample {
-	label, faulty := labels[s.SerialNumber]
-	samples := make([]ml.Sample, 0, len(s.Records))
-	for i := range s.Records {
-		r := &s.Records[i]
-		var y int
-		switch {
-		case !faulty:
-			y = 0
-		case r.Day > label.FailDay:
-			// Post-failure stragglers (possible when the labelled
-			// day precedes the last log) are not trustworthy.
-			continue
-		case r.Day > label.FailDay-opts.PositiveWindowDays:
-			y = 1
-		case r.Day > label.FailDay-opts.PositiveWindowDays-opts.ExclusionDays:
-			continue // guard band
-		default:
-			if !opts.NegativeFromFaulty {
-				continue
-			}
-			y = 0
-		}
-		samples = append(samples, ml.Sample{
-			X:   e.Extract(r),
-			Y:   y,
-			SN:  s.SerialNumber,
-			Day: r.Day,
-		})
-	}
-	return samples
 }
 
 // concatSamples flattens per-drive sample slices with one exact-sized
@@ -227,21 +99,9 @@ func BuildSeqSamples(data *dataset.Dataset, labels labeling.Labels, e *Extractor
 		samples := make([]ml.Sample, 0, len(s.Records)-seqLen+1)
 		for end := seqLen - 1; end < len(s.Records); end++ {
 			last := &s.Records[end]
-			var y int
-			switch {
-			case !faulty:
-				y = 0
-			case last.Day > label.FailDay:
+			y, keep := rowLabel(faulty, label.FailDay, last.Day, &opts)
+			if !keep {
 				continue
-			case last.Day > label.FailDay-opts.PositiveWindowDays:
-				y = 1
-			case last.Day > label.FailDay-opts.PositiveWindowDays-opts.ExclusionDays:
-				continue
-			default:
-				if !opts.NegativeFromFaulty {
-					continue
-				}
-				y = 0
 			}
 			x := make([]float64, seqLen*width)
 			for t := 0; t < seqLen; t++ {
@@ -249,7 +109,7 @@ func BuildSeqSamples(data *dataset.Dataset, labels labeling.Labels, e *Extractor
 			}
 			samples = append(samples, ml.Sample{
 				X:   x,
-				Y:   y,
+				Y:   int(y),
 				SN:  s.SerialNumber,
 				Day: last.Day,
 			})

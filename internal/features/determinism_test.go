@@ -46,37 +46,6 @@ func fleetFixture(t *testing.T, drives int) (*dataset.Dataset, labeling.Labels, 
 	return d, labels, e
 }
 
-// TestBuildSamplesWorkersIdentical asserts the per-drive extraction
-// fan-out is bit-identical to serial, including the first-seen
-// firmware codes that the priming pass fixes in dataset order.
-func TestBuildSamplesWorkersIdentical(t *testing.T) {
-	d, labels, _ := fleetFixture(t, 30)
-	opts := DefaultBuildOptions()
-	opts.Workers = 1
-	serialExt, err := NewExtractor(GroupSFWB, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := BuildSamples(d, labels, serialExt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{0, 2, 3, 8} {
-		e, err := NewExtractor(GroupSFWB, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Workers = w
-		got, err := BuildSamples(d, labels, e, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: samples differ from serial build", w)
-		}
-	}
-}
-
 // TestBuildSeqSamplesWorkersIdentical is the sequence-shaped variant.
 func TestBuildSeqSamplesWorkersIdentical(t *testing.T) {
 	d, labels, _ := fleetFixture(t, 20)

@@ -103,8 +103,8 @@ func (e *Extractor) encoder(vendor string) *firmware.Encoder {
 
 // prime registers every (vendor, firmware version) pair of data with
 // the extractor's encoders, visiting records in dataset order. After
-// priming, Extract performs only reads on the extractor, so the batch
-// builders can fan extraction out across goroutines; it also fixes the
+// priming, Extract performs only reads on the extractor, so
+// BuildSeqSamples can fan extraction out across goroutines; it also fixes the
 // first-seen-order codes of registry-unknown versions to dataset order
 // rather than extraction order, keeping the encoding independent of
 // scheduling. No-op for groups without the firmware feature.
@@ -114,7 +114,7 @@ func (e *Extractor) prime(data *dataset.Dataset) {
 	}
 	if e.primedFor == data {
 		// Priming is idempotent; skipping the re-scan is safe as long as
-		// the dataset is not mutated between builds (Prepare freezes it).
+		// the dataset is not mutated between builds.
 		return
 	}
 	data.Each(func(s *dataset.DriveSeries) {
@@ -203,15 +203,15 @@ func (e *Extractor) appendCumRow(vendor string, smart []float64, fw firmware.Ver
 }
 
 // Extract builds the feature vector of r. The W and B counters are used
-// as stored — run dataset.Cumulate first to follow the paper's
-// accumulated-count preprocessing.
+// as stored — pass records cumulated by dataset.PreparePipeline to
+// follow the paper's accumulated-count preprocessing.
 func (e *Extractor) Extract(r *dataset.Record) []float64 {
 	return e.ExtractInto(r, make([]float64, 0, e.Width()))
 }
 
 // ExtractInto appends r's feature vector to dst and returns the
 // extended slice — the allocation-free primitive behind the columnar
-// sample arena: BuildSampleSet extracts whole drives into one chunk
+// sample arena: a builder can extract whole drives into one chunk
 // instead of one heap vector per record.
 func (e *Extractor) ExtractInto(r *dataset.Record, dst []float64) []float64 {
 	if e.group.SMART {

@@ -246,22 +246,22 @@ func buildFixture(t *testing.T) (*dataset.Dataset, labeling.Labels, *Extractor) 
 func TestBuildSamplesLabels(t *testing.T) {
 	d, labels, e := buildFixture(t)
 	opts := BuildOptions{PositiveWindowDays: 7, ExclusionDays: 7}
-	samples, err := BuildSamples(d, labels, e, opts)
+	set, err := BuildSampleSetFrame(frameOf(t, d), labels, e, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pos, neg, guard int
-	for _, s := range samples {
+	for i := 0; i < set.Len(); i++ {
 		switch {
-		case s.SN == "healthy":
-			if s.Y != 0 {
+		case set.SN(i) == "healthy":
+			if set.Y(i) != 0 {
 				t.Fatal("healthy sample labelled positive")
 			}
 			neg++
-		case s.Y == 1:
+		case set.Y(i) == 1:
 			// Positive window: days 14..20.
-			if s.Day <= 13 {
-				t.Fatalf("positive at day %d outside window", s.Day)
+			if set.Day(i) <= 13 {
+				t.Fatalf("positive at day %d outside window", set.Day(i))
 			}
 			pos++
 		default:
@@ -284,16 +284,16 @@ func TestBuildSamplesLabels(t *testing.T) {
 func TestBuildSamplesNegativeFromFaulty(t *testing.T) {
 	d, labels, e := buildFixture(t)
 	opts := BuildOptions{PositiveWindowDays: 7, ExclusionDays: 7, NegativeFromFaulty: true}
-	samples, err := BuildSamples(d, labels, e, opts)
+	set, err := BuildSampleSetFrame(frameOf(t, d), labels, e, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	oldNeg := 0
-	for _, s := range samples {
-		if s.SN == "faulty" && s.Y == 0 {
+	for i := 0; i < set.Len(); i++ {
+		if set.SN(i) == "faulty" && set.Y(i) == 0 {
 			// days 0..6 (guard band covers 7..13)
-			if s.Day > 6 {
-				t.Fatalf("faulty negative at day %d inside guard band", s.Day)
+			if set.Day(i) > 6 {
+				t.Fatalf("faulty negative at day %d inside guard band", set.Day(i))
 			}
 			oldNeg++
 		}
@@ -305,7 +305,7 @@ func TestBuildSamplesNegativeFromFaulty(t *testing.T) {
 
 func TestBuildSamplesValidation(t *testing.T) {
 	d, labels, e := buildFixture(t)
-	if _, err := BuildSamples(d, labels, e, BuildOptions{}); err == nil {
+	if _, err := BuildSampleSetFrame(frameOf(t, d), labels, e, BuildOptions{}); err == nil {
 		t.Fatal("zero positive window accepted")
 	}
 }

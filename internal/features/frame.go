@@ -9,13 +9,15 @@ import (
 	"repro/internal/parallel"
 )
 
-// BuildSampleSetFrame is BuildSampleSet reading straight from the
-// columnar frame — the final stage of the fused pipeline. Labelling
-// walks the day column, feature extraction copies or gathers column
-// rows into the sample arena, and firmware encoding is looked up only
-// when a drive's interned code changes. Row content and order are
-// bit-identical to BuildSampleSet on the equivalent dataset at any
-// worker count.
+// BuildSampleSetFrame constructs the flat labelled samples of a
+// cleaned, cumulated frame straight into one columnar ml.SampleSet —
+// the arena the zero-copy view pipeline (splits, under-sampling, CV
+// folds, grid search, feature selection) operates on. Construction is
+// two-pass: a labelling pass over the day column counts each drive's
+// surviving rows, then every drive copies or gathers its column rows
+// in parallel into its pre-computed arena segment, looking firmware
+// codes up only when a drive's interned code changes. Rows follow
+// drive then day order, identical at any worker count.
 func BuildSampleSetFrame(f *dataset.Frame, labels labeling.Labels, e *Extractor, opts BuildOptions) (*ml.SampleSet, error) {
 	if opts.PositiveWindowDays < 1 {
 		return nil, fmt.Errorf("features: PositiveWindowDays %d must be ≥ 1", opts.PositiveWindowDays)

@@ -5,8 +5,46 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/labeling"
 	"repro/internal/ml"
 )
+
+// buildSampleSetRef is the record-form sample build, kept as the oracle
+// BuildSampleSetFrame is pinned against: it labels and extracts each
+// DriveSeries record through Extractor.ExtractInto.
+func buildSampleSetRef(data *dataset.Dataset, labels labeling.Labels, e *Extractor, opts BuildOptions) (*ml.SampleSet, error) {
+	e.prime(data)
+	width := e.Width()
+	var x []float64
+	var y []int8
+	var day []int32
+	var sn []string
+	data.Each(func(s *dataset.DriveSeries) {
+		label, faulty := labels[s.SerialNumber]
+		for k := range s.Records {
+			r := &s.Records[k]
+			yk, keep := rowLabel(faulty, label.FailDay, r.Day, &opts)
+			if !keep {
+				continue
+			}
+			x = e.ExtractInto(r, x)
+			y = append(y, yk)
+			day = append(day, int32(r.Day))
+			sn = append(sn, s.SerialNumber)
+		}
+	})
+	return ml.NewSampleSet(width, x, y, day, sn)
+}
+
+// frameOf converts a test dataset to a frame, failing on error.
+func frameOf(t *testing.T, d *dataset.Dataset) *dataset.Frame {
+	t.Helper()
+	f, err := dataset.FrameFromDataset(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
 
 // requireSetsEqualBits asserts two sample sets agree exactly, down to
 // the bit pattern of every feature value.
@@ -35,17 +73,14 @@ func requireSetsEqualBits(t *testing.T, want, got *ml.SampleSet) {
 // firmware encoding that priming fixes in dataset order.
 func TestBuildSampleSetFrameMatchesRecordPath(t *testing.T) {
 	d, labels, _ := fleetFixture(t, 25)
-	f, err := dataset.FrameFromDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := frameOf(t, d)
 	opts := DefaultBuildOptions()
 	for _, g := range AllGroups() {
 		recExt, err := NewExtractor(g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := BuildSampleSet(d, labels, recExt, opts)
+		want, err := buildSampleSetRef(d, labels, recExt, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,10 +100,7 @@ func TestBuildSampleSetFrameMatchesRecordPath(t *testing.T) {
 // frame extraction is worker-count independent.
 func TestBuildSampleSetFrameWorkersIdentical(t *testing.T) {
 	d, labels, _ := fleetFixture(t, 30)
-	f, err := dataset.FrameFromDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := frameOf(t, d)
 	opts := DefaultBuildOptions()
 	opts.Workers = 1
 	serialExt, err := NewExtractor(GroupSFWB, nil)

@@ -22,8 +22,7 @@ import (
 //     every filled day;
 //   - the running cumulates add each daily vector exactly once, in day
 //     order — the same additions, in the same order, as the offline
-//     sequential Cumulate sweep (IEEE-754 addition is commutative, so
-//     cum += daily reproduces the offline cur += prev bits);
+//     cumulate stage of dataset.PreparePipeline;
 //   - extraction is ExtractInto's field order over the cumulated view.
 //
 // The offline path drops a drive retroactively when any gap reaches
@@ -159,8 +158,8 @@ func (st *RollingState) Window() WindowStats {
 // policy is the discontinuity optimisation: the zero value disables it
 // (every record emits exactly one row — the pure-cumulate behaviour of
 // the original client agent); any other value must satisfy
-// policy.Validate and reproduces the offline CleanDiscontinuity
-// semantics, including marking the drive Dropped (after which no rows
+// policy.Validate and reproduces the clean stage of
+// dataset.PreparePipeline, including marking the drive Dropped (after which no rows
 // are emitted).
 func (st *RollingState) Advance(e *Extractor, policy dataset.GapPolicy, rec *dataset.Record, x []float64, meta []EmittedRow) ([]float64, []EmittedRow, error) {
 	return st.advance(e, policy, rec.SerialNumber, rec.Vendor, rec.Day,
@@ -220,7 +219,7 @@ func (st *RollingState) advance(e *Extractor, policy dataset.GapPolicy, sn, vend
 			if len(st.prevW) != len(w) || len(st.prevB) != len(b) {
 				return x, meta, fmt.Errorf("features: drive %s: cannot mean-fill %d-day gap: state has no previous record (v1 snapshot)", sn, gap-1)
 			}
-			// Synthesise the offline meanRecord once; it is identical
+			// Synthesise the offline fill row once; it is identical
 			// for every day of the gap.
 			for i := range st.fillSmart {
 				st.fillSmart[i] = (st.prevSmart[i] + smart[i]) / 2

@@ -81,17 +81,22 @@ type refRow struct {
 	x      []float64
 }
 
+// prepared runs dataset.PreparePipeline over raw and returns the
+// result in record form.
+func prepared(t *testing.T, raw *dataset.Dataset, opts dataset.PipelineOptions) *dataset.Dataset {
+	t.Helper()
+	out, _, err := dataset.PreparePipeline(frameOf(t, raw), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.ToDataset()
+}
+
 // offlineRows runs the full offline preprocessing — clean, cumulate,
 // extract — and returns each surviving drive's feature rows.
 func offlineRows(t *testing.T, raw *dataset.Dataset, policy dataset.GapPolicy, e *Extractor, workers int) map[string][]refRow {
 	t.Helper()
-	cleaned, _, err := dataset.CleanDiscontinuityWorkers(raw, policy, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dataset.Cumulate(cleaned); err != nil {
-		t.Fatal(err)
-	}
+	cleaned := prepared(t, raw, dataset.PipelineOptions{Policy: policy, Workers: workers})
 	out := make(map[string][]refRow)
 	cleaned.Each(func(s *dataset.DriveSeries) {
 		rows := make([]refRow, 0, len(s.Records))
@@ -119,8 +124,7 @@ func bitsEqual(a, b []float64) bool {
 // TestRollingAdvanceMatchesOfflinePipeline is the incremental-vs-
 // offline equivalence property: over varied seeds (and offline worker
 // counts), Advance over each drive's raw records emits exactly the
-// feature rows the CleanDiscontinuity→Cumulate→Extract pipeline
-// produces, bit-identical via math.Float64bits, and agrees on which
+// feature rows the PreparePipeline→Extract pipeline produces, bit-identical via math.Float64bits, and agrees on which
 // drives the gap policy drops.
 func TestRollingAdvanceMatchesOfflinePipeline(t *testing.T) {
 	policy := dataset.DefaultGapPolicy()
@@ -188,27 +192,16 @@ func TestRollingAdvanceMatchesOfflinePipeline(t *testing.T) {
 func TestRollingAdvanceRowMatchesBuildSampleSetFrame(t *testing.T) {
 	policy := dataset.DefaultGapPolicy()
 	raw := randomRawFleet(t, 7, 10)
-	rawFrame, err := dataset.FrameFromDataset(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rawFrame := frameOf(t, raw)
 	ext, err := NewExtractor(GroupSFWB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ext.PrimeFrame(rawFrame)
 
-	// Offline fused path: clean+cumulate in record form, then the
-	// columnar sample build over all rows (empty labels keep every row
-	// as a negative).
-	cleaned, _, err := dataset.CleanDiscontinuity(raw, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dataset.Cumulate(cleaned); err != nil {
-		t.Fatal(err)
-	}
-	cleanedFrame, err := dataset.FrameFromDataset(cleaned)
+	// Offline fused path: clean+cumulate, then the columnar sample
+	// build over all rows (empty labels keep every row as a negative).
+	cleanedFrame, _, err := dataset.PreparePipeline(rawFrame, dataset.PipelineOptions{Policy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +260,10 @@ func TestRollingAdvanceRowMatchesBuildSampleSetFrame(t *testing.T) {
 
 // TestRollingZeroPolicyIsPureCumulate pins the zero gap policy to the
 // original agent semantics: one row per record, cumulates matching
-// dataset.Cumulate with gaps ignored.
+// the cumulate-only PreparePipeline with gaps ignored.
 func TestRollingZeroPolicyIsPureCumulate(t *testing.T) {
 	raw := randomRawFleet(t, 11, 6)
-	cum := raw.Clone()
-	if err := dataset.Cumulate(cum); err != nil {
-		t.Fatal(err)
-	}
+	cum := prepared(t, raw, dataset.PipelineOptions{SkipClean: true})
 	ext, err := NewExtractor(GroupSFWB, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -4,11 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/modelio"
 	"repro/internal/simfleet"
 )
 
-var fleetCache *simfleet.Result
+var (
+	fleetCache      *simfleet.Result
+	fleetFrameCache *dataset.Frame
+)
 
 func fleet(t *testing.T) *simfleet.Result {
 	t.Helper()
@@ -23,6 +27,20 @@ func fleet(t *testing.T) *simfleet.Result {
 		fleetCache = res
 	}
 	return fleetCache
+}
+
+// fleetFrame is the test fleet's telemetry in columnar form, the input
+// Train takes.
+func fleetFrame(t *testing.T) *dataset.Frame {
+	t.Helper()
+	if fleetFrameCache == nil {
+		f, err := dataset.FrameFromDataset(fleet(t).Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleetFrameCache = f
+	}
+	return fleetFrameCache
 }
 
 func TestNewDefaults(t *testing.T) {
@@ -47,7 +65,7 @@ func TestTrainAndIterate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := s.Train(res.Data, res.Tickets, "I", 80)
+	rec, err := s.Train(fleetFrame(t), res.Tickets, "I", 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +80,7 @@ func TestTrainAndIterate(t *testing.T) {
 	}
 
 	// Step retrains exactly the due vendors.
-	retrained, err := s.Step(res.Data, res.Tickets, []string{"I"}, 115)
+	retrained, err := s.Step(fleetFrame(t), res.Tickets, []string{"I"}, 115)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +104,11 @@ func TestTrainSeesOnlyThePast(t *testing.T) {
 	}
 	// As of day 60, tickets filed later must be invisible: training at
 	// 60 uses strictly fewer labelled failures than training at the end.
-	early, err := s.Train(res.Data, res.Tickets, "I", 60)
+	early, err := s.Train(fleetFrame(t), res.Tickets, "I", 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	late, err := s.Train(res.Data, res.Tickets, "I", 119)
+	late, err := s.Train(fleetFrame(t), res.Tickets, "I", 119)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +127,7 @@ func TestPublishRoundTrip(t *testing.T) {
 	if _, err := s.Publish("I"); err == nil {
 		t.Fatal("publish before training should fail")
 	}
-	if _, err := s.Train(res.Data, res.Tickets, "I", 119); err != nil {
+	if _, err := s.Train(fleetFrame(t), res.Tickets, "I", 119); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := s.Publish("I")

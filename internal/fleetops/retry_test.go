@@ -18,7 +18,7 @@ func TestSweepDayRetriesTransientFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	trainDay := 80
-	if _, err := s.Train(res.Data, res.Tickets, "I", trainDay); err != nil {
+	if _, err := s.Train(fleetFrame(t), res.Tickets, "I", trainDay); err != nil {
 		t.Fatal(err)
 	}
 	faults := faultinject.NewScorerFaults(faultinject.ScorerConfig{Seed: 11, ObserveFirst: 2})
@@ -53,7 +53,7 @@ func TestSweepDayGivesUpOnPersistentFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	trainDay := 80
-	if _, err := s.Train(res.Data, res.Tickets, "I", trainDay); err != nil {
+	if _, err := s.Train(fleetFrame(t), res.Tickets, "I", trainDay); err != nil {
 		t.Fatal(err)
 	}
 	faults := faultinject.NewScorerFaults(faultinject.ScorerConfig{Seed: 11, ObserveFirst: 1000})
@@ -80,7 +80,7 @@ func TestTrainRetriesModelSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	trainDay := 80
-	if _, err := s.Train(res.Data, res.Tickets, "I", trainDay); err != nil {
+	if _, err := s.Train(fleetFrame(t), res.Tickets, "I", trainDay); err != nil {
 		t.Fatal(err)
 	}
 	faults := faultinject.NewScorerFaults(faultinject.ScorerConfig{Seed: 13, SwapFirst: 1})
@@ -90,7 +90,7 @@ func TestTrainRetriesModelSwap(t *testing.T) {
 	}
 
 	// One forced swap fault: the retry inside Train clears it.
-	if _, err := s.Train(res.Data, res.Tickets, "I", trainDay+10); err != nil {
+	if _, err := s.Train(fleetFrame(t), res.Tickets, "I", trainDay+10); err != nil {
 		t.Fatalf("iteration failed despite swap retry: %v", err)
 	}
 	_, _, swaps := faults.Fired()
@@ -111,7 +111,7 @@ func TestTrainRetriesModelSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	histBefore := len(s.History("I"))
-	if _, err := s.Train(res.Data, res.Tickets, "I", trainDay+20); err == nil {
+	if _, err := s.Train(fleetFrame(t), res.Tickets, "I", trainDay+20); err == nil {
 		t.Fatal("persistent swap failure did not surface")
 	}
 	if got, _ := s.Model("I"); got != prev {

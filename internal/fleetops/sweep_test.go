@@ -28,14 +28,11 @@ func TestSweepDayAfterBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	trainDay := 80
-	if _, err := s.Train(res.Data, res.Tickets, "I", trainDay); err != nil {
+	if _, err := s.Train(fleetFrame(t), res.Tickets, "I", trainDay); err != nil {
 		t.Fatal(err)
 	}
 
-	hist, err := dataset.FrameFromDataset(res.Data.Until(trainDay))
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := fleetFrame(t).Until(trainDay)
 	stats, err := s.Bootstrap(hist, "I", serve.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +87,7 @@ func TestSweepDayAfterBootstrap(t *testing.T) {
 	// state survives and the next day's sweep continues from it.
 	sc, _ := s.Scorer("I")
 	drivesBefore := len(sc.Drives())
-	if _, err := s.Train(res.Data, res.Tickets, "I", trainDay+5); err != nil {
+	if _, err := s.Train(fleetFrame(t), res.Tickets, "I", trainDay+5); err != nil {
 		t.Fatal(err)
 	}
 	sc2, _ := s.Scorer("I")

@@ -8,10 +8,15 @@ import (
 	"repro/internal/ticket"
 )
 
-// IdentifyFrame is Identify on the columnar data plane: the closest
-// tracking point is found by binary search on the drive's day column,
-// with the same earlier-wins tie rule as DriveSeries.Closest, so the
-// resulting labels match Identify on the equivalent dataset exactly.
+// IdentifyFrame resolves failure times for every ticketed drive
+// present in f. Ticketed drives with no telemetry are skipped (they
+// cannot contribute training samples); drives whose earliest ticket
+// precedes all telemetry are labelled at their first tracking point.
+// The tracking point closest to the IMT (earlier wins ties) is found by
+// binary search on the drive's day column; when it lies more than
+// theta days from the IMT the label falls back to IMT − theta, since
+// the drive was certainly degrading by then and labelling any earlier
+// would mix healthy-looking data into the positive class.
 func IdentifyFrame(f *dataset.Frame, tickets *ticket.Store, theta int) (Labels, error) {
 	if theta < 0 {
 		return nil, fmt.Errorf("labeling: theta %d must be ≥ 0", theta)

@@ -44,7 +44,7 @@ func TestIdentifyFrameMatchesIdentify(t *testing.T) {
 		data := buildData(t, days)
 		store := storeWith(tickets...)
 		theta := rng.Intn(10)
-		want, err := Identify(data, store, theta)
+		want, err := identifyRef(data, store, theta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestIdentifyFrameEquidistantPrefersEarlierDay(t *testing.T) {
 	// record path takes the earlier day.
 	data := buildData(t, map[string][]int{"A": {10, 14}})
 	store := storeWith(ticket.Ticket{SerialNumber: "A", IMT: 12})
-	want, err := Identify(data, store, 7)
+	want, err := identifyRef(data, store, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,6 @@
 // (reproduced by the theta ablation bench).
 package labeling
 
-import (
-	"fmt"
-
-	"repro/internal/dataset"
-	"repro/internal/ticket"
-)
-
 // DefaultTheta is the paper's θ threshold in days.
 const DefaultTheta = 7
 
@@ -42,51 +35,6 @@ func (l Labels) FaultySet() map[string]bool {
 		out[sn] = true
 	}
 	return out
-}
-
-// Identify resolves failure times for every ticketed drive present in
-// data. Ticketed drives with no telemetry at all are skipped (they
-// cannot contribute training samples); drives whose earliest ticket
-// precedes all telemetry are labelled at their first tracking point.
-func Identify(data *dataset.Dataset, tickets *ticket.Store, theta int) (Labels, error) {
-	if theta < 0 {
-		return nil, fmt.Errorf("labeling: theta %d must be ≥ 0", theta)
-	}
-	labels := make(Labels)
-	for _, sn := range tickets.SerialNumbers() {
-		t, ok := tickets.First(sn)
-		if !ok {
-			continue
-		}
-		series, ok := data.Series(sn)
-		if !ok || len(series.Records) == 0 {
-			continue
-		}
-		rec, ok := series.Closest(t.IMT)
-		if !ok {
-			continue
-		}
-		interval := t.IMT - rec.Day
-		if interval < 0 {
-			interval = -interval
-		}
-		label := Label{SerialNumber: sn, IMT: t.IMT, Interval: interval}
-		if interval <= theta {
-			// The tracking point closest to the IMT is the failure time.
-			label.FailDay = rec.Day
-		} else {
-			// Fall back to IMT − θ: the drive was certainly already
-			// degrading by then, and labelling any earlier would mix
-			// healthy-looking data into the positive class.
-			label.FailDay = t.IMT - theta
-			label.Fallback = true
-		}
-		if label.FailDay < 0 {
-			label.FailDay = 0
-		}
-		labels[sn] = label
-	}
-	return labels, nil
 }
 
 // Stats summarises a labelling pass for reports and the θ sensitivity

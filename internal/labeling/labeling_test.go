@@ -1,6 +1,7 @@
 package labeling
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bsod"
@@ -31,6 +32,50 @@ func buildData(t *testing.T, days map[string][]int) *dataset.Dataset {
 	return d
 }
 
+// identifyRef is the record-form failure-time identification, kept as
+// the oracle IdentifyFrame is pinned against: a linear DriveSeries
+// walk instead of a binary search over the day column.
+func identifyRef(data *dataset.Dataset, tickets *ticket.Store, theta int) (Labels, error) {
+	if theta < 0 {
+		return nil, fmt.Errorf("labeling: theta %d must be ≥ 0", theta)
+	}
+	labels := make(Labels)
+	for _, sn := range tickets.SerialNumbers() {
+		t, ok := tickets.First(sn)
+		if !ok {
+			continue
+		}
+		series, ok := data.Series(sn)
+		if !ok || len(series.Records) == 0 {
+			continue
+		}
+		rec, ok := series.Closest(t.IMT)
+		if !ok {
+			continue
+		}
+		interval := t.IMT - rec.Day
+		if interval < 0 {
+			interval = -interval
+		}
+		label := Label{SerialNumber: sn, IMT: t.IMT, Interval: interval}
+		if interval <= theta {
+			// The tracking point closest to the IMT is the failure time.
+			label.FailDay = rec.Day
+		} else {
+			// Fall back to IMT − θ: the drive was certainly already
+			// degrading by then, and labelling any earlier would mix
+			// healthy-looking data into the positive class.
+			label.FailDay = t.IMT - theta
+			label.Fallback = true
+		}
+		if label.FailDay < 0 {
+			label.FailDay = 0
+		}
+		labels[sn] = label
+	}
+	return labels, nil
+}
+
 func storeWith(tickets ...ticket.Ticket) *ticket.Store {
 	s := ticket.NewStore()
 	for _, tk := range tickets {
@@ -43,7 +88,7 @@ func TestIdentifyClosePoint(t *testing.T) {
 	// Last record on day 20; IMT on day 24 → interval 4 ≤ θ=7 → label
 	// the closest tracking point (day 20).
 	data := buildData(t, map[string][]int{"A": {10, 15, 20}})
-	labels, err := Identify(data, storeWith(ticket.Ticket{SerialNumber: "A", IMT: 24}), 7)
+	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 24}), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +111,7 @@ func TestIdentifyFallback(t *testing.T) {
 	// Last record on day 10; IMT on day 30 → interval 20 > θ=7 →
 	// fall back to IMT − θ = 23.
 	data := buildData(t, map[string][]int{"A": {5, 10}})
-	labels, err := Identify(data, storeWith(ticket.Ticket{SerialNumber: "A", IMT: 30}), 7)
+	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 30}), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +128,7 @@ func TestIdentifyClampsAtZero(t *testing.T) {
 	data := buildData(t, map[string][]int{"A": {50}})
 	// IMT 3 with θ 7 → fallback would be negative → clamp to 0. The
 	// closest record (day 50) is 47 away, so the fallback path fires.
-	labels, err := Identify(data, storeWith(ticket.Ticket{SerialNumber: "A", IMT: 3}), 7)
+	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 3}), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +139,7 @@ func TestIdentifyClampsAtZero(t *testing.T) {
 
 func TestIdentifySkipsDrivesWithoutTelemetry(t *testing.T) {
 	data := buildData(t, map[string][]int{"A": {1}})
-	labels, err := Identify(data, storeWith(ticket.Ticket{SerialNumber: "GHOST", IMT: 5}), 7)
+	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "GHOST", IMT: 5}), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +150,7 @@ func TestIdentifySkipsDrivesWithoutTelemetry(t *testing.T) {
 
 func TestIdentifyUsesEarliestTicket(t *testing.T) {
 	data := buildData(t, map[string][]int{"A": {10, 20, 30}})
-	labels, err := Identify(data, storeWith(
+	labels, err := IdentifyFrame(frameOf(t, data), storeWith(
 		ticket.Ticket{SerialNumber: "A", IMT: 32},
 		ticket.Ticket{SerialNumber: "A", IMT: 12},
 	), 7)
@@ -119,7 +164,7 @@ func TestIdentifyUsesEarliestTicket(t *testing.T) {
 
 func TestIdentifyRejectsNegativeTheta(t *testing.T) {
 	data := buildData(t, map[string][]int{"A": {1}})
-	if _, err := Identify(data, ticket.NewStore(), -1); err == nil {
+	if _, err := IdentifyFrame(frameOf(t, data), ticket.NewStore(), -1); err == nil {
 		t.Fatal("negative θ accepted")
 	}
 }
@@ -127,7 +172,7 @@ func TestIdentifyRejectsNegativeTheta(t *testing.T) {
 func TestThetaZeroIsExact(t *testing.T) {
 	// θ=0: only a tracking point exactly on the IMT qualifies.
 	data := buildData(t, map[string][]int{"A": {10}})
-	labels, err := Identify(data, storeWith(ticket.Ticket{SerialNumber: "A", IMT: 10}), 0)
+	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 10}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

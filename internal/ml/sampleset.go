@@ -7,7 +7,7 @@ import (
 
 // SampleSet is the columnar in-memory sample representation: one flat
 // row-major float64 arena plus parallel label/day/serial columns. It
-// is built once per prepared fleet (features.BuildSampleSet fills the
+// is built once per prepared fleet (features.BuildSampleSetFrame fills the
 // arena with no per-row allocations) and then shared read-only by
 // every downstream consumer — splits, under-sampling, CV folds, grid
 // search, and feature selection all operate on Views (int32 row-index

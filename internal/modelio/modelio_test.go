@@ -17,7 +17,7 @@ func trainedModels(t *testing.T) map[core.Algorithm]*core.Model {
 	t.Helper()
 	cfg := simfleet.TinyConfig()
 	cfg.FailureScale = 0.04
-	fleet, err := simfleet.Simulate(cfg)
+	fleet, err := simfleet.SimulateFrame(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func trainedModels(t *testing.T) map[core.Algorithm]*core.Model {
 		if algo == core.AlgoCNNLSTM {
 			pc.SeqLen = 3
 		}
-		m, _, err := core.TrainOnFleet(fleet.Data, fleet.Tickets, pc)
+		m, _, err := core.TrainOnFrame(fleet.Frame, fleet.Tickets, pc)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}

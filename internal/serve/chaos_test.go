@@ -442,10 +442,7 @@ func TestReplayFrameQuarantinesBadDrive(t *testing.T) {
 	batches := dayBatches(fleet, "I")
 	splitIdx := len(batches) - 7
 	splitDay := batches[splitIdx][0].Day
-	hist, err := dataset.FrameFromDataset(fleet.Data.Until(splitDay - 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := cachedFrame.Until(splitDay - 1)
 
 	s, err := New(model, Options{Registries: regs})
 	if err != nil {

@@ -7,9 +7,9 @@
 // flat arena, the whole day is scored through ml.ScoreBatch in one
 // call (hitting the flattened batch kernel), and per-shard results are
 // merged back into input order deterministically. Feature rows and
-// scores are bit-identical to the offline
-// CleanDiscontinuity→Cumulate→extract pipeline at any worker or shard
-// count.
+// scores are bit-identical to the offline batch pipeline
+// (dataset.PreparePipeline → features.BuildSampleSetFrame) at any
+// worker or shard count.
 //
 // Production telemetry is messy, so the scorer is fail-soft, not
 // fail-stop. A record that fails validation or feature extraction

@@ -20,6 +20,7 @@ import (
 // offline pipeline and the day-major serving feed.
 var (
 	cachedFleet *simfleet.Result
+	cachedFrame *dataset.Frame
 	cachedModel *core.Model
 	cachedRegs  map[string]*firmware.Registry
 )
@@ -37,13 +38,17 @@ func setup(t *testing.T) (*simfleet.Result, *core.Model, map[string]*firmware.Re
 		for _, v := range fleet.Config.Vendors {
 			regs[v.Name] = v.Firmware
 		}
-		mcfg := core.DefaultConfig("I")
-		mcfg.Registries = regs
-		model, _, err := core.TrainOnFleet(fleet.Data, fleet.Tickets, mcfg)
+		frame, err := dataset.FrameFromDataset(fleet.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cachedFleet, cachedModel, cachedRegs = fleet, model, regs
+		mcfg := core.DefaultConfig("I")
+		mcfg.Registries = regs
+		model, _, err := core.TrainOnFrame(frame, fleet.Tickets, mcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cachedFleet, cachedFrame, cachedModel, cachedRegs = fleet, frame, model, regs
 	}
 	return cachedFleet, cachedModel, cachedRegs
 }
@@ -218,10 +223,7 @@ func TestReplayFrameBootstrapMatchesFromScratch(t *testing.T) {
 	// mean-filled rows dated before the split.
 	wantTail := runDays(t, full, batches[splitIdx:])
 
-	hist, err := dataset.FrameFromDataset(fleet.Data.Until(splitDay - 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := cachedFrame.Until(splitDay - 1)
 	boot, err := New(model, Options{Workers: 0, Registries: regs})
 	if err != nil {
 		t.Fatal(err)
@@ -253,12 +255,8 @@ func TestReplayFrameBootstrapMatchesFromScratch(t *testing.T) {
 
 // TestReplayFrameRejectsCumulated pins the raw-frame contract.
 func TestReplayFrameRejectsCumulated(t *testing.T) {
-	fleet, model, regs := setup(t)
-	cum := fleet.Data.Clone()
-	if err := dataset.Cumulate(cum); err != nil {
-		t.Fatal(err)
-	}
-	f, err := dataset.FrameFromDataset(cum)
+	_, model, regs := setup(t)
+	f, _, err := dataset.PreparePipeline(cachedFrame, dataset.PipelineOptions{SkipClean: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,11 +96,19 @@ func SimulateFleet(cfg FleetConfig) (*Fleet, error) { return simfleet.Simulate(c
 // Train runs the full MFPA pipeline (prepare + train + held-out
 // evaluation) on a fleet's telemetry and tickets.
 func Train(data *Dataset, tickets *TicketStore, cfg Config) (*Model, *TrainReport, error) {
-	return core.TrainOnFleet(data, tickets, cfg)
+	f, err := dataset.FrameFromDataset(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	return core.TrainOnFrame(f, tickets, cfg)
 }
 
 // Prepare runs only the data stages, for callers who want to train
 // several models on one prepared dataset.
 func Prepare(data *Dataset, tickets *TicketStore, cfg Config) (*core.Prepared, error) {
-	return core.Prepare(data, tickets, cfg)
+	f, err := dataset.FrameFromDataset(data)
+	if err != nil {
+		return nil, err
+	}
+	return core.PrepareFrame(f, tickets, cfg)
 }

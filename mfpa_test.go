@@ -53,7 +53,7 @@ func TestFacadePrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Data.Drives() == 0 || p.LabelStats.Labelled == 0 {
+	if p.Frame.Drives() == 0 || p.LabelStats.Labelled == 0 {
 		t.Fatal("preparation produced nothing")
 	}
 }
