@@ -130,8 +130,9 @@ type Config struct {
 	// engine behind the tree ensembles (RF, GBDT): 0 selects 256 (the
 	// default engine), positive values are clamped to at most 256, and
 	// any negative value falls back to the exact sort-based splitter.
-	// Binning quantises split thresholds but leaves them exact while
-	// features have no more distinct values than bins.
+	// Each fit bins only its own training rows. Binning quantises split
+	// thresholds but leaves them exact while those rows have no more
+	// distinct values per feature than bins.
 	Bins int
 }
 

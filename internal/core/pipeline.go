@@ -167,22 +167,27 @@ type TrainReport struct {
 // Flat algorithms run on the columnar view path: samples are extracted
 // once into a shared ml.SampleSet arena, and segmentation,
 // under-sampling, threshold calibration, and training all operate on
-// zero-copy row-index views of it (bin-once for the tree ensembles).
+// zero-copy row-index views of it. Each fit sees only its own view's
+// rows — the tree ensembles bin the rows they train on — so the
+// held-out test period cannot reach the model or its threshold.
 // The sequential CNN_LSTM representation has no flat-arena form and
 // keeps the per-sample slice path.
 func Train(p *Prepared, tests ...[]ml.Sample) (*Model, *TrainReport, error) {
 	if p.Config.Algorithm.Sequential() {
 		return trainSlices(p, tests...)
 	}
-	cfg := p.Config
-	report := &TrainReport{Prepared: p}
-
 	start := time.Now()
 	set, err := p.BuildSampleSet()
 	if err != nil {
 		return nil, nil, err
 	}
-	report.SampleTime = time.Since(start)
+	return trainSet(p, set, time.Since(start), tests...)
+}
+
+// trainSet is Train's modelling stages on the extracted sample set.
+func trainSet(p *Prepared, set *ml.SampleSet, sampleTime time.Duration, tests ...[]ml.Sample) (*Model, *TrainReport, error) {
+	cfg := p.Config
+	report := &TrainReport{Prepared: p, SampleTime: sampleTime}
 
 	var train, test ml.View
 	if cfg.RandomSegmentation {
@@ -197,7 +202,7 @@ func Train(p *Prepared, tests ...[]ml.Sample) (*Model, *TrainReport, error) {
 		testSamples = tests[0]
 	}
 	trainFull := train
-	train, err = sampling.UnderSampleView(train, cfg.NegativeRatio, cfg.Seed)
+	train, err := sampling.UnderSampleView(train, cfg.NegativeRatio, cfg.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -214,7 +219,7 @@ func Train(p *Prepared, tests ...[]ml.Sample) (*Model, *TrainReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	start = time.Now()
+	start := time.Now()
 	threshold := 0.5
 	if !cfg.FixedThreshold {
 		if t, err := calibrateThresholdView(trainer, trainFull, cfg); err == nil {

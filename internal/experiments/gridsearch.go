@@ -24,9 +24,9 @@ type GridSearchResult struct {
 }
 
 // GridSearch sweeps the RF and GBDT grids on vendor I's training
-// window. Both sweeps run on zero-copy views of the shared sample set:
-// the training window is binned once and every (combination, fold)
-// pair trains on row-masked views of that one binned matrix.
+// window. Both sweeps run on zero-copy views of the shared sample set;
+// every (combination, fold) pair bins only its own fold's training
+// rows, so no fold's split candidates see its validation rows.
 func (c *Context) GridSearch() (*GridSearchResult, error) {
 	train, _, p, err := c.SplitSet(primaryVendor, features.GroupSFWB)
 	if err != nil {

@@ -4,12 +4,12 @@
 // features; "the tree-based model is superior to other models for
 // discontinuous data"). Trees are grown in parallel across goroutines.
 //
-// By default training runs on the histogram engine: the features are
-// quantile-binned once into a shared columnar matrix, each bootstrap
-// is expressed as per-row integer weights on that matrix (no row
-// copies), and every tree finds splits by histogram accumulation
-// instead of per-node sorting. Bins: -1 falls back to the exact
-// sort-based splitter.
+// By default training runs on the histogram engine: the training rows'
+// features are quantile-binned once per fit into a columnar matrix
+// shared by every tree, each bootstrap is expressed as per-row integer
+// weights on that matrix (no row copies), and every tree finds splits
+// by histogram accumulation instead of per-node sorting. Bins: -1
+// falls back to the exact sort-based splitter.
 package forest
 
 import (
@@ -51,6 +51,36 @@ func (t *Trainer) Name() string { return "RF" }
 
 // Train implements ml.Trainer.
 func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
+	m, err := t.fit(samples)
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// TrainView implements ml.ViewTrainer. It fits exactly the forest
+// Train fits on v.Materialize(): the histogram engine bins only the
+// view's rows, and only its Cols when a column sub-view is set, so
+// rows outside the view (a held-out test period, dropped negatives)
+// cannot move a split. A column sub-view's trees are then re-indexed
+// to global features, so the model predicts on full-width arena rows.
+func (t *Trainer) TrainView(v ml.View) (ml.Classifier, error) {
+	if err := ml.ValidateView(v, false); err != nil {
+		return nil, err
+	}
+	m, err := t.fit(v.Materialize())
+	if err != nil {
+		return nil, err
+	}
+	if cols := v.Cols(); cols != nil {
+		for _, tr := range m.trees {
+			tr.WidenFeatures(cols, v.Set().Width())
+		}
+	}
+	return m, nil
+}
+
+func (t *Trainer) fit(samples []ml.Sample) (*Model, error) {
 	if err := ml.ValidateSamples(samples, false); err != nil {
 		return nil, err
 	}
@@ -120,81 +150,6 @@ func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
 			w[r.Intn(len(xs))]++
 		}
 		m.trees[ti] = tree.GrowClassifierBinned(bm, ys, w, cfg(ti))
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// TrainView implements ml.ViewTrainer: it trains on a zero-copy view
-// of a columnar SampleSet, reusing the *set-wide* binned matrix
-// (built once per set and cached there — the bin-once contract), so a
-// grid-search candidate or CV fold costs only tree growth. Bootstraps
-// are drawn over the view's rows and expressed as per-row weights on
-// the shared matrix; the candidate rows are handed to the grower in
-// view order, which makes every tree identical to one grown on a
-// privately binned copy of the subset whenever the bin budget covers
-// each feature's distinct values (the exactness regime — see
-// internal/ml/matrix). A column sub-view (v.Cols) restricts split
-// search without re-extracting features; grown trees keep global
-// feature indexes and predict on full-width rows.
-func (t *Trainer) TrainView(v ml.View) (ml.Classifier, error) {
-	if t.Bins < 0 {
-		// Exact engine: no shared binned matrix to reuse; fall back to
-		// the slice path on a materialised (header-only or masked) view.
-		return t.Train(v.Materialize())
-	}
-	if err := ml.ValidateView(v, false); err != nil {
-		return nil, err
-	}
-	set := v.Set()
-	bm, err := matrix.SharedFromSet(set, t.Bins, t.Parallelism)
-	if err != nil {
-		return nil, fmt.Errorf("forest: %w", err)
-	}
-	ys := set.LabelsFloat()
-	n := v.Len()
-
-	nTrees := t.Trees
-	if nTrees == 0 {
-		nTrees = 100
-	}
-	maxFeatures := t.MaxFeatures
-	if maxFeatures == 0 {
-		maxFeatures = -1 // tree.Config: √width
-	}
-	master := rand.New(rand.NewSource(t.Seed + 101))
-	seeds := make([]int64, nTrees)
-	for i := range seeds {
-		seeds[i] = master.Int63()
-	}
-	m := &Model{trees: make([]*tree.Classifier, nTrees)}
-	if err := parallel.Do(nTrees, t.Parallelism, func(ti int) error {
-		r := rand.New(rand.NewSource(seeds[ti]))
-		// Bootstrap counts by view position — O(view), never O(set) —
-		// then compacted to surviving rows in view order (weights
-		// parallel to rows, the GrowClassifierBinnedView contract), so
-		// histogram accumulation visits them exactly as the subset
-		// engine would.
-		w := make([]int, n)
-		for i := 0; i < n; i++ {
-			w[r.Intn(n)]++
-		}
-		rows := make([]int, 0, n)
-		wts := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			if w[i] > 0 {
-				rows = append(rows, int(v.RowIndex(i)))
-				wts = append(wts, w[i])
-			}
-		}
-		m.trees[ti] = tree.GrowClassifierBinnedView(bm, ys, wts, rows, v.Cols(), tree.Config{
-			MaxDepth:       t.MaxDepth,
-			MinSamplesLeaf: t.MinSamplesLeaf,
-			MaxFeatures:    maxFeatures,
-			Seed:           seeds[ti],
-		})
 		return nil
 	}); err != nil {
 		return nil, err

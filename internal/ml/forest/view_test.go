@@ -2,17 +2,18 @@ package forest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/mltest"
 	"repro/internal/sampling"
 )
 
-// discreteData draws features from small integer alphabets so the bin
-// budget covers every distinct value — the exactness regime in which
-// set-wide binning plus row masks is provably identical to privately
-// re-binning each subset.
+// discreteData draws features from small integer alphabets, so the
+// bin budget covers every distinct value.
 func discreteData(n int, seed int64) []ml.Sample {
 	r := rand.New(rand.NewSource(seed))
 	out := make([]ml.Sample, n)
@@ -44,9 +45,8 @@ func assertSamePredictions(t *testing.T, name string, a, b ml.Classifier, probes
 	}
 }
 
-// TestForestTrainViewMatchesTrainOnFullSet pins the strongest claim:
-// on the full set the view path shares the slice path's binning input,
-// so the two are bit-exact even with continuous features.
+// TestForestTrainViewMatchesTrainOnFullSet: on the full set the view
+// and slice paths bin the same rows, so the two are bit-exact.
 func TestForestTrainViewMatchesTrainOnFullSet(t *testing.T) {
 	samples := rings(500, 3)
 	set, err := ml.FromSamples(samples)
@@ -66,9 +66,9 @@ func TestForestTrainViewMatchesTrainOnFullSet(t *testing.T) {
 }
 
 // TestForestTrainViewSubsetMatchesSliceSubset trains on an
-// under-sampled row subset both ways: the slice path re-bins the
-// subset privately, the view path row-masks the set-wide matrix.
-// On discrete data the fitted forests must be identical.
+// under-sampled row subset both ways: the slice path on the
+// slice-form under-sample, the view path on the view-form one. The
+// fitted forests must be identical.
 func TestForestTrainViewSubsetMatchesSliceSubset(t *testing.T) {
 	samples := discreteData(700, 5)
 	set, err := ml.FromSamples(samples)
@@ -183,4 +183,85 @@ func TestForestTrainViewExactFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSamePredictions(t, "exact fallback", sliceClf, viewClf, discreteData(150, 15))
+}
+
+// TestForestTrainViewMatchesMaterializeContinuous pins TrainView(v) ==
+// Train(v.Materialize()) bit for bit on continuous features (far more
+// distinct values than bins), for row-subset and column sub-views, at
+// one worker and several, on the histogram and the exact engine. A
+// column sub-view's model scores full-width rows; the materialised
+// model scores the masked rows.
+func TestForestTrainViewMatchesMaterializeContinuous(t *testing.T) {
+	set, err := ml.FromSamples(mltest.Continuous(900, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := mltest.Views(set, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := mltest.Continuous(300, 3)
+	for _, nv := range views {
+		for _, c := range []struct{ workers, bins int }{{1, 0}, {3, 0}, {3, -1}} {
+			tr := &Trainer{Trees: 15, MaxDepth: 8, Seed: 4, Parallelism: c.workers, Bins: c.bins}
+			viewClf, err := tr.TrainView(nv.View)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sliceClf, err := tr.Train(nv.View.Materialize())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nv.View.Cols() == nil && !reflect.DeepEqual(viewClf.(*Model).Export(), sliceClf.(*Model).Export()) {
+				t.Fatalf("%s %+v: forests differ", nv.Name, c)
+			}
+			for i := range probes {
+				pv := viewClf.PredictProba(probes[i].X)
+				ps := sliceClf.PredictProba(mltest.Mask(probes[i].X, nv.View.Cols()))
+				if math.Float64bits(pv) != math.Float64bits(ps) {
+					t.Fatalf("%s %+v: probe %d: view %v, materialised %v", nv.Name, c, i, pv, ps)
+				}
+			}
+		}
+	}
+}
+
+// TestForestTrainViewIgnoresRowsOutsideView is the leakage test at the
+// learner level: overwriting every feature of the rows outside the
+// view with values no view row has must leave the forest and its
+// scores on the view's rows bit-identical.
+func TestForestTrainViewIgnoresRowsOutsideView(t *testing.T) {
+	set, err := ml.FromSamples(mltest.Continuous(900, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := mltest.Views(set, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &Trainer{Trees: 15, MaxDepth: 8, Seed: 7}
+	for _, nv := range views {
+		v := nv.View
+		poisoned, err := mltest.PoisonOutside(set, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pv := poisoned.All().WithRows(v.Indices()).WithCols(v.Cols())
+		want, err := tr.TrainView(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tr.TrainView(pv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.(*Model).Export(), got.(*Model).Export()) {
+			t.Fatalf("%s: rows outside the view changed the forest", nv.Name)
+		}
+		for i := 0; i < v.Len(); i++ {
+			if a, b := want.PredictProba(v.Row(i)), got.PredictProba(pv.Row(i)); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: view row %d scores %v, was %v", nv.Name, i, b, a)
+			}
+		}
+	}
 }

@@ -3,11 +3,11 @@
 // leaf updates), one of the paper's five candidate algorithms.
 //
 // By default each round's regression tree is grown by the histogram
-// engine on a columnar binned matrix built once per training run —
-// the feature geometry never changes across rounds, only the gradient
-// targets do — with stochastic-gradient-boosting row subsampling
-// expressed as 0/1 row weights. Bins: -1 falls back to the exact
-// sort-based splitter.
+// engine on a columnar matrix of the training rows, binned once per
+// fit — the feature geometry never changes across rounds, only the
+// gradient targets do — with stochastic-gradient-boosting row
+// subsampling expressed as 0/1 row weights. Bins: -1 falls back to
+// the exact sort-based splitter.
 package gbdt
 
 import (
@@ -50,6 +50,36 @@ func (t *Trainer) Name() string { return "GBDT" }
 
 // Train implements ml.Trainer.
 func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
+	m, err := t.fit(samples)
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// TrainView implements ml.ViewTrainer. It boosts exactly the ensemble
+// Train boosts on v.Materialize(): the histogram engine bins only the
+// view's rows, and only its Cols when a column sub-view is set, so
+// rows outside the view (a held-out test period, dropped negatives)
+// cannot move a split. A column sub-view's trees are then re-indexed
+// to global features, so the model predicts on full-width arena rows.
+func (t *Trainer) TrainView(v ml.View) (ml.Classifier, error) {
+	if err := ml.ValidateView(v, true); err != nil {
+		return nil, err
+	}
+	m, err := t.fit(v.Materialize())
+	if err != nil {
+		return nil, err
+	}
+	if cols := v.Cols(); cols != nil {
+		for _, tr := range m.trees {
+			tr.WidenFeatures(cols)
+		}
+	}
+	return m, nil
+}
+
+func (t *Trainer) fit(samples []ml.Sample) (*Model, error) {
 	if err := ml.ValidateSamples(samples, true); err != nil {
 		return nil, err
 	}
@@ -173,137 +203,6 @@ func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
 		m.trees = append(m.trees, tr)
 		for i := range f {
 			f[i] += lr * tr.Predict(xs[i])
-		}
-	}
-	return m, nil
-}
-
-// TrainView implements ml.ViewTrainer: boosting on a zero-copy view
-// of a columnar SampleSet. The binned matrix is the *set-wide* one
-// (built once per set, cached there — the bin-once contract), so a
-// grid-search candidate or CV fold pays only for tree growth: each
-// round's subsample is expressed as 0/1 weights on the shared matrix
-// with the selected rows handed to the grower in view order, making
-// every round identical to boosting on a privately binned subset copy
-// in the exactness regime (see internal/ml/matrix). A column sub-view
-// restricts split search; trees keep global feature indexes and read
-// their rows straight out of the arena.
-func (t *Trainer) TrainView(v ml.View) (ml.Classifier, error) {
-	if t.Bins < 0 {
-		return t.Train(v.Materialize())
-	}
-	if err := ml.ValidateView(v, true); err != nil {
-		return nil, err
-	}
-	rounds := t.Rounds
-	if rounds == 0 {
-		rounds = 100
-	}
-	lr := t.LearningRate
-	if lr == 0 {
-		lr = 0.1
-	}
-	maxDepth := t.MaxDepth
-	if maxDepth == 0 {
-		maxDepth = 4
-	}
-	minLeaf := t.MinSamplesLeaf
-	if minLeaf == 0 {
-		minLeaf = 5
-	}
-	sub := t.Subsample
-	if sub == 0 {
-		sub = 1
-	}
-
-	set := v.Set()
-	bm, err := matrix.SharedFromSet(set, t.Bins, 1)
-	if err != nil {
-		return nil, fmt.Errorf("gbdt: %w", err)
-	}
-	n := v.Len()
-	ysv := make([]float64, n) // view-space {0,1} targets
-	pos := 0.0
-	for i := 0; i < n; i++ {
-		ysv[i] = float64(v.Y(i))
-		pos += ysv[i]
-	}
-	p0 := clampP(pos / float64(n))
-	m := &Model{bias: math.Log(p0 / (1 - p0)), lr: lr}
-
-	f := make([]float64, n) // current raw scores, view space
-	for i := range f {
-		f[i] = m.bias
-	}
-	grad := make([]float64, n)
-	r := rand.New(rand.NewSource(t.Seed + 7))
-
-	// Matrix-space gradient targets, reused across rounds: written only
-	// at the selected rows each round, so per-round cost stays O(view).
-	// Subsample membership is the rows list itself — every selected row
-	// has weight 1, which nil weights expresses without O(set) scratch.
-	gradFull := make([]float64, set.Len())
-	mark := make([]bool, n)
-	rows := make([]int, 0, n)
-
-	for round := 0; round < rounds; round++ {
-		for i := range grad {
-			grad[i] = ysv[i] - sigmoid(f[i])
-		}
-		rowIdx := allIdx(n)
-		if sub < 1 {
-			k := int(sub * float64(n))
-			if k < 2 {
-				k = 2
-			}
-			rowIdx = r.Perm(n)[:k]
-		}
-		for _, p := range rowIdx {
-			mark[p] = true
-		}
-		rows = rows[:0]
-		for p := 0; p < n; p++ {
-			if mark[p] {
-				gi := int(v.RowIndex(p))
-				rows = append(rows, gi)
-				gradFull[gi] = grad[p]
-			}
-		}
-		tr := tree.GrowRegressorBinnedView(bm, gradFull, nil, rows, v.Cols(), tree.Config{
-			MaxDepth:       maxDepth,
-			MinSamplesLeaf: minLeaf,
-			Seed:           t.Seed + int64(round)*9973,
-		})
-		for _, p := range rowIdx {
-			mark[p] = false
-		}
-
-		// Newton leaf values, iterated in subsample order exactly as the
-		// slice engine does.
-		nl := tr.NumLeaves()
-		num := make([]float64, nl)
-		den := make([]float64, nl)
-		for _, p := range rowIdx {
-			leaf := tr.Apply(v.Row(p))
-			pp := sigmoid(f[p])
-			num[leaf] += grad[p]
-			den[leaf] += pp * (1 - pp)
-		}
-		for leaf := 0; leaf < nl; leaf++ {
-			gamma := 0.0
-			if den[leaf] > 1e-12 {
-				gamma = num[leaf] / den[leaf]
-			}
-			if gamma > 4 {
-				gamma = 4
-			} else if gamma < -4 {
-				gamma = -4
-			}
-			tr.SetLeafValue(leaf, gamma)
-		}
-		m.trees = append(m.trees, tr)
-		for i := range f {
-			f[i] += lr * tr.Predict(v.Row(i))
 		}
 	}
 	return m, nil

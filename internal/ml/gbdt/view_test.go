@@ -2,16 +2,18 @@ package gbdt
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/mltest"
 	"repro/internal/sampling"
 )
 
-// discreteData draws features from small integer alphabets so the bin
-// budget covers every distinct value (the exactness regime — set-wide
-// binning plus row masks equals privately re-binning each subset).
+// discreteData draws features from small integer alphabets, so the
+// bin budget covers every distinct value.
 func discreteData(n int, seed int64) []ml.Sample {
 	r := rand.New(rand.NewSource(seed))
 	out := make([]ml.Sample, n)
@@ -154,4 +156,88 @@ func TestGBDTTrainViewExactFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSamePredictions(t, "exact fallback", sliceClf, viewClf, discreteData(150, 15))
+}
+
+// TestGBDTTrainViewMatchesMaterializeContinuous pins TrainView(v) ==
+// Train(v.Materialize()) bit for bit on continuous features (far more
+// distinct values than bins), for row-subset and column sub-views,
+// with and without row subsampling, on the histogram and the exact
+// engine. A column sub-view's model scores full-width rows; the
+// materialised model scores the masked rows.
+func TestGBDTTrainViewMatchesMaterializeContinuous(t *testing.T) {
+	set, err := ml.FromSamples(mltest.Continuous(900, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := mltest.Views(set, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := mltest.Continuous(300, 3)
+	for _, nv := range views {
+		for _, c := range []struct {
+			sub  float64
+			bins int
+		}{{1, 0}, {0.7, 0}, {0.7, -1}} {
+			tr := &Trainer{Rounds: 20, MaxDepth: 4, Seed: 4, Subsample: c.sub, Bins: c.bins}
+			viewClf, err := tr.TrainView(nv.View)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sliceClf, err := tr.Train(nv.View.Materialize())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nv.View.Cols() == nil && !reflect.DeepEqual(viewClf.(*Model).Export(), sliceClf.(*Model).Export()) {
+				t.Fatalf("%s %+v: ensembles differ", nv.Name, c)
+			}
+			for i := range probes {
+				pv := viewClf.PredictProba(probes[i].X)
+				ps := sliceClf.PredictProba(mltest.Mask(probes[i].X, nv.View.Cols()))
+				if math.Float64bits(pv) != math.Float64bits(ps) {
+					t.Fatalf("%s %+v: probe %d: view %v, materialised %v", nv.Name, c, i, pv, ps)
+				}
+			}
+		}
+	}
+}
+
+// TestGBDTTrainViewIgnoresRowsOutsideView is the leakage test at the
+// learner level: overwriting every feature of the rows outside the
+// view with values no view row has must leave the ensemble and its
+// scores on the view's rows bit-identical.
+func TestGBDTTrainViewIgnoresRowsOutsideView(t *testing.T) {
+	set, err := ml.FromSamples(mltest.Continuous(900, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := mltest.Views(set, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &Trainer{Rounds: 20, MaxDepth: 4, Seed: 7, Subsample: 0.8}
+	for _, nv := range views {
+		v := nv.View
+		poisoned, err := mltest.PoisonOutside(set, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pv := poisoned.All().WithRows(v.Indices()).WithCols(v.Cols())
+		want, err := tr.TrainView(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tr.TrainView(pv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.(*Model).Export(), got.(*Model).Export()) {
+			t.Fatalf("%s: rows outside the view changed the ensemble", nv.Name)
+		}
+		for i := 0; i < v.Len(); i++ {
+			if a, b := want.PredictProba(v.Row(i)), got.PredictProba(pv.Row(i)); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: view row %d scores %v, was %v", nv.Name, i, b, a)
+			}
+		}
+	}
 }

@@ -1,9 +1,10 @@
 // Package matrix provides the columnar binned feature matrix behind
-// the histogram-based tree training engine. Each feature column is
-// quantile-binned once into at most 256 uint8 bins; the binned matrix
-// is then shared read-only by every tree of an ensemble, so the
-// per-node split search degrades from O(n log n) re-sorting per
-// feature to an O(n) histogram accumulation plus an O(bins) scan —
+// the histogram-based tree training engine. Each feature column of the
+// training rows is quantile-binned once per fit into at most 256 uint8
+// bins; the binned matrix is then shared read-only by every tree of an
+// ensemble, so the per-node split search degrades from O(n log n)
+// re-sorting per feature to an O(n) histogram accumulation plus an
+// O(bins) scan —
 // the standard trick (LightGBM-style) that lets disk-failure studies
 // train tree ensembles on millions of drive-days.
 //
@@ -138,76 +139,6 @@ func NormBins(maxBins int) int {
 	return maxBins
 }
 
-// gatherBlock is the number of feature columns transposed per pass
-// over the arena: per-column strided gathers would stream the whole
-// arena once per feature, so blocking cuts memory traffic cols/
-// gatherBlock-fold while capping the transpose buffer at
-// gatherBlock×rows values.
-const gatherBlock = 8
-
-// BuildStrided bins a row-major arena of rows×cols values — the
-// columnar SampleSet layout — without materialising per-row slices.
-// Binning semantics are identical to BuildWorkers.
-func BuildStrided(x []float64, rows, cols, maxBins, workers int) (*BinnedMatrix, error) {
-	if rows == 0 || cols == 0 || len(x) != rows*cols {
-		return nil, fmt.Errorf("matrix: arena holds %d values, want %d rows × %d", len(x), rows, cols)
-	}
-	maxBins = NormBins(maxBins)
-	m := &BinnedMatrix{
-		rows: rows,
-		cols: cols,
-		bins: make([][]uint8, cols),
-		lo:   make([][]float64, cols),
-		hi:   make([][]float64, cols),
-	}
-	blocks := (cols + gatherBlock - 1) / gatherBlock
-	if err := parallel.Do(blocks, workers, func(bi int) error {
-		f0 := bi * gatherBlock
-		f1 := f0 + gatherBlock
-		if f1 > cols {
-			f1 = cols
-		}
-		nf := f1 - f0
-		buf := make([]float64, nf*rows)
-		for i := 0; i < rows; i++ {
-			base := i * cols
-			for k := 0; k < nf; k++ {
-				v := x[base+f0+k]
-				if math.IsNaN(v) {
-					return fmt.Errorf("matrix: NaN at row %d, feature %d", i, f0+k)
-				}
-				buf[k*rows+i] = v
-			}
-		}
-		for k := 0; k < nf; k++ {
-			f := f0 + k
-			m.bins[f], m.lo[f], m.hi[f] = binColumn(buf[k*rows:(k+1)*rows], maxBins)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// SharedFromSet returns the set-wide binned matrix of a SampleSet,
-// building it at most once per effective bin budget and caching it on
-// the set — the bin-once contract behind grid search, SFS/SBS, and
-// walk-forward folds: candidate subsets are realised as row-masked
-// views (per-row weights or index lists) of this one matrix instead of
-// re-binning per candidate. Safe for concurrent callers; every caller
-// with the same budget shares one build.
-func SharedFromSet(set *ml.SampleSet, maxBins, workers int) (*BinnedMatrix, error) {
-	nb := NormBins(maxBins)
-	v, err := set.Cached(int64(nb), func() (any, error) {
-		return BuildStrided(set.Arena(), set.Len(), set.Width(), nb, workers)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*BinnedMatrix), nil
-}
-
 // binColumn quantile-bins one feature column: if the column has at
 // most maxBins distinct values each gets its own bin (the exactness
 // regime); otherwise greedy quantile boundaries target rows/maxBins
@@ -253,9 +184,9 @@ func binColumn(col []float64, maxBins int) (bins []uint8, lo, hi []float64) {
 
 // sortFloats sorts a NaN-free column ascending: comparison sort below
 // the radix break-even, 8-pass LSD radix above it. Radix runs in O(n)
-// against the comparison sort's O(n log n), which matters because
-// binning a fleet-wide arena sorts a few hundred thousand values per
-// continuous column.
+// against the comparison sort's O(n log n), which matters when a
+// full-fleet fit sorts a few hundred thousand values per continuous
+// column.
 func sortFloats(col []float64) {
 	if len(col) < 2048 {
 		slices.Sort(col)

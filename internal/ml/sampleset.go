@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // SampleSet is the columnar in-memory sample representation: one flat
 // row-major float64 arena plus parallel label/day/serial columns. It
@@ -14,21 +11,15 @@ import (
 // slices) instead of copying sample data per candidate.
 //
 // A SampleSet is immutable after construction and safe for concurrent
-// readers; the Cached hook lets derived artefacts (notably the
-// quantile-binned matrix, see internal/ml/matrix.SharedFromSet) be
-// computed once and shared across candidates.
+// readers. It carries no derived state: a trainer that needs binned
+// features bins the rows of the view it trains on, so nothing computed
+// from one view's rows can reach another's model.
 type SampleSet struct {
 	width int
 	x     []float64 // len = rows*width, row-major
 	y     []int8    // 0 or 1
 	day   []int32
 	sn    []string
-
-	yfOnce sync.Once
-	yf     []float64
-
-	cacheMu sync.Mutex
-	cache   map[int64]any
 }
 
 // NewSampleSet assembles a set from pre-filled parallel columns. The
@@ -99,38 +90,6 @@ func (s *SampleSet) Day(i int) int { return int(s.day[i]) }
 
 // SN returns row i's drive serial number.
 func (s *SampleSet) SN(i int) string { return s.sn[i] }
-
-// LabelsFloat returns (building once) the labels as float64 training
-// targets, indexed by arena row. The slice is shared; read-only.
-func (s *SampleSet) LabelsFloat() []float64 {
-	s.yfOnce.Do(func() {
-		s.yf = make([]float64, len(s.y))
-		for i, v := range s.y {
-			s.yf[i] = float64(v)
-		}
-	})
-	return s.yf
-}
-
-// Cached returns (computing once per key) a derived artefact of the
-// set, such as the set-wide binned matrix. Concurrent callers with the
-// same key share a single build; build must not call Cached itself.
-func (s *SampleSet) Cached(key int64, build func() (any, error)) (any, error) {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	if v, ok := s.cache[key]; ok {
-		return v, nil
-	}
-	v, err := build()
-	if err != nil {
-		return nil, err
-	}
-	if s.cache == nil {
-		s.cache = make(map[int64]any)
-	}
-	s.cache[key] = v
-	return v, nil
-}
 
 // All returns the view over every row and feature.
 func (s *SampleSet) All() View { return View{set: s} }
@@ -290,10 +249,12 @@ func ValidateView(v View, requireBothClasses bool) error {
 	return nil
 }
 
-// ViewTrainer is implemented by trainers that can consume a zero-copy
-// View directly — the tree ensembles train on row-masked views of the
-// set-wide binned matrix (bin-once), and honour the view's column
-// subset without re-extracting features.
+// ViewTrainer is implemented by trainers whose view-trained models
+// index features globally: a model fitted on a column sub-view
+// predicts on full-width arena rows, so callers score rows straight
+// out of the arena. The tree ensembles fit exactly what Train fits on
+// v.Materialize() — binning only the view's rows — and then re-index
+// their splits.
 type ViewTrainer interface {
 	Trainer
 	// TrainView fits a model on the view's rows (and, when set, only
@@ -301,10 +262,9 @@ type ViewTrainer interface {
 	TrainView(v View) (Classifier, error)
 }
 
-// TrainOn trains t on v through the fastest path it offers: the
-// zero-copy view path when t implements ViewTrainer, otherwise the
-// legacy slice path on a materialised (header-only, or masked when the
-// view has a column subset) sample slice.
+// TrainOn trains t on v: through TrainView when t implements
+// ViewTrainer, otherwise through Train on a materialised (header-only,
+// or masked when the view has a column subset) sample slice.
 func TrainOn(t Trainer, v View) (Classifier, error) {
 	if vt, ok := t.(ViewTrainer); ok {
 		return vt.TrainView(v)

@@ -3,8 +3,6 @@ package ml
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -135,77 +133,6 @@ func TestMaterializeHeaderOnly(t *testing.T) {
 	out := set.All().Materialize()
 	if &out[2].X[0] != &set.Arena()[2*3] {
 		t.Fatal("full-width Materialize copied feature data")
-	}
-}
-
-func TestLabelsFloatSharedAndCorrect(t *testing.T) {
-	set, err := FromSamples(setSamples(40, 2, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	yf := set.LabelsFloat()
-	for i := range yf {
-		if yf[i] != float64(set.Y(i)) {
-			t.Fatalf("label %d: %v != %d", i, yf[i], set.Y(i))
-		}
-	}
-	if &yf[0] != &set.LabelsFloat()[0] {
-		t.Fatal("LabelsFloat rebuilt instead of caching")
-	}
-}
-
-func TestCachedBuildsOncePerKey(t *testing.T) {
-	set, err := FromSamples(setSamples(10, 2, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var builds atomic.Int32
-	var wg sync.WaitGroup
-	results := make([]any, 16)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			v, err := set.Cached(42, func() (any, error) {
-				builds.Add(1)
-				return &struct{ int }{42}, nil
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[g] = v
-		}(g)
-	}
-	wg.Wait()
-	if builds.Load() != 1 {
-		t.Fatalf("build ran %d times, want 1", builds.Load())
-	}
-	for g := 1; g < 16; g++ {
-		if results[g] != results[0] {
-			t.Fatal("concurrent callers saw different cached values")
-		}
-	}
-	// A different key builds separately.
-	if _, err := set.Cached(43, func() (any, error) { builds.Add(1); return 2, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if builds.Load() != 2 {
-		t.Fatalf("second key reused first key's artefact")
-	}
-}
-
-func TestCachedPropagatesErrorWithoutCaching(t *testing.T) {
-	set, err := FromSamples(setSamples(10, 2, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := set.Cached(1, func() (any, error) { return nil, fmt.Errorf("boom") }); err == nil {
-		t.Fatal("build error swallowed")
-	}
-	v, err := set.Cached(1, func() (any, error) { return "ok", nil })
-	if err != nil || v != "ok" {
-		t.Fatalf("failed build was cached: %v %v", v, err)
 	}
 }
 

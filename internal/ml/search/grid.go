@@ -101,13 +101,14 @@ func GridSearchWorkers(factory Factory, grid Grid, samples []ml.Sample, k, worke
 }
 
 // GridSearchSet is GridSearchWorkers on a zero-copy SampleSet view:
-// CV folds are index views of the shared arena (no sample copies), a
-// ViewTrainer candidate trains on row-masked views of the set-wide
-// binned matrix (bin-once — quantile binning happens once for the
-// whole sweep instead of once per combination × fold), and validation
-// rows are scored straight out of the arena. Candidate enumeration,
-// fold arithmetic, and AUC aggregation are identical to the slice
-// implementation, so both return the same ranking at any worker count.
+// CV folds are index views of the shared arena (no sample copies),
+// each candidate trains on its fold's training view through ml.TrainOn
+// (the tree ensembles bin only that view's rows, so a fold's split
+// candidates never see its validation rows), and validation rows are
+// scored straight out of the arena. Candidate enumeration, fold
+// arithmetic, and AUC aggregation are identical to the slice
+// implementation, and every fit equals the slice fit, so both return
+// the same ranking at any worker count.
 func GridSearchSet(factory Factory, grid Grid, v ml.View, k, workers int) ([]Candidate, Candidate, error) {
 	combos := enumerate(grid)
 	if len(combos) == 0 {

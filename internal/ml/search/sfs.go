@@ -66,11 +66,11 @@ func scoreSubset(trainer ml.Trainer, train, val []ml.Sample, subset []int) (subs
 
 // scoreSubsetView is scoreSubset on zero-copy views: the candidate
 // subset is a *column* sub-view of the shared arena. A ViewTrainer
-// trains on row-masked, column-masked views of the set-wide binned
-// matrix (bin-once, no re-extraction) and its model indexes features
-// globally, so validation rows are scored straight out of the arena;
-// other trainers fall back to a masked materialisation. Scores — and
-// therefore the selection trajectory — match the slice implementation.
+// fits what it would fit on the masked rows, binning only the view's
+// rows and columns, and its model indexes features globally, so
+// validation rows are scored straight out of the arena; other trainers
+// train and score on masked copies. Scores — and therefore the
+// selection trajectory — match the slice implementation.
 func scoreSubsetView(trainer ml.Trainer, train, val ml.View, subset []int) (subsetScore, error) {
 	sub := train.WithCols(subset)
 	var clf ml.Classifier

@@ -7,11 +7,11 @@ import (
 
 	"repro/internal/ml"
 	"repro/internal/ml/forest"
+	"repro/internal/ml/mltest"
 )
 
-// discreteTrend draws features from small integer alphabets (the
-// exactness regime: set-wide binning + row masks ≡ per-subset binning)
-// with the signal concentrated in feature 0.
+// discreteTrend draws features from small integer alphabets with the
+// signal concentrated in feature 0.
 func discreteTrend(n int, seed int64) []ml.Sample {
 	r := rand.New(rand.NewSource(seed))
 	out := make([]ml.Sample, n)
@@ -30,6 +30,26 @@ func discreteTrend(n int, seed int64) []ml.Sample {
 	return out
 }
 
+// fixtures are the data sets the view/slice equivalence suites run on:
+// small integer alphabets, and continuous features with far more
+// distinct values than the bin budget.
+var fixtures = []struct {
+	name string
+	gen  func(n int, seed int64) []ml.Sample
+}{
+	{"discrete", discreteTrend},
+	{"continuous", mltest.Continuous},
+}
+
+// featureNames returns one name per feature of samples.
+func featureNames(samples []ml.Sample) []string {
+	names := make([]string, len(samples[0].X))
+	for i := range names {
+		names[i] = string(rune('a' + i))
+	}
+	return names
+}
+
 func forestFactory(seed int64) Factory {
 	return func(params map[string]float64) ml.Trainer {
 		return &forest.Trainer{
@@ -40,30 +60,31 @@ func forestFactory(seed int64) Factory {
 	}
 }
 
-// TestGridSearchSetMatchesSlice requires the bin-once view sweep to
-// reproduce the slice sweep's candidates and scores exactly, at any
-// worker count.
+// TestGridSearchSetMatchesSlice requires the view sweep to reproduce
+// the slice sweep's candidates and scores exactly, at any worker count.
 func TestGridSearchSetMatchesSlice(t *testing.T) {
-	samples := discreteTrend(420, 3)
-	set, err := ml.FromSamples(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := Grid{"depth": {2, 4, 6}}
-	want, wantBest, err := GridSearchWorkers(forestFactory(11), grid, samples, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 0, 3} {
-		got, gotBest, err := GridSearchSet(forestFactory(11), grid, set.All(), 3, w)
+	for _, fx := range fixtures {
+		samples := fx.gen(420, 3)
+		set, err := ml.FromSamples(samples)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: candidates = %v, want %v", w, got, want)
+		grid := Grid{"depth": {2, 4, 6}}
+		want, wantBest, err := GridSearchWorkers(forestFactory(11), grid, samples, 3, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(gotBest, wantBest) {
-			t.Fatalf("workers=%d: best = %v, want %v", w, gotBest, wantBest)
+		for _, w := range []int{1, 0, 3} {
+			got, gotBest, err := GridSearchSet(forestFactory(11), grid, set.All(), 3, w)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", fx.name, w, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: candidates = %v, want %v", fx.name, w, got, want)
+			}
+			if !reflect.DeepEqual(gotBest, wantBest) {
+				t.Fatalf("%s workers=%d: best = %v, want %v", fx.name, w, gotBest, wantBest)
+			}
 		}
 	}
 }
@@ -107,30 +128,32 @@ func TestGridSearchSetEmptyGrid(t *testing.T) {
 // TestForwardSelectSetMatchesSlice requires the column-sub-view SFS to
 // walk the same greedy trajectory as the masked-copy implementation.
 func TestForwardSelectSetMatchesSlice(t *testing.T) {
-	train := discreteTrend(400, 5)
-	val := discreteTrend(200, 6)
-	names := []string{"a", "b", "c", "d"}
-	trainer := &forest.Trainer{Trees: 12, MaxDepth: 5, Seed: 3, Parallelism: 1}
+	for _, fx := range fixtures {
+		train := fx.gen(400, 5)
+		val := fx.gen(200, 6)
+		names := featureNames(train)
+		trainer := &forest.Trainer{Trees: 12, MaxDepth: 5, Seed: 3, Parallelism: 1}
 
-	want, err := ForwardSelectWorkers(trainer, train, val, names, 0, 1e-4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainSet, err := ml.FromSamples(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	valSet, err := ml.FromSamples(val)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 0, 4} {
-		got, err := ForwardSelectSet(trainer, trainSet.All(), valSet.All(), names, 0, 1e-4, w)
+		want, err := ForwardSelectWorkers(trainer, train, val, names, 0, 1e-4, 1)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: trajectory = %+v, want %+v", w, got, want)
+		trainSet, err := ml.FromSamples(train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		valSet, err := ml.FromSamples(val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 0, 4} {
+			got, err := ForwardSelectSet(trainer, trainSet.All(), valSet.All(), names, 0, 1e-4, w)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", fx.name, w, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: trajectory = %+v, want %+v", fx.name, w, got, want)
+			}
 		}
 	}
 }
@@ -138,30 +161,32 @@ func TestForwardSelectSetMatchesSlice(t *testing.T) {
 // TestBackwardEliminateSetMatchesSlice requires the view SBS to drop
 // the same features in the same order as the slice implementation.
 func TestBackwardEliminateSetMatchesSlice(t *testing.T) {
-	train := discreteTrend(400, 7)
-	val := discreteTrend(200, 8)
-	names := []string{"a", "b", "c", "d"}
-	trainer := &forest.Trainer{Trees: 12, MaxDepth: 5, Seed: 3, Parallelism: 1}
+	for _, fx := range fixtures {
+		train := fx.gen(400, 7)
+		val := fx.gen(200, 8)
+		names := featureNames(train)
+		trainer := &forest.Trainer{Trees: 12, MaxDepth: 5, Seed: 3, Parallelism: 1}
 
-	want, err := BackwardEliminateWorkers(trainer, train, val, names, 1, 0.02, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainSet, err := ml.FromSamples(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	valSet, err := ml.FromSamples(val)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 3} {
-		got, err := BackwardEliminateSet(trainer, trainSet.All(), valSet.All(), names, 1, 0.02, w)
+		want, err := BackwardEliminateWorkers(trainer, train, val, names, 1, 0.02, 1)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: result = %+v, want %+v", w, got, want)
+		trainSet, err := ml.FromSamples(train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		valSet, err := ml.FromSamples(val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 3} {
+			got, err := BackwardEliminateSet(trainer, trainSet.All(), valSet.All(), names, 1, 0.02, w)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", fx.name, w, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: result = %+v, want %+v", fx.name, w, got, want)
+			}
 		}
 	}
 }

@@ -32,48 +32,16 @@ import (
 // multiplicities (nil means one each); rows with weight 0 are left
 // out of growth entirely.
 func GrowClassifierBinned(m *matrix.BinnedMatrix, ys []float64, weights []int, cfg Config) *Classifier {
-	return GrowClassifierBinnedView(m, ys, weights, nil, nil, cfg)
+	g := newHistGrower(m, ys, weights, cfg)
+	g.growRoot()
+	return &Classifier{nodes: g.nodes, width: m.Cols()}
 }
 
 // GrowRegressorBinned fits a squared-error regression tree on the
 // binned matrix. The same matrix can back every boosting round: only
 // ys (the per-round gradients) and weights change.
 func GrowRegressorBinned(m *matrix.BinnedMatrix, ys []float64, weights []int, cfg Config) *Regressor {
-	return GrowRegressorBinnedView(m, ys, weights, nil, nil, cfg)
-}
-
-// GrowClassifierBinnedView is GrowClassifierBinned restricted to a
-// view of the shared matrix, the bin-once training primitive:
-//
-//   - rows, when non-nil, lists the candidate matrix rows in *growth
-//     order*. Passing the subset's rows in subset order makes every
-//     accumulated statistic — and therefore the grown tree —
-//     identical to binning the subset into its own matrix, without
-//     copying or re-binning. rows must not contain duplicates.
-//     weights then runs PARALLEL to rows (weights[i] is rows[i]'s
-//     bootstrap multiplicity; nil means one each; zero-weight rows are
-//     skipped), so growth state stays O(len(rows)) no matter how large
-//     the shared matrix is.
-//   - features, when non-nil, restricts split search to those feature
-//     columns (the SFS/SBS column sub-view). The per-split sampler
-//     draws from the subset exactly as it would from a masked matrix,
-//     and grown nodes keep global feature indexes, so the tree
-//     predicts on full-width arena rows directly.
-//
-// Nil rows selects every positive-weight row in matrix order (weights
-// then indexed by matrix row); nil features selects all columns —
-// together reproducing GrowClassifierBinned exactly.
-func GrowClassifierBinnedView(m *matrix.BinnedMatrix, ys []float64, weights []int, rows, features []int, cfg Config) *Classifier {
-	g := newHistGrower(m, ys, weights, rows, features, cfg)
-	g.growRoot()
-	return &Classifier{nodes: g.nodes, width: m.Cols()}
-}
-
-// GrowRegressorBinnedView is GrowRegressorBinned restricted to a view
-// of the shared matrix; see GrowClassifierBinnedView for the rows and
-// features contract.
-func GrowRegressorBinnedView(m *matrix.BinnedMatrix, ys []float64, weights []int, rows, features []int, cfg Config) *Regressor {
-	g := newHistGrower(m, ys, weights, rows, features, cfg)
+	g := newHistGrower(m, ys, weights, cfg)
 	g.growRoot()
 	return &Regressor{nodes: g.nodes, leafIndex: g.leafIdx}
 }
@@ -85,20 +53,13 @@ type histGrower struct {
 	m   *matrix.BinnedMatrix
 	cfg Config
 	// Compact per-active-row state, one slot per positive-weight row in
-	// growth order: row is the global matrix row, wc the bootstrap
-	// weight, yv the target, and wy/wy2 cache w·y and w·y² so histogram
-	// accumulation costs one add per statistic per row. Sizing these to
-	// the active rows rather than the matrix keeps per-tree cost O(view)
-	// even when the view is a sliver of a huge shared matrix.
+	// matrix order: row is the matrix row, wc the bootstrap weight, yv
+	// the target, and wy/wy2 cache w·y and w·y² so histogram
+	// accumulation costs one add per statistic per row.
 	row     []int
 	wc      []int
 	yv      []float64
 	wy, wy2 []float64
-	// featU is the feature universe split search draws from: the
-	// caller's column sub-view, or the identity over all columns. The
-	// sampler permutes *positions* in this universe, so a sub-view
-	// consumes the rng exactly as a masked matrix of the same width.
-	featU   []int
 	sampler *featureSampler
 
 	nodes     []node
@@ -116,61 +77,32 @@ type histGrower struct {
 	sums2   []float64
 }
 
-func newHistGrower(m *matrix.BinnedMatrix, ys []float64, weights []int, rows, features []int, cfg Config) *histGrower {
+func newHistGrower(m *matrix.BinnedMatrix, ys []float64, weights []int, cfg Config) *histGrower {
 	if len(ys) != m.Rows() {
 		panic(fmt.Sprintf("tree: %d targets for %d matrix rows", len(ys), m.Rows()))
 	}
-	if weights != nil {
-		if rows == nil && len(weights) != m.Rows() {
-			panic(fmt.Sprintf("tree: %d weights for %d matrix rows", len(weights), m.Rows()))
-		}
-		if rows != nil && len(weights) != len(rows) {
-			panic(fmt.Sprintf("tree: %d weights for %d view rows", len(weights), len(rows)))
-		}
+	if weights != nil && len(weights) != m.Rows() {
+		panic(fmt.Sprintf("tree: %d weights for %d matrix rows", len(weights), m.Rows()))
 	}
 	cfg = cfg.withDefaults()
-	if features == nil {
-		features = orderedIndex(m.Cols())
-	}
 	g := &histGrower{
 		m:       m,
 		cfg:     cfg,
-		featU:   features,
-		sampler: newFeatureSampler(rand.New(rand.NewSource(cfg.Seed+17)), len(features)),
+		sampler: newFeatureSampler(rand.New(rand.NewSource(cfg.Seed+17)), m.Cols()),
 		counts:  make([]int, matrix.MaxBins),
 		sums:    make([]float64, matrix.MaxBins),
 		sums2:   make([]float64, matrix.MaxBins),
+		row:     make([]int, 0, m.Rows()),
+		wc:      make([]int, 0, m.Rows()),
 	}
-	// Compact the positive-weight rows, in growth order. weights is
-	// indexed by matrix row when rows is nil and parallel to rows
-	// otherwise (see GrowClassifierBinnedView).
-	hint := m.Rows()
-	if rows != nil {
-		hint = len(rows)
-	}
-	g.row = make([]int, 0, hint)
-	g.wc = make([]int, 0, hint)
-	if rows == nil {
-		for i := 0; i < m.Rows(); i++ {
-			w := 1
-			if weights != nil {
-				w = weights[i]
-			}
-			if w > 0 {
-				g.row = append(g.row, i)
-				g.wc = append(g.wc, w)
-			}
+	for i := 0; i < m.Rows(); i++ {
+		w := 1
+		if weights != nil {
+			w = weights[i]
 		}
-	} else {
-		for j, i := range rows {
-			w := 1
-			if weights != nil {
-				w = weights[j]
-			}
-			if w > 0 {
-				g.row = append(g.row, i)
-				g.wc = append(g.wc, w)
-			}
+		if w > 0 {
+			g.row = append(g.row, i)
+			g.wc = append(g.wc, w)
 		}
 	}
 	n := len(g.row)
@@ -281,13 +213,12 @@ func (g *histGrower) sealLeaf(i int) {
 // bins' build-time value bounds, and splitBin is the last left-side
 // bin (the partition key).
 func (g *histGrower) bestSplit(rows []int, wn int, parentSSE, wsum, wsum2 float64) (feat, splitBin int, thr, bestGainOut float64, ok bool) {
-	k := g.cfg.featuresPerSplit(len(g.featU))
+	k := g.cfg.featuresPerSplit(g.m.Cols())
 	feats := g.sampler.sample(k)
 	minLeaf := g.cfg.MinSamplesLeaf
 
 	bestGain := 1e-10
-	for _, fp := range feats {
-		f := g.featU[fp]
+	for _, f := range feats {
 		nb := g.m.NumBins(f)
 		if nb < 2 {
 			continue // constant feature: nothing to split

@@ -189,6 +189,27 @@ func (t *Regressor) SetLeafValue(id int, v float64) {
 	t.nodes[t.leafIndex[id]].value = v
 }
 
+// WidenFeatures re-indexes a tree grown on the column projection cols
+// of a width-wide feature space: split feature j becomes cols[j], so
+// the tree predicts on full-width rows. It must run before the tree
+// is shared.
+func (t *Classifier) WidenFeatures(cols []int, width int) {
+	widenNodes(t.nodes, cols)
+	t.width = width
+}
+
+// WidenFeatures is Classifier.WidenFeatures for a regression tree,
+// which infers its width from its splits.
+func (t *Regressor) WidenFeatures(cols []int) { widenNodes(t.nodes, cols) }
+
+func widenNodes(nodes []node, cols []int) {
+	for i := range nodes {
+		if f := nodes[i].feature; f >= 0 {
+			nodes[i].feature = cols[f]
+		}
+	}
+}
+
 func descend(nodes []node, x []float64) int {
 	i := 0
 	for nodes[i].feature != -1 {

@@ -3,7 +3,11 @@ package modelio
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -11,17 +15,36 @@ import (
 	"repro/internal/simfleet"
 )
 
-// trainedModels trains one small model per algorithm on a shared tiny
-// fleet, plus the samples to verify score equality on.
+// The per-algorithm models are trained once per test binary, since
+// training all five algorithms dominates the package's run time. Tests
+// share them read-only; TestMain fails the run if one changed.
+var (
+	sharedOnce  sync.Once
+	shared      map[core.Algorithm]*core.Model
+	sharedBytes map[core.Algorithm][]byte
+	sharedErr   error
+)
+
+// trainedModels returns one small model per algorithm, trained on a
+// shared tiny fleet. The map is the caller's; the models are shared.
 func trainedModels(t *testing.T) map[core.Algorithm]*core.Model {
 	t.Helper()
+	sharedOnce.Do(func() { shared, sharedBytes, sharedErr = trainModels() })
+	if sharedErr != nil {
+		t.Fatal(sharedErr)
+	}
+	return maps.Clone(shared)
+}
+
+func trainModels() (map[core.Algorithm]*core.Model, map[core.Algorithm][]byte, error) {
 	cfg := simfleet.TinyConfig()
 	cfg.FailureScale = 0.04
 	fleet, err := simfleet.SimulateFrame(cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	out := make(map[core.Algorithm]*core.Model)
+	models := make(map[core.Algorithm]*core.Model)
+	marshalled := make(map[core.Algorithm][]byte)
 	for _, algo := range core.Algorithms() {
 		pc := core.DefaultConfig("I")
 		pc.Algorithm = algo
@@ -30,11 +53,27 @@ func trainedModels(t *testing.T) map[core.Algorithm]*core.Model {
 		}
 		m, _, err := core.TrainOnFrame(fleet.Frame, fleet.Tickets, pc)
 		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
+			return nil, nil, fmt.Errorf("%s: %w", algo, err)
 		}
-		out[algo] = m
+		if marshalled[algo], err = Marshal(m); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", algo, err)
+		}
+		models[algo] = m
 	}
-	return out
+	return models, marshalled, nil
+}
+
+// TestMain runs the tests, then checks that none of them changed a
+// shared model.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	for algo, want := range sharedBytes {
+		if got, err := Marshal(shared[algo]); err != nil || !bytes.Equal(got, want) {
+			fmt.Fprintf(os.Stderr, "modelio: a test changed the shared %s model\n", algo)
+			code = 1
+		}
+	}
+	os.Exit(code)
 }
 
 func TestRoundTripAllAlgorithms(t *testing.T) {

@@ -20,13 +20,54 @@ import (
 )
 
 // sortedByDay returns the view's arena rows stably ordered by day —
-// the index counterpart of ml.SortByDay.
+// the index counterpart of ml.SortByDay. Observation days cover a
+// window not much wider than the row count, so a stable counting sort
+// over [minDay, maxDay] replaces the comparison sort; a span more than
+// spanPerRow times the row count falls back to sort.SliceStable. Both
+// give the same order.
 func sortedByDay(v ml.View) []int32 {
-	idx := v.Indices()
-	set := v.Set()
-	sort.SliceStable(idx, func(a, b int) bool { return set.Day(int(idx[a])) < set.Day(int(idx[b])) })
-	return idx
+	n := v.Len()
+	// Non-nil even when empty: a nil row slice would mean "all rows".
+	out := make([]int32, n)
+	if n == 0 {
+		return out
+	}
+	lo, hi := v.Day(0), v.Day(0)
+	for i := 1; i < n; i++ {
+		d := v.Day(i)
+		lo = min(lo, d)
+		hi = max(hi, d)
+	}
+	span := hi - lo + 1
+	if span > spanPerRow*n {
+		for i := range out {
+			out[i] = v.RowIndex(i)
+		}
+		set := v.Set()
+		sort.SliceStable(out, func(a, b int) bool { return set.Day(int(out[a])) < set.Day(int(out[b])) })
+		return out
+	}
+	// next[d-lo] is the output slot of day d's next row.
+	next := make([]int, span)
+	for i := 0; i < n; i++ {
+		next[v.Day(i)-lo]++
+	}
+	sum := 0
+	for d, c := range next {
+		next[d] = sum
+		sum += c
+	}
+	for i := 0; i < n; i++ {
+		d := v.Day(i) - lo
+		out[next[d]] = v.RowIndex(i)
+		next[d]++
+	}
+	return out
 }
+
+// spanPerRow bounds the counting sort's day table relative to the row
+// count; wider spans take the comparison sort.
+const spanPerRow = 16
 
 // SplitFractionView segments chronologically by row count, like
 // SplitFraction: the earliest frac of rows (after stable day ordering)

@@ -3,6 +3,7 @@ package sampling
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/ml"
@@ -240,5 +241,76 @@ func TestViewCompositionMatchesSliceComposition(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertViewEquals(t, fmt.Sprintf("fold=%d undersampled", i), usFV, usFS)
+	}
+}
+
+// sortedByDayOracle is the comparison sort the counting sort replaced.
+func sortedByDayOracle(v ml.View) []int32 {
+	idx := v.Indices()
+	set := v.Set()
+	sort.SliceStable(idx, func(a, b int) bool { return set.Day(int(idx[a])) < set.Day(int(idx[b])) })
+	return idx
+}
+
+// daySet builds a set whose days are drawn from [lo, lo+span).
+func daySet(t *testing.T, n, lo, span int, seed int64) *ml.SampleSet {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	x := make([]float64, n)
+	y := make([]int8, n)
+	day := make([]int32, n)
+	sn := make([]string, n)
+	for i := range day {
+		x[i] = float64(i)
+		day[i] = int32(lo + r.Intn(span))
+		sn[i] = fmt.Sprintf("s%d", i%5)
+	}
+	set, err := ml.NewSampleSet(1, x, y, day, sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// TestSortedByDayMatchesStableSort pins the counting sort to a
+// sort.SliceStable oracle: duplicate and negative days, single-day and
+// wide (fallback) spans, full views, shuffled row subsets and empty
+// selections.
+func TestSortedByDayMatchesStableSort(t *testing.T) {
+	cases := []struct {
+		n, lo, span int
+	}{
+		{1, 0, 1},
+		{50, 0, 1},            // every day equal
+		{300, 0, 20},          // heavy duplicates
+		{300, -40, 60},        // negative days
+		{200, 1000, 400},      // offset window
+		{40, -1 << 20, 1e6},   // span far wider than the rows: fallback
+		{500, 0, 16 * 500},    // exactly at the fallback bound
+		{500, -7, 16*500 + 1}, // just past it
+	}
+	for ci, c := range cases {
+		set := daySet(t, c.n, c.lo, c.span, int64(ci+1))
+		r := rand.New(rand.NewSource(int64(ci + 100)))
+		views := map[string]ml.View{"all": set.All()}
+		perm := r.Perm(c.n)
+		sub := make([]int32, 0, c.n)
+		for _, p := range perm[:c.n/2+1] {
+			sub = append(sub, int32(p))
+		}
+		views["subset"] = set.All().WithRows(sub)
+		views["empty"] = set.All().WithRows([]int32{})
+		for name, v := range views {
+			got := sortedByDay(v)
+			want := sortedByDayOracle(v)
+			if got == nil || len(got) != len(want) {
+				t.Fatalf("case %d %s: %d rows (nil=%v), want %d", ci, name, len(got), got == nil, len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("case %d %s: position %d is row %d, want %d", ci, name, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
