@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race chaos verify bench report
+.PHONY: build test vet lint race chaos fuzz verify bench report
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,15 @@ chaos:
 	$(GO) test -race -run 'Chaos|Corrupt|Fault|Quarantine|Revive|Degraded|Retr|Crash|Torn|KillMidWrite|StateFile|Atomic|WriteFile|Open|Hooks' \
 		./internal/atomicio ./internal/faultinject ./internal/serve ./internal/fleetops ./internal/agent ./internal/ingest ./internal/dataset ./internal/modelio
 
+# fuzz runs each fuzz target for a short fixed budget, one go test call
+# per target (go test accepts only one -fuzz target per package run):
+# the MFPAC container reader, the MFPAC block decoder on its own (past
+# the CRCs), and the flattened tree kernel against the pointer walk.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMFPAC$$' -fuzztime 10s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMFPACBlock$$' -fuzztime 10s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzFlatVsPointer$$' -fuzztime 10s ./internal/ml/predict
+
 # verify is the full local gate: build, lint, unit tests, chaos suite.
 verify: build lint test chaos
 
@@ -44,7 +53,7 @@ verify: build lint test chaos
 # (workloads, gates, per-layer breakdown) lives in bench/; see
 # bench/README.md and BENCHMARK.json.
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' ./internal/parallel ./internal/simfleet ./internal/dataset ./internal/features ./internal/ml/search ./internal/ml/predict ./internal/ml/forest ./internal/ml/gbdt
+	$(GO) test -bench=. -benchmem -run '^$$' ./internal/parallel ./internal/simfleet ./internal/dataset ./internal/features ./internal/ml ./internal/ml/search ./internal/ml/predict ./internal/ml/forest ./internal/ml/gbdt
 
 report:
 	$(GO) run ./cmd/mfpareport -scale 0.2

@@ -43,9 +43,25 @@ func EvaluateSamples(clf ml.Classifier, samples []ml.Sample) Evaluation {
 // across GOMAXPROCS goroutines; aggregation is serial and in sample
 // order, so the evaluation is identical at any parallelism.
 func EvaluateSamplesAt(clf ml.Classifier, samples []ml.Sample, threshold float64) Evaluation {
-	var ev Evaluation
 	scores := ml.BatchScores(clf, samples, 0)
-	labels := make([]int, len(samples))
+	return evaluateScores(scores, threshold, func(i int) (int, string) { return samples[i].Y, samples[i].SN })
+}
+
+// evaluateViewAt is EvaluateSamplesAt on a SampleSet view: rows are
+// scored straight out of the arena (in arena order, see ml.ScoreView)
+// and aggregated in view order, so it equals EvaluateSamplesAt on
+// v.Materialize() without building the sample slice.
+func evaluateViewAt(clf ml.Classifier, v ml.View, threshold float64) Evaluation {
+	scores := ml.BatchScoresView(clf, v, 0)
+	return evaluateScores(scores, threshold, func(i int) (int, string) { return v.Y(i), v.SN(i) })
+}
+
+// evaluateScores aggregates per-row scores, in row order, into the
+// sample and drive confusions and the sample AUC; row(i) gives row i's
+// label and drive serial number.
+func evaluateScores(scores []float64, threshold float64, row func(i int) (y int, sn string)) Evaluation {
+	var ev Evaluation
+	labels := make([]int, len(scores))
 
 	type driveAgg struct {
 		flagged, total int
@@ -53,23 +69,23 @@ func EvaluateSamplesAt(clf ml.Classifier, samples []ml.Sample, threshold float64
 	}
 	drives := make(map[string]*driveAgg)
 
-	for i := range samples {
-		p := scores[i]
-		labels[i] = samples[i].Y
+	for i, p := range scores {
+		y, sn := row(i)
+		labels[i] = y
 		pred := 0
 		if p >= threshold {
 			pred = 1
 		}
-		ev.Confusion.Add(pred, samples[i].Y)
+		ev.Confusion.Add(pred, y)
 
-		agg := drives[samples[i].SN]
+		agg := drives[sn]
 		if agg == nil {
 			agg = &driveAgg{}
-			drives[samples[i].SN] = agg
+			drives[sn] = agg
 		}
 		agg.total++
 		agg.flagged += pred
-		if samples[i].Y == 1 {
+		if y == 1 {
 			agg.y = 1
 		}
 	}

@@ -166,8 +166,10 @@ type TrainReport struct {
 //
 // Flat algorithms run on the columnar view path: samples are extracted
 // once into a shared ml.SampleSet arena, and segmentation,
-// under-sampling, threshold calibration, and training all operate on
-// zero-copy row-index views of it. Each fit sees only its own view's
+// under-sampling, threshold calibration, training, and held-out
+// evaluation all operate on zero-copy row-index views of it. A test
+// slice passed in tests[0] replaces the held-out view and is
+// evaluated as given. Each fit sees only its own view's
 // rows — the tree ensembles bin the rows they train on — so the
 // held-out test period cannot reach the model or its threshold.
 // The sequential CNN_LSTM representation has no flat-arena form and
@@ -195,9 +197,8 @@ func trainSet(p *Prepared, set *ml.SampleSet, sampleTime time.Duration, tests ..
 	} else {
 		train, test = sampling.SplitFractionView(set.All(), cfg.TrainFrac)
 	}
-	// The held-out set is only read for evaluation, so a header-only
-	// materialisation (vectors aliasing the arena) is safe and cheap.
-	testSamples := test.Materialize()
+	// A caller-supplied test slice replaces the held-out view.
+	var testSamples []ml.Sample
 	if len(tests) > 0 && tests[0] != nil {
 		testSamples = tests[0]
 	}
@@ -210,9 +211,14 @@ func trainSet(p *Prepared, set *ml.SampleSet, sampleTime time.Duration, tests ..
 		return nil, nil, fmt.Errorf("core: training set: %w", err)
 	}
 	report.TrainSamples = train.Len()
-	report.TestSamples = len(testSamples)
 	_, report.TrainPos = train.ClassCounts()
-	_, report.TestPos = ml.ClassCounts(testSamples)
+	if testSamples != nil {
+		report.TestSamples = len(testSamples)
+		_, report.TestPos = ml.ClassCounts(testSamples)
+	} else {
+		report.TestSamples = test.Len()
+		_, report.TestPos = test.ClassCounts()
+	}
 
 	width := p.Extractor.Width()
 	trainer, err := cfg.Algorithm.newTrainer(cfg.Seed, width, cfg.SeqLen, cfg.Workers, cfg.Bins)
@@ -244,8 +250,10 @@ func trainSet(p *Prepared, set *ml.SampleSet, sampleTime time.Duration, tests ..
 	}
 
 	start = time.Now()
-	if len(testSamples) > 0 {
+	if testSamples != nil {
 		report.Eval = EvaluateSamplesAt(clf, testSamples, threshold)
+	} else {
+		report.Eval = evaluateViewAt(clf, test, threshold)
 	}
 	report.EvalTime = time.Since(start)
 	return m, report, nil

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -111,4 +113,24 @@ func BenchmarkTelemetryRead(b *testing.B) {
 			}
 		})
 	}
+	// A file reports its size, so ReadTelemetry reads it into one
+	// buffer of that size.
+	path := filepath.Join(b.TempDir(), "fleet.mfpac")
+	if err := os.WriteFile(path, pacBuf.Bytes(), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("mfpac-file/workers=1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			file, err := os.Open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, err = ReadTelemetryWorkers(file, 1)
+			file.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -37,6 +37,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -118,10 +119,11 @@ func ReadTelemetry(r io.Reader) (*Frame, error) {
 // ReadTelemetryWorkers is ReadTelemetry with an explicit decode
 // worker count (0 = GOMAXPROCS, 1 = serial; the frame is identical).
 func ReadTelemetryWorkers(r io.Reader, workers int) (*Frame, error) {
+	size := readerSize(r)
 	br := bufio.NewReaderSize(r, 1<<16)
 	head, err := br.Peek(len(mfpacMagic))
 	if err == nil && bytes.Equal(head, mfpacMagic[:]) {
-		return ReadMFPACWorkers(br, workers)
+		return readMFPAC(br, size, workers)
 	}
 	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("dataset: detect telemetry format: %w", err)
@@ -315,11 +317,50 @@ func ReadMFPAC(r io.Reader) (*Frame, error) {
 // ReadMFPACWorkers is ReadMFPAC with an explicit decode worker count
 // (0 = GOMAXPROCS, 1 = serial). The frame is identical at any count.
 func ReadMFPACWorkers(r io.Reader, workers int) (*Frame, error) {
-	buf, err := io.ReadAll(r)
+	return readMFPAC(r, readerSize(r), workers)
+}
+
+// readMFPAC reads the whole container and decodes it. size is the
+// container's length when known, else 0; it only sizes the read buffer
+// (see readSized).
+func readMFPAC(r io.Reader, size, workers int) (*Frame, error) {
+	buf, err := readSized(r, size)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: read mfpac: %w", err)
 	}
 	return decodeMFPAC(buf, workers)
+}
+
+// readerSize returns the size of r when r can report it — a regular
+// *os.File, through Stat — and 0 otherwise.
+func readerSize(r io.Reader) int {
+	if f, ok := r.(*os.File); ok {
+		if st, err := f.Stat(); err == nil && st.Mode().IsRegular() && int64(int(st.Size())) == st.Size() {
+			return int(st.Size())
+		}
+	}
+	return 0
+}
+
+// readSized reads r to EOF with io.ReadAll's loop, but starts with room
+// for size bytes, plus one so that reaching EOF needs no regrowth, when
+// that exceeds io.ReadAll's 512. A correct size reads into one
+// allocation; a wrong one costs only regrowth.
+func readSized(r io.Reader, size int) ([]byte, error) {
+	buf := make([]byte, 0, max(size+1, 512))
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 // mfpacHeader is the parsed fixed header.

@@ -162,11 +162,11 @@ type mfpacCursor struct {
 }
 
 func (c *mfpacCursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.b[c.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("bad uvarint at offset %d", c.off)
+	v, next, err := mfpacUvarintAt(c.b, c.off)
+	if err != nil {
+		return 0, err
 	}
-	c.off += n
+	c.off = next
 	return v, nil
 }
 
@@ -179,25 +179,50 @@ func (c *mfpacCursor) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
+// mfpacUvarintAt decodes the uvarint at b[off:] (off <= len(b)) and
+// returns it with the offset just past it. Most column values encode in
+// one byte; the four block decode loops test that case inline and call
+// this only for longer values. The one-byte test is copied into each
+// loop rather than moved in here because a function holding it and this
+// fallback call does not inline (go1.24 cost 95, budget 80), and a call
+// per value made BenchmarkTelemetryRead/mfpac-file ~40% slower.
+func mfpacUvarintAt(b []byte, off int) (uint64, int, error) {
+	v, n := binary.Uvarint(b[off:])
+	if n <= 0 {
+		return 0, off, fmt.Errorf("bad uvarint at offset %d", off)
+	}
+	return v, off + n, nil
+}
+
 // decodeMFPACBlock decodes one block payload into arena rows
 // [rowStart, rowStart+n) of f. nfw bounds the firmware codes the block
 // may reference.
+//
+// Precondition: those rows of f are still zero, as in a fresh
+// NewFrameArena. The float columns skip storing zero values (most W/B
+// columns are zero runs), so decoding into used rows would leave stale
+// values behind.
 func decodeMFPACBlock(payload []byte, f *Frame, rowStart, n, nfw int) error {
-	c := mfpacCursor{b: payload}
+	b, off := payload, 0
+	var err error
 
 	prev := int64(0)
-	for i := 0; i < n; i++ {
-		u, err := c.uvarint()
-		if err != nil {
+	days := f.day[rowStart : rowStart+n]
+	for i := range days {
+		var u uint64
+		if off < len(b) && b[off] < 0x80 {
+			u, off = uint64(b[off]), off+1
+		} else if u, off, err = mfpacUvarintAt(b, off); err != nil {
 			return fmt.Errorf("day column: %w", err)
 		}
 		prev += mfpacUnzigzag(u)
 		if prev < 0 || prev > math.MaxInt32 {
 			return fmt.Errorf("day column: day %d out of range", prev)
 		}
-		f.day[rowStart+i] = int32(prev)
+		days[i] = int32(prev)
 	}
 
+	c := mfpacCursor{b: payload, off: off}
 	bitmap, err := c.bytes((n + 7) / 8)
 	if err != nil {
 		return fmt.Errorf("interpolated bitmap: %w", err)
@@ -206,17 +231,22 @@ func decodeMFPACBlock(payload []byte, f *Frame, rowStart, n, nfw int) error {
 		f.interp[rowStart+i] = bitmap[i/8]&(1<<(i%8)) != 0
 	}
 
-	for i := 0; i < n; i++ {
-		u, err := c.uvarint()
-		if err != nil {
+	off = c.off
+	fws := f.fw[rowStart : rowStart+n]
+	for i := range fws {
+		var u uint64
+		if off < len(b) && b[off] < 0x80 {
+			u, off = uint64(b[off]), off+1
+		} else if u, off, err = mfpacUvarintAt(b, off); err != nil {
 			return fmt.Errorf("firmware column: %w", err)
 		}
 		if u >= uint64(nfw) {
 			return fmt.Errorf("firmware column: code %d out of table (%d entries)", u, nfw)
 		}
-		f.fw[rowStart+i] = int32(u)
+		fws[i] = int32(u)
 	}
 
+	c.off = off
 	for _, sec := range [3]struct {
 		slab  []float64
 		width int
@@ -234,41 +264,55 @@ func decodeMFPACBlock(payload []byte, f *Frame, rowStart, n, nfw int) error {
 }
 
 // decodeMFPACColumn decodes one float column slab into rows
-// [rowStart, rowStart+n) of column col of the strided slab.
+// [rowStart, rowStart+n) of column col of the strided slab, storing
+// only non-zero values (see decodeMFPACBlock's precondition).
 func decodeMFPACColumn(c *mfpacCursor, slab []float64, width, col, rowStart, n int) error {
 	mode, err := c.bytes(1)
 	if err != nil {
 		return err
 	}
+	at := rowStart*width + col // slab index of the current row
 	switch mode[0] {
 	case mfpacModeRaw:
 		raw, err := c.bytes(8 * n)
 		if err != nil {
 			return err
 		}
-		for i := 0; i < n; i++ {
-			slab[(rowStart+i)*width+col] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		for i := 0; i < n; i, at = i+1, at+width {
+			if bits := binary.LittleEndian.Uint64(raw[8*i:]); bits != 0 {
+				slab[at] = math.Float64frombits(bits)
+			}
 		}
 	case mfpacModeXor:
+		b, off := c.b, c.off
 		prev := uint64(0)
-		for i := 0; i < n; i++ {
-			u, err := c.uvarint()
-			if err != nil {
+		for i := 0; i < n; i, at = i+1, at+width {
+			var u uint64
+			if off < len(b) && b[off] < 0x80 {
+				u, off = uint64(b[off]), off+1
+			} else if u, off, err = mfpacUvarintAt(b, off); err != nil {
 				return err
 			}
-			prev ^= u
-			slab[(rowStart+i)*width+col] = math.Float64frombits(prev)
+			if prev ^= u; prev != 0 {
+				slab[at] = math.Float64frombits(prev)
+			}
 		}
+		c.off = off
 	case mfpacModeIntDelta:
+		b, off := c.b, c.off
 		prev := int64(0)
-		for i := 0; i < n; i++ {
-			u, err := c.uvarint()
-			if err != nil {
+		for i := 0; i < n; i, at = i+1, at+width {
+			var u uint64
+			if off < len(b) && b[off] < 0x80 {
+				u, off = uint64(b[off]), off+1
+			} else if u, off, err = mfpacUvarintAt(b, off); err != nil {
 				return err
 			}
-			prev = int64(uint64(prev) + uint64(mfpacUnzigzag(u)))
-			slab[(rowStart+i)*width+col] = float64(prev)
+			if prev = int64(uint64(prev) + uint64(mfpacUnzigzag(u))); prev != 0 {
+				slab[at] = float64(prev)
+			}
 		}
+		c.off = off
 	default:
 		return fmt.Errorf("unknown column mode %d", mode[0])
 	}

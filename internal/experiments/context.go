@@ -94,11 +94,12 @@ func (c *Context) PipelineConfig(vendor string, group features.Group) core.Confi
 	return cfg
 }
 
-// Prepared returns (caching) the prepared pipeline for a vendor. All
-// feature groups share one preparation because cleaning and labelling
-// are group-independent; only extraction differs, and extractors are
-// cheap. The cache key includes the group because Prepared embeds its
-// extractor.
+// Prepared returns (caching) the prepared pipeline for a
+// vendor/feature-group pair. The cache key includes the group because
+// Prepared embeds its extractor, so each group runs and keeps its own
+// preparation (clean, cumulate, label) even though those stages do not
+// depend on the group. Callers that go through the uncached prepare,
+// such as Fig9 once per group, prepare again on every call.
 func (c *Context) Prepared(vendor string, group features.Group) (*core.Prepared, error) {
 	key := vendor + "/" + group.String()
 	if p, ok := c.prepCache[key]; ok {

@@ -54,10 +54,26 @@ func BatchScores(clf Classifier, samples []Sample, workers int) []float64 {
 }
 
 // ScoreView scores a view's rows into out (len(out) == v.Len()) through
-// ScoreBatch, reading full-width vectors straight out of the arena —
-// only the row-header slice is allocated. Views with a column subset
-// are rejected: models trained through the view path index features
-// globally, so masked scoring is never needed on this path.
+// ScoreBatch, reading full-width vectors straight out of the arena.
+//
+// Rows are scored in ascending arena order and each score is written
+// back to its view position, so out is in view order. Sets built by
+// features.BuildSampleSetFrame store rows drive then day, so arena
+// order keeps a drive's rows together: consecutive rows take the same
+// tree paths, which the batch kernels' branch prediction relies on.
+// The sampling package hands back day-ordered views, where consecutive
+// rows come from different drives. Repeated rows are scored once per
+// occurrence. Scores are identical in any order and at any worker
+// count, so the reordering never changes a result.
+//
+// A view already in ascending arena order (the all-rows view included)
+// allocates only its row-header slice. Any other view also allocates
+// the reordering (InArenaOrder) and a score buffer, all O(view), plus
+// one int32 per arena row of counting table.
+//
+// Views with a column subset are rejected: models trained through the
+// view path index features globally, so masked scoring is never needed
+// on this path.
 func ScoreView(clf Classifier, v View, out []float64, workers int) {
 	if v.Cols() != nil {
 		panic("ml: ScoreView on a column-subset view")
@@ -68,10 +84,20 @@ func ScoreView(clf Classifier, v View, out []float64, workers int) {
 	if v.Len() == 0 {
 		return
 	}
-	ScoreBatch(clf, v.Xs(), out, workers)
+	sorted, pos := v.InArenaOrder()
+	if pos == nil {
+		ScoreBatch(clf, v.Xs(), out, workers)
+		return
+	}
+	scores := make([]float64, len(pos))
+	ScoreBatch(clf, sorted.Xs(), scores, workers)
+	for k, p := range pos {
+		out[p] = scores[k]
+	}
 }
 
-// BatchScoresView is ScoreView with a freshly allocated output slice.
+// BatchScoresView is ScoreView with a freshly allocated output slice,
+// in view order; it allocates what ScoreView does plus that slice.
 func BatchScoresView(clf Classifier, v View, workers int) []float64 {
 	out := make([]float64, v.Len())
 	ScoreView(clf, v, out, workers)

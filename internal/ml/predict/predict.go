@@ -314,12 +314,16 @@ func (e *Ensemble) scoreBlock(xs [][]float64, out []float64) {
 		// Small cache-resident arena: rows outer, trees inner, walking
 		// each true path to its leaf (a self-pointing child marks it)
 		// over the packed one-line-per-node mirror. Here the select
-		// stays a predicted branch on purpose: small fleet models see
-		// heavily skewed row distributions (almost every drive is
-		// healthy and follows the same few paths), so the predictor is
-		// nearly always right and speculation beats the conditional-
-		// move dependency chain. Same compares, same accumulation
-		// order — bit-exact with the padded walk and the per-row path.
+		// stays a predicted branch on purpose: speculation beats the
+		// conditional-move dependency chain when the predictor is
+		// nearly always right, and that holds only when consecutive
+		// rows take the same paths. Rows in drive order give that —
+		// a drive's consecutive days barely move, and ml.ScoreView
+		// scores views in arena (drive) order for this reason. Rows
+		// in day order do not: neighbours are different drives, and
+		// the branch keeps mispredicting. Same compares, same
+		// accumulation order — bit-exact with the padded walk and the
+		// per-row path.
 		nodes := e.aos
 		for r, x := range xs {
 			a := acc[r]

@@ -99,7 +99,8 @@ func (s *SampleSet) All() View { return View{set: s} }
 // subset (nil = all features). Views are values — cheap to pass and
 // slice — and never copy feature data; the sampling package's split,
 // under-sample, and CV primitives all produce Views, so every search
-// candidate shares one arena. A View must not contain duplicate rows.
+// candidate shares one arena. A View must not contain duplicate rows,
+// except one that is only scored: ScoreView scores every occurrence.
 type View struct {
 	set  *SampleSet
 	rows []int32
@@ -158,6 +159,44 @@ func (v View) Indices() []int32 {
 		out[i] = v.RowIndex(i)
 	}
 	return out
+}
+
+// InArenaOrder returns the view with its rows in ascending arena
+// order, plus pos, where pos[k] is the original view position of the
+// returned view's row k. Repeated rows keep their view order. When the
+// view is already ascending (the all-rows view included) it returns v
+// itself and a nil pos. The reordering is a counting sort over the
+// set's rows: O(view + set rows) time, and one int32 per arena row of
+// scratch besides the two O(view) results.
+func (v View) InArenaOrder() (View, []int32) {
+	rows := v.rows
+	ascending := true
+	for i := 1; i < len(rows); i++ {
+		if rows[i] < rows[i-1] {
+			ascending = false
+			break
+		}
+	}
+	if ascending {
+		return v, nil
+	}
+	// next[r] is the output slot of arena row r's next occurrence.
+	next := make([]int32, v.set.Len()+1)
+	for _, r := range rows {
+		next[r+1]++
+	}
+	for r := 1; r < len(next); r++ {
+		next[r] += next[r-1]
+	}
+	sorted := make([]int32, len(rows))
+	pos := make([]int32, len(rows))
+	for p, r := range rows {
+		k := next[r]
+		next[r]++
+		sorted[k] = r
+		pos[k] = int32(p)
+	}
+	return v.WithRows(sorted), pos
 }
 
 // WithRows returns a view over the given arena rows (view order =

@@ -105,10 +105,10 @@ func GridSearchWorkers(factory Factory, grid Grid, samples []ml.Sample, k, worke
 // each candidate trains on its fold's training view through ml.TrainOn
 // (the tree ensembles bin only that view's rows, so a fold's split
 // candidates never see its validation rows), and validation rows are
-// scored straight out of the arena. Candidate enumeration, fold
-// arithmetic, and AUC aggregation are identical to the slice
-// implementation, and every fit equals the slice fit, so both return
-// the same ranking at any worker count.
+// scored straight out of the arena, in arena order. Candidate
+// enumeration, fold arithmetic, and AUC aggregation are identical to
+// the slice implementation, and every fit equals the slice fit, so
+// both return the same ranking at any worker count.
 func GridSearchSet(factory Factory, grid Grid, v ml.View, k, workers int) ([]Candidate, Candidate, error) {
 	combos := enumerate(grid)
 	if len(combos) == 0 {
@@ -125,8 +125,11 @@ func GridSearchSet(factory Factory, grid Grid, v ml.View, k, workers int) ([]Can
 		if bothClassesView(folds[fi].Train) && bothClassesView(folds[fi].Val) {
 			usable = append(usable, fi)
 			// Materialise each usable fold's validation rows once —
-			// header-only — and share them across every combination.
-			val := folds[fi].Val
+			// header-only, in arena (drive) order, labels permuted
+			// with them — and share them across every combination.
+			// AUC consumes tied scores as one group, so row order
+			// cannot change it.
+			val, _ := folds[fi].Val.InArenaOrder()
 			valXs[fi] = val.Xs()
 			ys := make([]int, val.Len())
 			for i := range ys {
