@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race chaos fuzz verify bench report
+.PHONY: build test vet lint race chaos fuzz verify bench report report-untimed
 
 build:
 	$(GO) build ./...
@@ -57,3 +57,19 @@ bench:
 
 report:
 	$(GO) run ./cmd/mfpareport -scale 0.2
+
+# report-untimed prints `mfpareport -scale 0.1 -seed 1` without its
+# timing fields, so two builds' reports can be diffed: the header's
+# elapsed time, the "(name in T)" lines, and Fig 20's Time column and
+# prediction rate (and the dash rule whose widths they set). An empty
+# diff between two builds means identical results.
+report-untimed:
+	@report=$$($(GO) run ./cmd/mfpareport -scale 0.1 -seed 1) && \
+	printf '%s\n' "$$report" | awk ' \
+		NR == 1 { sub(/, [^,]*\)$$/, ")") } \
+		/^\([^ ]+ in [^)]*\)$$/ { next } \
+		/^== Fig 20:/ { fig20 = 1; print; next } \
+		fig20 && /^$$/ { fig20 = 0 } \
+		fig20 && /^-/ { next } \
+		fig20 { split($$0, c, /  +/); sub(/^\([0-9]+ /, "(N ", c[4]); print c[1] "  " c[2] "  " c[4]; next } \
+		{ print }'

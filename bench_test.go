@@ -333,13 +333,10 @@ func BenchmarkPredictLatency(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	samples, err := report.Prepared.BuildSamples()
-	if err != nil {
-		b.Fatal(err)
-	}
+	set := report.Test.Set()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model.Predict(samples[i%len(samples)].X)
+		model.Predict(set.Row(i % set.Len()))
 	}
 }
 

@@ -25,22 +25,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := mfpa.DefaultConfig("I")
-	prep, err := mfpa.Prepare(fleet.Data, fleet.Tickets, cfg)
+	model, report, err := mfpa.Train(fleet.Data, fleet.Tickets, mfpa.DefaultConfig("I"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, _, err := mfpa.Train(fleet.Data, fleet.Tickets, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The model's own preparation: its extractor encodes firmware
+	// versions exactly as training did.
+	prep := report.Prepared
 
 	// Sweep the lookahead window: probe each faulty drive exactly N
 	// days before its labelled failure.
 	fmt.Println("== TPR vs lookahead window (Fig 19) ==")
 	fmt.Printf("%-10s %8s %8s\n", "N (days)", "TPR", "probes")
 	for n := 1; n <= 21; n += 4 {
-		probes := features.PositiveSamplesAt(prep.Dataset(), prep.Labels, prep.Extractor, n, 1)
+		probes := features.PositiveSamplesAt(prep.Frame, prep.Labels, prep.Extractor, n, 1)
 		flagged := 0
 		for _, p := range probes {
 			if model.Predict(p.X) >= model.Threshold {
@@ -58,35 +56,32 @@ func main() {
 	// Live scoring: replay one faulty drive's record stream through the
 	// model, as the on-client agent would.
 	var faultySN string
-	var failDay int
+	drive := -1
 	sns := make([]string, 0, len(prep.Labels))
 	for sn := range prep.Labels {
 		sns = append(sns, sn)
 	}
 	sort.Strings(sns)
 	for _, sn := range sns {
-		if _, ok := prep.Dataset().Series(sn); ok {
-			faultySN = sn
-			failDay = prep.Labels[sn].FailDay
+		if i, ok := prep.Frame.DriveIndex(sn); ok {
+			faultySN, drive = sn, i
 			break
 		}
 	}
-	if faultySN == "" {
+	if drive < 0 {
 		log.Fatal("no labelled faulty drive with telemetry")
 	}
-	series, _ := prep.Dataset().Series(faultySN)
-	fmt.Printf("\n== Live scoring of drive %s (fails day %d) ==\n", faultySN, failDay)
+	fmt.Printf("\n== Live scoring of drive %s (fails day %d) ==\n", faultySN, prep.Labels[faultySN].FailDay)
 	fmt.Printf("%-6s %-12s %s\n", "Day", "P(faulty)", "")
-	start := len(series.Records) - 12
-	if start < 0 {
-		start = 0
-	}
-	for _, rec := range series.Records[start:] {
-		p := model.Predict(prep.Extractor.Extract(&rec))
+	d := prep.Frame.Drive(drive)
+	x := make([]float64, 0, prep.Extractor.Width())
+	for row := max(int(d.Start), int(d.End)-12); row < int(d.End); row++ {
+		x = prep.Extractor.AppendFrameRow(prep.Frame, drive, row, x[:0])
+		p := model.Predict(x)
 		marker := ""
 		if p >= model.Threshold {
 			marker = "  << ALARM"
 		}
-		fmt.Printf("%-6d %-12.4f %s%s\n", rec.Day, p, strings.Repeat("*", int(p*20)), marker)
+		fmt.Printf("%-6d %-12.4f %s%s\n", prep.Frame.Day(row), p, strings.Repeat("*", int(p*20)), marker)
 	}
 }

@@ -102,9 +102,6 @@ func TestPrepare(t *testing.T) {
 	if !p.Frame.Cumulated() || p.RecordCount != p.Frame.Len() {
 		t.Fatalf("prepared frame: cumulated %v, %d rows, RecordCount %d", p.Frame.Cumulated(), p.Frame.Len(), p.RecordCount)
 	}
-	if d := p.Dataset(); d.Drives() != p.Frame.Drives() || d.Len() != p.Frame.Len() {
-		t.Fatalf("record view: %d drives/%d records, frame %d/%d", d.Drives(), d.Len(), p.Frame.Drives(), p.Frame.Len())
-	}
 	if p.LabelStats.Labelled == 0 {
 		t.Fatal("no failures labelled")
 	}
@@ -151,22 +148,11 @@ func TestTrainEndToEnd(t *testing.T) {
 	if fpr := rep.Eval.FPR(); fpr > 0.2 {
 		t.Fatalf("FPR = %g is implausibly high", fpr)
 	}
-	// BuildSamples is the sample set's rows in order.
-	samples, err := rep.Prepared.BuildSamples()
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := rep.Prepared.BuildSampleSet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != set.Len() {
-		t.Fatalf("BuildSamples: %d samples, sample set has %d rows", len(samples), set.Len())
-	}
-	for i := range samples {
-		if samples[i].Y != set.Y(i) || samples[i].Day != set.Day(i) || samples[i].SN != set.SN(i) {
-			t.Fatalf("sample %d differs from sample set row %d", i, i)
-		}
+	// The report's held-out view is the test half of the extracted set.
+	set := rep.Test.Set()
+	if set.Width() != m.Width || rep.Test.Len() != rep.TestSamples || rep.TrainSamples >= set.Len() {
+		t.Fatalf("held-out view: width %d (model %d), %d rows (report %d) of %d",
+			set.Width(), m.Width, rep.Test.Len(), rep.TestSamples, set.Len())
 	}
 }
 
@@ -195,7 +181,7 @@ func TestEvaluateSamplesDriveAggregation(t *testing.T) {
 		{X: []float64{0.2}, Y: 0, SN: "good", Day: 2},
 		{X: []float64{0.3}, Y: 0, SN: "good", Day: 3},
 	}
-	ev := EvaluateSamples(clf, samples)
+	ev := EvaluateSamples(clf, viewOf(t, samples))
 	if ev.Confusion.TP != 2 || ev.Confusion.FN != 1 || ev.Confusion.FP != 1 || ev.Confusion.TN != 2 {
 		t.Fatalf("sample confusion = %+v", ev.Confusion)
 	}
@@ -216,7 +202,7 @@ func TestEvaluateRangeFilters(t *testing.T) {
 		{X: []float64{0.1}, Y: 0, SN: "b", Day: 30},
 	}
 	m := &Model{Classifier: clf, Threshold: 0.5}
-	ev := m.EvaluateRange(samples, 15, 25)
+	ev := m.EvaluateRange(viewOf(t, samples), 15, 25)
 	if ev.Confusion.Total() != 1 || ev.Confusion.TP != 1 {
 		t.Fatalf("range confusion = %+v", ev.Confusion)
 	}
@@ -229,7 +215,7 @@ func TestWalkForwardWindows(t *testing.T) {
 		samples = append(samples, ml.Sample{X: []float64{0.1}, Y: 0, SN: "h", Day: day})
 	}
 	m := &Model{Classifier: clf, Threshold: 0.5, TrainEndDay: 9}
-	months := m.WalkForward(samples, 30, 3)
+	months := m.WalkForward(viewOf(t, samples), 30, 3)
 	if len(months) != 3 {
 		t.Fatalf("months = %d", len(months))
 	}
@@ -266,6 +252,25 @@ func TestAblationSwitches(t *testing.T) {
 	}
 }
 
+// viewOf returns the all-rows view of a set built from samples.
+func viewOf(t *testing.T, samples []ml.Sample) ml.View {
+	t.Helper()
+	set, err := ml.FromSamples(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set.All()
+}
+
+// shuffledRows returns a seeded permutation of n arena rows.
+func shuffledRows(r *rand.Rand, n int) []int32 {
+	rows := make([]int32, n)
+	for i, p := range r.Perm(n) {
+		rows[i] = int32(p)
+	}
+	return rows
+}
+
 // scoreFirst scores by the first feature.
 type scoreFirst struct{}
 
@@ -273,7 +278,8 @@ func (scoreFirst) PredictProba(x []float64) float64 { return x[0] }
 
 func TestEvaluateRangeEmptyWindow(t *testing.T) {
 	m := &Model{Classifier: scoreFirst{}, Threshold: 0.5}
-	ev := m.EvaluateRange(nil, 0, 10)
+	samples := []ml.Sample{{X: []float64{0.9}, Y: 1, SN: "a", Day: 20}}
+	ev := m.EvaluateRange(viewOf(t, samples), 0, 10)
 	if ev.Confusion.Total() != 0 {
 		t.Fatalf("empty window produced %d cases", ev.Confusion.Total())
 	}
@@ -290,7 +296,7 @@ func TestCalibrationFallsBackOnTinyTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := calibrateThreshold(trainer, train, Config{CVFolds: 30, NegativeRatio: 3}); err == nil {
+	if _, err := calibrateThresholdView(trainer, viewOf(t, train), Config{CVFolds: 30, NegativeRatio: 3}); err == nil {
 		t.Fatal("impossible fold count accepted")
 	}
 }
@@ -298,15 +304,15 @@ func TestCalibrationFallsBackOnTinyTraining(t *testing.T) {
 func TestWalkForwardSkipsEmptyMonths(t *testing.T) {
 	m := &Model{Classifier: scoreFirst{}, Threshold: 0.5, TrainEndDay: 0}
 	samples := []ml.Sample{{X: []float64{0.1}, Y: 0, SN: "a", Day: 95}}
-	months := m.WalkForward(samples, 30, 4)
+	months := m.WalkForward(viewOf(t, samples), 30, 4)
 	if len(months) != 1 || months[0].Month != 4 {
 		t.Fatalf("months = %+v", months)
 	}
 }
 
 func TestDayWindowsMatchFilterOnUnsortedInput(t *testing.T) {
-	// Windows are binary-searched subslices of one chronological view;
-	// arrival order of the input must not change any evaluation.
+	// Windows are binary-searched runs of one chronological row order;
+	// the view's row order must not change any evaluation.
 	r := rand.New(rand.NewSource(9))
 	var samples []ml.Sample
 	for i := 0; i < 300; i++ {
@@ -317,16 +323,16 @@ func TestDayWindowsMatchFilterOnUnsortedInput(t *testing.T) {
 			Day: r.Intn(120),
 		})
 	}
-	shuffled := append([]ml.Sample(nil), samples...)
-	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	ordered := viewOf(t, samples)
+	shuffled := ordered.WithRows(shuffledRows(r, len(samples)))
 	m := &Model{Classifier: scoreFirst{}, Threshold: 0.5, TrainEndDay: 20}
 
-	evA := m.EvaluateRange(samples, 30, 60)
+	evA := m.EvaluateRange(ordered, 30, 60)
 	evB := m.EvaluateRange(shuffled, 30, 60)
 	if evA != evB {
 		t.Fatalf("EvaluateRange depends on input order:\n%+v\n%+v", evA, evB)
 	}
-	moA := m.WalkForward(samples, 30, 3)
+	moA := m.WalkForward(ordered, 30, 3)
 	moB := m.WalkForward(shuffled, 30, 3)
 	if len(moA) != len(moB) {
 		t.Fatalf("month counts differ: %d vs %d", len(moA), len(moB))
@@ -344,13 +350,13 @@ func TestWalkForwardDoesNotMutateInput(t *testing.T) {
 		{X: []float64{0.3}, SN: "b", Day: 10},
 		{X: []float64{0.4}, SN: "c", Day: 30},
 	}
-	orig := append([]ml.Sample(nil), samples...)
+	v := viewOf(t, samples).WithRows([]int32{2, 0, 1})
 	m := &Model{Classifier: scoreFirst{}, Threshold: 0.5, TrainEndDay: 0}
-	m.WalkForward(samples, 30, 2)
-	m.EvaluateRange(samples, 0, 100)
-	for i := range samples {
-		if samples[i].SN != orig[i].SN || samples[i].Day != orig[i].Day {
-			t.Fatalf("input reordered at %d: %+v", i, samples[i])
+	m.WalkForward(v, 30, 2)
+	m.EvaluateRange(v, 0, 100)
+	for i, want := range []int32{2, 0, 1} {
+		if got := v.RowIndex(i); got != want {
+			t.Fatalf("view reordered at %d: row %d, want %d", i, got, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ml"
 	"repro/internal/ml/metrics"
+	"repro/internal/sampling"
 )
 
 // Evaluation bundles the paper's Section IV metrics for one test set,
@@ -32,26 +33,18 @@ func (e *Evaluation) Accuracy() float64 { return e.Confusion.Accuracy() }
 // PDR returns the per-sample positive detection rate.
 func (e *Evaluation) PDR() float64 { return e.Confusion.PDR() }
 
-// EvaluateSamples scores every sample at the conventional 0.5
+// EvaluateSamples scores every row of v at the conventional 0.5
 // threshold and aggregates at both granularities.
-func EvaluateSamples(clf ml.Classifier, samples []ml.Sample) Evaluation {
-	return EvaluateSamplesAt(clf, samples, 0.5)
+func EvaluateSamples(clf ml.Classifier, v ml.View) Evaluation {
+	return EvaluateSamplesAt(clf, v, 0.5)
 }
 
-// EvaluateSamplesAt scores every sample at the given decision threshold
-// and aggregates at both granularities. The scoring pass fans out
-// across GOMAXPROCS goroutines; aggregation is serial and in sample
-// order, so the evaluation is identical at any parallelism.
-func EvaluateSamplesAt(clf ml.Classifier, samples []ml.Sample, threshold float64) Evaluation {
-	scores := ml.BatchScores(clf, samples, 0)
-	return evaluateScores(scores, threshold, func(i int) (int, string) { return samples[i].Y, samples[i].SN })
-}
-
-// evaluateViewAt is EvaluateSamplesAt on a SampleSet view: rows are
-// scored straight out of the arena (in arena order, see ml.ScoreView)
-// and aggregated in view order, so it equals EvaluateSamplesAt on
-// v.Materialize() without building the sample slice.
-func evaluateViewAt(clf ml.Classifier, v ml.View, threshold float64) Evaluation {
+// EvaluateSamplesAt scores every row of v at the given decision
+// threshold and aggregates at both granularities. Rows are scored
+// straight out of the arena (in arena order, see ml.ScoreView) across
+// GOMAXPROCS goroutines; aggregation is serial and in view order, so
+// the evaluation is identical at any parallelism.
+func EvaluateSamplesAt(clf ml.Classifier, v ml.View, threshold float64) Evaluation {
 	scores := ml.BatchScoresView(clf, v, 0)
 	return evaluateScores(scores, threshold, func(i int) (int, string) { return v.Y(i), v.SN(i) })
 }
@@ -103,16 +96,15 @@ func evaluateScores(scores []float64, threshold float64, row func(i int) (y int,
 // Predict scores one feature vector with the trained model.
 func (m *Model) Predict(x []float64) float64 { return m.Classifier.PredictProba(x) }
 
-// Evaluate scores an arbitrary sample set with the trained model.
-func (m *Model) Evaluate(samples []ml.Sample) Evaluation {
-	return EvaluateSamplesAt(m.Classifier, samples, m.Threshold)
+// Evaluate scores an arbitrary sample view with the trained model.
+func (m *Model) Evaluate(v ml.View) Evaluation {
+	return EvaluateSamplesAt(m.Classifier, v, m.Threshold)
 }
 
-// EvaluateRange evaluates only the samples with fromDay ≤ Day ≤ toDay —
+// EvaluateRange evaluates only the rows with fromDay ≤ Day ≤ toDay —
 // the walk-forward primitive behind the Figs. 12/16 time-period study.
-func (m *Model) EvaluateRange(samples []ml.Sample, fromDay, toDay int) Evaluation {
-	window := dayWindow(byDay(samples), fromDay, toDay)
-	return EvaluateSamplesAt(m.Classifier, window, m.Threshold)
+func (m *Model) EvaluateRange(v ml.View, fromDay, toDay int) Evaluation {
+	return EvaluateSamplesAt(m.Classifier, dayWindow(v, sampling.SortedByDay(v), fromDay, toDay), m.Threshold)
 }
 
 // MonthlyEvaluation is one month of a walk-forward study.
@@ -128,19 +120,19 @@ type MonthlyEvaluation struct {
 // WalkForward evaluates the model month by month after its training
 // window without re-training, as in the paper's five-month portability
 // study. monthDays is the month length (30 in the paper's framing).
-func (m *Model) WalkForward(samples []ml.Sample, monthDays, months int) []MonthlyEvaluation {
-	// One chronological view up front; each month is then a
-	// binary-searched subslice instead of an O(n) filtered copy.
-	sorted := byDay(samples)
+func (m *Model) WalkForward(v ml.View, monthDays, months int) []MonthlyEvaluation {
+	// One chronological row order up front; each month is then a
+	// binary-searched run of it instead of an O(n) filter.
+	sorted := sampling.SortedByDay(v)
 	out := make([]MonthlyEvaluation, 0, months)
 	for month := 1; month <= months; month++ {
 		from := m.TrainEndDay + 1 + (month-1)*monthDays
 		to := m.TrainEndDay + month*monthDays
-		window := dayWindow(sorted, from, to)
-		if len(window) == 0 {
+		window := dayWindow(v, sorted, from, to)
+		if window.Len() == 0 {
 			continue
 		}
-		neg, pos := ml.ClassCounts(window)
+		neg, pos := window.ClassCounts()
 		out = append(out, MonthlyEvaluation{
 			Month:    month,
 			FromDay:  from,
@@ -153,39 +145,14 @@ func (m *Model) WalkForward(samples []ml.Sample, monthDays, months int) []Monthl
 	return out
 }
 
-// daySorted reports whether samples are already in non-decreasing Day
-// order, which is how the sampling pipeline emits them.
-func daySorted(samples []ml.Sample) bool {
-	for i := 1; i < len(samples); i++ {
-		if samples[i].Day < samples[i-1].Day {
-			return false
-		}
-	}
-	return true
-}
-
-// byDay returns a chronologically ordered view of samples: the input
-// itself when already sorted (the common case — zero copies), otherwise
-// one stable-sorted copy shared by every window drawn from it.
-func byDay(samples []ml.Sample) []ml.Sample {
-	if daySorted(samples) {
-		return samples
-	}
-	sorted := make([]ml.Sample, len(samples))
-	copy(sorted, samples)
-	ml.SortByDay(sorted)
-	return sorted
-}
-
-// dayWindow returns the subslice of a day-sorted view holding
-// fromDay ≤ Day ≤ toDay.
-func dayWindow(sorted []ml.Sample, fromDay, toDay int) []ml.Sample {
-	lo := sort.Search(len(sorted), func(i int) bool { return sorted[i].Day >= fromDay })
-	hi := sort.Search(len(sorted), func(i int) bool { return sorted[i].Day > toDay })
-	if lo >= hi {
-		return nil
-	}
-	return sorted[lo:hi]
+// dayWindow returns the view over the run of sorted — v's arena rows in
+// day order, from sampling.SortedByDay — holding fromDay ≤ Day ≤ toDay.
+func dayWindow(v ml.View, sorted []int32, fromDay, toDay int) ml.View {
+	set := v.Set()
+	lo := sort.Search(len(sorted), func(i int) bool { return set.Day(int(sorted[i])) >= fromDay })
+	hi := sort.Search(len(sorted), func(i int) bool { return set.Day(int(sorted[i])) > toDay })
+	hi = max(lo, hi)
+	return v.WithRows(sorted[lo:hi:hi])
 }
 
 // Youden returns the TPR−FPR Youden index of an evaluation, a single

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ml"
 	"repro/internal/sampling"
+	"repro/internal/simfleet"
 )
 
 // sameEvaluation fails unless got equals want field for field, with the
@@ -22,8 +23,7 @@ func sameEvaluation(t *testing.T, name string, got, want Evaluation) {
 }
 
 // TestTrainEvaluatesHeldOutView pins the view-scored held-out
-// evaluation to the slice evaluation of the materialised held-out set,
-// and checks that a test slice passed to Train is evaluated as given.
+// evaluation to the slice evaluation of the materialised held-out set.
 func TestTrainEvaluatesHeldOutView(t *testing.T) {
 	fleet := testFleet(t)
 	for _, algo := range []Algorithm{AlgoRF, AlgoGBDT, AlgoBayes} {
@@ -51,24 +51,7 @@ func TestTrainEvaluatesHeldOutView(t *testing.T) {
 			t.Fatalf("%s: report has %d test rows (%d positive), held-out set %d (%d)",
 				algo, rep.TestSamples, rep.TestPos, len(held), pos)
 		}
-		sameEvaluation(t, string(algo), rep.Eval, EvaluateSamplesAt(m.Classifier, held, m.Threshold))
-
-		// A caller-supplied slice replaces the held-out view: every
-		// fourth held-out row, in reverse.
-		var given []ml.Sample
-		for i := len(held) - 1; i >= 0; i -= 4 {
-			given = append(given, held[i])
-		}
-		m2, rep2, err := Train(p, given)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, pos = ml.ClassCounts(given)
-		if rep2.TestSamples != len(given) || rep2.TestPos != pos {
-			t.Fatalf("%s: given slice of %d rows (%d positive) reported as %d (%d)",
-				algo, len(given), pos, rep2.TestSamples, rep2.TestPos)
-		}
-		sameEvaluation(t, string(algo)+"/given", rep2.Eval, EvaluateSamplesAt(m2.Classifier, given, m2.Threshold))
+		sameEvaluation(t, string(algo), rep.Eval, evaluateSamplesAt(m.Classifier, held, m.Threshold))
 	}
 }
 
@@ -80,10 +63,7 @@ func TestEvaluateViewMatchesSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := rep.Prepared.BuildSampleSet()
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := rep.Test.Set()
 	_, daySorted := sampling.SplitFractionView(set.All(), 0)
 	shuffled, _ := sampling.RandomSplitView(set.All(), 0, 3)
 	var subset []int32
@@ -96,7 +76,54 @@ func TestEvaluateViewMatchesSlice(t *testing.T) {
 		"shuffled":   shuffled,
 		"row-subset": set.All().WithRows(subset),
 	} {
-		sameEvaluation(t, name, evaluateViewAt(m.Classifier, v, m.Threshold),
-			EvaluateSamplesAt(m.Classifier, v.Materialize(), m.Threshold))
+		sameEvaluation(t, name, EvaluateSamplesAt(m.Classifier, v, m.Threshold),
+			evaluateSamplesAt(m.Classifier, v.Materialize(), m.Threshold))
 	}
+}
+
+// TestTrainSequentialMatchesSlicePipeline pins CNN_LSTM training on the
+// sequence SampleSet to the slice pipeline on its materialised rows:
+// the same split and under-sampled counts, calibrated threshold,
+// training window and held-out evaluation.
+func TestTrainSequentialMatchesSlicePipeline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains CNN_LSTM twice")
+	}
+	// A smaller fleet than testFleet's: CNN_LSTM scores every
+	// full-prevalence calibration and held-out window.
+	scfg := simfleet.TinyConfig()
+	scfg.Days = 60
+	scfg.FailureScale = 0.01
+	fleet, err := simfleet.SimulateFrame(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig("I")
+	cfg.Algorithm = AlgoCNNLSTM
+	p, err := PrepareFrame(fleet.Frame, fleet.Tickets, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, rep, err := Train(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantM, want, err := trainSlices(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Test.Set().Width(); got != p.Config.SeqLen*p.Extractor.Width() {
+		t.Fatalf("sequence set width %d, want %d×%d", got, p.Config.SeqLen, p.Extractor.Width())
+	}
+	if rep.TrainSamples != want.TrainSamples || rep.TrainPos != want.TrainPos ||
+		rep.TestSamples != want.TestSamples || rep.TestPos != want.TestPos {
+		t.Fatalf("train %d (%d positive) / test %d (%d positive), slice pipeline %d (%d) / %d (%d)",
+			rep.TrainSamples, rep.TrainPos, rep.TestSamples, rep.TestPos,
+			want.TrainSamples, want.TrainPos, want.TestSamples, want.TestPos)
+	}
+	if math.Float64bits(m.Threshold) != math.Float64bits(wantM.Threshold) || m.TrainEndDay != wantM.TrainEndDay {
+		t.Fatalf("threshold %v / train end %d, slice pipeline %v / %d",
+			m.Threshold, m.TrainEndDay, wantM.Threshold, wantM.TrainEndDay)
+	}
+	sameEvaluation(t, "held-out", rep.Eval, want.Eval)
 }

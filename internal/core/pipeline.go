@@ -30,20 +30,6 @@ type Prepared struct {
 	CleanTime   time.Duration
 	LabelTime   time.Duration
 	RecordCount int
-
-	// data is Frame in record form, materialised by Dataset on first
-	// use.
-	data *dataset.Dataset
-}
-
-// Dataset returns the prepared telemetry in record form, converting
-// from the frame on first use — for the CNN_LSTM sequence builder and
-// per-record probes such as features.PositiveSamplesAt.
-func (p *Prepared) Dataset() *dataset.Dataset {
-	if p.data == nil {
-		p.data = p.Frame.ToDataset()
-	}
-	return p.data
 }
 
 // PrepareFrame runs MFPA's data stages on columnar telemetry: vendor
@@ -98,27 +84,16 @@ func PrepareFrame(f *dataset.Frame, tickets *ticket.Store, cfg Config) (*Prepare
 	return p, nil
 }
 
-// BuildSamples extracts the labelled samples appropriate for the
-// configured algorithm: sequence-shaped for CNN_LSTM, otherwise the
-// rows of BuildSampleSet, in the same order, with vectors aliasing its
-// arena.
-func (p *Prepared) BuildSamples() ([]ml.Sample, error) {
-	if p.Config.Algorithm.Sequential() {
-		return features.BuildSeqSamples(p.Dataset(), p.Labels, p.Extractor, p.Config.SeqLen, p.buildOptions())
-	}
-	set, err := p.BuildSampleSet()
-	if err != nil {
-		return nil, err
-	}
-	return set.All().Materialize(), nil
-}
-
-// BuildSampleSet extracts the flat labelled samples directly into a
-// columnar ml.SampleSet — the representation the view-based training
-// path shares across splits, calibration folds, and search candidates.
-// The sequential CNN_LSTM representation (overlapping windows) has no
-// flat-arena form; its call sites stay on BuildSamples.
+// BuildSampleSet extracts the labelled samples appropriate for the
+// configured algorithm into one columnar ml.SampleSet — the
+// representation training shares across splits, calibration folds,
+// and search candidates. Flat algorithms get one row per drive-day;
+// the sequential CNN_LSTM gets one row per window of SeqLen
+// consecutive drive-days, of width SeqLen×Width.
 func (p *Prepared) BuildSampleSet() (*ml.SampleSet, error) {
+	if p.Config.Algorithm.Sequential() {
+		return features.BuildSeqSampleSetFrame(p.Frame, p.Labels, p.Extractor, p.Config.SeqLen, p.buildOptions())
+	}
 	return features.BuildSampleSetFrame(p.Frame, p.Labels, p.Extractor, p.buildOptions())
 }
 
@@ -154,6 +129,9 @@ type TrainReport struct {
 	TestPos      int
 	// Eval is the held-out (chronologically later) evaluation.
 	Eval Evaluation
+	// Test is the held-out view Eval scores; Test.Set() is the whole
+	// extracted sample set it was split from.
+	Test ml.View
 	// Stage timings.
 	SampleTime time.Duration
 	TrainTime  time.Duration
@@ -164,30 +142,24 @@ type TrainReport struct {
 // construction → timepoint segmentation → under-sampling → training →
 // held-out evaluation.
 //
-// Flat algorithms run on the columnar view path: samples are extracted
-// once into a shared ml.SampleSet arena, and segmentation,
-// under-sampling, threshold calibration, training, and held-out
-// evaluation all operate on zero-copy row-index views of it. A test
-// slice passed in tests[0] replaces the held-out view and is
-// evaluated as given. Each fit sees only its own view's
-// rows — the tree ensembles bin the rows they train on — so the
-// held-out test period cannot reach the model or its threshold.
-// The sequential CNN_LSTM representation has no flat-arena form and
-// keeps the per-sample slice path.
-func Train(p *Prepared, tests ...[]ml.Sample) (*Model, *TrainReport, error) {
-	if p.Config.Algorithm.Sequential() {
-		return trainSlices(p, tests...)
-	}
+// Samples are extracted once into a shared ml.SampleSet arena, and
+// segmentation, under-sampling, threshold calibration, training, and
+// held-out evaluation all operate on zero-copy row-index views of it.
+// Each fit sees only its own view's rows — the tree ensembles bin the
+// rows they train on, and the other trainers train on the view's
+// materialised rows — so the held-out test period cannot reach the
+// model or its threshold.
+func Train(p *Prepared) (*Model, *TrainReport, error) {
 	start := time.Now()
 	set, err := p.BuildSampleSet()
 	if err != nil {
 		return nil, nil, err
 	}
-	return trainSet(p, set, time.Since(start), tests...)
+	return trainSet(p, set, time.Since(start))
 }
 
 // trainSet is Train's modelling stages on the extracted sample set.
-func trainSet(p *Prepared, set *ml.SampleSet, sampleTime time.Duration, tests ...[]ml.Sample) (*Model, *TrainReport, error) {
+func trainSet(p *Prepared, set *ml.SampleSet, sampleTime time.Duration) (*Model, *TrainReport, error) {
 	cfg := p.Config
 	report := &TrainReport{Prepared: p, SampleTime: sampleTime}
 
@@ -196,11 +168,6 @@ func trainSet(p *Prepared, set *ml.SampleSet, sampleTime time.Duration, tests ..
 		train, test = sampling.RandomSplitView(set.All(), 1-cfg.TrainFrac, cfg.Seed)
 	} else {
 		train, test = sampling.SplitFractionView(set.All(), cfg.TrainFrac)
-	}
-	// A caller-supplied test slice replaces the held-out view.
-	var testSamples []ml.Sample
-	if len(tests) > 0 && tests[0] != nil {
-		testSamples = tests[0]
 	}
 	trainFull := train
 	train, err := sampling.UnderSampleView(train, cfg.NegativeRatio, cfg.Seed)
@@ -212,13 +179,9 @@ func trainSet(p *Prepared, set *ml.SampleSet, sampleTime time.Duration, tests ..
 	}
 	report.TrainSamples = train.Len()
 	_, report.TrainPos = train.ClassCounts()
-	if testSamples != nil {
-		report.TestSamples = len(testSamples)
-		_, report.TestPos = ml.ClassCounts(testSamples)
-	} else {
-		report.TestSamples = test.Len()
-		_, report.TestPos = test.ClassCounts()
-	}
+	report.Test = test
+	report.TestSamples = test.Len()
+	_, report.TestPos = test.ClassCounts()
 
 	width := p.Extractor.Width()
 	trainer, err := cfg.Algorithm.newTrainer(cfg.Seed, width, cfg.SeqLen, cfg.Workers, cfg.Bins)
@@ -250,134 +213,20 @@ func trainSet(p *Prepared, set *ml.SampleSet, sampleTime time.Duration, tests ..
 	}
 
 	start = time.Now()
-	if testSamples != nil {
-		report.Eval = EvaluateSamplesAt(clf, testSamples, threshold)
-	} else {
-		report.Eval = evaluateViewAt(clf, test, threshold)
-	}
+	report.Eval = EvaluateSamplesAt(clf, test, threshold)
 	report.EvalTime = time.Since(start)
 	return m, report, nil
 }
 
-// trainSlices is the []ml.Sample training path of the sequential
-// CNN_LSTM, whose overlapping windows cannot share a flat arena.
-func trainSlices(p *Prepared, tests ...[]ml.Sample) (*Model, *TrainReport, error) {
-	cfg := p.Config
-	report := &TrainReport{Prepared: p}
-
-	start := time.Now()
-	samples, err := p.BuildSamples()
-	if err != nil {
-		return nil, nil, err
-	}
-	report.SampleTime = time.Since(start)
-
-	var train, test []ml.Sample
-	if cfg.RandomSegmentation {
-		train, test = sampling.RandomSplit(samples, 1-cfg.TrainFrac, cfg.Seed)
-	} else {
-		train, test = sampling.SplitFraction(samples, cfg.TrainFrac)
-	}
-	if len(tests) > 0 && tests[0] != nil {
-		test = tests[0]
-	}
-	trainFull := train
-	train, err = sampling.UnderSample(train, cfg.NegativeRatio, cfg.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ml.ValidateSamples(train, true); err != nil {
-		return nil, nil, fmt.Errorf("core: training set: %w", err)
-	}
-	report.TrainSamples = len(train)
-	report.TestSamples = len(test)
-	_, report.TrainPos = ml.ClassCounts(train)
-	_, report.TestPos = ml.ClassCounts(test)
-
-	width := p.Extractor.Width()
-	trainer, err := cfg.Algorithm.newTrainer(cfg.Seed, width, cfg.SeqLen, cfg.Workers, cfg.Bins)
-	if err != nil {
-		return nil, nil, err
-	}
-	start = time.Now()
-	threshold := 0.5
-	if !cfg.FixedThreshold {
-		if t, err := calibrateThreshold(trainer, trainFull, cfg); err == nil {
-			threshold = t
-		}
-	}
-	clf, err := trainer.Train(train)
-	if err != nil {
-		return nil, nil, err
-	}
-	report.TrainTime = time.Since(start)
-
-	m := &Model{
-		Config:      cfg,
-		Classifier:  clf,
-		TrainerName: trainer.Name(),
-		Width:       width,
-		Threshold:   threshold,
-	}
-	if len(train) > 0 {
-		last := 0
-		for i := range train {
-			if train[i].Day > last {
-				last = train[i].Day
-			}
-		}
-		m.TrainEndDay = last
-	}
-
-	start = time.Now()
-	if len(test) > 0 {
-		report.Eval = EvaluateSamplesAt(clf, test, threshold)
-	}
-	report.EvalTime = time.Since(start)
-	return m, report, nil
-}
-
-// calibrateThreshold picks the decision threshold on pooled time-series
-// cross-validation folds of the *full-prevalence* training window: each
-// fold's training part is under-sampled exactly as the final model's
-// is, but validation keeps the natural class balance so the FPR
-// estimate is trustworthy. The operating point is chosen without
-// touching test data.
-func calibrateThreshold(trainer ml.Trainer, trainFull []ml.Sample, cfg Config) (float64, error) {
-	folds, err := sampling.TimeSeriesCV(trainFull, cfg.CVFolds)
-	if err != nil {
-		return 0, err
-	}
-	var scores []float64
-	var labels []int
-	for _, fold := range folds {
-		tr, err := sampling.UnderSample(fold.Train, cfg.NegativeRatio, cfg.Seed)
-		if err != nil {
-			return 0, err
-		}
-		if !bothClasses(tr) || !bothClasses(fold.Val) {
-			continue
-		}
-		clf, err := trainer.Train(tr)
-		if err != nil {
-			return 0, err
-		}
-		scores = append(scores, ml.BatchScores(clf, fold.Val, cfg.Workers)...)
-		for i := range fold.Val {
-			labels = append(labels, fold.Val[i].Y)
-		}
-	}
-	if len(scores) == 0 {
-		return 0, fmt.Errorf("core: no usable calibration folds")
-	}
-	return pickThreshold(scores, labels), nil
-}
-
-// calibrateThresholdView is calibrateThreshold on zero-copy SampleSet
-// views: CV folds and their under-sampled training parts are row-index
-// views of the shared arena, and the pooled score/label buffers are
-// preallocated from the usable folds' validation sizes instead of
-// growing by append — each fold scores straight into its slot.
+// calibrateThresholdView picks the decision threshold on pooled
+// time-series cross-validation folds of the *full-prevalence* training
+// window: each fold's training part is under-sampled exactly as the
+// final model's is, but validation keeps the natural class balance so
+// the FPR estimate is trustworthy. The operating point is chosen
+// without touching test data. CV folds and their under-sampled
+// training parts are row-index views of the shared arena, and the
+// pooled score/label buffers are preallocated from the usable folds'
+// validation sizes — each fold scores straight into its slot.
 func calibrateThresholdView(trainer ml.Trainer, trainFull ml.View, cfg Config) (float64, error) {
 	folds, err := sampling.TimeSeriesCVView(trainFull, cfg.CVFolds)
 	if err != nil {
@@ -438,11 +287,6 @@ func pickThreshold(scores []float64, labels []int) float64 {
 
 // fprPenalty is the false-positive weight of the calibration criterion.
 const fprPenalty = 3
-
-func bothClasses(samples []ml.Sample) bool {
-	neg, pos := ml.ClassCounts(samples)
-	return neg > 0 && pos > 0
-}
 
 func bothClassesView(v ml.View) bool {
 	neg, pos := v.ClassCounts()

@@ -9,7 +9,6 @@ import (
 	"repro/internal/features"
 	"repro/internal/ml"
 	"repro/internal/ml/forest"
-	"repro/internal/ml/metrics"
 	"repro/internal/sampling"
 	"repro/internal/simfleet"
 	"repro/internal/ticket"
@@ -166,37 +165,37 @@ func (c *Context) AblationSegmentation() (*AblationResult, error) {
 // paper's point: k-fold validates on the past, so its estimate is
 // optimistic; TS-CV's estimate tracks reality.
 func (c *Context) AblationCrossValidation() (*AblationResult, error) {
-	train, test, p, err := c.Split(primaryVendor, features.GroupSFWB)
+	train, test, p, err := c.SplitSet(primaryVendor, features.GroupSFWB)
 	if err != nil {
 		return nil, err
 	}
-	trainUS, err := sampling.UnderSample(train, p.Config.NegativeRatio, p.Config.Seed)
+	trainUS, err := sampling.UnderSampleView(train, p.Config.NegativeRatio, p.Config.Seed)
 	if err != nil {
 		return nil, err
 	}
 	trainer := &forest.Trainer{Trees: 60, MaxDepth: 12, Seed: p.Config.Seed}
 
 	// Ground truth: train on the full window, evaluate forward.
-	clf, err := trainer.Train(trainUS)
+	clf, err := ml.TrainOn(trainer, trainUS)
 	if err != nil {
 		return nil, err
 	}
-	trueAUC := metrics.AUCScore(clf, test)
+	trueAUC := core.EvaluateSamples(clf, test).AUC
 
-	meanAUC := func(folds []sampling.Fold) (float64, error) {
+	meanAUC := func(folds []sampling.FoldView) (float64, error) {
 		var sum float64
 		n := 0
 		for _, fold := range folds {
-			neg, pos := ml.ClassCounts(fold.Train)
-			negV, posV := ml.ClassCounts(fold.Val)
+			neg, pos := fold.Train.ClassCounts()
+			negV, posV := fold.Val.ClassCounts()
 			if neg == 0 || pos == 0 || negV == 0 || posV == 0 {
 				continue
 			}
-			cl, err := trainer.Train(fold.Train)
+			cl, err := ml.TrainOn(trainer, fold.Train)
 			if err != nil {
 				return 0, err
 			}
-			sum += metrics.AUCScore(cl, fold.Val)
+			sum += core.EvaluateSamples(cl, fold.Val).AUC
 			n++
 		}
 		if n == 0 {
@@ -205,7 +204,7 @@ func (c *Context) AblationCrossValidation() (*AblationResult, error) {
 		return sum / float64(n), nil
 	}
 
-	tsFolds, err := sampling.TimeSeriesCV(trainUS, 3)
+	tsFolds, err := sampling.TimeSeriesCVView(trainUS, 3)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +212,7 @@ func (c *Context) AblationCrossValidation() (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	kFolds, err := sampling.KFoldCV(trainUS, 4, p.Config.Seed)
+	kFolds, err := sampling.KFoldCVView(trainUS, 4, p.Config.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ import (
 )
 
 // Context owns the simulated fleets and caches the expensive shared
-// stages (preparation, sample building, splits) across experiments.
+// stages (preparation, sample building) across experiments.
 type Context struct {
 	// Cfg is the fleet configuration of the headline experiments.
 	Cfg simfleet.Config
@@ -47,9 +47,8 @@ type Context struct {
 	// Prepared runs the fused frame pipeline on it.
 	frame *dataset.Frame
 
-	prepCache   map[string]*core.Prepared
-	sampleCache map[string][]ml.Sample
-	setCache    map[string]*ml.SampleSet
+	prepCache map[string]*core.Prepared
+	setCache  map[string]*ml.SampleSet
 }
 
 // NewContext simulates the default experiment fleet. failureScale
@@ -69,13 +68,12 @@ func NewContextWith(cfg simfleet.Config) (*Context, error) {
 		return nil, err
 	}
 	c := &Context{
-		Cfg:         cfg,
-		Fleet:       fleet,
-		Registries:  make(map[string]*firmware.Registry),
-		Workers:     cfg.Workers,
-		prepCache:   make(map[string]*core.Prepared),
-		sampleCache: make(map[string][]ml.Sample),
-		setCache:    make(map[string]*ml.SampleSet),
+		Cfg:        cfg,
+		Fleet:      fleet,
+		Registries: make(map[string]*firmware.Registry),
+		Workers:    cfg.Workers,
+		prepCache:  make(map[string]*core.Prepared),
+		setCache:   make(map[string]*ml.SampleSet),
 	}
 	for _, v := range fleet.Config.Vendors {
 		c.Registries[v.Name] = v.Firmware
@@ -136,36 +134,10 @@ func (c *Context) FleetFrame() (*dataset.Frame, error) {
 	return f, nil
 }
 
-// Samples returns (caching) the flat samples of a vendor/group pair:
-// the rows of SampleSet in order, with vectors aliasing its arena.
-func (c *Context) Samples(vendor string, group features.Group) ([]ml.Sample, *core.Prepared, error) {
-	key := vendor + "/" + group.String()
-	set, p, err := c.SampleSet(vendor, group)
-	if err != nil {
-		return nil, nil, err
-	}
-	if s, ok := c.sampleCache[key]; ok {
-		return s, p, nil
-	}
-	s := set.All().Materialize()
-	c.sampleCache[key] = s
-	return s, p, nil
-}
-
-// Split returns the chronological train/test split of a vendor/group.
-func (c *Context) Split(vendor string, group features.Group) (train, test []ml.Sample, p *core.Prepared, err error) {
-	samples, p, err := c.Samples(vendor, group)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	train, test = sampling.SplitFraction(samples, p.Config.TrainFrac)
-	return train, test, p, nil
-}
-
 // SampleSet returns (caching) the columnar sample set of a vendor/group
-// pair. The set — and its lazily built binned matrix — is shared by
-// every view-path experiment, so binning happens at most once per
-// vendor/group for the whole report run.
+// pair. The set is shared by every experiment that splits it into
+// views, so extraction happens at most once per vendor/group for the
+// whole report run.
 func (c *Context) SampleSet(vendor string, group features.Group) (*ml.SampleSet, *core.Prepared, error) {
 	key := vendor + "/" + group.String()
 	p, err := c.Prepared(vendor, group)

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/ml"
 	"repro/internal/ml/metrics"
-	"repro/internal/sampling"
 )
 
 // CostRegime is one operational cost assumption.
@@ -43,29 +43,22 @@ type CostResult struct {
 // CostStudy trains the standard vendor-I model once and sweeps three
 // cost regimes over its test ROC.
 func (c *Context) CostStudy() (*CostResult, error) {
-	samples, p, err := c.Samples(primaryVendor, features.GroupSFWB)
+	p, err := c.Prepared(primaryVendor, features.GroupSFWB)
 	if err != nil {
 		return nil, err
 	}
-	train, test := sampling.SplitFraction(samples, p.Config.TrainFrac)
-	_ = train
-	m, _, err := core.Train(p, test)
+	m, rep, err := core.Train(p)
 	if err != nil {
 		return nil, err
 	}
 
-	scores := make([]float64, len(test))
-	labels := make([]int, len(test))
-	pos, neg := 0, 0
-	for i := range test {
-		scores[i] = m.Predict(test[i].X)
-		labels[i] = test[i].Y
-		if test[i].Y == 1 {
-			pos++
-		} else {
-			neg++
-		}
+	test := rep.Test
+	scores := ml.BatchScoresView(m.Classifier, test, 0)
+	labels := make([]int, test.Len())
+	for i := range labels {
+		labels[i] = test.Y(i)
 	}
+	neg, pos := test.ClassCounts()
 	roc := metrics.ROCFromScores(scores, labels)
 
 	regimes := []CostRegime{
@@ -94,7 +87,7 @@ func (c *Context) CostStudy() (*CostResult, error) {
 			}
 			def.Add(predDef, labels[i])
 		}
-		n := float64(len(test))
+		n := float64(test.Len())
 		res.Rows = append(res.Rows, CostRow{
 			Regime:       reg.Name,
 			Threshold:    thr,

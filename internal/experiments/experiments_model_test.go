@@ -245,13 +245,13 @@ func TestContextCaches(t *testing.T) {
 	if p1 != p2 {
 		t.Fatal("Prepared not cached")
 	}
-	s1, _, err := c.Samples("I", features.GroupSFWB)
+	s1, _, err := c.SampleSet("I", features.GroupSFWB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _, _ := c.Samples("I", features.GroupSFWB)
-	if &s1[0] != &s2[0] {
-		t.Fatal("Samples not cached")
+	s2, _, _ := c.SampleSet("I", features.GroupSFWB)
+	if s1 != s2 {
+		t.Fatal("SampleSet not cached")
 	}
 }
 

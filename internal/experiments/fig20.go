@@ -83,15 +83,12 @@ func (c *Context) Fig20() (*Fig20Result, error) {
 		},
 	}
 
-	// Measure raw prediction throughput on a real feature vector.
-	samples, err := p.BuildSamples()
-	if err != nil {
-		return nil, err
-	}
+	// Measure raw prediction throughput on real feature vectors.
+	set := rep.Test.Set()
 	const probes = 20000
 	start := time.Now()
 	for i := 0; i < probes; i++ {
-		m.Predict(samples[i%len(samples)].X)
+		m.Predict(set.Row(i % set.Len()))
 	}
 	elapsed := time.Since(start)
 	res.PredictionsPerSecond = probes / elapsed.Seconds()

@@ -210,12 +210,7 @@ func (c *Context) Fig12() (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	samples, err := p.BuildSamples()
-	if err != nil {
-		return nil, err
-	}
-	_, test := sampling.SplitFraction(samples, cfg.TrainFrac)
-	m, _, err := core.Train(p, test)
+	m, rep, err := core.Train(p)
 	if err != nil {
 		return nil, err
 	}
@@ -225,35 +220,28 @@ func (c *Context) Fig12() (*Fig12Result, error) {
 	}
 	// Walk-forward selects by day internally, so passing the full
 	// sample set (not just the test split) keeps month boundaries exact.
-	res.Months = m.WalkForward(samples, 30, 5)
+	all := rep.Test.Set().All()
+	res.Months = m.WalkForward(all, 30, 5)
 
 	// Extension: apply the paper's recommendation — retrain at each
 	// month boundary on everything observed so far (strictly past-only
 	// data), keeping the original calibrated threshold so the series
 	// differ only by model freshness.
 	for _, mo := range res.Months {
-		var trainNow []ml.Sample
-		var window []ml.Sample
-		for i := range samples {
-			switch {
-			case samples[i].Day < mo.FromDay:
-				trainNow = append(trainNow, samples[i])
-			case samples[i].Day <= mo.ToDay:
-				window = append(window, samples[i])
-			}
-		}
-		if len(window) == 0 {
+		trainNow, later := sampling.SplitAtDayView(all, mo.FromDay-1)
+		window, _ := sampling.SplitAtDayView(later, mo.ToDay)
+		if window.Len() == 0 {
 			continue
 		}
-		trainUS, err := sampling.UnderSample(trainNow, p.Config.NegativeRatio, p.Config.Seed)
+		trainUS, err := sampling.UnderSampleView(trainNow, p.Config.NegativeRatio, p.Config.Seed)
 		if err != nil {
 			return nil, err
 		}
-		clf, err := (&forest.Trainer{Trees: 100, MaxDepth: 12, Seed: p.Config.Seed}).Train(trainUS)
+		clf, err := ml.TrainOn(&forest.Trainer{Trees: 100, MaxDepth: 12, Seed: p.Config.Seed}, trainUS)
 		if err != nil {
 			return nil, err
 		}
-		neg, pos := ml.ClassCounts(window)
+		neg, pos := window.ClassCounts()
 		res.IterMonths = append(res.IterMonths, core.MonthlyEvaluation{
 			Month:    mo.Month,
 			FromDay:  mo.FromDay,

@@ -6,6 +6,7 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/ml"
 	"repro/internal/ml/forest"
 	"repro/internal/ml/search"
 	"repro/internal/sampling"
@@ -81,7 +82,7 @@ func (c *Context) Fig18() (*Fig18Result, error) {
 
 	// The vendor threshold detector needs no training; evaluate on the
 	// S-group test records.
-	_, testS, _, err := c.Split(primaryVendor, features.GroupS)
+	_, testS, _, err := c.SplitSet(primaryVendor, features.GroupS)
 	if err != nil {
 		return nil, err
 	}
@@ -101,15 +102,15 @@ func (c *Context) Fig18() (*Fig18Result, error) {
 	// The learned baselines share MFPA's preprocessing but keep their
 	// original feature families and algorithms.
 	for _, b := range baselines.All() {
-		train, test, pb, err := c.Split(primaryVendor, b.Group)
+		train, test, pb, err := c.SplitSet(primaryVendor, b.Group)
 		if err != nil {
 			return nil, err
 		}
-		trainUS, err := sampling.UnderSample(train, pb.Config.NegativeRatio, pb.Config.Seed)
+		trainUS, err := sampling.UnderSampleView(train, pb.Config.NegativeRatio, pb.Config.Seed)
 		if err != nil {
 			return nil, err
 		}
-		clf, err := b.NewTrainer(pb.Config.Seed).Train(trainUS)
+		clf, err := ml.TrainOn(b.NewTrainer(pb.Config.Seed), trainUS)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: baseline %s: %w", b.Name, err)
 		}
@@ -168,7 +169,7 @@ func (c *Context) Fig19() (*Fig19Result, error) {
 	}
 	res := &Fig19Result{}
 	for n := 1; n <= 21; n += 2 {
-		pos := features.PositiveSamplesAt(p.Dataset(), p.Labels, p.Extractor, n, 1)
+		pos := features.PositiveSamplesAt(p.Frame, p.Labels, p.Extractor, n, 1)
 		// Only failures after the learning window are fair probes.
 		var test []float64
 		flagged := 0

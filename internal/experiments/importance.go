@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/features"
+	"repro/internal/ml"
 	"repro/internal/ml/forest"
 	"repro/internal/sampling"
 )
@@ -24,15 +25,15 @@ type ImportanceResult struct {
 
 // Importance trains the standard forest on vendor I and ranks features.
 func (c *Context) Importance() (*ImportanceResult, error) {
-	train, _, p, err := c.Split(primaryVendor, features.GroupSFWB)
+	train, _, p, err := c.SplitSet(primaryVendor, features.GroupSFWB)
 	if err != nil {
 		return nil, err
 	}
-	train, err = sampling.UnderSample(train, p.Config.NegativeRatio, p.Config.Seed)
+	train, err = sampling.UnderSampleView(train, p.Config.NegativeRatio, p.Config.Seed)
 	if err != nil {
 		return nil, err
 	}
-	clf, err := (&forest.Trainer{Trees: 100, MaxDepth: 12, Seed: p.Config.Seed}).Train(train)
+	clf, err := ml.TrainOn(&forest.Trainer{Trees: 100, MaxDepth: 12, Seed: p.Config.Seed}, train)
 	if err != nil {
 		return nil, err
 	}

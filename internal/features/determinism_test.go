@@ -2,7 +2,6 @@ package features
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/bsod"
@@ -46,9 +45,12 @@ func fleetFixture(t *testing.T, drives int) (*dataset.Dataset, labeling.Labels, 
 	return d, labels, e
 }
 
-// TestBuildSeqSamplesWorkersIdentical is the sequence-shaped variant.
+// TestBuildSeqSamplesWorkersIdentical is the sequence-shaped variant:
+// BuildSeqSampleSetFrame's arena, labels, days and serials are
+// identical at any worker count.
 func TestBuildSeqSamplesWorkersIdentical(t *testing.T) {
 	d, labels, _ := fleetFixture(t, 20)
+	f := frameOf(t, d)
 	opts := DefaultBuildOptions()
 	opts.Workers = 1
 	serialExt, err := NewExtractor(GroupSFWB, nil)
@@ -56,7 +58,7 @@ func TestBuildSeqSamplesWorkersIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const seqLen = 4
-	want, err := BuildSeqSamples(d, labels, serialExt, seqLen, opts)
+	want, err := BuildSeqSampleSetFrame(f, labels, serialExt, seqLen, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +68,10 @@ func TestBuildSeqSamplesWorkersIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts.Workers = w
-		got, err := BuildSeqSamples(d, labels, e, seqLen, opts)
+		got, err := BuildSeqSampleSetFrame(f, labels, e, seqLen, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: sequence samples differ from serial build", w)
-		}
+		requireSetsEqualBits(t, want, got)
 	}
 }

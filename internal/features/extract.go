@@ -25,10 +25,9 @@ type Extractor struct {
 	// vector, so the frame builder gathers W features straight from a
 	// column row without ID lookups.
 	wIdx []int
-	// primedFor remembers the last dataset primed, so repeated builds
-	// over the same prepared dataset skip the full firmware re-scan.
-	primedFor *dataset.Dataset
-	// primedForFrame is primedFor for the columnar build path.
+	// primedForFrame remembers the last frame primed, so repeated
+	// builds over the same prepared frame skip the full firmware
+	// re-scan.
 	primedForFrame *dataset.Frame
 }
 
@@ -101,35 +100,15 @@ func (e *Extractor) encoder(vendor string) *firmware.Encoder {
 	return enc
 }
 
-// prime registers every (vendor, firmware version) pair of data with
-// the extractor's encoders, visiting records in dataset order. After
-// priming, Extract performs only reads on the extractor, so
-// BuildSeqSamples can fan extraction out across goroutines; it also fixes the
-// first-seen-order codes of registry-unknown versions to dataset order
-// rather than extraction order, keeping the encoding independent of
-// scheduling. No-op for groups without the firmware feature.
-func (e *Extractor) prime(data *dataset.Dataset) {
-	if !e.group.Firmware {
-		return
-	}
-	if e.primedFor == data {
-		// Priming is idempotent; skipping the re-scan is safe as long as
-		// the dataset is not mutated between builds.
-		return
-	}
-	data.Each(func(s *dataset.DriveSeries) {
-		for i := range s.Records {
-			e.encoder(s.Records[i].Vendor).Encode(s.Records[i].Firmware)
-		}
-	})
-	e.primedFor = data
-}
-
-// primeFrame is prime for the columnar path: it registers firmware
-// versions in the same drive-then-row order the dataset scan uses, so
-// registry-unknown versions get identical first-seen codes. Rows with
-// an unchanged interned firmware code are skipped — encoding is
-// per-version, so only code changes matter.
+// primeFrame registers every (vendor, firmware version) pair of f with
+// the extractor's encoders, visiting drives in frame order and rows in
+// day order. After priming, extraction over the frame only reads the
+// extractor, so the builders can fan it out across goroutines; it also
+// fixes the first-seen-order codes of registry-unknown versions to
+// frame order rather than extraction order, keeping the encoding
+// independent of scheduling. Rows with an unchanged interned firmware
+// code are skipped — encoding is per-version, so only code changes
+// matter. No-op for groups without the firmware feature.
 func (e *Extractor) primeFrame(f *dataset.Frame) {
 	if !e.group.Firmware {
 		return
@@ -200,6 +179,15 @@ func (e *Extractor) appendCumRow(vendor string, smart []float64, fw firmware.Ver
 		dst = append(dst, tot)
 	}
 	return dst
+}
+
+// AppendFrameRow appends the feature vector of one row of a cumulated
+// frame to dst; drive is the index of the frame drive the row belongs
+// to, whose vendor picks the firmware encoder. Its values equal the
+// BuildSampleSetFrame row of the same drive-day. After PrimeFrame on
+// f it only reads the extractor.
+func (e *Extractor) AppendFrameRow(f *dataset.Frame, drive, row int, dst []float64) []float64 {
+	return e.appendCumRow(f.Drive(drive).Vendor, f.SmartRow(row), f.FirmwareAt(row), f.WRow(row), f.BRow(row), dst)
 }
 
 // Extract builds the feature vector of r. The W and B counters are used

@@ -314,24 +314,22 @@ func TestBuildSeqSamplesShape(t *testing.T) {
 	d, labels, e := buildFixture(t)
 	opts := BuildOptions{PositiveWindowDays: 7, ExclusionDays: 7}
 	const seqLen = 3
-	samples, err := BuildSeqSamples(d, labels, e, seqLen, opts)
+	set, err := BuildSeqSampleSetFrame(frameOf(t, d), labels, e, seqLen, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := seqLen * e.Width()
-	for _, s := range samples {
-		if len(s.X) != want {
-			t.Fatalf("sequence width = %d, want %d", len(s.X), want)
-		}
+	if want := seqLen * e.Width(); set.Width() != want {
+		t.Fatalf("sequence width = %d, want %d", set.Width(), want)
 	}
 	// Time-major layout: the S_12 (PowerOnHours) of step t equals
 	// day −(seqLen−1−t) relative to the end day.
 	idx := smartattr.PowerOnHours.Index()
-	for _, s := range samples {
+	for i := 0; i < set.Len(); i++ {
+		x := set.Row(i)
 		for step := 0; step < seqLen; step++ {
-			wantHours := float64(s.Day - (seqLen - 1 - step))
-			if got := s.X[step*e.Width()+idx]; got != wantHours {
-				t.Fatalf("day %d step %d hours = %g, want %g", s.Day, step, got, wantHours)
+			wantHours := float64(set.Day(i) - (seqLen - 1 - step))
+			if got := x[step*e.Width()+idx]; got != wantHours {
+				t.Fatalf("day %d step %d hours = %g, want %g", set.Day(i), step, got, wantHours)
 			}
 		}
 	}
@@ -339,8 +337,9 @@ func TestBuildSeqSamplesShape(t *testing.T) {
 
 func TestPositiveSamplesAt(t *testing.T) {
 	d, labels, e := buildFixture(t)
+	f := frameOf(t, d)
 	// 5 days before the day-20 failure → day 15 record.
-	pos := PositiveSamplesAt(d, labels, e, 5, 1)
+	pos := PositiveSamplesAt(f, labels, e, 5, 1)
 	if len(pos) != 1 {
 		t.Fatalf("probes = %d, want 1", len(pos))
 	}
@@ -348,7 +347,7 @@ func TestPositiveSamplesAt(t *testing.T) {
 		t.Fatalf("probe = %+v", pos[0])
 	}
 	// A lookahead beyond the telemetry start yields nothing.
-	if got := PositiveSamplesAt(d, labels, e, 50, 1); len(got) != 0 {
+	if got := PositiveSamplesAt(f, labels, e, 50, 1); len(got) != 0 {
 		t.Fatalf("impossible lookahead produced %d probes", len(got))
 	}
 }

@@ -66,9 +66,9 @@ func TestForestTrainViewMatchesTrainOnFullSet(t *testing.T) {
 }
 
 // TestForestTrainViewSubsetMatchesSliceSubset trains on an
-// under-sampled row subset both ways: the slice path on the
-// slice-form under-sample, the view path on the view-form one. The
-// fitted forests must be identical.
+// under-sampled row subset both ways: Train on the subset's
+// materialised rows, TrainView on the view. The fitted forests must be
+// identical.
 func TestForestTrainViewSubsetMatchesSliceSubset(t *testing.T) {
 	samples := discreteData(700, 5)
 	set, err := ml.FromSamples(samples)
@@ -76,14 +76,11 @@ func TestForestTrainViewSubsetMatchesSliceSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{1, 9} {
-		subSlice, err := sampling.UnderSample(samples, 1.5, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
 		subView, err := sampling.UnderSampleView(set.All(), 1.5, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
+		subSlice := subView.Materialize()
 		tr := &Trainer{Trees: 20, MaxDepth: 7, Seed: seed + 31}
 		sliceClf, err := tr.Train(subSlice)
 		if err != nil {

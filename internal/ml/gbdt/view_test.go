@@ -77,14 +77,11 @@ func TestGBDTTrainViewSubsetMatchesSliceSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{1, 9} {
-		subSlice, err := sampling.UnderSample(samples, 1.5, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
 		subView, err := sampling.UnderSampleView(set.All(), 1.5, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
+		subSlice := subView.Materialize()
 		tr := &Trainer{Rounds: 20, MaxDepth: 4, Seed: seed + 31, Subsample: 0.8}
 		sliceClf, err := tr.Train(subSlice)
 		if err != nil {

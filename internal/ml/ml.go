@@ -4,11 +4,7 @@
 // and are all stdlib-only, from-scratch implementations.
 package ml
 
-import (
-	"fmt"
-	"math/rand"
-	"sort"
-)
+import "fmt"
 
 // Sample is one labelled observation: a dense feature vector plus the
 // binary health label.
@@ -89,29 +85,4 @@ func ClassCounts(samples []Sample) (neg, pos int) {
 		}
 	}
 	return neg, pos
-}
-
-// SortByDay orders samples chronologically (stable on equal days), as
-// required by the time-series segmentation and cross-validation.
-func SortByDay(samples []Sample) {
-	sort.SliceStable(samples, func(i, j int) bool { return samples[i].Day < samples[j].Day })
-}
-
-// Shuffle permutes samples deterministically with the given seed.
-func Shuffle(samples []Sample, seed int64) {
-	r := rand.New(rand.NewSource(seed))
-	r.Shuffle(len(samples), func(i, j int) {
-		samples[i], samples[j] = samples[j], samples[i]
-	})
-}
-
-// CloneVectors deep-copies the feature vectors of samples, for trainers
-// that need to mutate their inputs (e.g. in-place scaling).
-func CloneVectors(samples []Sample) []Sample {
-	out := make([]Sample, len(samples))
-	for i := range samples {
-		out[i] = samples[i]
-		out[i].X = append([]float64(nil), samples[i].X...)
-	}
-	return out
 }

@@ -45,48 +45,6 @@ func TestClassCounts(t *testing.T) {
 	}
 }
 
-func TestSortByDayStable(t *testing.T) {
-	s := []Sample{
-		{X: []float64{0}, Day: 2, SN: "a"},
-		{X: []float64{0}, Day: 1, SN: "b"},
-		{X: []float64{0}, Day: 2, SN: "c"},
-	}
-	SortByDay(s)
-	if s[0].SN != "b" || s[1].SN != "a" || s[2].SN != "c" {
-		t.Fatalf("order = %s %s %s", s[0].SN, s[1].SN, s[2].SN)
-	}
-}
-
-func TestShuffleDeterministic(t *testing.T) {
-	mk := func() []Sample {
-		var out []Sample
-		for i := 0; i < 20; i++ {
-			out = append(out, Sample{X: []float64{0}, Day: i})
-		}
-		return out
-	}
-	a, b := mk(), mk()
-	Shuffle(a, 7)
-	Shuffle(b, 7)
-	for i := range a {
-		if a[i].Day != b[i].Day {
-			t.Fatal("same seed produced different shuffles")
-		}
-	}
-}
-
-func TestCloneVectors(t *testing.T) {
-	orig := []Sample{{X: []float64{1, 2}, Y: 1, SN: "a"}}
-	c := CloneVectors(orig)
-	c[0].X[0] = 99
-	if orig[0].X[0] == 99 {
-		t.Fatal("CloneVectors shares backing arrays")
-	}
-	if c[0].SN != "a" || c[0].Y != 1 {
-		t.Fatal("metadata lost")
-	}
-}
-
 type constClassifier float64
 
 func (c constClassifier) PredictProba([]float64) float64 { return float64(c) }

@@ -47,8 +47,8 @@ func NewSampleSet(width int, x []float64, y []int8, day []int32, sn []string) (*
 	return &SampleSet{width: width, x: x, y: y, day: day, sn: sn}, nil
 }
 
-// FromSamples copies a legacy []Sample slice into columnar form — the
-// compatibility adapter for call sites that still build row-structs.
+// FromSamples copies a []Sample slice into columnar form, row for row.
+// Tests use it to run the view functions on hand-built samples.
 func FromSamples(samples []Sample) (*SampleSet, error) {
 	if err := ValidateSamples(samples, false); err != nil {
 		return nil, err
@@ -243,7 +243,8 @@ func (v View) Xs() [][]float64 {
 	return out
 }
 
-// Materialize converts the view to the legacy []Sample representation.
+// Materialize converts the view to the []Sample rows Trainer.Train
+// takes, for trainers that do not implement ViewTrainer.
 // Without a column subset the X vectors are capped arena subslices
 // (header-only — no feature data is copied), honouring the Trainer
 // contract that inputs are never mutated; with a column subset each X

@@ -10,7 +10,7 @@ import (
 // BenchmarkGridSearchWorkers compares the serial (combo × fold) sweep
 // against the full fan-out.
 func BenchmarkGridSearchWorkers(b *testing.B) {
-	samples := trendData(600, 31)
+	v := viewOf(b, trendData(600, 31))
 	factory := func(params map[string]float64) ml.Trainer {
 		return &tree.Trainer{Config: tree.Config{
 			MaxDepth:       int(params["depth"]),
@@ -26,7 +26,7 @@ func BenchmarkGridSearchWorkers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := GridSearchWorkers(factory, grid, samples, 3, bc.workers); err != nil {
+				if _, _, err := GridSearchSet(factory, grid, v, 3, bc.workers); err != nil {
 					b.Fatal(err)
 				}
 			}

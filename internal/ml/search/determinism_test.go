@@ -42,14 +42,14 @@ func treeFactory(params map[string]float64) ml.Trainer {
 // reproduces the serial sweep exactly, including candidate order and
 // floating-point scores.
 func TestGridSearchWorkersIdentical(t *testing.T) {
-	samples := trendData(400, 21)
+	v := viewOf(t, trendData(400, 21))
 	grid := Grid{"depth": {1, 2, 4, 6}}
-	want, wantBest, err := GridSearchWorkers(treeFactory, grid, samples, 3, 1)
+	want, wantBest, err := GridSearchSet(treeFactory, grid, v, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{0, 2, 3, 8} {
-		got, gotBest, err := GridSearchWorkers(treeFactory, grid, samples, 3, w)
+		got, gotBest, err := GridSearchSet(treeFactory, grid, v, 3, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -82,18 +82,18 @@ func (f *failingTrainer) Name() string { return "failing" }
 // failure surfaces the same error at every worker count: the one the
 // serial left-to-right sweep would hit first.
 func TestGridSearchWorkersErrorIdentical(t *testing.T) {
-	samples := trendData(200, 22)
+	v := viewOf(t, trendData(200, 22))
 	factory := func(params map[string]float64) ml.Trainer {
 		return &failingTrainer{fail: params["depth"] >= 4, inner: treeFactory(params)}
 	}
 	grid := Grid{"depth": {1, 2, 4, 6}}
-	_, _, err := GridSearchWorkers(factory, grid, samples, 3, 1)
+	_, _, err := GridSearchSet(factory, grid, v, 3, 1)
 	if err == nil {
 		t.Fatal("failing combination accepted")
 	}
 	want := err.Error()
 	for _, w := range []int{0, 2, 3, 8} {
-		_, _, err := GridSearchWorkers(factory, grid, samples, 3, w)
+		_, _, err := GridSearchSet(factory, grid, v, 3, w)
 		if err == nil {
 			t.Fatalf("workers=%d: failing combination accepted", w)
 		}
@@ -107,15 +107,15 @@ func TestGridSearchWorkersErrorIdentical(t *testing.T) {
 // SFS reproduces the serial trajectory exactly.
 func TestForwardSelectWorkersIdentical(t *testing.T) {
 	samples := wideTrendData(600, 5, 23)
-	train, val := samples[:400], samples[400:]
+	train, val := viewOf(t, samples[:400]), viewOf(t, samples[400:])
 	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
 	names := []string{"signal", "n1", "n2", "n3", "n4"}
-	want, err := ForwardSelectWorkers(trainer, train, val, names, 3, 0, 1)
+	want, err := ForwardSelectSet(trainer, train, val, names, 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{0, 2, 3, 8} {
-		got, err := ForwardSelectWorkers(trainer, train, val, names, 3, 0, w)
+		got, err := ForwardSelectSet(trainer, train, val, names, 3, 0, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -129,16 +129,16 @@ func TestForwardSelectWorkersIdentical(t *testing.T) {
 // mid-step yields the serial error at every worker count.
 func TestForwardSelectWorkersErrorIdentical(t *testing.T) {
 	samples := wideTrendData(200, 3, 24)
-	train, val := samples[:150], samples[150:]
+	train, val := viewOf(t, samples[:150]), viewOf(t, samples[150:])
 	trainer := &failingTrainer{fail: true}
 	names := []string{"a", "b", "c"}
-	_, err := ForwardSelectWorkers(trainer, train, val, names, 0, 0, 1)
+	_, err := ForwardSelectSet(trainer, train, val, names, 0, 0, 1)
 	if err == nil {
 		t.Fatal("failing trainer accepted")
 	}
 	want := err.Error()
 	for _, w := range []int{0, 2, 8} {
-		_, err := ForwardSelectWorkers(trainer, train, val, names, 0, 0, w)
+		_, err := ForwardSelectSet(trainer, train, val, names, 0, 0, w)
 		if err == nil || err.Error() != want {
 			t.Fatalf("workers=%d: error %v, want %q", w, err, want)
 		}
@@ -149,15 +149,15 @@ func TestForwardSelectWorkersErrorIdentical(t *testing.T) {
 // fan-out of SBS reproduces the serial trajectory exactly.
 func TestBackwardEliminateWorkersIdentical(t *testing.T) {
 	samples := wideTrendData(600, 5, 25)
-	train, val := samples[:400], samples[400:]
+	train, val := viewOf(t, samples[:400]), viewOf(t, samples[400:])
 	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
 	names := []string{"signal", "n1", "n2", "n3", "n4"}
-	want, err := BackwardEliminateWorkers(trainer, train, val, names, 1, 0.05, 1)
+	want, err := BackwardEliminateSet(trainer, train, val, names, 1, 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{0, 2, 3, 8} {
-		got, err := BackwardEliminateWorkers(trainer, train, val, names, 1, 0.05, w)
+		got, err := BackwardEliminateSet(trainer, train, val, names, 1, 0.05, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

@@ -28,87 +28,21 @@ type Candidate struct {
 	Score float64
 }
 
-// GridSearch evaluates every combination in grid with k-fold
-// time-series cross-validation and returns all candidates (best first)
-// plus the winner. It follows the paper's Section III-C(4): grid search
-// combined with time-series-based cross-validation. The (combination ×
-// fold) pairs fan out across GOMAXPROCS goroutines; use
-// GridSearchWorkers to pin the worker count.
-func GridSearch(factory Factory, grid Grid, samples []ml.Sample, k int) ([]Candidate, Candidate, error) {
-	return GridSearchWorkers(factory, grid, samples, k, 0)
-}
-
-// GridSearchWorkers is GridSearch with an explicit worker count
-// (0 = GOMAXPROCS, 1 = serial). Each (combination, fold) pair trains
-// and scores independently — the factory is invoked once per pair so
-// trainers are never shared across goroutines — and fold AUCs are
-// averaged in fold order, so candidates and scores are identical at
-// any worker count.
-func GridSearchWorkers(factory Factory, grid Grid, samples []ml.Sample, k, workers int) ([]Candidate, Candidate, error) {
-	combos := enumerate(grid)
-	if len(combos) == 0 {
-		return nil, Candidate{}, fmt.Errorf("search: empty grid")
-	}
-	folds, err := sampling.TimeSeriesCV(samples, k)
-	if err != nil {
-		return nil, Candidate{}, err
-	}
-	usable := make([]int, 0, len(folds))
-	for fi := range folds {
-		if bothClasses(folds[fi].Train) && bothClasses(folds[fi].Val) {
-			usable = append(usable, fi)
-		}
-	}
-
-	// Flatten to combo-major (combination, fold) pairs so a slow fold
-	// of one combination overlaps with other work.
-	type pair struct{ combo, fold int }
-	pairs := make([]pair, 0, len(combos)*len(usable))
-	for ci := range combos {
-		for _, fi := range usable {
-			pairs = append(pairs, pair{ci, fi})
-		}
-	}
-	aucs, err := parallel.Map(len(pairs), workers, func(i int) (float64, error) {
-		p := pairs[i]
-		trainer := factory(combos[p.combo])
-		clf, err := trainer.Train(folds[p.fold].Train)
-		if err != nil {
-			return 0, fmt.Errorf("search: %s on %v: %w", trainer.Name(), combos[p.combo], err)
-		}
-		return metrics.AUCScore(clf, folds[p.fold].Val), nil
-	})
-	if err != nil {
-		return nil, Candidate{}, err
-	}
-
-	candidates := make([]Candidate, len(combos))
-	for ci, params := range combos {
-		var sum float64
-		// Pairs are combo-major, so this slice walks the combo's folds
-		// in fold order — the same summation order as a serial run.
-		for pi := ci * len(usable); pi < (ci+1)*len(usable); pi++ {
-			sum += aucs[pi]
-		}
-		score := 0.0
-		if len(usable) > 0 {
-			score = sum / float64(len(usable))
-		}
-		candidates[ci] = Candidate{Params: params, Score: score}
-	}
-	sort.SliceStable(candidates, func(i, j int) bool { return candidates[i].Score > candidates[j].Score })
-	return candidates, candidates[0], nil
-}
-
-// GridSearchSet is GridSearchWorkers on a zero-copy SampleSet view:
-// CV folds are index views of the shared arena (no sample copies),
-// each candidate trains on its fold's training view through ml.TrainOn
-// (the tree ensembles bin only that view's rows, so a fold's split
-// candidates never see its validation rows), and validation rows are
-// scored straight out of the arena, in arena order. Candidate
-// enumeration, fold arithmetic, and AUC aggregation are identical to
-// the slice implementation, and every fit equals the slice fit, so
-// both return the same ranking at any worker count.
+// GridSearchSet evaluates every combination in grid with k-fold
+// time-series cross-validation of the view and returns all candidates
+// (best first) plus the winner. It follows the paper's Section
+// III-C(4): grid search combined with time-series-based
+// cross-validation.
+//
+// CV folds are index views of the shared arena (no sample copies).
+// Each (combination, fold) pair trains on its fold's training view
+// through ml.TrainOn — the tree ensembles bin only that view's rows,
+// so a fold's split candidates never see its validation rows — and
+// scores the validation rows straight out of the arena, in arena
+// order. The pairs fan out across workers (0 = GOMAXPROCS,
+// 1 = serial); the factory is invoked once per pair so trainers are
+// never shared across goroutines, and fold AUCs are averaged in fold
+// order, so candidates and scores are identical at any worker count.
 func GridSearchSet(factory Factory, grid Grid, v ml.View, k, workers int) ([]Candidate, Candidate, error) {
 	combos := enumerate(grid)
 	if len(combos) == 0 {
@@ -201,11 +135,6 @@ func enumerate(grid Grid) []map[string]float64 {
 		combos = next
 	}
 	return combos
-}
-
-func bothClasses(samples []ml.Sample) bool {
-	neg, pos := ml.ClassCounts(samples)
-	return neg > 0 && pos > 0
 }
 
 func bothClassesView(v ml.View) bool {

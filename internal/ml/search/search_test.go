@@ -29,6 +29,16 @@ func trendData(n int, seed int64) []ml.Sample {
 	return out
 }
 
+// viewOf returns the all-rows view of a set built from samples.
+func viewOf(t testing.TB, samples []ml.Sample) ml.View {
+	t.Helper()
+	set, err := ml.FromSamples(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set.All()
+}
+
 func TestEnumerate(t *testing.T) {
 	grid := Grid{"a": {1, 2}, "b": {10, 20, 30}}
 	combos := enumerate(grid)
@@ -63,7 +73,7 @@ func TestGridSearchPicksSensibleDepth(t *testing.T) {
 		}}
 	}
 	grid := Grid{"depth": {1, 4}}
-	candidates, best, err := GridSearch(factory, grid, samples, 3)
+	candidates, best, err := GridSearchSet(factory, grid, viewOf(t, samples), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +90,7 @@ func TestGridSearchPicksSensibleDepth(t *testing.T) {
 
 func TestGridSearchErrorsOnTinyData(t *testing.T) {
 	factory := func(map[string]float64) ml.Trainer { return &tree.Trainer{} }
-	if _, _, err := GridSearch(factory, Grid{"x": {1}}, trendData(3, 2), 5); err == nil {
+	if _, _, err := GridSearchSet(factory, Grid{"x": {1}}, viewOf(t, trendData(3, 2)), 5, 0); err == nil {
 		t.Fatal("too-small sample set accepted")
 	}
 }
@@ -89,7 +99,7 @@ func TestForwardSelectFindsInformativeFeature(t *testing.T) {
 	samples := trendData(600, 3)
 	train, val := samples[:400], samples[400:]
 	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
-	res, err := ForwardSelect(trainer, train, val, []string{"signal", "noise"}, 0, 1e-3)
+	res, err := ForwardSelectSet(trainer, viewOf(t, train), viewOf(t, val), []string{"signal", "noise"}, 0, 1e-3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +120,7 @@ func TestForwardSelectStopsWithoutGain(t *testing.T) {
 	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
 	// The noise feature cannot add minGain=0.05 of AUC, so selection
 	// should stop after the signal.
-	res, err := ForwardSelect(trainer, train, val, []string{"signal", "noise"}, 0, 0.05)
+	res, err := ForwardSelectSet(trainer, viewOf(t, train), viewOf(t, val), []string{"signal", "noise"}, 0, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +133,7 @@ func TestForwardSelectMaxFeatures(t *testing.T) {
 	samples := trendData(400, 5)
 	train, val := samples[:300], samples[300:]
 	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
-	res, err := ForwardSelect(trainer, train, val, []string{"a", "b"}, 1, 0)
+	res, err := ForwardSelectSet(trainer, viewOf(t, train), viewOf(t, val), []string{"a", "b"}, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +145,11 @@ func TestForwardSelectMaxFeatures(t *testing.T) {
 func TestForwardSelectValidation(t *testing.T) {
 	samples := trendData(100, 6)
 	trainer := &tree.Trainer{}
-	if _, err := ForwardSelect(trainer, samples, samples, []string{"one"}, 0, 0); err == nil {
+	if _, err := ForwardSelectSet(trainer, viewOf(t, samples), viewOf(t, samples), []string{"one"}, 0, 0, 0); err == nil {
 		t.Fatal("name/width mismatch accepted")
 	}
 	onlyPos := []ml.Sample{{X: []float64{1, 2}, Y: 1}}
-	if _, err := ForwardSelect(trainer, onlyPos, samples, []string{"a", "b"}, 0, 0); err == nil {
+	if _, err := ForwardSelectSet(trainer, viewOf(t, onlyPos), viewOf(t, samples), []string{"a", "b"}, 0, 0, 0); err == nil {
 		t.Fatal("single-class training set accepted")
 	}
 }
@@ -148,7 +158,7 @@ func TestBackwardEliminateDropsNoiseFirst(t *testing.T) {
 	samples := trendData(600, 11)
 	train, val := samples[:400], samples[400:]
 	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
-	res, err := BackwardEliminate(trainer, train, val, []string{"signal", "noise"}, 1, 0.05)
+	res, err := BackwardEliminateSet(trainer, viewOf(t, train), viewOf(t, val), []string{"signal", "noise"}, 1, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +180,7 @@ func TestBackwardEliminateRespectsMaxLoss(t *testing.T) {
 	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
 	// With zero tolerated loss and minFeatures 1, the signal feature
 	// must never be eliminated (dropping it collapses AUC).
-	res, err := BackwardEliminate(trainer, train, val, []string{"signal", "noise"}, 1, 0)
+	res, err := BackwardEliminateSet(trainer, viewOf(t, train), viewOf(t, val), []string{"signal", "noise"}, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +194,10 @@ func TestBackwardEliminateRespectsMaxLoss(t *testing.T) {
 func TestBackwardEliminateValidation(t *testing.T) {
 	samples := trendData(100, 13)
 	trainer := &tree.Trainer{}
-	if _, err := BackwardEliminate(trainer, samples, samples, []string{"one"}, 1, 0); err == nil {
+	if _, err := BackwardEliminateSet(trainer, viewOf(t, samples), viewOf(t, samples), []string{"one"}, 1, 0, 0); err == nil {
 		t.Fatal("name/width mismatch accepted")
 	}
-	if _, err := BackwardEliminate(trainer, samples, samples, []string{"a", "b"}, 5, 0); err == nil {
+	if _, err := BackwardEliminateSet(trainer, viewOf(t, samples), viewOf(t, samples), []string{"a", "b"}, 5, 0, 0); err == nil {
 		t.Fatal("minFeatures > width accepted")
 	}
 }

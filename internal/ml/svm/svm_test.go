@@ -86,12 +86,12 @@ func TestStandardizeHandlesHugeScales(t *testing.T) {
 }
 
 func TestDeterministicGivenSeed(t *testing.T) {
-	train := blobs(100, 2, 5)
-	a, err := (&Trainer{Seed: 9}).Train(ml.CloneVectors(train))
+	// Two independent copies of one seeded training set.
+	a, err := (&Trainer{Seed: 9}).Train(blobs(100, 2, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := (&Trainer{Seed: 9}).Train(ml.CloneVectors(train))
+	b, err := (&Trainer{Seed: 9}).Train(blobs(100, 2, 5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,16 @@
-package sampling
-
-// Index-based counterparts of the slice-copy sampling primitives:
-// every function here selects *rows* of a shared ml.SampleSet instead
-// of copying sample structs, so a grid-search candidate, an SFS step,
-// or a CV fold costs one int32 slice rather than a sample-set copy.
+// Package sampling implements the paper's time-series-based training
+// optimisations (Section III-C(3), Fig. 8): RandomUnderSampler for
+// class imbalance, timepoint-based train/test segmentation, and
+// time-series cross-validation in which no fold ever trains on data
+// newer than its validation data.
 //
-// Equivalence contract: each view function selects exactly the rows
-// its slice counterpart would return, in the same order, for the same
-// seed — the shuffle and stable-sort primitives consume the same
-// random streams and compare the same keys. views_test.go pins this
-// down across seeds and datasets.
+// Every function selects *rows* of a shared ml.SampleSet instead of
+// copying sample structs, so a grid-search candidate, an SFS step, or
+// a CV fold costs one int32 slice rather than a sample-set copy.
+// oracle_test.go keeps a []ml.Sample implementation of each function,
+// and views_test.go pins every view function to it row for row, for
+// the same seeds, across datasets.
+package sampling
 
 import (
 	"fmt"
@@ -19,13 +20,13 @@ import (
 	"repro/internal/ml"
 )
 
-// sortedByDay returns the view's arena rows stably ordered by day —
-// the index counterpart of ml.SortByDay. Observation days cover a
+// SortedByDay returns the view's arena rows stably ordered by day:
+// rows on one day keep their view order. Observation days cover a
 // window not much wider than the row count, so a stable counting sort
 // over [minDay, maxDay] replaces the comparison sort; a span more than
 // spanPerRow times the row count falls back to sort.SliceStable. Both
 // give the same order.
-func sortedByDay(v ml.View) []int32 {
+func SortedByDay(v ml.View) []int32 {
 	n := v.Len()
 	// Non-nil even when empty: a nil row slice would mean "all rows".
 	out := make([]int32, n)
@@ -69,18 +70,21 @@ func sortedByDay(v ml.View) []int32 {
 // count; wider spans take the comparison sort.
 const spanPerRow = 16
 
-// SplitFractionView segments chronologically by row count, like
-// SplitFraction: the earliest frac of rows (after stable day ordering)
-// train, the rest test. No feature data is copied.
+// SplitFractionView segments chronologically by row count: the
+// earliest frac of rows (after stable day ordering) train, the rest
+// test. No feature data is copied.
 func SplitFractionView(v ml.View, frac float64) (train, test ml.View) {
-	idx := sortedByDay(v)
+	idx := SortedByDay(v)
 	cut := int(float64(len(idx)) * frac)
 	return v.WithRows(idx[:cut:cut]), v.WithRows(idx[cut:])
 }
 
-// SplitAtDayView implements timepoint-based segmentation on row
-// indexes: rows observed on or before learnEndDay train, strictly
-// later rows test (input order preserved on both sides).
+// SplitAtDayView implements timepoint-based sample segmentation
+// (Fig. 8(a)(2)) on row indexes: rows observed on or before
+// learnEndDay form the training set (the learning time window LW),
+// strictly later rows form the test set, input order preserved on both
+// sides. The training set holds no future data relative to any test
+// row.
 func SplitAtDayView(v ml.View, learnEndDay int) (train, test ml.View) {
 	n := v.Len()
 	// Non-nil even when empty: a nil row slice would mean "all rows".
@@ -96,8 +100,9 @@ func SplitAtDayView(v ml.View, learnEndDay int) (train, test ml.View) {
 	return v.WithRows(tr), v.WithRows(te)
 }
 
-// RandomSplitView is the conventional (non-time-aware) split on row
-// indexes, consuming the same random stream as RandomSplit.
+// RandomSplitView is the conventional (non-time-aware) m:n split the
+// paper argues against, kept for the segmentation ablation: a seeded
+// shuffle of the rows, the last testFrac of them testing.
 func RandomSplitView(v ml.View, testFrac float64, seed int64) (train, test ml.View) {
 	idx := v.Indices()
 	r := rand.New(rand.NewSource(seed))
@@ -106,9 +111,11 @@ func RandomSplitView(v ml.View, testFrac float64, seed int64) (train, test ml.Vi
 	return v.WithRows(idx[:cut:cut]), v.WithRows(idx[cut:])
 }
 
-// UnderSampleView balances classes exactly as UnderSample does — every
-// positive row survives plus a seeded uniform subset of negatives,
-// input order preserved — but selects indexes instead of copying.
+// UnderSampleView balances classes by keeping every positive row and a
+// seeded uniform random subset of negatives sized ratio× the positive
+// count (the paper uses 3:1 or 5:1). When there are fewer negatives
+// than the target, all are kept. The survivors keep their input order,
+// so downstream time-based splits stay valid.
 func UnderSampleView(v ml.View, ratio float64, seed int64) (ml.View, error) {
 	if ratio <= 0 {
 		return ml.View{}, fmt.Errorf("sampling: ratio %g must be > 0", ratio)
@@ -119,8 +126,7 @@ func UnderSampleView(v ml.View, ratio float64, seed int64) (ml.View, error) {
 	if pos == 0 || neg <= target {
 		return v.WithRows(v.Indices()), nil
 	}
-	// Choose the surviving negative positions without replacement,
-	// consuming the same stream as the slice implementation.
+	// Choose the surviving negative positions without replacement.
 	negPositions := make([]int, 0, neg)
 	for i := 0; i < n; i++ {
 		if v.Y(i) == 0 {
@@ -150,9 +156,11 @@ type FoldView struct {
 	Val   ml.View
 }
 
-// TimeSeriesCVView is TimeSeriesCV on row indexes: the day-ordered
-// rows divide into 2k contiguous subsets and iteration i trains on
-// subsets [i, i+k) and validates on subset i+k. Because each training
+// TimeSeriesCVView implements the paper's time-series
+// cross-validation (Fig. 8(b)(2)) on row indexes: the day-ordered rows
+// divide into 2k contiguous subsets and iteration i trains on subsets
+// [i, i+k) and validates on subset i+k, so training data always
+// precedes validation data. It returns k folds. Because each training
 // window is contiguous in the sorted order, every fold is a pair of
 // subslices of one shared index array — k folds cost one sort and one
 // index copy in total.
@@ -163,7 +171,7 @@ func TimeSeriesCVView(v ml.View, k int) ([]FoldView, error) {
 	if v.Len() < 2*k {
 		return nil, fmt.Errorf("sampling: %d samples cannot form 2k=%d subsets", v.Len(), 2*k)
 	}
-	idx := sortedByDay(v)
+	idx := SortedByDay(v)
 	bounds := chunkBounds(len(idx), 2*k)
 	folds := make([]FoldView, 0, k)
 	for i := 0; i < k; i++ {
@@ -177,8 +185,10 @@ func TimeSeriesCVView(v ml.View, k int) ([]FoldView, error) {
 	return folds, nil
 }
 
-// KFoldCVView is the conventional k-fold CV on row indexes, consuming
-// the same shuffle stream as KFoldCV.
+// KFoldCVView is the conventional k-fold cross-validation the paper
+// argues against (training folds may contain future data), kept for
+// the cross-validation ablation: a seeded shuffle of the rows cut into
+// k contiguous folds.
 func KFoldCVView(v ml.View, k int, seed int64) ([]FoldView, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("sampling: k %d must be ≥ 2", k)
@@ -207,7 +217,7 @@ func KFoldCVView(v ml.View, k int, seed int64) ([]FoldView, error) {
 }
 
 // chunkBounds returns the n+1 boundaries dividing length rows into n
-// contiguous near-equal subsets — the same arithmetic as chunk.
+// contiguous near-equal subsets, the first length%n one row larger.
 func chunkBounds(length, n int) []int {
 	bounds := make([]int, n+1)
 	base := length / n

@@ -301,7 +301,7 @@ func TestSortedByDayMatchesStableSort(t *testing.T) {
 		views["subset"] = set.All().WithRows(sub)
 		views["empty"] = set.All().WithRows([]int32{})
 		for name, v := range views {
-			got := sortedByDay(v)
+			got := SortedByDay(v)
 			want := sortedByDayOracle(v)
 			if got == nil || len(got) != len(want) {
 				t.Fatalf("case %d %s: %d rows (nil=%v), want %d", ci, name, len(got), got == nil, len(want))
