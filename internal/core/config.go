@@ -147,8 +147,10 @@ func DefaultConfig(vendor string) Config {
 	}
 }
 
-// withDefaults materialises the documented zero-value defaults.
-func (c Config) withDefaults() Config {
+// WithDefaults materialises the documented zero-value defaults. Two
+// configs that differ only by a zero field and its default describe the
+// same run.
+func (c Config) WithDefaults() Config {
 	if c.Algorithm == "" {
 		c.Algorithm = AlgoRF
 	}
@@ -178,7 +180,7 @@ func (c Config) withDefaults() Config {
 
 // Validate reports configuration errors after defaulting.
 func (c Config) Validate() error {
-	c = c.withDefaults()
+	c = c.WithDefaults()
 	if c.Group.Empty() {
 		return fmt.Errorf("core: empty feature group")
 	}

@@ -32,7 +32,7 @@ func testFleet(t *testing.T) *simfleet.FrameResult {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{Group: features.GroupS}
-	d := cfg.withDefaults()
+	d := cfg.WithDefaults()
 	if d.Algorithm != AlgoRF || d.Theta != 7 || d.PositiveWindowDays != 7 ||
 		d.NegativeRatio != 3 || d.TrainFrac != 0.6 || d.SeqLen != 5 || d.CVFolds != 3 {
 		t.Fatalf("defaults = %+v", d)

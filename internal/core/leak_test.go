@@ -45,11 +45,11 @@ func TestTrainIgnoresHeldOutRows(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		base, _, err := core.TrainSet(p, set, 0)
+		base, _, err := core.TrainSet(p, set)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := core.TrainSet(p, poisoned, 0)
+		got, _, err := core.TrainSet(p, poisoned)
 		if err != nil {
 			t.Fatal(err)
 		}

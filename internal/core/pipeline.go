@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"repro/internal/dataset"
@@ -42,7 +43,7 @@ func PrepareFrame(f *dataset.Frame, tickets *ticket.Store, cfg Config) (*Prepare
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 
 	if cfg.Vendor != "" {
 		f = f.FilterVendor(cfg.Vendor)
@@ -82,6 +83,37 @@ func PrepareFrame(f *dataset.Frame, tickets *ticket.Store, cfg Config) (*Prepare
 	}
 	p.Extractor = ext
 	return p, nil
+}
+
+// With returns a Prepared for cfg that shares p's frame, labels and
+// preparation stats, so one preparation serves every feature group and
+// modelling knob. cfg may differ from p.Config only in fields the data
+// stages ignore (Group, Algorithm, NegativeRatio, PositiveWindowDays,
+// RandomSegmentation, FixedThreshold, TrainFrac, CVFolds, SeqLen, Bins,
+// Seed, Workers, Registries); configs are compared after defaulting. A
+// change to Vendor, GapPolicy, SkipClean, SkipCumulate or Theta is an
+// error: it needs its own PrepareFrame. The extractor is shared unless
+// the group or the firmware registries change.
+func (p *Prepared) With(cfg Config) (*Prepared, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.WithDefaults()
+	was := p.Config
+	if cfg.Vendor != was.Vendor || cfg.GapPolicy != was.GapPolicy || cfg.SkipClean != was.SkipClean ||
+		cfg.SkipCumulate != was.SkipCumulate || cfg.Theta != was.Theta {
+		return nil, fmt.Errorf("core: config changes the preparation (vendor, gap policy, clean, cumulate or θ); prepare it anew")
+	}
+	q := *p
+	q.Config = cfg
+	if cfg.Group != was.Group || !maps.Equal(cfg.Registries, was.Registries) {
+		ext, err := features.NewExtractor(cfg.Group, cfg.Registries)
+		if err != nil {
+			return nil, err
+		}
+		q.Extractor = ext
+	}
+	return &q, nil
 }
 
 // BuildSampleSet extracts the labelled samples appropriate for the
@@ -155,13 +187,23 @@ func Train(p *Prepared) (*Model, *TrainReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return trainSet(p, set, time.Since(start))
+	sampleTime := time.Since(start)
+	m, report, err := TrainSet(p, set)
+	if err != nil {
+		return nil, nil, err
+	}
+	report.SampleTime = sampleTime
+	return m, report, nil
 }
 
-// trainSet is Train's modelling stages on the extracted sample set.
-func trainSet(p *Prepared, set *ml.SampleSet, sampleTime time.Duration) (*Model, *TrainReport, error) {
+// TrainSet is Train's modelling stages on an already-extracted sample
+// set: set must be what p.BuildSampleSet returns, and may be shared
+// with other trainings on the same preparation, group, positive window
+// and sample shape — training only takes views of it. The report's
+// SampleTime is zero.
+func TrainSet(p *Prepared, set *ml.SampleSet) (*Model, *TrainReport, error) {
 	cfg := p.Config
-	report := &TrainReport{Prepared: p, SampleTime: sampleTime}
+	report := &TrainReport{Prepared: p}
 
 	var train, test ml.View
 	if cfg.RandomSegmentation {

@@ -57,15 +57,16 @@ func (c *Context) runVariant(setting string, mutate func(*core.Config)) (Ablatio
 	return c.runVariantOn(f, c.Fleet.Tickets, setting, mutate)
 }
 
-// runVariantOn trains one pipeline variant against an explicit fleet.
+// runVariantOn trains one pipeline variant against an explicit fleet,
+// through the context's caches.
 func (c *Context) runVariantOn(f *dataset.Frame, tickets *ticket.Store, setting string, mutate func(*core.Config)) (AblationRow, error) {
 	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
 	mutate(&cfg)
-	_, rep, err := core.TrainOnFrame(f, tickets, cfg)
+	r, err := c.train(f, tickets, cfg)
 	if err != nil {
 		return AblationRow{}, fmt.Errorf("experiments: variant %s: %w", setting, err)
 	}
-	return AblationRow{Setting: setting, TPR: rep.Eval.TPR(), FPR: rep.Eval.FPR(), AUC: rep.Eval.AUC}, nil
+	return AblationRow{Setting: setting, TPR: r.eval.TPR(), FPR: r.eval.FPR(), AUC: r.eval.AUC}, nil
 }
 
 // thetaFleet simulates (once) a fleet with heavy ticket delays and

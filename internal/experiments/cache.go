@@ -1,0 +1,162 @@
+package experiments
+
+import (
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/features"
+	"repro/internal/ml"
+	"repro/internal/ticket"
+)
+
+// prepKey identifies one PrepareFrame result: the fleet frame and the
+// defaulted preparation fields of core.Config.
+type prepKey struct {
+	fleet        *dataset.Frame
+	vendor       string
+	gaps         dataset.GapPolicy
+	skipClean    bool
+	skipCumulate bool
+	theta        int
+}
+
+func prepKeyOf(f *dataset.Frame, cfg core.Config) prepKey {
+	cfg = cfg.WithDefaults()
+	return prepKey{fleet: f, vendor: cfg.Vendor, gaps: cfg.GapPolicy, skipClean: cfg.SkipClean, skipCumulate: cfg.SkipCumulate, theta: cfg.Theta}
+}
+
+// modelKey identifies one trained model: the fleet frame and the
+// defaulted config, printed field by field, with the fields that cannot
+// change results cleared:
+//   - Workers: every parallel stage merges in a fixed order;
+//   - Registries: a context passes its own registries to every config.
+//
+// Printing the whole config puts any field added to core.Config in the
+// key without further work.
+type modelKey struct {
+	fleet *dataset.Frame
+	cfg   string
+}
+
+func modelKeyOf(f *dataset.Frame, cfg core.Config) modelKey {
+	cfg = cfg.WithDefaults()
+	cfg.Workers = 0
+	cfg.Registries = nil
+	return modelKey{fleet: f, cfg: fmt.Sprintf("%+v", cfg)}
+}
+
+// preparation is one PrepareFrame result and its per-group views,
+// which share its frame and labels.
+type preparation struct {
+	base   *core.Prepared
+	groups map[features.Group]*core.Prepared
+}
+
+// group returns (deriving once) the preparation's view for group g.
+func (pr *preparation) group(g features.Group) (*core.Prepared, error) {
+	if p, ok := pr.groups[g]; ok {
+		return p, nil
+	}
+	cfg := pr.base.Config
+	cfg.Group = g
+	p, err := pr.base.With(cfg)
+	if err != nil {
+		return nil, err
+	}
+	pr.groups[g] = p
+	return p, nil
+}
+
+// sharesPreparation reports whether cfg on fleet f is a view of the
+// shared preparation: vendor I's default preparation of the context
+// fleet, which most model studies start from.
+func (c *Context) sharesPreparation(f *dataset.Frame, cfg core.Config) bool {
+	return prepKeyOf(f, cfg) == prepKeyOf(c.frame, c.PipelineConfig(primaryVendor, features.GroupSFWB))
+}
+
+// prepared returns a Prepared for cfg on the fleet (f, tickets): a view
+// of the shared preparation when cfg keeps its preparation fields, a
+// fresh preparation otherwise.
+func (c *Context) prepared(f *dataset.Frame, tickets *ticket.Store, cfg core.Config) (*core.Prepared, error) {
+	if !c.sharesPreparation(f, cfg) {
+		return c.prepareOn(f, tickets, cfg)
+	}
+	p, err := c.Prepared(cfg.Vendor, cfg.Group)
+	if err != nil {
+		return nil, err
+	}
+	return p.With(cfg)
+}
+
+// keepsSet reports whether p's sample set stays cached: a flat set at
+// the default positive window on the shared preparation, of a group
+// several experiments read — SFWB, the MFPA pool, or S, the SMART
+// baselines'. Within those, the group alone tells sets apart.
+func (c *Context) keepsSet(p *core.Prepared) bool {
+	if c.shared == nil || p.Frame != c.shared.base.Frame || p.Config.Algorithm.Sequential() ||
+		p.Config.PositiveWindowDays != c.shared.base.Config.PositiveWindowDays {
+		return false
+	}
+	return p.Config.Group == features.GroupSFWB || p.Config.Group == features.GroupS
+}
+
+// sampleSet returns p's sample set, built on first use; only the sets
+// keepsSet selects are kept.
+func (c *Context) sampleSet(p *core.Prepared) (*ml.SampleSet, error) {
+	keep := c.keepsSet(p)
+	if s, ok := c.sets[p.Config.Group]; ok && keep {
+		return s, nil
+	}
+	s, err := p.BuildSampleSet()
+	if err != nil {
+		return nil, err
+	}
+	if keep {
+		c.sets[p.Config.Group] = s
+	}
+	return s, nil
+}
+
+// fit is what the model memo keeps of one training: the model and its
+// held-out evaluation. It never keeps the TrainReport, whose test view
+// would pin the sample set.
+type fit struct {
+	model *core.Model
+	eval  core.Evaluation
+}
+
+// train returns cfg's model on the fleet (f, tickets) and its held-out
+// evaluation, training only the first time the context meets the
+// config.
+func (c *Context) train(f *dataset.Frame, tickets *ticket.Store, cfg core.Config) (fit, error) {
+	key := modelKeyOf(f, cfg)
+	if r, ok := c.models[key]; ok {
+		return r, nil
+	}
+	p, err := c.prepared(f, tickets, cfg)
+	if err != nil {
+		return fit{}, err
+	}
+	set, err := c.sampleSet(p)
+	if err != nil {
+		return fit{}, err
+	}
+	m, rep, err := core.TrainSet(p, set)
+	if err != nil {
+		return fit{}, err
+	}
+	r := fit{model: m, eval: rep.Eval}
+	c.models[key] = r
+	c.work.trained = append(c.work.trained, p.Config)
+	return r, nil
+}
+
+// trainFleet is train on the context fleet.
+func (c *Context) trainFleet(cfg core.Config) (fit, error) {
+	f, err := c.FleetFrame()
+	if err != nil {
+		return fit{}, err
+	}
+	return c.train(f, c.Fleet.Tickets, cfg)
+}

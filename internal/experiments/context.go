@@ -19,10 +19,33 @@ import (
 	"repro/internal/ml"
 	"repro/internal/sampling"
 	"repro/internal/simfleet"
+	"repro/internal/ticket"
 )
 
-// Context owns the simulated fleets and caches the expensive shared
-// stages (preparation, sample building) across experiments.
+// Context owns the simulated fleets and three caches that let the
+// experiments share work the way the paper's evaluation does: one
+// preprocessed vendor-I dataset, then only the feature group or a
+// modelling knob changes.
+//
+// Each cache keeps only what several experiments read:
+//
+//   - Preparation (clean, cumulate, label): vendor I's default
+//     preparation of the context fleet runs once, and every feature
+//     group and modelling knob is a core.(*Prepared).With view of it.
+//     A config is such a view when its fleet, vendor and preparation
+//     fields (gap policy, clean, cumulate, θ) match after defaulting.
+//     Any other preparation — another vendor, gap policy, no cleaning,
+//     daily counters, the θ fleet — is built for its one use and
+//     dropped.
+//   - Sample sets: the shared preparation's flat SFWB and S sets at the
+//     default positive window are built once. Every other set is built
+//     for its one training and dropped.
+//   - Trained models are keyed by fleet and the defaulted config minus
+//     Workers and Registries, which never change results within a
+//     context. The memo keeps each model and its held-out evaluation,
+//     never a TrainReport's test view, so it pins no sample set.
+//
+// Fig20 bypasses the caches: it reports what preparation costs.
 type Context struct {
 	// Cfg is the fleet configuration of the headline experiments.
 	Cfg simfleet.Config
@@ -44,11 +67,21 @@ type Context struct {
 	slowTicketFleet *simfleet.FrameResult
 
 	// frame is the fleet telemetry in columnar form, converted lazily;
-	// Prepared runs the fused frame pipeline on it.
+	// every preparation of the context fleet runs on it.
 	frame *dataset.Frame
 
-	prepCache map[string]*core.Prepared
-	setCache  map[string]*ml.SampleSet
+	shared *preparation
+	sets   map[features.Group]*ml.SampleSet
+	models map[modelKey]fit
+	work   work
+}
+
+// work counts the stages the caches exist to avoid; tests read it.
+type work struct {
+	// prepares counts PrepareFrame runs per vendor.
+	prepares map[string]int
+	// trained lists the config of every model trained, in order.
+	trained []core.Config
 }
 
 // NewContext simulates the default experiment fleet. failureScale
@@ -72,8 +105,9 @@ func NewContextWith(cfg simfleet.Config) (*Context, error) {
 		Fleet:      fleet,
 		Registries: make(map[string]*firmware.Registry),
 		Workers:    cfg.Workers,
-		prepCache:  make(map[string]*core.Prepared),
-		setCache:   make(map[string]*ml.SampleSet),
+		sets:       make(map[features.Group]*ml.SampleSet),
+		models:     make(map[modelKey]fit),
+		work:       work{prepares: make(map[string]int)},
 	}
 	for _, v := range fleet.Config.Vendors {
 		c.Registries[v.Name] = v.Firmware
@@ -92,23 +126,28 @@ func (c *Context) PipelineConfig(vendor string, group features.Group) core.Confi
 	return cfg
 }
 
-// Prepared returns (caching) the prepared pipeline for a
-// vendor/feature-group pair. The cache key includes the group because
-// Prepared embeds its extractor, so each group runs and keeps its own
-// preparation (clean, cumulate, label) even though those stages do not
-// depend on the group. Callers that go through the uncached prepare,
-// such as Fig9 once per group, prepare again on every call.
+// Prepared returns vendor's default preparation of the context fleet
+// with group's extractor. Vendor I's is the shared preparation: it runs
+// once, every group's Prepared shares its frame and labels, and
+// repeated calls return the same *core.Prepared. Another vendor is
+// prepared anew on each call.
 func (c *Context) Prepared(vendor string, group features.Group) (*core.Prepared, error) {
-	key := vendor + "/" + group.String()
-	if p, ok := c.prepCache[key]; ok {
-		return p, nil
-	}
-	p, err := c.prepare(c.PipelineConfig(vendor, group))
+	f, err := c.FleetFrame()
 	if err != nil {
 		return nil, err
 	}
-	c.prepCache[key] = p
-	return p, nil
+	cfg := c.PipelineConfig(vendor, group)
+	if !c.sharesPreparation(f, cfg) {
+		return c.prepareOn(f, c.Fleet.Tickets, cfg)
+	}
+	if c.shared == nil {
+		p, err := c.prepareOn(f, c.Fleet.Tickets, cfg)
+		if err != nil {
+			return nil, err
+		}
+		c.shared = &preparation{base: p, groups: map[features.Group]*core.Prepared{group: p}}
+	}
+	return c.shared.group(group)
 }
 
 // prepare runs the data stages on the context fleet, uncached.
@@ -117,7 +156,13 @@ func (c *Context) prepare(cfg core.Config) (*core.Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.PrepareFrame(f, c.Fleet.Tickets, cfg)
+	return c.prepareOn(f, c.Fleet.Tickets, cfg)
+}
+
+// prepareOn runs the data stages on an explicit fleet, uncached.
+func (c *Context) prepareOn(f *dataset.Frame, tickets *ticket.Store, cfg core.Config) (*core.Prepared, error) {
+	c.work.prepares[cfg.Vendor]++
+	return core.PrepareFrame(f, tickets, cfg)
 }
 
 // FleetFrame returns (converting once) the fleet telemetry as a
@@ -134,29 +179,24 @@ func (c *Context) FleetFrame() (*dataset.Frame, error) {
 	return f, nil
 }
 
-// SampleSet returns (caching) the columnar sample set of a vendor/group
-// pair. The set is shared by every experiment that splits it into
-// views, so extraction happens at most once per vendor/group for the
-// whole report run.
+// SampleSet returns the flat sample set of vendor/group on the default
+// preparation, with the Prepared it was built from. Vendor I's SFWB and
+// S sets are built once per context; any other set is built anew on
+// each call.
 func (c *Context) SampleSet(vendor string, group features.Group) (*ml.SampleSet, *core.Prepared, error) {
-	key := vendor + "/" + group.String()
 	p, err := c.Prepared(vendor, group)
 	if err != nil {
 		return nil, nil, err
 	}
-	if s, ok := c.setCache[key]; ok {
-		return s, p, nil
-	}
-	s, err := p.BuildSampleSet()
+	s, err := c.sampleSet(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	c.setCache[key] = s
 	return s, p, nil
 }
 
 // SplitSet returns the chronological train/test split of a vendor/group
-// as zero-copy views of the shared sample set.
+// as zero-copy views of its sample set.
 func (c *Context) SplitSet(vendor string, group features.Group) (train, test ml.View, p *core.Prepared, err error) {
 	set, p, err := c.SampleSet(vendor, group)
 	if err != nil {

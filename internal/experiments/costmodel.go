@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/ml"
 	"repro/internal/ml/metrics"
@@ -43,16 +42,17 @@ type CostResult struct {
 // CostStudy trains the standard vendor-I model once and sweeps three
 // cost regimes over its test ROC.
 func (c *Context) CostStudy() (*CostResult, error) {
-	p, err := c.Prepared(primaryVendor, features.GroupSFWB)
+	r, err := c.trainFleet(c.PipelineConfig(primaryVendor, features.GroupSFWB))
 	if err != nil {
 		return nil, err
 	}
-	m, rep, err := core.Train(p)
+	// The model's held-out rows: the chronological test split of the
+	// shared SFWB set.
+	_, test, _, err := c.SplitSet(primaryVendor, features.GroupSFWB)
 	if err != nil {
 		return nil, err
 	}
-
-	test := rep.Test
+	m := r.model
 	scores := ml.BatchScoresView(m.Classifier, test, 0)
 	labels := make([]int, test.Len())
 	for i := range labels {

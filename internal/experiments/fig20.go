@@ -37,7 +37,9 @@ const recordBytes = (16+9+22)*8 + 64
 // sampleBytes approximates one extracted sample (width-45 SFWB vector).
 const sampleBytes = 45*8 + 48
 
-// Fig20 instruments a full pipeline run on vendor I.
+// Fig20 instruments a full pipeline run on vendor I. It prepares and
+// trains afresh, past the context's caches, because preparation and
+// sample construction are the costs it reports.
 func (c *Context) Fig20() (*Fig20Result, error) {
 	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
 	p, err := c.prepare(cfg)

@@ -26,17 +26,17 @@ type MetricRow struct {
 	Threshold float64
 }
 
-func metricRow(name string, rep *core.TrainReport, m *core.Model) MetricRow {
+func metricRow(name string, r fit) MetricRow {
 	return MetricRow{
 		Name:      name,
-		TPR:       rep.Eval.TPR(),
-		FPR:       rep.Eval.FPR(),
-		ACC:       rep.Eval.Accuracy(),
-		AUC:       rep.Eval.AUC,
-		PDR:       rep.Eval.PDR(),
-		DriveTPR:  rep.Eval.DriveConfusion.TPR(),
-		DriveFPR:  rep.Eval.DriveConfusion.FPR(),
-		Threshold: m.Threshold,
+		TPR:       r.eval.TPR(),
+		FPR:       r.eval.FPR(),
+		ACC:       r.eval.Accuracy(),
+		AUC:       r.eval.AUC,
+		PDR:       r.eval.PDR(),
+		DriveTPR:  r.eval.DriveConfusion.TPR(),
+		DriveFPR:  r.eval.DriveConfusion.FPR(),
+		Threshold: r.model.Threshold,
 	}
 }
 
@@ -59,16 +59,11 @@ type Fig9Result struct {
 func (c *Context) Fig9() (*Fig9Result, error) {
 	res := &Fig9Result{}
 	for _, g := range features.AllGroups() {
-		cfg := c.PipelineConfig(primaryVendor, g)
-		p, err := c.prepare(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m, rep, err := core.Train(p)
+		r, err := c.trainFleet(c.PipelineConfig(primaryVendor, g))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: group %s: %w", g, err)
 		}
-		res.Rows = append(res.Rows, metricRow(g.String(), rep, m))
+		res.Rows = append(res.Rows, metricRow(g.String(), r))
 	}
 	return res, nil
 }
@@ -101,15 +96,11 @@ func (c *Context) Fig10() (*Fig10Result, error) {
 	for _, algo := range core.Algorithms() {
 		cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
 		cfg.Algorithm = algo
-		p, err := c.prepare(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m, rep, err := core.Train(p)
+		r, err := c.trainFleet(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: algorithm %s: %w", algo, err)
 		}
-		res.Rows = append(res.Rows, metricRow(string(algo), rep, m))
+		res.Rows = append(res.Rows, metricRow(string(algo), r))
 	}
 	return res, nil
 }
@@ -144,16 +135,11 @@ func (c *Context) Fig11() (*Fig11Result, error) {
 	res := &Fig11Result{Failures: make(map[string]int)}
 	for _, st := range c.Fleet.Stats {
 		res.Failures[st.Name] = st.Failures
-		cfg := c.PipelineConfig(st.Name, features.GroupSFWB)
-		p, err := c.prepare(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m, rep, err := core.Train(p)
+		r, err := c.trainFleet(c.PipelineConfig(st.Name, features.GroupSFWB))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: vendor %s: %w", st.Name, err)
 		}
-		res.Rows = append(res.Rows, metricRow(st.Name, rep, m))
+		res.Rows = append(res.Rows, metricRow(st.Name, r))
 	}
 	return res, nil
 }

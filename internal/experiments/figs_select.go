@@ -69,16 +69,11 @@ func (c *Context) Fig18() (*Fig18Result, error) {
 	res := &Fig18Result{}
 
 	// MFPA (RF on SFWB with the full pipeline).
-	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
-	p, err := c.prepare(cfg)
+	mfpa, err := c.trainFleet(c.PipelineConfig(primaryVendor, features.GroupSFWB))
 	if err != nil {
 		return nil, err
 	}
-	m, rep, err := core.Train(p)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, metricRow("MFPA (SFWB+RF)", rep, m))
+	res.Rows = append(res.Rows, metricRow("MFPA (SFWB+RF)", mfpa))
 
 	// The vendor threshold detector needs no training; evaluate on the
 	// S-group test records.
@@ -158,15 +153,15 @@ type Fig19Result struct {
 // Fig19 trains the standard model and probes positives at increasing
 // distance from failure.
 func (c *Context) Fig19() (*Fig19Result, error) {
-	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
-	p, err := c.prepare(cfg)
+	r, err := c.trainFleet(c.PipelineConfig(primaryVendor, features.GroupSFWB))
 	if err != nil {
 		return nil, err
 	}
-	m, _, err := core.Train(p)
+	p, err := c.Prepared(primaryVendor, features.GroupSFWB)
 	if err != nil {
 		return nil, err
 	}
+	m := r.model
 	res := &Fig19Result{}
 	for n := 1; n <= 21; n += 2 {
 		pos := features.PositiveSamplesAt(p.Frame, p.Labels, p.Extractor, n, 1)
