@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race chaos fuzz verify bench report report-untimed
+.PHONY: build test vet lint race chaos fuzz verify bench report report-untimed loc
 
 build:
 	$(GO) build ./...
@@ -73,3 +73,16 @@ report-untimed:
 		fig20 && /^-/ { next } \
 		fig20 { split($$0, c, /  +/); sub(/^\([0-9]+ /, "(N ", c[4]); print c[1] "  " c[2] "  " c[4]; next } \
 		{ print }'
+
+# loc prints the Go line counts the roadmap's gates quote, all outside
+# bench/: non-test code (test-support packages excluded), the
+# test-support packages only _test.go files import (internal/ml/mltest),
+# and _test.go files.
+TEST_SUPPORT := ./internal/ml/mltest
+loc:
+	@printf '%-40s %7d\n' 'non-test Go (outside bench/):' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '$(TEST_SUPPORT)/*' -exec cat {} + | wc -l)
+	@printf '%-40s %7d\n' 'test support ($(TEST_SUPPORT)):' \
+		$$(find $(TEST_SUPPORT) -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	@printf '%-40s %7d\n' '_test.go (outside bench/):' \
+		$$(find . -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)

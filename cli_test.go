@@ -93,3 +93,19 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("list output: %s", out)
 	}
 }
+
+// TestCLIRejectsNegativeBins: mfpatrain refuses a negative -bins before
+// it simulates or reads anything, naming the flag.
+func TestCLIRejectsNegativeBins(t *testing.T) {
+	train := buildCmd(t, t.TempDir(), "mfpatrain")
+	out, err := exec.Command(train, "-bins", "-1", "-scale", "0.01").CombinedOutput()
+	if err == nil {
+		t.Fatalf("-bins -1 accepted:\n%s", out)
+	}
+	if !strings.Contains(string(out), "-bins") {
+		t.Fatalf("error does not name the flag:\n%s", out)
+	}
+	if strings.Contains(string(out), "simulated fleet") {
+		t.Fatalf("simulated a fleet before rejecting the flag:\n%s", out)
+	}
+}

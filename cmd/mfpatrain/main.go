@@ -46,11 +46,14 @@ func main() {
 		ratio       = flag.Float64("ratio", 3, "negative under-sampling ratio")
 		savePath    = flag.String("save", "", "write the trained model envelope to this path (optional)")
 		workers     = flag.Int("workers", 0, "worker goroutines for simulation and pipeline stages (0 = GOMAXPROCS, 1 = serial; output is identical)")
-		bins        = flag.Int("bins", 0, "histogram training engine bin budget for RF/GBDT (0 = 256, max 256, negative = exact sort-based splitter)")
+		bins        = flag.Int("bins", 0, "histogram training engine bin budget for RF/GBDT (0 = 256, max 256)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
 		memprofile  = flag.String("memprofile", "", "write a heap profile taken after training to this path")
 	)
 	flag.Parse()
+	if *bins < 0 {
+		log.Fatalf("-bins %d: the bin budget must be 0..256 (0 = 256)", *bins)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

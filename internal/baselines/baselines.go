@@ -9,7 +9,6 @@ package baselines
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/features"
 	"repro/internal/ml"
@@ -63,7 +62,7 @@ func All() []Baseline {
 			Citation: "Jacob et al., SC'19 — SSD failures in the field (error-log features)",
 			// The SC'19 models consume drive error logs only; our
 			// closest projection is the SMART error/reliability subset,
-			// which the Mask below selects from the S group.
+			// which errorLogRF selects from the S group.
 			Group:      features.GroupS,
 			NewTrainer: func(seed int64) ml.Trainer { return &errorLogRF{seed: seed} },
 		},
@@ -119,70 +118,19 @@ var errorLogFeatures = []int{
 // Name implements ml.Trainer.
 func (t *errorLogRF) Name() string { return "ErrorLog-RF" }
 
-// Train implements ml.Trainer.
-func (t *errorLogRF) Train(samples []ml.Sample) (ml.Classifier, error) {
-	if err := ml.ValidateSamples(samples, true); err != nil {
+// Train implements ml.Trainer: a forest on the view's error-log
+// columns. The forest re-indexes its splits to global features, so the
+// model scores full-width rows directly.
+func (t *errorLogRF) Train(v ml.View) (ml.Classifier, error) {
+	if err := ml.ValidateView(v, true); err != nil {
 		return nil, err
 	}
-	if len(samples[0].X) < smartattr.Count {
-		return nil, fmt.Errorf("baselines: error-log model needs the SMART block, width %d", len(samples[0].X))
+	if v.Cols() != nil {
+		return nil, fmt.Errorf("baselines: error-log model needs a full-width view")
+	}
+	if v.Width() < smartattr.Count {
+		return nil, fmt.Errorf("baselines: error-log model needs the SMART block, width %d", v.Width())
 	}
 	inner := &forest.Trainer{Trees: 100, MaxDepth: 10, Seed: t.seed}
-	clf, err := inner.Train(features.Mask(samples, errorLogFeatures))
-	if err != nil {
-		return nil, err
-	}
-	return newMaskedClassifier(clf, errorLogFeatures), nil
-}
-
-// maskedClassifier projects inputs onto a precomputed feature subset
-// before delegating. It implements both ml.Classifier and
-// ml.BatchClassifier, so masked baselines ride the inner model's
-// flattened batch kernel instead of paying a projection allocation per
-// scored row.
-type maskedClassifier struct {
-	inner ml.Classifier
-	keep  []int
-	// scratch recycles per-row projection buffers. Prediction must stay
-	// safe for concurrent use (ml.ScoreBatch fans rows across
-	// goroutines), so the buffer is pooled rather than shared.
-	scratch sync.Pool
-}
-
-func newMaskedClassifier(inner ml.Classifier, keep []int) *maskedClassifier {
-	return &maskedClassifier{inner: inner, keep: keep}
-}
-
-// PredictProba implements ml.Classifier.
-func (m *maskedClassifier) PredictProba(x []float64) float64 {
-	bp, _ := m.scratch.Get().(*[]float64)
-	if bp == nil {
-		buf := make([]float64, len(m.keep))
-		bp = &buf
-	}
-	sub := *bp
-	for i, idx := range m.keep {
-		sub[i] = x[idx]
-	}
-	p := m.inner.PredictProba(sub)
-	m.scratch.Put(bp)
-	return p
-}
-
-// PredictProbaBatch implements ml.BatchClassifier: every row is
-// projected into one contiguous matrix, then the inner model scores it
-// through its fastest path. Scores are identical to per-row
-// PredictProba at any worker count.
-func (m *maskedClassifier) PredictProbaBatch(xs [][]float64, out []float64, workers int) {
-	k := len(m.keep)
-	backing := make([]float64, len(xs)*k)
-	sub := make([][]float64, len(xs))
-	for r, x := range xs {
-		row := backing[r*k : (r+1)*k : (r+1)*k]
-		for i, idx := range m.keep {
-			row[i] = x[idx]
-		}
-		sub[r] = row
-	}
-	ml.ScoreBatch(m.inner, sub, out, workers)
+	return inner.Train(v.WithCols(errorLogFeatures))
 }

@@ -1,10 +1,13 @@
 package baselines
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/forest"
+	"repro/internal/ml/mltest"
 	"repro/internal/smartattr"
 )
 
@@ -62,7 +65,7 @@ func TestAllBaselinesTrainAndScore(t *testing.T) {
 		if b.Name == "" || b.Citation == "" {
 			t.Errorf("baseline missing metadata: %+v", b)
 		}
-		clf, err := b.NewTrainer(1).Train(samples)
+		clf, err := b.NewTrainer(1).Train(mltest.View(samples))
 		if err != nil {
 			t.Errorf("baseline %s: %v", b.Name, err)
 			continue
@@ -84,55 +87,72 @@ func TestErrorLogRFRejectsNarrowVectors(t *testing.T) {
 		{X: []float64{1, 2}, Y: 0},
 		{X: []float64{3, 4}, Y: 1},
 	}
-	if _, err := (&errorLogRF{}).Train(samples); err == nil {
+	if _, err := (&errorLogRF{}).Train(mltest.View(samples)); err == nil {
 		t.Fatal("narrow vectors accepted")
 	}
 }
 
-func TestMaskedClassifierProjection(t *testing.T) {
-	inner := probe{}
-	mc := &maskedClassifier{inner: inner, keep: []int{2}}
-	if got := mc.PredictProba([]float64{0, 0, 0.7}); got != 0.7 {
-		t.Fatalf("projection = %g, want 0.7", got)
+// TestErrorLogRFMatchesForestOnErrorLogColumns pins ErrorLog-RF to its
+// definition: a forest trained on a set holding only the five
+// error-log columns scores the masked rows exactly as ErrorLog-RF
+// scores the full rows, per row and through the batch kernel.
+func TestErrorLogRFMatchesForestOnErrorLogColumns(t *testing.T) {
+	cols := []int{
+		smartattr.CriticalWarning.Index(),
+		smartattr.AvailableSpare.Index(),
+		smartattr.UnsafeShutdowns.Index(),
+		smartattr.MediaErrors.Index(),
+		smartattr.ErrorLogEntries.Index(),
 	}
-}
-
-// probe echoes its first input as the probability.
-type probe struct{}
-
-func (probe) PredictProba(x []float64) float64 { return x[0] }
-
-func TestMaskedClassifierBatchMatchesPerRow(t *testing.T) {
-	mc := newMaskedClassifier(probe{}, []int{2, 0})
-	xs := [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
-	want := make([]float64, len(xs))
-	for i, x := range xs {
-		want[i] = mc.PredictProba(x)
+	r := rand.New(rand.NewSource(3))
+	var full, masked []ml.Sample
+	for i := 0; i < 400; i++ {
+		x := make([]float64, smartattr.Count)
+		for j := range x {
+			x[j] = r.NormFloat64() * 100
+		}
+		y := 0
+		if x[smartattr.MediaErrors.Index()]+x[smartattr.ErrorLogEntries.Index()]/2 > 40 {
+			y = 1
+		}
+		m := make([]float64, len(cols))
+		for j, c := range cols {
+			m[j] = x[c]
+		}
+		full = append(full, ml.Sample{X: x, Y: y, Day: i, SN: "sn"})
+		masked = append(masked, ml.Sample{X: m, Y: y, Day: i, SN: "sn"})
 	}
-	for _, workers := range []int{1, 0} {
-		out := make([]float64, len(xs))
-		mc.PredictProbaBatch(xs, out, workers)
-		for i := range out {
-			if out[i] != want[i] {
-				t.Fatalf("workers=%d row %d: batch %v != per-row %v", workers, i, out[i], want[i])
-			}
+	var errorLog Baseline
+	for _, b := range All() {
+		if b.Name == "ErrorLog-RF" {
+			errorLog = b
 		}
 	}
-	var _ ml.BatchClassifier = mc
-}
-
-func TestMaskedClassifierConcurrentScoring(t *testing.T) {
-	// The pooled scratch buffer must keep prediction safe for the
-	// concurrent fan-out ml.BatchScores performs.
-	mc := newMaskedClassifier(probe{}, []int{1})
-	samples := make([]ml.Sample, 500)
-	for i := range samples {
-		samples[i] = ml.Sample{X: []float64{0, float64(i), 0}}
+	fullSet, err := ml.FromSamples(full)
+	if err != nil {
+		t.Fatal(err)
 	}
-	scores := ml.BatchScores(mc, samples, 0)
-	for i := range scores {
-		if scores[i] != float64(i) {
-			t.Fatalf("row %d: %v", i, scores[i])
+	maskedSet, err := ml.FromSamples(masked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := errorLog.NewTrainer(5).Train(fullSet.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := (&forest.Trainer{Trees: 100, MaxDepth: 10, Seed: 5}).Train(maskedSet.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBatch := ml.BatchScoresView(got, fullSet.All(), 0)
+	wantBatch := ml.BatchScoresView(want, maskedSet.All(), 0)
+	for i := range full {
+		g, w := got.PredictProba(full[i].X), want.PredictProba(masked[i].X)
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("row %d: ErrorLog-RF %v, forest on error-log columns %v", i, g, w)
+		}
+		if math.Float64bits(gotBatch[i]) != math.Float64bits(wantBatch[i]) || math.Float64bits(gotBatch[i]) != math.Float64bits(g) {
+			t.Fatalf("row %d: batch scores %v / %v, per-row %v", i, gotBatch[i], wantBatch[i], g)
 		}
 	}
 }

@@ -44,9 +44,8 @@ func (a Algorithm) Sequential() bool { return a == AlgoCNNLSTM }
 // newTrainer instantiates the algorithm with the repository's default
 // hyper-parameters (chosen by the grid-search experiment). width and
 // seqLen parameterise the CNN_LSTM input shape; workers bounds the
-// training parallelism of the ensemble learners; bins selects the
-// tree ensembles' histogram split engine (0 = 256 bins, negative =
-// exact sort-based splitter).
+// training parallelism of the ensemble learners; bins is the tree
+// ensembles' histogram bin budget (0 = 256 bins).
 func (a Algorithm) newTrainer(seed int64, width, seqLen, workers, bins int) (ml.Trainer, error) {
 	switch a {
 	case AlgoBayes:
@@ -127,9 +126,9 @@ type Config struct {
 	// order and draws randomness from pre-assigned seeds.
 	Workers int
 	// Bins is the per-feature bin budget of the histogram training
-	// engine behind the tree ensembles (RF, GBDT): 0 selects 256 (the
-	// default engine), positive values are clamped to at most 256, and
-	// any negative value falls back to the exact sort-based splitter.
+	// engine behind the tree ensembles (RF, GBDT): 0 selects 256,
+	// positive values are clamped to at most 256, and a negative value
+	// fails validation.
 	// Each fit bins only its own training rows. Binning quantises split
 	// thresholds but leaves them exact while those rows have no more
 	// distinct values per feature than bins.
@@ -195,6 +194,9 @@ func (c Config) Validate() error {
 	}
 	if c.Theta < 0 {
 		return fmt.Errorf("core: Theta %d must be ≥ 0", c.Theta)
+	}
+	if c.Bins < 0 {
+		return fmt.Errorf("core: Bins %d must be ≥ 0 (0 = 256)", c.Bins)
 	}
 	switch c.Algorithm {
 	case AlgoBayes, AlgoSVM, AlgoRF, AlgoGBDT, AlgoCNNLSTM:

@@ -54,6 +54,7 @@ func TestConfigValidate(t *testing.T) {
 		{Group: features.GroupS, PositiveWindowDays: -3},
 		{Group: features.GroupS, Theta: -1},
 		{Group: features.GroupS, Algorithm: "nope"},
+		{Group: features.GroupS, Bins: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/mltest"
 	"repro/internal/sampling"
 	"repro/internal/simfleet"
 )
@@ -42,11 +43,11 @@ func TestTrainEvaluatesHeldOutView(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, test := sampling.SplitFractionView(set.All(), p.Config.TrainFrac)
-		held := test.Materialize()
+		held := mltest.Materialize(test)
 		if len(held) == 0 {
 			t.Fatalf("%s: no held-out rows", algo)
 		}
-		_, pos := ml.ClassCounts(held)
+		_, pos := classCounts(held)
 		if rep.TestSamples != len(held) || rep.TestPos != pos {
 			t.Fatalf("%s: report has %d test rows (%d positive), held-out set %d (%d)",
 				algo, rep.TestSamples, rep.TestPos, len(held), pos)
@@ -77,7 +78,7 @@ func TestEvaluateViewMatchesSlice(t *testing.T) {
 		"row-subset": set.All().WithRows(subset),
 	} {
 		sameEvaluation(t, name, EvaluateSamplesAt(m.Classifier, v, m.Threshold),
-			evaluateSamplesAt(m.Classifier, v.Materialize(), m.Threshold))
+			evaluateSamplesAt(m.Classifier, mltest.Materialize(v), m.Threshold))
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/ml"
+	"repro/internal/ml/mltest"
 )
 
 // evaluateSamplesAt scores every sample at the given decision threshold
@@ -22,8 +23,20 @@ import (
 // across GOMAXPROCS goroutines; aggregation is serial and in sample
 // order, so the evaluation is identical at any parallelism.
 func evaluateSamplesAt(clf ml.Classifier, samples []ml.Sample, threshold float64) Evaluation {
-	scores := ml.BatchScores(clf, samples, 0)
+	scores := batchScores(clf, samples, 0)
 	return evaluateScores(scores, threshold, func(i int) (int, string) { return samples[i].Y, samples[i].SN })
+}
+
+// batchScores scores every sample with clf through ml.ScoreBatch, in
+// sample order.
+func batchScores(clf ml.Classifier, samples []ml.Sample, workers int) []float64 {
+	xs := make([][]float64, len(samples))
+	for i := range samples {
+		xs[i] = samples[i].X
+	}
+	out := make([]float64, len(samples))
+	ml.ScoreBatch(clf, xs, out, workers)
+	return out
 }
 
 // trainSlices is Train on []ml.Sample slices: the extracted set's rows
@@ -37,7 +50,7 @@ func trainSlices(p *Prepared) (*Model, *TrainReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	samples := set.All().Materialize()
+	samples := mltest.Materialize(set.All())
 	report.SampleTime = time.Since(start)
 
 	var train, test []ml.Sample
@@ -51,13 +64,13 @@ func trainSlices(p *Prepared) (*Model, *TrainReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := ml.ValidateSamples(train, true); err != nil {
-		return nil, nil, fmt.Errorf("core: training set: %w", err)
+	if !bothClasses(train) {
+		return nil, nil, fmt.Errorf("core: training set needs both classes")
 	}
 	report.TrainSamples = len(train)
 	report.TestSamples = len(test)
-	_, report.TrainPos = ml.ClassCounts(train)
-	_, report.TestPos = ml.ClassCounts(test)
+	_, report.TrainPos = classCounts(train)
+	_, report.TestPos = classCounts(test)
 
 	width := p.Extractor.Width()
 	trainer, err := cfg.Algorithm.newTrainer(cfg.Seed, width, cfg.SeqLen, cfg.Workers, cfg.Bins)
@@ -71,7 +84,7 @@ func trainSlices(p *Prepared) (*Model, *TrainReport, error) {
 			threshold = t
 		}
 	}
-	clf, err := trainer.Train(train)
+	clf, err := trainer.Train(mltest.View(train))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -123,11 +136,11 @@ func calibrateThreshold(trainer ml.Trainer, trainFull []ml.Sample, cfg Config) (
 		if !bothClasses(tr) || !bothClasses(fold.Val) {
 			continue
 		}
-		clf, err := trainer.Train(tr)
+		clf, err := trainer.Train(mltest.View(tr))
 		if err != nil {
 			return 0, err
 		}
-		scores = append(scores, ml.BatchScores(clf, fold.Val, cfg.Workers)...)
+		scores = append(scores, batchScores(clf, fold.Val, cfg.Workers)...)
 		for i := range fold.Val {
 			labels = append(labels, fold.Val[i].Y)
 		}
@@ -138,8 +151,20 @@ func calibrateThreshold(trainer ml.Trainer, trainFull []ml.Sample, cfg Config) (
 	return pickThreshold(scores, labels), nil
 }
 
+// classCounts returns the number of negative and positive samples.
+func classCounts(samples []ml.Sample) (neg, pos int) {
+	for i := range samples {
+		if samples[i].Y == 1 {
+			pos++
+		} else {
+			neg++
+		}
+	}
+	return neg, pos
+}
+
 func bothClasses(samples []ml.Sample) bool {
-	neg, pos := ml.ClassCounts(samples)
+	neg, pos := classCounts(samples)
 	return neg > 0 && pos > 0
 }
 
@@ -165,7 +190,7 @@ func underSample(samples []ml.Sample, ratio float64, seed int64) ([]ml.Sample, e
 	if ratio <= 0 {
 		return nil, fmt.Errorf("core: ratio %g must be > 0", ratio)
 	}
-	neg, pos := ml.ClassCounts(samples)
+	neg, pos := classCounts(samples)
 	target := int(float64(pos) * ratio)
 	if pos == 0 || neg <= target {
 		out := make([]ml.Sample, len(samples))

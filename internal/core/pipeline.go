@@ -177,10 +177,9 @@ type TrainReport struct {
 // Samples are extracted once into a shared ml.SampleSet arena, and
 // segmentation, under-sampling, threshold calibration, training, and
 // held-out evaluation all operate on zero-copy row-index views of it.
-// Each fit sees only its own view's rows — the tree ensembles bin the
-// rows they train on, and the other trainers train on the view's
-// materialised rows — so the held-out test period cannot reach the
-// model or its threshold.
+// Each fit reads only its own view's rows — the tree ensembles bin
+// just the rows they train on — so the held-out test period cannot
+// reach the model or its threshold.
 func Train(p *Prepared) (*Model, *TrainReport, error) {
 	start := time.Now()
 	set, err := p.BuildSampleSet()
@@ -237,7 +236,7 @@ func TrainSet(p *Prepared, set *ml.SampleSet) (*Model, *TrainReport, error) {
 			threshold = t
 		}
 	}
-	clf, err := ml.TrainOn(trainer, train)
+	clf, err := trainer.Train(train)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -297,7 +296,7 @@ func calibrateThresholdView(trainer ml.Trainer, trainFull ml.View, cfg Config) (
 	scores := make([]float64, total)
 	labels := make([]int, total)
 	for _, f := range usable {
-		clf, err := ml.TrainOn(trainer, f.train)
+		clf, err := trainer.Train(f.train)
 		if err != nil {
 			return 0, err
 		}

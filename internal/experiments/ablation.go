@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/features"
-	"repro/internal/ml"
 	"repro/internal/ml/forest"
 	"repro/internal/sampling"
 	"repro/internal/simfleet"
@@ -177,7 +176,7 @@ func (c *Context) AblationCrossValidation() (*AblationResult, error) {
 	trainer := &forest.Trainer{Trees: 60, MaxDepth: 12, Seed: p.Config.Seed}
 
 	// Ground truth: train on the full window, evaluate forward.
-	clf, err := ml.TrainOn(trainer, trainUS)
+	clf, err := trainer.Train(trainUS)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +191,7 @@ func (c *Context) AblationCrossValidation() (*AblationResult, error) {
 			if neg == 0 || pos == 0 || negV == 0 || posV == 0 {
 				continue
 			}
-			cl, err := ml.TrainOn(trainer, fold.Train)
+			cl, err := trainer.Train(fold.Train)
 			if err != nil {
 				return 0, err
 			}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/features"
-	"repro/internal/ml"
 	"repro/internal/ml/forest"
 	"repro/internal/sampling"
 )
@@ -223,7 +222,7 @@ func (c *Context) Fig12() (*Fig12Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		clf, err := ml.TrainOn(&forest.Trainer{Trees: 100, MaxDepth: 12, Seed: p.Config.Seed}, trainUS)
+		clf, err := (&forest.Trainer{Trees: 100, MaxDepth: 12, Seed: p.Config.Seed}).Train(trainUS)
 		if err != nil {
 			return nil, err
 		}

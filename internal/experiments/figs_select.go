@@ -6,7 +6,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/features"
-	"repro/internal/ml"
 	"repro/internal/ml/forest"
 	"repro/internal/ml/search"
 	"repro/internal/sampling"
@@ -25,8 +24,8 @@ type Fig17Result struct {
 
 // Fig17 runs SFS with the RF trainer on vendor I's SFWB samples. It
 // rides the view path: every candidate subset is a column sub-view of
-// the once-binned shared arena, so no per-subset masked copies of
-// train and test are made.
+// the shared arena, binned per fit straight from it, so no per-subset
+// masked copies of train and test are made.
 func (c *Context) Fig17() (*Fig17Result, error) {
 	train, test, p, err := c.SplitSet(primaryVendor, features.GroupSFWB)
 	if err != nil {
@@ -105,7 +104,7 @@ func (c *Context) Fig18() (*Fig18Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		clf, err := ml.TrainOn(b.NewTrainer(pb.Config.Seed), trainUS)
+		clf, err := b.NewTrainer(pb.Config.Seed).Train(trainUS)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: baseline %s: %w", b.Name, err)
 		}

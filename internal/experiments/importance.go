@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/features"
-	"repro/internal/ml"
 	"repro/internal/ml/forest"
 	"repro/internal/sampling"
 )
@@ -33,7 +32,7 @@ func (c *Context) Importance() (*ImportanceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	clf, err := ml.TrainOn(&forest.Trainer{Trees: 100, MaxDepth: 12, Seed: p.Config.Seed}, train)
+	clf, err := (&forest.Trainer{Trees: 100, MaxDepth: 12, Seed: p.Config.Seed}).Train(train)
 	if err != nil {
 		return nil, err
 	}

@@ -1,14 +1,12 @@
 package features
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/bsod"
 	"repro/internal/dataset"
 	"repro/internal/firmware"
 	"repro/internal/labeling"
-	"repro/internal/ml"
 	"repro/internal/smartattr"
 	"repro/internal/winevent"
 )
@@ -140,81 +138,6 @@ func TestExtractorUnknownVendorFallback(t *testing.T) {
 	x := e.Extract(r)
 	if x[16] != 1 {
 		t.Fatalf("first-seen firmware code = %g, want 1", x[16])
-	}
-}
-
-func TestScaler(t *testing.T) {
-	samples := []ml.Sample{
-		{X: []float64{1, 100}, Y: 0},
-		{X: []float64{3, 300}, Y: 1},
-	}
-	s, err := FitScaler(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.Transform(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mean 0, unit variance per column.
-	for col := 0; col < 2; col++ {
-		var mean, varSum float64
-		for _, o := range out {
-			mean += o.X[col]
-		}
-		mean /= float64(len(out))
-		for _, o := range out {
-			d := o.X[col] - mean
-			varSum += d * d
-		}
-		if math.Abs(mean) > 1e-9 {
-			t.Errorf("col %d mean = %g", col, mean)
-		}
-		if math.Abs(varSum/float64(len(out))-1) > 1e-9 {
-			t.Errorf("col %d variance = %g", col, varSum/float64(len(out)))
-		}
-	}
-	// Inputs untouched.
-	if samples[0].X[0] != 1 {
-		t.Fatal("Transform mutated input")
-	}
-	// Vector path agrees.
-	v := s.TransformVec([]float64{1, 100})
-	if v[0] != out[0].X[0] || v[1] != out[0].X[1] {
-		t.Fatal("TransformVec disagrees with Transform")
-	}
-}
-
-func TestScalerConstantColumn(t *testing.T) {
-	samples := []ml.Sample{{X: []float64{5}, Y: 0}, {X: []float64{5}, Y: 1}}
-	s, err := FitScaler(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := s.Transform(samples)
-	if math.IsNaN(out[0].X[0]) || math.IsInf(out[0].X[0], 0) {
-		t.Fatal("constant column produced non-finite value")
-	}
-}
-
-func TestScalerWidthMismatch(t *testing.T) {
-	s, _ := FitScaler([]ml.Sample{{X: []float64{1, 2}, Y: 0}})
-	if _, err := s.Transform([]ml.Sample{{X: []float64{1}, Y: 0}}); err == nil {
-		t.Fatal("width mismatch accepted")
-	}
-}
-
-func TestMask(t *testing.T) {
-	samples := []ml.Sample{{X: []float64{10, 20, 30}, Y: 1, SN: "a", Day: 5}}
-	out := Mask(samples, []int{2, 0})
-	if len(out[0].X) != 2 || out[0].X[0] != 30 || out[0].X[1] != 10 {
-		t.Fatalf("Mask = %v", out[0].X)
-	}
-	if out[0].Y != 1 || out[0].SN != "a" || out[0].Day != 5 {
-		t.Fatal("Mask dropped metadata")
-	}
-	if samples[0].X[0] != 10 {
-		t.Fatal("Mask mutated input")
 	}
 }
 

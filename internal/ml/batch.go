@@ -35,24 +35,6 @@ func ScoreBatch(clf Classifier, xs [][]float64, out []float64, workers int) {
 	})
 }
 
-// BatchScores scores every sample with clf and returns the scores in
-// sample order, preferring the BatchClassifier fast path when clf
-// provides one and falling back to fanning PredictProba calls across
-// workers (0 = GOMAXPROCS, 1 = serial) otherwise. Scores are identical
-// across paths and at any worker count.
-func BatchScores(clf Classifier, samples []Sample, workers int) []float64 {
-	out := make([]float64, len(samples))
-	if len(samples) == 0 {
-		return out
-	}
-	xs := make([][]float64, len(samples))
-	for i := range samples {
-		xs[i] = samples[i].X
-	}
-	ScoreBatch(clf, xs, out, workers)
-	return out
-}
-
 // ScoreView scores a view's rows into out (len(out) == v.Len()) through
 // ScoreBatch, reading full-width vectors straight out of the arena.
 //

@@ -23,22 +23,27 @@ func (r *recordingBatch) PredictProbaBatch(xs [][]float64, out []float64, worker
 	}
 }
 
-func batchSamples() []Sample {
-	return []Sample{
+func batchView(t *testing.T) View {
+	t.Helper()
+	set, err := FromSamples([]Sample{
 		{X: []float64{0.2}}, {X: []float64{0.8}}, {X: []float64{1.4}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return set.All()
 }
 
 func TestBatchScoresPrefersBatchClassifier(t *testing.T) {
 	rb := &recordingBatch{}
-	scores := BatchScores(rb, batchSamples(), 3)
+	scores := BatchScoresView(rb, batchView(t), 3)
 	if rb.batchCalls != 1 {
 		t.Fatalf("batch path taken %d times, want 1", rb.batchCalls)
 	}
 	if rb.gotWorkers != 3 {
 		t.Fatalf("workers = %d, want 3 threaded through", rb.gotWorkers)
 	}
-	want := BatchScores(constClf{}, batchSamples(), 1)
+	want := BatchScoresView(constClf{}, batchView(t), 1)
 	for i := range scores {
 		if scores[i] != want[i] {
 			t.Fatalf("row %d: batch %v != per-row %v", i, scores[i], want[i])
@@ -47,12 +52,13 @@ func TestBatchScoresPrefersBatchClassifier(t *testing.T) {
 }
 
 func TestBatchScoresEmptyAndFallback(t *testing.T) {
-	if got := BatchScores(constClf{}, nil, 0); len(got) != 0 {
-		t.Fatalf("empty sample set scored %d rows", len(got))
+	v := batchView(t)
+	if got := BatchScoresView(constClf{}, v.WithRows([]int32{}), 0); len(got) != 0 {
+		t.Fatalf("empty view scored %d rows", len(got))
 	}
-	scores := BatchScores(constClf{}, batchSamples(), 0)
-	for i, s := range batchSamples() {
-		if scores[i] != s.X[0]/2 {
+	scores := BatchScoresView(constClf{}, v, 0)
+	for i := range scores {
+		if scores[i] != v.Row(i)[0]/2 {
 			t.Fatalf("row %d: %v", i, scores[i])
 		}
 	}

@@ -23,26 +23,30 @@ type Trainer struct {
 // Name implements ml.Trainer.
 func (t *Trainer) Name() string { return "Bayes" }
 
-// Train implements ml.Trainer.
-func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
-	if err := ml.ValidateSamples(samples, true); err != nil {
+// Train implements ml.Trainer. It reads whole rows, so a column
+// sub-view is rejected.
+func (t *Trainer) Train(v ml.View) (ml.Classifier, error) {
+	if err := ml.ValidateView(v, true); err != nil {
 		return nil, err
+	}
+	if v.Cols() != nil {
+		return nil, fmt.Errorf("bayes: column sub-view not supported")
 	}
 	smoothing := t.VarSmoothing
 	if smoothing == 0 {
 		smoothing = 1e-9
 	}
-	width := len(samples[0].X)
+	n, width := v.Len(), v.Width()
 	m := &Model{
 		mean: [2][]float64{make([]float64, width), make([]float64, width)},
 		vari: [2][]float64{make([]float64, width), make([]float64, width)},
 	}
 	var count [2]float64
-	for i := range samples {
-		y := samples[i].Y
+	for i := 0; i < n; i++ {
+		y := v.Y(i)
 		count[y]++
-		for j, v := range samples[i].X {
-			m.mean[y][j] += v
+		for j, x := range v.Row(i) {
+			m.mean[y][j] += x
 		}
 	}
 	for y := 0; y < 2; y++ {
@@ -50,10 +54,10 @@ func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
 			m.mean[y][j] /= count[y]
 		}
 	}
-	for i := range samples {
-		y := samples[i].Y
-		for j, v := range samples[i].X {
-			d := v - m.mean[y][j]
+	for i := 0; i < n; i++ {
+		y := v.Y(i)
+		for j, x := range v.Row(i) {
+			d := x - m.mean[y][j]
 			m.vari[y][j] += d * d
 		}
 	}

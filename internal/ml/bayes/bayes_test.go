@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/mltest"
 )
 
 // gaussians draws n samples per class from two separated Gaussians.
@@ -28,7 +29,7 @@ func gaussians(n int, sep float64, seed int64) []ml.Sample {
 func TestSeparableAccuracy(t *testing.T) {
 	train := gaussians(300, 4, 1)
 	test := gaussians(200, 4, 2)
-	clf, err := (&Trainer{}).Train(train)
+	clf, err := (&Trainer{}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestSeparableAccuracy(t *testing.T) {
 
 func TestProbabilitiesAreCalibratedAtCenter(t *testing.T) {
 	train := gaussians(2000, 2, 3)
-	clf, err := (&Trainer{}).Train(train)
+	clf, err := (&Trainer{}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestConstantFeatureDoesNotBreak(t *testing.T) {
 			ml.Sample{X: []float64{10, r.NormFloat64() + 3}, Y: 1},
 		)
 	}
-	clf, err := (&Trainer{}).Train(train)
+	clf, err := (&Trainer{}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestPriorsMatter(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		train = append(train, ml.Sample{X: []float64{r.NormFloat64()}, Y: 1})
 	}
-	clf, err := (&Trainer{}).Train(train)
+	clf, err := (&Trainer{}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestPriorsMatter(t *testing.T) {
 
 func TestTrainRequiresBothClasses(t *testing.T) {
 	onlyPos := []ml.Sample{{X: []float64{1}, Y: 1}}
-	if _, err := (&Trainer{}).Train(onlyPos); err == nil {
+	if _, err := (&Trainer{}).Train(mltest.View(onlyPos)); err == nil {
 		t.Fatal("single-class training accepted")
 	}
 }
@@ -118,7 +119,7 @@ func TestName(t *testing.T) {
 
 func TestExportImportRoundTrip(t *testing.T) {
 	train := gaussians(200, 3, 9)
-	clf, err := (&Trainer{}).Train(train)
+	clf, err := (&Trainer{}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +157,11 @@ func TestImportRejectsCorrupt(t *testing.T) {
 
 func TestVarSmoothingOverride(t *testing.T) {
 	train := gaussians(100, 2, 11)
-	a, err := (&Trainer{VarSmoothing: 0.5}).Train(train)
+	a, err := (&Trainer{VarSmoothing: 0.5}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := (&Trainer{}).Train(train)
+	b, err := (&Trainer{}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,5 +170,12 @@ func TestVarSmoothingOverride(t *testing.T) {
 	pb := b.PredictProba([]float64{5, 5})
 	if pa >= pb {
 		t.Fatalf("smoothing did not soften the posterior: %g vs %g", pa, pb)
+	}
+}
+
+func TestRejectsColumnSubView(t *testing.T) {
+	v := mltest.View(gaussians(100, 3, 1))
+	if _, err := (&Trainer{}).Train(v.WithCols([]int{0})); err == nil {
+		t.Fatal("column sub-view accepted")
 	}
 }

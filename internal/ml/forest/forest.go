@@ -4,12 +4,12 @@
 // features; "the tree-based model is superior to other models for
 // discontinuous data"). Trees are grown in parallel across goroutines.
 //
-// By default training runs on the histogram engine: the training rows'
-// features are quantile-binned once per fit into a columnar matrix
-// shared by every tree, each bootstrap is expressed as per-row integer
-// weights on that matrix (no row copies), and every tree finds splits
-// by histogram accumulation instead of per-node sorting. Bins: -1
-// falls back to the exact sort-based splitter.
+// Training runs on the histogram engine: the training view's rows are
+// quantile-binned once per fit, straight out of the sample arena, into
+// a columnar matrix shared by every tree; each bootstrap is expressed
+// as per-row integer weights on that matrix (no row copies), and every
+// tree finds splits by histogram accumulation instead of per-node
+// sorting.
 package forest
 
 import (
@@ -36,9 +36,7 @@ type Trainer struct {
 	MaxFeatures int
 	// Bins is the histogram engine's per-feature bin budget: 0 selects
 	// matrix.DefaultBins (256), positive values are clamped to at most
-	// 256, and any negative value selects the exact sort-based
-	// splitter instead (the legacy engine; bit-identical to the
-	// histogram engine when bins cover every distinct value).
+	// 256, and a negative value is an error.
 	Bins int
 	// Seed drives bootstrap sampling and per-tree feature subsampling.
 	Seed int64
@@ -49,39 +47,13 @@ type Trainer struct {
 // Name implements ml.Trainer.
 func (t *Trainer) Name() string { return "RF" }
 
-// Train implements ml.Trainer.
-func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
-	m, err := t.fit(samples)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// TrainView implements ml.ViewTrainer. It fits exactly the forest
-// Train fits on v.Materialize(): the histogram engine bins only the
+// Train implements ml.Trainer. The histogram engine bins only the
 // view's rows, and only its Cols when a column sub-view is set, so
 // rows outside the view (a held-out test period, dropped negatives)
-// cannot move a split. A column sub-view's trees are then re-indexed
-// to global features, so the model predicts on full-width arena rows.
-func (t *Trainer) TrainView(v ml.View) (ml.Classifier, error) {
+// cannot move a split. A column sub-view's trees are re-indexed to
+// global features, so the model predicts on full-width arena rows.
+func (t *Trainer) Train(v ml.View) (ml.Classifier, error) {
 	if err := ml.ValidateView(v, false); err != nil {
-		return nil, err
-	}
-	m, err := t.fit(v.Materialize())
-	if err != nil {
-		return nil, err
-	}
-	if cols := v.Cols(); cols != nil {
-		for _, tr := range m.trees {
-			tr.WidenFeatures(cols, v.Set().Width())
-		}
-	}
-	return m, nil
-}
-
-func (t *Trainer) fit(samples []ml.Sample) (*Model, error) {
-	if err := ml.ValidateSamples(samples, false); err != nil {
 		return nil, err
 	}
 	nTrees := t.Trees
@@ -92,11 +64,10 @@ func (t *Trainer) fit(samples []ml.Sample) (*Model, error) {
 	if maxFeatures == 0 {
 		maxFeatures = -1 // tree.Config: √width
 	}
-	xs := make([][]float64, len(samples))
-	ys := make([]float64, len(samples))
-	for i := range samples {
-		xs[i] = samples[i].X
-		ys[i] = float64(samples[i].Y)
+	n := v.Len()
+	ys := make([]float64, n)
+	for i := range ys {
+		ys[i] = float64(v.Y(i))
 	}
 
 	// Pre-draw one bootstrap seed per tree from a master source so the
@@ -107,49 +78,29 @@ func (t *Trainer) fit(samples []ml.Sample) (*Model, error) {
 		seeds[i] = master.Int63()
 	}
 
-	cfg := func(ti int) tree.Config {
-		return tree.Config{
+	// Bin once, share the matrix read-only across all trees, and
+	// express each bootstrap as integer row weights.
+	bm, err := matrix.Build(v, t.Bins, t.Parallelism)
+	if err != nil {
+		return nil, fmt.Errorf("forest: %w", err)
+	}
+	m := &Model{trees: make([]*tree.Classifier, nTrees)}
+	if err := parallel.Do(nTrees, t.Parallelism, func(ti int) error {
+		r := rand.New(rand.NewSource(seeds[ti]))
+		w := make([]int, n)
+		for i := 0; i < n; i++ {
+			w[r.Intn(n)]++
+		}
+		tr := tree.GrowClassifierBinned(bm, ys, w, tree.Config{
 			MaxDepth:       t.MaxDepth,
 			MinSamplesLeaf: t.MinSamplesLeaf,
 			MaxFeatures:    maxFeatures,
 			Seed:           seeds[ti],
+		})
+		if cols := v.Cols(); cols != nil {
+			tr.WidenFeatures(cols, v.Set().Width())
 		}
-	}
-	m := &Model{trees: make([]*tree.Classifier, nTrees)}
-
-	if t.Bins < 0 {
-		// Exact fallback: per-tree bootstrap copies and sort-based
-		// split finding on the raw matrix.
-		if err := parallel.Do(nTrees, t.Parallelism, func(ti int) error {
-			r := rand.New(rand.NewSource(seeds[ti]))
-			bootXs := make([][]float64, len(xs))
-			bootYs := make([]float64, len(xs))
-			for i := range bootXs {
-				j := r.Intn(len(xs))
-				bootXs[i] = xs[j]
-				bootYs[i] = ys[j]
-			}
-			m.trees[ti] = tree.GrowClassifier(bootXs, bootYs, cfg(ti))
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-
-	// Histogram engine: bin once, share the matrix read-only across
-	// all trees, and express each bootstrap as integer row weights.
-	bm, err := matrix.BuildWorkers(xs, t.Bins, t.Parallelism)
-	if err != nil {
-		return nil, fmt.Errorf("forest: %w", err)
-	}
-	if err := parallel.Do(nTrees, t.Parallelism, func(ti int) error {
-		r := rand.New(rand.NewSource(seeds[ti]))
-		w := make([]int, len(xs))
-		for i := 0; i < len(xs); i++ {
-			w[r.Intn(len(xs))]++
-		}
-		m.trees[ti] = tree.GrowClassifierBinned(bm, ys, w, cfg(ti))
+		m.trees[ti] = tr
 		return nil
 	}); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/mltest"
 )
 
 // rings draws two concentric ring-ish classes — non-linear, solvable by
@@ -28,7 +29,7 @@ func rings(n int, seed int64) []ml.Sample {
 func TestForestAccuracy(t *testing.T) {
 	train := rings(1500, 1)
 	test := rings(600, 2)
-	clf, err := (&Trainer{Trees: 60, MaxDepth: 10, Seed: 1}).Train(train)
+	clf, err := (&Trainer{Trees: 60, MaxDepth: 10, Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestForestDeterministicDespiteParallelism(t *testing.T) {
 	train := rings(400, 3)
 	probe := rings(100, 4)
 	run := func(workers int) []float64 {
-		clf, err := (&Trainer{Trees: 16, Seed: 5, Parallelism: workers}).Train(train)
+		clf, err := (&Trainer{Trees: 16, Seed: 5, Parallelism: workers}).Train(mltest.View(train))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,68 +67,10 @@ func TestForestDeterministicDespiteParallelism(t *testing.T) {
 	}
 }
 
-func TestForestExactFallbackDeterministicAndAccurate(t *testing.T) {
-	// Bins: -1 selects the exact sort-based splitter; it must remain a
-	// working, parallel-deterministic engine.
-	train := rings(1000, 30)
-	test := rings(400, 31)
-	run := func(workers int) ml.Classifier {
-		clf, err := (&Trainer{Trees: 30, MaxDepth: 10, Seed: 1, Bins: -1, Parallelism: workers}).Train(train)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return clf
-	}
-	serial, parallelClf := run(1), run(8)
-	correct := 0
-	for _, s := range test {
-		if serial.PredictProba(s.X) != parallelClf.PredictProba(s.X) {
-			t.Fatal("exact engine: parallelism changed the model")
-		}
-		if ml.Predict(serial, s.X) == s.Y {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(test)); acc < 0.9 {
-		t.Fatalf("exact engine accuracy = %g", acc)
-	}
-}
-
-func TestForestHistogramMatchesExactOnDiscreteFeatures(t *testing.T) {
-	// With fewer distinct values than bins the histogram engine's
-	// split search is exact, and weight-based bagging reproduces what
-	// bootstrap row copies would: the two engines agree prediction for
-	// prediction.
-	r := rand.New(rand.NewSource(40))
-	var train []ml.Sample
-	for i := 0; i < 600; i++ {
-		x := float64(r.Intn(20))
-		y := 0
-		if x > 9 {
-			y = 1
-		}
-		train = append(train, ml.Sample{X: []float64{x, float64(r.Intn(6))}, Y: y})
-	}
-	hist, err := (&Trainer{Trees: 12, MaxDepth: 8, Seed: 3}).Train(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := (&Trainer{Trees: 12, MaxDepth: 8, Seed: 3, Bins: -1}).Train(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		x := []float64{float64(r.Intn(20)), float64(r.Intn(6))}
-		if hist.PredictProba(x) != exact.PredictProba(x) {
-			t.Fatalf("engines disagree at %v: %g vs %g", x, hist.PredictProba(x), exact.PredictProba(x))
-		}
-	}
-}
-
 func TestForestRejectsNaNFeatures(t *testing.T) {
 	train := rings(50, 32)
 	train[7].X[1] = math.NaN()
-	if _, err := (&Trainer{Trees: 3, Seed: 1}).Train(train); err == nil {
+	if _, err := (&Trainer{Trees: 3, Seed: 1}).Train(mltest.View(train)); err == nil {
 		t.Fatal("NaN features accepted by the histogram engine")
 	}
 }
@@ -135,7 +78,7 @@ func TestForestRejectsNaNFeatures(t *testing.T) {
 func TestForestSmallBinBudgetStillLearns(t *testing.T) {
 	train := rings(1500, 33)
 	test := rings(600, 34)
-	clf, err := (&Trainer{Trees: 40, MaxDepth: 10, Seed: 1, Bins: 16}).Train(train)
+	clf, err := (&Trainer{Trees: 40, MaxDepth: 10, Seed: 1, Bins: 16}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +95,8 @@ func TestForestSmallBinBudgetStillLearns(t *testing.T) {
 
 func TestForestSeedMatters(t *testing.T) {
 	train := rings(400, 6)
-	a, _ := (&Trainer{Trees: 8, Seed: 1}).Train(train)
-	b, _ := (&Trainer{Trees: 8, Seed: 2}).Train(train)
+	a, _ := (&Trainer{Trees: 8, Seed: 1}).Train(mltest.View(train))
+	b, _ := (&Trainer{Trees: 8, Seed: 2}).Train(mltest.View(train))
 	same := true
 	for _, s := range rings(50, 7) {
 		if a.PredictProba(s.X) != b.PredictProba(s.X) {
@@ -167,7 +110,7 @@ func TestForestSeedMatters(t *testing.T) {
 }
 
 func TestForestSize(t *testing.T) {
-	clf, err := (&Trainer{Trees: 7, Seed: 1}).Train(rings(100, 8))
+	clf, err := (&Trainer{Trees: 7, Seed: 1}).Train(mltest.View(rings(100, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +120,7 @@ func TestForestSize(t *testing.T) {
 }
 
 func TestForestProbabilityBounds(t *testing.T) {
-	clf, err := (&Trainer{Trees: 10, Seed: 1}).Train(rings(200, 9))
+	clf, err := (&Trainer{Trees: 10, Seed: 1}).Train(mltest.View(rings(200, 9)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +133,7 @@ func TestForestProbabilityBounds(t *testing.T) {
 }
 
 func TestForestValidates(t *testing.T) {
-	if _, err := (&Trainer{}).Train(nil); err == nil {
+	if _, err := (&Trainer{}).Train(ml.View{}); err == nil {
 		t.Fatal("empty training set accepted")
 	}
 }
@@ -215,11 +158,11 @@ func TestForestBeatsSingleTreeOnNoise(t *testing.T) {
 		}
 		return float64(correct) / float64(len(test))
 	}
-	forest, err := (&Trainer{Trees: 50, MaxDepth: 12, Seed: 1}).Train(train)
+	forest, err := (&Trainer{Trees: 50, MaxDepth: 12, Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := (&Trainer{Trees: 1, MaxDepth: 12, Seed: 1}).Train(train)
+	single, err := (&Trainer{Trees: 1, MaxDepth: 12, Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +183,7 @@ func TestFeatureImportance(t *testing.T) {
 		}
 		train = append(train, ml.Sample{X: []float64{v, r.NormFloat64()}, Y: y})
 	}
-	clf, err := (&Trainer{Trees: 30, MaxDepth: 6, Seed: 1}).Train(train)
+	clf, err := (&Trainer{Trees: 30, MaxDepth: 6, Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +208,7 @@ func TestFeatureImportance(t *testing.T) {
 
 func TestForestExplainFaithful(t *testing.T) {
 	train := rings(800, 21)
-	clf, err := (&Trainer{Trees: 20, MaxDepth: 8, Seed: 1}).Train(train)
+	clf, err := (&Trainer{Trees: 20, MaxDepth: 8, Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +226,7 @@ func TestForestExplainFaithful(t *testing.T) {
 }
 
 func TestForestBatchMatchesPerRowExactly(t *testing.T) {
-	clf, err := (&Trainer{Trees: 40, MaxDepth: 10, Seed: 1}).Train(rings(800, 40))
+	clf, err := (&Trainer{Trees: 40, MaxDepth: 10, Seed: 1}).Train(mltest.View(rings(800, 40)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +249,10 @@ func TestForestBatchMatchesPerRowExactly(t *testing.T) {
 	}
 	// The model must surface the fast path through the ml interface.
 	var _ ml.BatchClassifier = m
-	scores := ml.BatchScores(m, probe, 0)
+	scores := ml.BatchScoresView(m, mltest.View(probe), 0)
 	for i := range scores {
 		if scores[i] != want[i] {
-			t.Fatalf("BatchScores row %d: %v != %v", i, scores[i], want[i])
+			t.Fatalf("BatchScoresView row %d: %v != %v", i, scores[i], want[i])
 		}
 	}
 }

@@ -46,7 +46,8 @@ func assertSamePredictions(t *testing.T, name string, a, b ml.Classifier, probes
 }
 
 // TestForestTrainViewMatchesTrainOnFullSet: on the full set the view
-// and slice paths bin the same rows, so the two are bit-exact.
+// path and the slice oracle bin the same rows, so the two are
+// bit-exact.
 func TestForestTrainViewMatchesTrainOnFullSet(t *testing.T) {
 	samples := rings(500, 3)
 	set, err := ml.FromSamples(samples)
@@ -54,11 +55,11 @@ func TestForestTrainViewMatchesTrainOnFullSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := &Trainer{Trees: 25, MaxDepth: 8, Seed: 7}
-	sliceClf, err := tr.Train(samples)
+	sliceClf, err := tr.fitSlice(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viewClf, err := tr.TrainView(set.All())
+	viewClf, err := tr.Train(set.All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +67,8 @@ func TestForestTrainViewMatchesTrainOnFullSet(t *testing.T) {
 }
 
 // TestForestTrainViewSubsetMatchesSliceSubset trains on an
-// under-sampled row subset both ways: Train on the subset's
-// materialised rows, TrainView on the view. The fitted forests must be
+// under-sampled row subset both ways: the slice oracle on the subset's
+// materialised rows, Train on the view. The fitted forests must be
 // identical.
 func TestForestTrainViewSubsetMatchesSliceSubset(t *testing.T) {
 	samples := discreteData(700, 5)
@@ -80,13 +81,13 @@ func TestForestTrainViewSubsetMatchesSliceSubset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		subSlice := subView.Materialize()
+		subSlice := mltest.Materialize(subView)
 		tr := &Trainer{Trees: 20, MaxDepth: 7, Seed: seed + 31}
-		sliceClf, err := tr.Train(subSlice)
+		sliceClf, err := tr.fitSlice(subSlice)
 		if err != nil {
 			t.Fatal(err)
 		}
-		viewClf, err := tr.TrainView(subView)
+		viewClf, err := tr.Train(subView)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,13 +107,13 @@ func TestForestTrainViewWorkerInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := (&Trainer{Trees: 15, MaxDepth: 6, Seed: 2, Parallelism: 1}).TrainView(v)
+	base, err := (&Trainer{Trees: 15, MaxDepth: 6, Seed: 2, Parallelism: 1}).Train(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	probes := discreteData(200, 8)
 	for _, workers := range []int{0, 2, 5} {
-		clf, err := (&Trainer{Trees: 15, MaxDepth: 6, Seed: 2, Parallelism: workers}).TrainView(v)
+		clf, err := (&Trainer{Trees: 15, MaxDepth: 6, Seed: 2, Parallelism: workers}).Train(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,11 +141,11 @@ func TestForestTrainViewColsMatchesMaskedSlice(t *testing.T) {
 		masked[i] = ml.Sample{X: x, Y: samples[i].Y, Day: samples[i].Day, SN: samples[i].SN}
 	}
 	tr := &Trainer{Trees: 20, MaxDepth: 7, Seed: 13}
-	maskClf, err := tr.Train(masked)
+	maskClf, err := tr.fitSlice(masked)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viewClf, err := tr.TrainView(set.All().WithCols(subset))
+	viewClf, err := tr.Train(set.All().WithCols(subset))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,32 +163,23 @@ func TestForestTrainViewColsMatchesMaskedSlice(t *testing.T) {
 	}
 }
 
-// TestForestTrainViewExactFallback asserts Bins<0 routes through the
-// exact engine via materialisation and still matches the slice path.
-func TestForestTrainViewExactFallback(t *testing.T) {
-	samples := discreteData(300, 14)
-	set, err := ml.FromSamples(samples)
-	if err != nil {
-		t.Fatal(err)
+// TestForestRejectsNegativeBins: a negative bin budget is an error,
+// not a switch to another split engine.
+func TestForestRejectsNegativeBins(t *testing.T) {
+	v := mltest.View(discreteData(300, 14))
+	for _, bins := range []int{-1, -256} {
+		if _, err := (&Trainer{Trees: 10, MaxDepth: 6, Seed: 5, Bins: bins}).Train(v); err == nil {
+			t.Fatalf("Bins %d accepted", bins)
+		}
 	}
-	tr := &Trainer{Trees: 10, MaxDepth: 6, Seed: 5, Bins: -1}
-	sliceClf, err := tr.Train(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viewClf, err := tr.TrainView(set.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSamePredictions(t, "exact fallback", sliceClf, viewClf, discreteData(150, 15))
 }
 
-// TestForestTrainViewMatchesMaterializeContinuous pins TrainView(v) ==
-// Train(v.Materialize()) bit for bit on continuous features (far more
-// distinct values than bins), for row-subset and column sub-views, at
-// one worker and several, on the histogram and the exact engine. A
-// column sub-view's model scores full-width rows; the materialised
-// model scores the masked rows.
+// TestForestTrainViewMatchesMaterializeContinuous pins Train(v) to the
+// slice oracle on v's materialised rows, bit for bit, on continuous
+// features (far more distinct values than bins), for row-subset and
+// column sub-views, at one worker and several, at the default and a
+// small bin budget. A column sub-view's model scores full-width rows;
+// the oracle's model scores the masked rows.
 func TestForestTrainViewMatchesMaterializeContinuous(t *testing.T) {
 	set, err := ml.FromSamples(mltest.Continuous(900, 1))
 	if err != nil {
@@ -199,24 +191,24 @@ func TestForestTrainViewMatchesMaterializeContinuous(t *testing.T) {
 	}
 	probes := mltest.Continuous(300, 3)
 	for _, nv := range views {
-		for _, c := range []struct{ workers, bins int }{{1, 0}, {3, 0}, {3, -1}} {
+		for _, c := range []struct{ workers, bins int }{{1, 0}, {3, 0}, {3, 16}} {
 			tr := &Trainer{Trees: 15, MaxDepth: 8, Seed: 4, Parallelism: c.workers, Bins: c.bins}
-			viewClf, err := tr.TrainView(nv.View)
+			viewClf, err := tr.Train(nv.View)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sliceClf, err := tr.Train(nv.View.Materialize())
+			sliceClf, err := tr.fitSlice(mltest.Materialize(nv.View))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if nv.View.Cols() == nil && !reflect.DeepEqual(viewClf.(*Model).Export(), sliceClf.(*Model).Export()) {
+			if nv.View.Cols() == nil && !reflect.DeepEqual(viewClf.(*Model).Export(), sliceClf.Export()) {
 				t.Fatalf("%s %+v: forests differ", nv.Name, c)
 			}
 			for i := range probes {
 				pv := viewClf.PredictProba(probes[i].X)
 				ps := sliceClf.PredictProba(mltest.Mask(probes[i].X, nv.View.Cols()))
 				if math.Float64bits(pv) != math.Float64bits(ps) {
-					t.Fatalf("%s %+v: probe %d: view %v, materialised %v", nv.Name, c, i, pv, ps)
+					t.Fatalf("%s %+v: probe %d: view %v, oracle %v", nv.Name, c, i, pv, ps)
 				}
 			}
 		}
@@ -244,11 +236,11 @@ func TestForestTrainViewIgnoresRowsOutsideView(t *testing.T) {
 			t.Fatal(err)
 		}
 		pv := poisoned.All().WithRows(v.Indices()).WithCols(v.Cols())
-		want, err := tr.TrainView(v)
+		want, err := tr.Train(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tr.TrainView(pv)
+		got, err := tr.Train(pv)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/mltest"
 )
 
 func BenchmarkGBDTTrain(b *testing.B) {
-	train := moons(1000, 1)
+	train := mltest.View(moons(1000, 1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -17,23 +18,9 @@ func BenchmarkGBDTTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkGBDTTrainExact measures the legacy sort-based splitter
-// (Bins: -1) on the same workload, the denominator of the histogram
-// engine's speedup.
-func BenchmarkGBDTTrainExact(b *testing.B) {
-	train := moons(1000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (&Trainer{Rounds: 60, MaxDepth: 4, Subsample: 0.8, Seed: 1, Bins: -1}).Train(train); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGBDTPredict(b *testing.B) {
 	train := moons(1000, 1)
-	clf, err := (&Trainer{Rounds: 60, MaxDepth: 4, Seed: 1}).Train(train)
+	clf, err := (&Trainer{Rounds: 60, MaxDepth: 4, Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,30 +39,30 @@ type perRowOnly struct{ ml.Classifier }
 // BenchmarkGBDTScoreBatch measures fleet-style scoring through the
 // flattened batch kernel at GOMAXPROCS workers.
 func BenchmarkGBDTScoreBatch(b *testing.B) {
-	clf, err := (&Trainer{Rounds: 100, MaxDepth: 4, Seed: 1}).Train(moons(500, 1))
+	clf, err := (&Trainer{Rounds: 100, MaxDepth: 4, Seed: 1}).Train(mltest.View(moons(500, 1)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	probe := moons(5000, 2)
+	probe := mltest.View(moons(5000, 2))
 	clf.(*Model).flatten() // compile outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ml.BatchScores(clf, probe, 0)
+		ml.BatchScoresView(clf, probe, 0)
 	}
 }
 
 // BenchmarkGBDTScorePerRow is the same workload through the per-row
 // interface path (batch detection suppressed), the speedup denominator.
 func BenchmarkGBDTScorePerRow(b *testing.B) {
-	clf, err := (&Trainer{Rounds: 100, MaxDepth: 4, Seed: 1}).Train(moons(500, 1))
+	clf, err := (&Trainer{Rounds: 100, MaxDepth: 4, Seed: 1}).Train(mltest.View(moons(500, 1)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	probe := moons(5000, 2)
+	probe := mltest.View(moons(5000, 2))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ml.BatchScores(perRowOnly{clf}, probe, 0)
+		ml.BatchScoresView(perRowOnly{clf}, probe, 0)
 	}
 }

@@ -2,12 +2,12 @@
 // classification with logistic loss (Friedman's TreeBoost with Newton
 // leaf updates), one of the paper's five candidate algorithms.
 //
-// By default each round's regression tree is grown by the histogram
-// engine on a columnar matrix of the training rows, binned once per
-// fit — the feature geometry never changes across rounds, only the
-// gradient targets do — with stochastic-gradient-boosting row
-// subsampling expressed as 0/1 row weights. Bins: -1 falls back to
-// the exact sort-based splitter.
+// Each round's regression tree is grown by the histogram engine on a
+// columnar matrix of the training view's rows, binned once per fit
+// straight out of the sample arena — the feature geometry never
+// changes across rounds, only the gradient targets do — with
+// stochastic-gradient-boosting row subsampling expressed as 0/1 row
+// weights.
 package gbdt
 
 import (
@@ -38,8 +38,7 @@ type Trainer struct {
 	Subsample float64
 	// Bins is the histogram engine's per-feature bin budget: 0 selects
 	// matrix.DefaultBins (256), positive values are clamped to at most
-	// 256, and any negative value selects the exact sort-based
-	// splitter instead.
+	// 256, and a negative value is an error.
 	Bins int
 	// Seed drives subsampling.
 	Seed int64
@@ -48,39 +47,14 @@ type Trainer struct {
 // Name implements ml.Trainer.
 func (t *Trainer) Name() string { return "GBDT" }
 
-// Train implements ml.Trainer.
-func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
-	m, err := t.fit(samples)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// TrainView implements ml.ViewTrainer. It boosts exactly the ensemble
-// Train boosts on v.Materialize(): the histogram engine bins only the
+// Train implements ml.Trainer. The histogram engine bins only the
 // view's rows, and only its Cols when a column sub-view is set, so
 // rows outside the view (a held-out test period, dropped negatives)
-// cannot move a split. A column sub-view's trees are then re-indexed
-// to global features, so the model predicts on full-width arena rows.
-func (t *Trainer) TrainView(v ml.View) (ml.Classifier, error) {
+// cannot move a split. Each round's tree is re-indexed to global
+// features as soon as it is grown, so the Newton step, the score
+// update and the final model all read full-width arena rows.
+func (t *Trainer) Train(v ml.View) (ml.Classifier, error) {
 	if err := ml.ValidateView(v, true); err != nil {
-		return nil, err
-	}
-	m, err := t.fit(v.Materialize())
-	if err != nil {
-		return nil, err
-	}
-	if cols := v.Cols(); cols != nil {
-		for _, tr := range m.trees {
-			tr.WidenFeatures(cols)
-		}
-	}
-	return m, nil
-}
-
-func (t *Trainer) fit(samples []ml.Sample) (*Model, error) {
-	if err := ml.ValidateSamples(samples, true); err != nil {
 		return nil, err
 	}
 	rounds := t.Rounds
@@ -104,12 +78,11 @@ func (t *Trainer) fit(samples []ml.Sample) (*Model, error) {
 		sub = 1
 	}
 
-	n := len(samples)
-	xs := make([][]float64, n)
+	n := v.Len()
+	xs := v.Xs()             // full-width arena rows, in view order
 	ys := make([]float64, n) // {0,1}
-	for i := range samples {
-		xs[i] = samples[i].X
-		ys[i] = float64(samples[i].Y)
+	for i := range ys {
+		ys[i] = float64(v.Y(i))
 	}
 
 	// F0 = log-odds of the base rate.
@@ -127,18 +100,13 @@ func (t *Trainer) fit(samples []ml.Sample) (*Model, error) {
 	grad := make([]float64, n)
 	r := rand.New(rand.NewSource(t.Seed + 7))
 
-	// Histogram engine: the binned matrix depends only on the feature
-	// matrix, so it is built once and reused by every boosting round.
-	var bm *matrix.BinnedMatrix
-	var weights []int
-	if t.Bins >= 0 {
-		var err error
-		bm, err = matrix.Build(xs, t.Bins)
-		if err != nil {
-			return nil, fmt.Errorf("gbdt: %w", err)
-		}
-		weights = make([]int, n)
+	// The binned matrix depends only on the feature values, so it is
+	// built once and reused by every boosting round.
+	bm, err := matrix.Build(v, t.Bins, 1)
+	if err != nil {
+		return nil, fmt.Errorf("gbdt: %w", err)
 	}
+	weights := make([]int, n)
 
 	for round := 0; round < rounds; round++ {
 		// Negative gradient of logistic loss: y − p.
@@ -158,23 +126,15 @@ func (t *Trainer) fit(samples []ml.Sample) (*Model, error) {
 			MinSamplesLeaf: minLeaf,
 			Seed:           t.Seed + int64(round)*9973,
 		}
-		var tr *tree.Regressor
-		if bm != nil {
-			for i := range weights {
-				weights[i] = 0
-			}
-			for _, i := range rowIdx {
-				weights[i] = 1
-			}
-			tr = tree.GrowRegressorBinned(bm, grad, weights, treeCfg)
-		} else {
-			rowXs := make([][]float64, len(rowIdx))
-			rowGrad := make([]float64, len(rowIdx))
-			for j, i := range rowIdx {
-				rowXs[j] = xs[i]
-				rowGrad[j] = grad[i]
-			}
-			tr = tree.GrowRegressor(rowXs, rowGrad, treeCfg)
+		for i := range weights {
+			weights[i] = 0
+		}
+		for _, i := range rowIdx {
+			weights[i] = 1
+		}
+		tr := tree.GrowRegressorBinned(bm, grad, weights, treeCfg)
+		if cols := v.Cols(); cols != nil {
+			tr.WidenFeatures(cols)
 		}
 
 		// Newton leaf values: γ = Σ(y−p) / Σ p(1−p) over leaf members.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/mltest"
 )
 
 func moons(n int, seed int64) []ml.Sample {
@@ -25,7 +26,7 @@ func moons(n int, seed int64) []ml.Sample {
 func TestGBDTAccuracy(t *testing.T) {
 	train := moons(500, 1)
 	test := moons(300, 2)
-	clf, err := (&Trainer{Rounds: 80, Seed: 1}).Train(train)
+	clf, err := (&Trainer{Rounds: 80, Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +56,11 @@ func TestMoreRoundsReduceTrainingLoss(t *testing.T) {
 		}
 		return sum / float64(len(train))
 	}
-	few, err := (&Trainer{Rounds: 5, Seed: 1}).Train(train)
+	few, err := (&Trainer{Rounds: 5, Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := (&Trainer{Rounds: 100, Seed: 1}).Train(train)
+	many, err := (&Trainer{Rounds: 100, Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestBiasMatchesBaseRate(t *testing.T) {
 		}
 		train = append(train, ml.Sample{X: []float64{r.Float64()}, Y: y})
 	}
-	clf, err := (&Trainer{Rounds: 10, Seed: 1}).Train(train)
+	clf, err := (&Trainer{Rounds: 10, Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestBiasMatchesBaseRate(t *testing.T) {
 
 func TestSubsampleStillLearns(t *testing.T) {
 	train := moons(500, 5)
-	clf, err := (&Trainer{Rounds: 80, Subsample: 0.6, Seed: 1}).Train(train)
+	clf, err := (&Trainer{Rounds: 80, Subsample: 0.6, Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestSubsampleStillLearns(t *testing.T) {
 }
 
 func TestRoundsAccessor(t *testing.T) {
-	clf, err := (&Trainer{Rounds: 17, Seed: 1}).Train(moons(100, 6))
+	clf, err := (&Trainer{Rounds: 17, Seed: 1}).Train(mltest.View(moons(100, 6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestRoundsAccessor(t *testing.T) {
 }
 
 func TestProbabilityBounds(t *testing.T) {
-	clf, err := (&Trainer{Rounds: 40, Seed: 1}).Train(moons(200, 7))
+	clf, err := (&Trainer{Rounds: 40, Seed: 1}).Train(mltest.View(moons(200, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +136,8 @@ func TestProbabilityBounds(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	train := moons(200, 9)
-	a, _ := (&Trainer{Rounds: 20, Subsample: 0.7, Seed: 3}).Train(train)
-	b, _ := (&Trainer{Rounds: 20, Subsample: 0.7, Seed: 3}).Train(train)
+	a, _ := (&Trainer{Rounds: 20, Subsample: 0.7, Seed: 3}).Train(mltest.View(train))
+	b, _ := (&Trainer{Rounds: 20, Subsample: 0.7, Seed: 3}).Train(mltest.View(train))
 	for _, s := range moons(50, 10) {
 		if a.PredictProba(s.X) != b.PredictProba(s.X) {
 			t.Fatal("same seed produced different ensembles")
@@ -144,73 +145,23 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-func TestExactFallbackStillLearns(t *testing.T) {
-	// Bins: -1 selects the exact sort-based splitter.
-	train := moons(500, 40)
-	test := moons(300, 41)
-	clf, err := (&Trainer{Rounds: 80, Seed: 1, Bins: -1}).Train(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for _, s := range test {
-		if ml.Predict(clf, s.X) == s.Y {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(test)); acc < 0.95 {
-		t.Fatalf("exact-engine moons accuracy = %g", acc)
-	}
-}
-
-func TestHistogramMatchesExactOnDiscreteFeatures(t *testing.T) {
-	// On features with fewer distinct values than bins the histogram
-	// split search evaluates the same candidates at the same
-	// thresholds as the exact engine, so the boosted ensembles agree
-	// score for score.
-	r := rand.New(rand.NewSource(42))
-	var train []ml.Sample
-	for i := 0; i < 400; i++ {
-		x := float64(r.Intn(15))
-		y := 0
-		if x > 7 {
-			y = 1
-		}
-		train = append(train, ml.Sample{X: []float64{x, float64(r.Intn(4))}, Y: y})
-	}
-	hist, err := (&Trainer{Rounds: 30, Seed: 5, Subsample: 0.8}).Train(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := (&Trainer{Rounds: 30, Seed: 5, Subsample: 0.8, Bins: -1}).Train(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		x := []float64{float64(r.Intn(15)), float64(r.Intn(4))}
-		if hist.PredictProba(x) != exact.PredictProba(x) {
-			t.Fatalf("engines disagree at %v: %g vs %g", x, hist.PredictProba(x), exact.PredictProba(x))
-		}
-	}
-}
-
 func TestRejectsNaNFeatures(t *testing.T) {
 	train := moons(50, 43)
 	train[3].X[0] = math.NaN()
-	if _, err := (&Trainer{Rounds: 5, Seed: 1}).Train(train); err == nil {
+	if _, err := (&Trainer{Rounds: 5, Seed: 1}).Train(mltest.View(train)); err == nil {
 		t.Fatal("NaN features accepted by the histogram engine")
 	}
 }
 
 func TestRequiresBothClasses(t *testing.T) {
-	if _, err := (&Trainer{}).Train([]ml.Sample{{X: []float64{1}, Y: 1}}); err == nil {
+	if _, err := (&Trainer{}).Train(mltest.View([]ml.Sample{{X: []float64{1}, Y: 1}})); err == nil {
 		t.Fatal("single-class training accepted")
 	}
 }
 
 func TestExportImportRoundTrip(t *testing.T) {
 	train := moons(150, 30)
-	clf, err := (&Trainer{Rounds: 20, Seed: 1}).Train(train)
+	clf, err := (&Trainer{Rounds: 20, Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +187,7 @@ func TestImportRejectsCorrupt(t *testing.T) {
 }
 
 func TestGBDTBatchMatchesPerRowExactly(t *testing.T) {
-	clf, err := (&Trainer{Rounds: 40, MaxDepth: 4, Subsample: 0.8, Seed: 1}).Train(moons(400, 50))
+	clf, err := (&Trainer{Rounds: 40, MaxDepth: 4, Subsample: 0.8, Seed: 1}).Train(mltest.View(moons(400, 50)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +209,10 @@ func TestGBDTBatchMatchesPerRowExactly(t *testing.T) {
 		}
 	}
 	var _ ml.BatchClassifier = m
-	scores := ml.BatchScores(m, probe, 0)
+	scores := ml.BatchScoresView(m, mltest.View(probe), 0)
 	for i := range scores {
 		if scores[i] != want[i] {
-			t.Fatalf("BatchScores row %d: %v != %v", i, scores[i], want[i])
+			t.Fatalf("BatchScoresView row %d: %v != %v", i, scores[i], want[i])
 		}
 	}
 }

@@ -46,7 +46,7 @@ func assertSamePredictions(t *testing.T, name string, a, b ml.Classifier, probes
 }
 
 // TestGBDTTrainViewMatchesTrainOnFullSet: on the full set the view
-// path and slice path bin the same input, so boosting — including the
+// path and the slice oracle bin the same input, so boosting — including the
 // per-round Newton updates — must be bit-exact even with subsampling.
 func TestGBDTTrainViewMatchesTrainOnFullSet(t *testing.T) {
 	samples := discreteData(500, 3)
@@ -56,11 +56,11 @@ func TestGBDTTrainViewMatchesTrainOnFullSet(t *testing.T) {
 	}
 	for _, sub := range []float64{1, 0.7} {
 		tr := &Trainer{Rounds: 25, MaxDepth: 4, Seed: 7, Subsample: sub}
-		sliceClf, err := tr.Train(samples)
+		sliceClf, err := tr.fitSlice(samples)
 		if err != nil {
 			t.Fatal(err)
 		}
-		viewClf, err := tr.TrainView(set.All())
+		viewClf, err := tr.Train(set.All())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,13 +81,13 @@ func TestGBDTTrainViewSubsetMatchesSliceSubset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		subSlice := subView.Materialize()
+		subSlice := mltest.Materialize(subView)
 		tr := &Trainer{Rounds: 20, MaxDepth: 4, Seed: seed + 31, Subsample: 0.8}
-		sliceClf, err := tr.Train(subSlice)
+		sliceClf, err := tr.fitSlice(subSlice)
 		if err != nil {
 			t.Fatal(err)
 		}
-		viewClf, err := tr.TrainView(subView)
+		viewClf, err := tr.Train(subView)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,11 +113,11 @@ func TestGBDTTrainViewColsMatchesMaskedSlice(t *testing.T) {
 		masked[i] = ml.Sample{X: x, Y: samples[i].Y, Day: samples[i].Day, SN: samples[i].SN}
 	}
 	tr := &Trainer{Rounds: 20, MaxDepth: 4, Seed: 13}
-	maskClf, err := tr.Train(masked)
+	maskClf, err := tr.fitSlice(masked)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viewClf, err := tr.TrainView(set.All().WithCols(subset))
+	viewClf, err := tr.Train(set.All().WithCols(subset))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,32 +135,23 @@ func TestGBDTTrainViewColsMatchesMaskedSlice(t *testing.T) {
 	}
 }
 
-// TestGBDTTrainViewExactFallback asserts Bins<0 routes through the
-// exact engine via materialisation and still matches the slice path.
-func TestGBDTTrainViewExactFallback(t *testing.T) {
-	samples := discreteData(300, 14)
-	set, err := ml.FromSamples(samples)
-	if err != nil {
-		t.Fatal(err)
+// TestGBDTRejectsNegativeBins: a negative bin budget is an error, not
+// a switch to another split engine.
+func TestGBDTRejectsNegativeBins(t *testing.T) {
+	v := mltest.View(discreteData(300, 14))
+	for _, bins := range []int{-1, -256} {
+		if _, err := (&Trainer{Rounds: 10, MaxDepth: 3, Seed: 5, Bins: bins}).Train(v); err == nil {
+			t.Fatalf("Bins %d accepted", bins)
+		}
 	}
-	tr := &Trainer{Rounds: 10, MaxDepth: 3, Seed: 5, Bins: -1}
-	sliceClf, err := tr.Train(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viewClf, err := tr.TrainView(set.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSamePredictions(t, "exact fallback", sliceClf, viewClf, discreteData(150, 15))
 }
 
-// TestGBDTTrainViewMatchesMaterializeContinuous pins TrainView(v) ==
-// Train(v.Materialize()) bit for bit on continuous features (far more
-// distinct values than bins), for row-subset and column sub-views,
-// with and without row subsampling, on the histogram and the exact
-// engine. A column sub-view's model scores full-width rows; the
-// materialised model scores the masked rows.
+// TestGBDTTrainViewMatchesMaterializeContinuous pins Train(v) to the slice
+// oracle on v's materialised rows, bit for bit, on continuous features
+// (far more distinct values than bins), for row-subset and column
+// sub-views, with and without row subsampling, at the default and a
+// small bin budget. A column sub-view's model scores full-width rows;
+// the oracle's model scores the masked rows.
 func TestGBDTTrainViewMatchesMaterializeContinuous(t *testing.T) {
 	set, err := ml.FromSamples(mltest.Continuous(900, 1))
 	if err != nil {
@@ -175,24 +166,24 @@ func TestGBDTTrainViewMatchesMaterializeContinuous(t *testing.T) {
 		for _, c := range []struct {
 			sub  float64
 			bins int
-		}{{1, 0}, {0.7, 0}, {0.7, -1}} {
+		}{{1, 0}, {0.7, 0}, {0.7, 16}} {
 			tr := &Trainer{Rounds: 20, MaxDepth: 4, Seed: 4, Subsample: c.sub, Bins: c.bins}
-			viewClf, err := tr.TrainView(nv.View)
+			viewClf, err := tr.Train(nv.View)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sliceClf, err := tr.Train(nv.View.Materialize())
+			sliceClf, err := tr.fitSlice(mltest.Materialize(nv.View))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if nv.View.Cols() == nil && !reflect.DeepEqual(viewClf.(*Model).Export(), sliceClf.(*Model).Export()) {
+			if nv.View.Cols() == nil && !reflect.DeepEqual(viewClf.(*Model).Export(), sliceClf.Export()) {
 				t.Fatalf("%s %+v: ensembles differ", nv.Name, c)
 			}
 			for i := range probes {
 				pv := viewClf.PredictProba(probes[i].X)
 				ps := sliceClf.PredictProba(mltest.Mask(probes[i].X, nv.View.Cols()))
 				if math.Float64bits(pv) != math.Float64bits(ps) {
-					t.Fatalf("%s %+v: probe %d: view %v, materialised %v", nv.Name, c, i, pv, ps)
+					t.Fatalf("%s %+v: probe %d: view %v, oracle %v", nv.Name, c, i, pv, ps)
 				}
 			}
 		}
@@ -220,11 +211,11 @@ func TestGBDTTrainViewIgnoresRowsOutsideView(t *testing.T) {
 			t.Fatal(err)
 		}
 		pv := poisoned.All().WithRows(v.Indices()).WithCols(v.Cols())
-		want, err := tr.TrainView(v)
+		want, err := tr.Train(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tr.TrainView(pv)
+		got, err := tr.Train(pv)
 		if err != nil {
 			t.Fatal(err)
 		}

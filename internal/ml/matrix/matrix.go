@@ -1,20 +1,21 @@
 // Package matrix provides the columnar binned feature matrix behind
-// the histogram-based tree training engine. Each feature column of the
-// training rows is quantile-binned once per fit into at most 256 uint8
-// bins; the binned matrix is then shared read-only by every tree of an
-// ensemble, so the per-node split search degrades from O(n log n)
-// re-sorting per feature to an O(n) histogram accumulation plus an
-// O(bins) scan —
-// the standard trick (LightGBM-style) that lets disk-failure studies
-// train tree ensembles on millions of drive-days.
+// the tree ensembles' histogram split engine. Build bins each feature
+// column of a training view's rows once per fit into at most 256
+// uint8 quantile bins, reading the rows straight out of the sample
+// arena; the binned matrix is then shared read-only by every tree of
+// an ensemble, so the per-node split search is an O(n) histogram
+// accumulation plus an O(bins) scan rather than an O(n log n) sort per
+// feature — the standard trick (LightGBM-style) that lets disk-failure
+// studies train tree ensembles on millions of drive-days.
 //
 // Exactness guarantee: when a feature has no more distinct values
 // than the bin budget, every distinct value receives its own bin and
 // the per-bin value bounds make the candidate thresholds (midpoints
-// between adjacent populated bins) identical to the exact sort-based
+// between adjacent populated bins) identical to a sort-based
 // splitter's midpoints between adjacent present values. The histogram
-// engine then grows bit-identical trees to the exact engine for
-// integer-valued targets (see tree's equivalence tests).
+// engine then grows bit-identical trees to the sort-based grower kept
+// as the oracle of tree's equivalence tests, for integer-valued
+// targets.
 package matrix
 
 import (
@@ -35,8 +36,8 @@ const MaxBins = 256
 // in the ensemble trainers.
 const DefaultBins = 256
 
-// BinnedMatrix is a column-major quantile-binned view of a training
-// matrix. It is immutable after Build and safe for concurrent readers.
+// BinnedMatrix is a column-major quantile-binned copy of a training
+// view. It is immutable after Build and safe for concurrent readers.
 type BinnedMatrix struct {
 	rows, cols int
 	// cols[f][row] is the bin index of row's value of feature f.
@@ -69,23 +70,31 @@ func (m *BinnedMatrix) CutBetween(f, leftBin, rightBin int) float64 {
 	return (m.hi[f][leftBin] + m.lo[f][rightBin]) / 2
 }
 
-// Build bins the row-major matrix xs into at most maxBins quantile
-// bins per feature. maxBins 0 selects DefaultBins; values are clamped
-// to [2, MaxBins]. Build rejects NaN inputs — the growers rely on a
+// Build bins the rows of v into at most maxBins quantile bins per
+// feature. Matrix row i is view position i, and matrix column j is
+// the view's j-th feature: v.Cols()[j] for a column sub-view, feature
+// j otherwise. Each column is gathered straight from the arena, so
+// no row is copied. maxBins 0 selects DefaultBins, positive values
+// clamp to [2, MaxBins], and a negative budget is an error. The
+// columns are binned on at most workers goroutines (the repository
+// convention: 0 = GOMAXPROCS, 1 = serial); output is identical at any
+// worker count. Build rejects NaN inputs — the growers rely on a
 // NaN-free matrix, since NaN defeats both ordering and binning.
-func Build(xs [][]float64, maxBins int) (*BinnedMatrix, error) {
-	return BuildWorkers(xs, maxBins, 1)
-}
-
-// BuildWorkers is Build with the feature columns binned on at most
-// workers goroutines (the repository convention: 0 = GOMAXPROCS,
-// 1 = serial). Output is identical at any worker count.
-func BuildWorkers(xs [][]float64, maxBins, workers int) (*BinnedMatrix, error) {
-	if len(xs) == 0 || len(xs[0]) == 0 {
+func Build(v ml.View, maxBins, workers int) (*BinnedMatrix, error) {
+	if maxBins < 0 {
+		return nil, fmt.Errorf("matrix: bin budget %d is negative", maxBins)
+	}
+	if v.Set() == nil || v.Len() == 0 || v.Width() == 0 {
 		return nil, fmt.Errorf("matrix: empty input")
 	}
-	maxBins = NormBins(maxBins)
-	rows, cols := len(xs), len(xs[0])
+	maxBins = normBins(maxBins)
+	rows, cols := v.Len(), v.Width()
+	arena, width := v.Set().Arena(), v.Set().Width()
+	// off[i] is the arena offset of view position i's row.
+	off := make([]int, rows)
+	for i := range off {
+		off[i] = int(v.RowIndex(i)) * width
+	}
 	m := &BinnedMatrix{
 		rows: rows,
 		cols: cols,
@@ -93,19 +102,20 @@ func BuildWorkers(xs [][]float64, maxBins, workers int) (*BinnedMatrix, error) {
 		lo:   make([][]float64, cols),
 		hi:   make([][]float64, cols),
 	}
-	if err := parallel.Do(cols, workers, func(f int) error {
-		col := make([]float64, rows)
-		for i := range xs {
-			if len(xs[i]) != cols {
-				return fmt.Errorf("matrix: row %d has width %d, want %d", i, len(xs[i]), cols)
-			}
-			v := xs[i][f]
-			if math.IsNaN(v) {
-				return fmt.Errorf("matrix: NaN at row %d, feature %d", i, f)
-			}
-			col[i] = v
+	if err := parallel.Do(cols, workers, func(j int) error {
+		c := j
+		if v.Cols() != nil {
+			c = v.Cols()[j]
 		}
-		m.bins[f], m.lo[f], m.hi[f] = binColumn(col, maxBins)
+		col := make([]float64, rows)
+		for i, o := range off {
+			x := arena[o+c]
+			if math.IsNaN(x) {
+				return fmt.Errorf("matrix: NaN at row %d, feature %d", i, c)
+			}
+			col[i] = x
+		}
+		m.bins[j], m.lo[j], m.hi[j] = binColumn(col, maxBins)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -113,21 +123,9 @@ func BuildWorkers(xs [][]float64, maxBins, workers int) (*BinnedMatrix, error) {
 	return m, nil
 }
 
-// FromSamples builds the binned matrix over the samples' feature
-// vectors. The samples are not retained.
-func FromSamples(samples []ml.Sample, maxBins, workers int) (*BinnedMatrix, error) {
-	xs := make([][]float64, len(samples))
-	for i := range samples {
-		xs[i] = samples[i].X
-	}
-	return BuildWorkers(xs, maxBins, workers)
-}
-
-// NormBins maps a bin budget to its effective value: 0 selects
-// DefaultBins, other values clamp to [2, MaxBins]. Negative budgets
-// (the exact-engine sentinel in the trainers) are the caller's
-// business and must not reach the binning layer.
-func NormBins(maxBins int) int {
+// normBins maps a non-negative bin budget to its effective value:
+// 0 selects DefaultBins, other values clamp to [2, MaxBins].
+func normBins(maxBins int) int {
 	switch {
 	case maxBins == 0:
 		return DefaultBins

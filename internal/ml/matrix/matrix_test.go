@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/mltest"
 )
 
 func TestConstantFeatureSingleBin(t *testing.T) {
 	xs := [][]float64{{7, 1}, {7, 2}, {7, 3}}
-	m, err := Build(xs, 0)
+	m, err := Build(mltest.Rows(xs), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestFewerDistinctThanBinsIsLossless(t *testing.T) {
 	for i := range xs {
 		xs[i] = []float64{vals[r.Intn(len(vals))]}
 	}
-	m, err := Build(xs, 0)
+	m, err := Build(mltest.Rows(xs), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestQuantileBinningCapsBins(t *testing.T) {
 		xs[i] = []float64{r.NormFloat64()}
 	}
 	for _, maxBins := range []int{16, 255, 256, 1000} {
-		m, err := Build(xs, maxBins)
+		m, err := Build(mltest.Rows(xs), maxBins, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +110,7 @@ func TestQuantileBinsRoughlyBalanced(t *testing.T) {
 	for i := range xs {
 		xs[i] = []float64{r.Float64()}
 	}
-	m, err := Build(xs, 64)
+	m, err := Build(mltest.Rows(xs), 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,20 +131,31 @@ func TestQuantileBinsRoughlyBalanced(t *testing.T) {
 
 func TestBuildRejectsNaN(t *testing.T) {
 	xs := [][]float64{{1, 2}, {3, math.NaN()}}
-	if _, err := Build(xs, 0); err == nil {
+	if _, err := Build(mltest.Rows(xs), 0, 1); err == nil {
 		t.Fatal("NaN input accepted")
 	}
 }
 
 func TestBuildRejectsEmptyAndRagged(t *testing.T) {
-	if _, err := Build(nil, 0); err == nil {
-		t.Fatal("empty input accepted")
+	if _, err := Build(ml.View{}, 0, 1); err == nil {
+		t.Fatal("zero view accepted")
 	}
-	if _, err := Build([][]float64{{}}, 0); err == nil {
-		t.Fatal("zero-width input accepted")
+	v := mltest.Rows([][]float64{{1, 2}, {3, 4}})
+	if _, err := Build(v.WithRows([]int32{}), 0, 1); err == nil {
+		t.Fatal("empty row selection accepted")
 	}
-	if _, err := Build([][]float64{{1, 2}, {3}}, 0); err == nil {
+	if _, err := Build(v.WithCols([]int{}), 0, 1); err == nil {
+		t.Fatal("zero-width column selection accepted")
+	}
+	// Ragged rows cannot reach Build: a sample set is rectangular.
+	if _, err := ml.FromSamples([]ml.Sample{{X: []float64{1, 2}}, {X: []float64{3}}}); err == nil {
 		t.Fatal("ragged input accepted")
+	}
+}
+
+func TestBuildRejectsNegativeBins(t *testing.T) {
+	if _, err := Build(mltest.Rows([][]float64{{1}, {2}}), -1, 1); err == nil {
+		t.Fatal("negative bin budget accepted")
 	}
 }
 
@@ -153,11 +165,11 @@ func TestBuildWorkersDeterministic(t *testing.T) {
 	for i := range xs {
 		xs[i] = []float64{r.NormFloat64(), r.NormFloat64() * 10, float64(r.Intn(5))}
 	}
-	serial, err := BuildWorkers(xs, 32, 1)
+	serial, err := Build(mltest.Rows(xs), 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelM, err := BuildWorkers(xs, 32, 8)
+	parallelM, err := Build(mltest.Rows(xs), 32, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,21 +185,77 @@ func TestBuildWorkersDeterministic(t *testing.T) {
 	}
 }
 
-func TestFromSamples(t *testing.T) {
-	samples := []ml.Sample{
-		{X: []float64{1, 5}, Y: 0},
-		{X: []float64{2, 5}, Y: 1},
-		{X: []float64{3, 5}, Y: 0},
-	}
-	m, err := FromSamples(samples, 0, 1)
+// TestBuildColumnSubView bins a row-and-column sub-view: matrix row i
+// is view position i, matrix column j is the view's j-th column.
+func TestBuildColumnSubView(t *testing.T) {
+	v := mltest.Rows([][]float64{{1, 5, 9}, {2, 5, 8}, {3, 5, 7}, {4, 6, 6}})
+	m, err := Build(v.WithRows([]int32{2, 0, 1}).WithCols([]int{1, 0}), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Rows() != 3 || m.Cols() != 2 {
 		t.Fatalf("shape = %d×%d", m.Rows(), m.Cols())
 	}
-	if m.NumBins(1) != 1 {
-		t.Fatalf("constant column bins = %d", m.NumBins(1))
+	if m.NumBins(0) != 1 {
+		t.Fatalf("constant column bins = %d", m.NumBins(0))
+	}
+	if got := m.Column(1); !reflect.DeepEqual(got, []uint8{2, 0, 1}) {
+		t.Fatalf("column 1 bins = %v, want [2 0 1]", got)
+	}
+}
+
+// buildSlice is the row-slice construction Build replaced: gather each
+// column of xs in row order and bin it.
+func buildSlice(xs [][]float64, maxBins int) *BinnedMatrix {
+	maxBins = normBins(maxBins)
+	rows, cols := len(xs), len(xs[0])
+	m := &BinnedMatrix{rows: rows, cols: cols, bins: make([][]uint8, cols), lo: make([][]float64, cols), hi: make([][]float64, cols)}
+	for f := 0; f < cols; f++ {
+		col := make([]float64, rows)
+		for i := range xs {
+			col[i] = xs[i][f]
+		}
+		m.bins[f], m.lo[f], m.hi[f] = binColumn(col, maxBins)
+	}
+	return m
+}
+
+// TestBuildViewMatchesSliceOracle pins Build on every fixture view —
+// row subsets, shuffled rows, column sub-views — to binning the view's
+// materialised rows, bins and Float64bits bounds alike.
+func TestBuildViewMatchesSliceOracle(t *testing.T) {
+	set, err := ml.FromSamples(mltest.Continuous(700, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := mltest.Views(set, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nv := range views {
+		for _, bins := range []int{0, 16} {
+			got, err := Build(nv.View, bins, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samples := mltest.Materialize(nv.View)
+			xs := make([][]float64, len(samples))
+			for i := range samples {
+				xs[i] = samples[i].X
+			}
+			want := buildSlice(xs, bins)
+			if got.rows != want.rows || got.cols != want.cols || !reflect.DeepEqual(got.bins, want.bins) {
+				t.Fatalf("%s bins=%d: binned matrix differs", nv.Name, bins)
+			}
+			for f := range want.lo {
+				for b := range want.lo[f] {
+					if math.Float64bits(got.lo[f][b]) != math.Float64bits(want.lo[f][b]) ||
+						math.Float64bits(got.hi[f][b]) != math.Float64bits(want.hi[f][b]) {
+						t.Fatalf("%s bins=%d: feature %d bin %d bounds differ", nv.Name, bins, f, b)
+					}
+				}
+			}
+		}
 	}
 }
 

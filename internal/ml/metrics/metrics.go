@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/ml"
 )
 
 // Confusion is a binary confusion matrix.
@@ -85,46 +83,11 @@ func ratio(num, den float64) float64 {
 	return num / den
 }
 
-// Evaluate scores every sample with clf at the 0.5 threshold and
-// returns the confusion matrix.
-func Evaluate(clf ml.Classifier, samples []ml.Sample) Confusion {
-	return EvaluateAt(clf, samples, 0.5)
-}
-
-// EvaluateAt scores samples with a custom probability threshold. The
-// scoring pass fans out across GOMAXPROCS goroutines; the matrix is
-// identical at any parallelism because aggregation happens in sample
-// order.
-func EvaluateAt(clf ml.Classifier, samples []ml.Sample, threshold float64) Confusion {
-	scores := ml.BatchScores(clf, samples, 0)
-	var c Confusion
-	for i := range samples {
-		pred := 0
-		if scores[i] >= threshold {
-			pred = 1
-		}
-		c.Add(pred, samples[i].Y)
-	}
-	return c
-}
-
 // ROCPoint is one operating point of a ROC curve.
 type ROCPoint struct {
 	Threshold float64
 	TPR       float64
 	FPR       float64
-}
-
-// ROC computes the ROC curve of clf over samples, one point per
-// distinct score, ordered from the (0,0) corner to (1,1). Scoring fans
-// out across GOMAXPROCS goroutines with order-stable results.
-func ROC(clf ml.Classifier, samples []ml.Sample) []ROCPoint {
-	scores := ml.BatchScores(clf, samples, 0)
-	labels := make([]int, len(samples))
-	for i := range samples {
-		labels[i] = samples[i].Y
-	}
-	return ROCFromScores(scores, labels)
 }
 
 // ROCFromScores builds a ROC curve from precomputed scores.
@@ -184,11 +147,6 @@ func AUC(points []ROCPoint) float64 {
 		area += dx * (points[i].TPR + points[i-1].TPR) / 2
 	}
 	return area
-}
-
-// AUCScore computes the AUC of clf over samples directly.
-func AUCScore(clf ml.Classifier, samples []ml.Sample) float64 {
-	return AUC(ROC(clf, samples))
 }
 
 // PRPoint is one operating point of a precision-recall curve.

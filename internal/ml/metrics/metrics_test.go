@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/ml"
 )
 
 func TestConfusionRates(t *testing.T) {
@@ -57,49 +55,16 @@ func TestConfusionAdd(t *testing.T) {
 	}
 }
 
-type scoreByFirst struct{}
-
-func (scoreByFirst) PredictProba(x []float64) float64 { return x[0] }
-
-func mkSamples(scores []float64, labels []int) []ml.Sample {
-	out := make([]ml.Sample, len(scores))
-	for i := range scores {
-		out[i] = ml.Sample{X: []float64{scores[i]}, Y: labels[i]}
-	}
-	return out
-}
-
-func TestEvaluate(t *testing.T) {
-	samples := mkSamples(
-		[]float64{0.9, 0.8, 0.3, 0.1},
-		[]int{1, 0, 1, 0},
-	)
-	c := Evaluate(scoreByFirst{}, samples)
-	if c.TP != 1 || c.FP != 1 || c.FN != 1 || c.TN != 1 {
-		t.Fatalf("confusion = %+v", c)
-	}
-	strict := EvaluateAt(scoreByFirst{}, samples, 0.85)
-	if strict.TP != 1 || strict.FP != 0 {
-		t.Fatalf("strict confusion = %+v", strict)
-	}
-}
-
 func TestPerfectAUC(t *testing.T) {
-	samples := mkSamples(
-		[]float64{0.9, 0.8, 0.2, 0.1},
-		[]int{1, 1, 0, 0},
-	)
-	if got := AUCScore(scoreByFirst{}, samples); got != 1 {
+	scores, labels := []float64{0.9, 0.8, 0.2, 0.1}, []int{1, 1, 0, 0}
+	if got := AUC(ROCFromScores(scores, labels)); got != 1 {
 		t.Fatalf("perfect ranking AUC = %g, want 1", got)
 	}
 }
 
 func TestReversedAUC(t *testing.T) {
-	samples := mkSamples(
-		[]float64{0.9, 0.8, 0.2, 0.1},
-		[]int{0, 0, 1, 1},
-	)
-	if got := AUCScore(scoreByFirst{}, samples); got != 0 {
+	scores, labels := []float64{0.9, 0.8, 0.2, 0.1}, []int{0, 0, 1, 1}
+	if got := AUC(ROCFromScores(scores, labels)); got != 0 {
 		t.Fatalf("reversed ranking AUC = %g, want 0", got)
 	}
 }
@@ -107,11 +72,8 @@ func TestReversedAUC(t *testing.T) {
 func TestTiedScoresAUC(t *testing.T) {
 	// All samples share one score: AUC must be exactly 0.5 (diagonal),
 	// not optimistic.
-	samples := mkSamples(
-		[]float64{0.5, 0.5, 0.5, 0.5},
-		[]int{1, 0, 1, 0},
-	)
-	if got := AUCScore(scoreByFirst{}, samples); math.Abs(got-0.5) > 1e-12 {
+	scores, labels := []float64{0.5, 0.5, 0.5, 0.5}, []int{1, 0, 1, 0}
+	if got := AUC(ROCFromScores(scores, labels)); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("tied AUC = %g, want 0.5", got)
 	}
 }

@@ -4,10 +4,10 @@
 // and are all stdlib-only, from-scratch implementations.
 package ml
 
-import "fmt"
-
 // Sample is one labelled observation: a dense feature vector plus the
-// binary health label.
+// binary health label. Training reads SampleSet views; Sample is the
+// row type of hand-built fixtures (FromSamples) and of per-drive
+// evaluation samples (features.PositiveSamplesAt).
 type Sample struct {
 	// X is the feature vector; all samples in a set share one length.
 	X []float64
@@ -35,54 +35,14 @@ func Predict(c Classifier, x []float64) int {
 	return 0
 }
 
-// Trainer builds a classifier from labelled samples.
+// Trainer builds a classifier from a view of labelled rows.
 type Trainer interface {
-	// Train fits a model. Implementations must not retain or mutate
-	// the samples slice or the vectors inside it.
-	Train(samples []Sample) (Classifier, error)
+	// Train fits a model on the view's rows. Implementations must not
+	// retain or mutate the view's set. A trainer that honours a column
+	// sub-view (the tree ensembles) returns a model that indexes
+	// features globally, so it scores full-width arena rows; the
+	// others reject one.
+	Train(v View) (Classifier, error)
 	// Name identifies the algorithm (e.g. "RF", "GBDT").
 	Name() string
-}
-
-// ValidateSamples checks that samples form a consistent training set:
-// non-empty, uniform feature width, labels in {0, 1}, and at least one
-// sample of each class when requireBothClasses is set.
-func ValidateSamples(samples []Sample, requireBothClasses bool) error {
-	if len(samples) == 0 {
-		return fmt.Errorf("ml: empty sample set")
-	}
-	width := len(samples[0].X)
-	if width == 0 {
-		return fmt.Errorf("ml: zero-width feature vectors")
-	}
-	var pos, neg int
-	for i := range samples {
-		if len(samples[i].X) != width {
-			return fmt.Errorf("ml: sample %d has width %d, want %d", i, len(samples[i].X), width)
-		}
-		switch samples[i].Y {
-		case 0:
-			neg++
-		case 1:
-			pos++
-		default:
-			return fmt.Errorf("ml: sample %d has label %d, want 0 or 1", i, samples[i].Y)
-		}
-	}
-	if requireBothClasses && (pos == 0 || neg == 0) {
-		return fmt.Errorf("ml: need both classes, have %d positive and %d negative", pos, neg)
-	}
-	return nil
-}
-
-// ClassCounts returns the number of negative and positive samples.
-func ClassCounts(samples []Sample) (neg, pos int) {
-	for i := range samples {
-		if samples[i].Y == 1 {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	return neg, pos
 }

@@ -2,46 +2,62 @@ package ml
 
 import "testing"
 
+// TestValidateSamples pins the checks FromSamples makes on hand-built
+// samples, and ValidateView's class check on the resulting view.
 func TestValidateSamples(t *testing.T) {
 	good := []Sample{
 		{X: []float64{1, 2}, Y: 0},
 		{X: []float64{3, 4}, Y: 1},
 	}
-	if err := ValidateSamples(good, true); err != nil {
+	set, err := FromSamples(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateView(set.All(), true); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := ValidateSamples(nil, false); err == nil {
+	if _, err := FromSamples(nil); err == nil {
 		t.Error("empty set accepted")
 	}
-	if err := ValidateSamples([]Sample{{X: nil, Y: 0}}, false); err == nil {
+	if _, err := FromSamples([]Sample{{X: nil, Y: 0}}); err == nil {
 		t.Error("zero-width accepted")
 	}
 	ragged := []Sample{{X: []float64{1}, Y: 0}, {X: []float64{1, 2}, Y: 1}}
-	if err := ValidateSamples(ragged, false); err == nil {
+	if _, err := FromSamples(ragged); err == nil {
 		t.Error("ragged widths accepted")
 	}
-	badLabel := []Sample{{X: []float64{1}, Y: 2}}
-	if err := ValidateSamples(badLabel, false); err == nil {
-		t.Error("label 2 accepted")
+	for _, y := range []int{2, -1, 256} {
+		if _, err := FromSamples([]Sample{{X: []float64{1}, Y: y}}); err == nil {
+			t.Errorf("label %d accepted", y)
+		}
 	}
-	onlyPos := []Sample{{X: []float64{1}, Y: 1}}
-	if err := ValidateSamples(onlyPos, true); err == nil {
+	onlyPos, err := FromSamples([]Sample{{X: []float64{1}, Y: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateView(onlyPos.All(), true); err == nil {
 		t.Error("single-class set accepted with requireBothClasses")
 	}
-	if err := ValidateSamples(onlyPos, false); err != nil {
+	if err := ValidateView(onlyPos.All(), false); err != nil {
 		t.Errorf("single-class set rejected without requireBothClasses: %v", err)
 	}
 }
 
 func TestClassCounts(t *testing.T) {
-	neg, pos := ClassCounts([]Sample{
+	set, err := FromSamples([]Sample{
 		{X: []float64{0}, Y: 0},
 		{X: []float64{0}, Y: 1},
 		{X: []float64{0}, Y: 1},
 	})
-	if neg != 1 || pos != 2 {
+	if err != nil {
+		t.Fatal(err)
+	}
+	if neg, pos := set.All().ClassCounts(); neg != 1 || pos != 2 {
 		t.Fatalf("counts = %d/%d", neg, pos)
+	}
+	if neg, pos := set.All().WithRows([]int32{2, 0}).ClassCounts(); neg != 1 || pos != 1 {
+		t.Fatalf("row-subset counts = %d/%d", neg, pos)
 	}
 }
 

@@ -1,5 +1,7 @@
 // Package mltest provides the data fixtures of the learners'
-// equivalence and leakage tests. Only _test.go files import it.
+// equivalence and leakage tests, and the conversions between hand-built
+// []ml.Sample fixtures, which the learners' slice oracles take, and
+// the ml.View every trainer takes. Only _test.go files import it.
 package mltest
 
 import (
@@ -112,6 +114,40 @@ func Mask(x []float64, cols []int) []float64 {
 	out := make([]float64, len(cols))
 	for j, c := range cols {
 		out[j] = x[c]
+	}
+	return out
+}
+
+// View returns the all-rows view of a fresh set holding samples, row
+// for row. It panics on samples ml.FromSamples rejects: fixtures are
+// valid by construction, and tests of invalid input build their sets
+// themselves.
+func View(samples []ml.Sample) ml.View {
+	set, err := ml.FromSamples(samples)
+	if err != nil {
+		panic(err)
+	}
+	return set.All()
+}
+
+// Rows returns View over unlabelled feature rows (every label 0), for
+// tests that bin a matrix without training on it.
+func Rows(xs [][]float64) ml.View {
+	samples := make([]ml.Sample, len(xs))
+	for i, x := range xs {
+		samples[i] = ml.Sample{X: x}
+	}
+	return View(samples)
+}
+
+// Materialize returns the view's rows as samples in view order: the
+// arena rows themselves (header-only, no feature copy) without a column
+// subset, masked copies with one. It is the slice a learner's oracle
+// fits on to pin what the learner fits on the view.
+func Materialize(v ml.View) []ml.Sample {
+	out := make([]ml.Sample, v.Len())
+	for i := range out {
+		out[i] = ml.Sample{X: Mask(v.Row(i), v.Cols()), Y: v.Y(i), SN: v.SN(i), Day: v.Day(i)}
 	}
 	return out
 }

@@ -37,16 +37,20 @@ type CNNLSTMTrainer struct {
 // Name implements ml.Trainer.
 func (t *CNNLSTMTrainer) Name() string { return "CNN_LSTM" }
 
-// Train implements ml.Trainer.
-func (t *CNNLSTMTrainer) Train(samples []ml.Sample) (ml.Classifier, error) {
-	if err := ml.ValidateSamples(samples, true); err != nil {
+// Train implements ml.Trainer. It reads whole rows, so a column
+// sub-view is rejected.
+func (t *CNNLSTMTrainer) Train(v ml.View) (ml.Classifier, error) {
+	if err := ml.ValidateView(v, true); err != nil {
 		return nil, err
+	}
+	if v.Cols() != nil {
+		return nil, fmt.Errorf("nn: column sub-view not supported")
 	}
 	if t.SeqLen <= 0 || t.Features <= 0 {
 		return nil, fmt.Errorf("nn: SeqLen and Features must be set (have %d, %d)", t.SeqLen, t.Features)
 	}
-	if want := t.SeqLen * t.Features; len(samples[0].X) != want {
-		return nil, fmt.Errorf("nn: sample width %d, want SeqLen*Features = %d", len(samples[0].X), want)
+	if want := t.SeqLen * t.Features; v.Width() != want {
+		return nil, fmt.Errorf("nn: sample width %d, want SeqLen*Features = %d", v.Width(), want)
 	}
 	cfg := *t
 	if cfg.Filters == 0 {
@@ -70,10 +74,10 @@ func (t *CNNLSTMTrainer) Train(samples []ml.Sample) (ml.Classifier, error) {
 
 	r := rand.New(rand.NewSource(cfg.Seed + 42))
 	m := newModel(&cfg, r)
-	m.fitScaler(samples)
+	m.fitScaler(v)
 
 	opt := newAdam(cfg.LearningRate)
-	order := make([]int, len(samples))
+	order := make([]int, v.Len())
 	for i := range order {
 		order[i] = i
 	}
@@ -85,7 +89,7 @@ func (t *CNNLSTMTrainer) Train(samples []ml.Sample) (ml.Classifier, error) {
 				end = len(order)
 			}
 			for _, i := range order[start:end] {
-				m.backward(samples[i].X, float64(samples[i].Y))
+				m.backward(v.Row(i), float64(v.Y(i)))
 			}
 			opt.update(m.params(), end-start)
 		}
@@ -133,23 +137,23 @@ func (m *Model) params() []*param {
 	return []*param{m.convW, m.convB, m.lstmW, m.lstmB, m.outW, m.outB}
 }
 
-func (m *Model) fitScaler(samples []ml.Sample) {
+func (m *Model) fitScaler(v ml.View) {
 	F := m.cfg.Features
 	m.mean = make([]float64, F)
 	m.std = make([]float64, F)
 	n := 0
-	for i := range samples {
-		for j, v := range samples[i].X {
-			m.mean[j%F] += v
+	for i := 0; i < v.Len(); i++ {
+		for j, x := range v.Row(i) {
+			m.mean[j%F] += x
 		}
 		n += m.cfg.SeqLen
 	}
 	for f := range m.mean {
 		m.mean[f] /= float64(n)
 	}
-	for i := range samples {
-		for j, v := range samples[i].X {
-			d := v - m.mean[j%F]
+	for i := 0; i < v.Len(); i++ {
+		for j, x := range v.Row(i) {
+			d := x - m.mean[j%F]
 			m.std[j%F] += d * d
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/mltest"
 )
 
 // newTinyNet builds a small network with identity input scaling, for
@@ -123,7 +124,7 @@ func TestCNNLSTMLearnsTrend(t *testing.T) {
 	}
 	train := seqBlobs(150, 5, 3, 1)
 	test := seqBlobs(80, 5, 3, 2)
-	clf, err := trainer.Train(train)
+	clf, err := trainer.Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,21 +141,25 @@ func TestCNNLSTMLearnsTrend(t *testing.T) {
 
 func TestTrainerValidation(t *testing.T) {
 	good := seqBlobs(5, 2, 2, 3)
-	if _, err := (&CNNLSTMTrainer{SeqLen: 0, Features: 2}).Train(good); err == nil {
+	if _, err := (&CNNLSTMTrainer{SeqLen: 0, Features: 2}).Train(mltest.View(good)); err == nil {
 		t.Error("zero SeqLen accepted")
 	}
-	if _, err := (&CNNLSTMTrainer{SeqLen: 3, Features: 2}).Train(good); err == nil {
+	if _, err := (&CNNLSTMTrainer{SeqLen: 3, Features: 2}).Train(mltest.View(good)); err == nil {
 		t.Error("width mismatch accepted")
 	}
-	if _, err := (&CNNLSTMTrainer{SeqLen: 2, Features: 2}).Train(nil); err == nil {
+	if _, err := (&CNNLSTMTrainer{SeqLen: 2, Features: 2}).Train(ml.View{}); err == nil {
 		t.Error("empty set accepted")
+	}
+	// A column sub-view is rejected, even one of the expected width.
+	if _, err := (&CNNLSTMTrainer{SeqLen: 1, Features: 2}).Train(mltest.View(good).WithCols([]int{0, 1})); err == nil {
+		t.Error("column sub-view accepted")
 	}
 }
 
 func TestPredictProbaBounds(t *testing.T) {
 	trainer := &CNNLSTMTrainer{SeqLen: 3, Features: 2, Epochs: 2, Seed: 1}
 	train := seqBlobs(30, 3, 2, 5)
-	clf, err := trainer.Train(train)
+	clf, err := trainer.Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +198,7 @@ func TestScalerFitsTrainingData(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(1))
 	m := newModel(trainer, r)
-	m.fitScaler(samples)
+	m.fitScaler(mltest.View(samples))
 	// Feature 0 sees values {1000, 2000, 3000, 4000} → mean 2500.
 	if math.Abs(m.mean[0]-2500) > 1e-9 {
 		t.Fatalf("mean[0] = %g, want 2500", m.mean[0])
@@ -206,7 +211,7 @@ func TestScalerFitsTrainingData(t *testing.T) {
 func TestExportImportRoundTrip(t *testing.T) {
 	trainer := &CNNLSTMTrainer{SeqLen: 3, Features: 4, Filters: 4, Kernel: 3, Hidden: 5, Epochs: 3, Seed: 1}
 	train := seqBlobs(40, 3, 4, 40)
-	clf, err := trainer.Train(train)
+	clf, err := trainer.Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,10 +48,11 @@ func NewSampleSet(width int, x []float64, y []int8, day []int32, sn []string) (*
 }
 
 // FromSamples copies a []Sample slice into columnar form, row for row.
-// Tests use it to run the view functions on hand-built samples.
+// Tests use it to build sets from hand-made samples; the samples must
+// be non-empty, share one non-zero width, and carry 0/1 labels.
 func FromSamples(samples []Sample) (*SampleSet, error) {
-	if err := ValidateSamples(samples, false); err != nil {
-		return nil, err
+	if len(samples) == 0 {
+		return nil, fmt.Errorf("ml: empty sample set")
 	}
 	width := len(samples[0].X)
 	x := make([]float64, 0, len(samples)*width)
@@ -59,6 +60,12 @@ func FromSamples(samples []Sample) (*SampleSet, error) {
 	day := make([]int32, len(samples))
 	sn := make([]string, len(samples))
 	for i := range samples {
+		if len(samples[i].X) != width {
+			return nil, fmt.Errorf("ml: sample %d has width %d, want %d", i, len(samples[i].X), width)
+		}
+		if y := samples[i].Y; y != 0 && y != 1 {
+			return nil, fmt.Errorf("ml: sample %d has label %d, want 0 or 1", i, y)
+		}
 		x = append(x, samples[i].X...)
 		y[i] = int8(samples[i].Y)
 		day[i] = int32(samples[i].Day)
@@ -139,7 +146,7 @@ func (v View) RowIndex(i int) int32 {
 
 // Row returns position i's full-width feature vector straight from the
 // arena. Column subsets are not applied — consumers that honour Cols
-// (the tree growers) index it by global feature id.
+// (the tree ensembles' binning) index it by global feature id.
 func (v View) Row(i int) []float64 { return v.set.Row(int(v.RowIndex(i))) }
 
 // Y returns position i's label.
@@ -243,39 +250,10 @@ func (v View) Xs() [][]float64 {
 	return out
 }
 
-// Materialize converts the view to the []Sample rows Trainer.Train
-// takes, for trainers that do not implement ViewTrainer.
-// Without a column subset the X vectors are capped arena subslices
-// (header-only — no feature data is copied), honouring the Trainer
-// contract that inputs are never mutated; with a column subset each X
-// is a fresh masked copy.
-func (v View) Materialize() []Sample {
-	n := v.Len()
-	out := make([]Sample, n)
-	if v.cols == nil {
-		for i := 0; i < n; i++ {
-			r := int(v.RowIndex(i))
-			out[i] = Sample{X: v.set.Row(r), Y: v.set.Y(r), SN: v.set.SN(r), Day: v.set.Day(r)}
-		}
-		return out
-	}
-	flat := make([]float64, n*len(v.cols))
-	for i := 0; i < n; i++ {
-		r := int(v.RowIndex(i))
-		x := flat[i*len(v.cols) : (i+1)*len(v.cols) : (i+1)*len(v.cols)]
-		row := v.set.Row(r)
-		for j, c := range v.cols {
-			x[j] = row[c]
-		}
-		out[i] = Sample{X: x, Y: v.set.Y(r), SN: v.set.SN(r), Day: v.set.Day(r)}
-	}
-	return out
-}
-
 // ValidateView checks that a view forms a usable training set:
 // non-empty and, when requireBothClasses is set, holding at least one
-// row of each class (the columnar counterpart of ValidateSamples; the
-// arena representation makes width and label checks structural).
+// row of each class (the arena representation makes width and label
+// checks structural).
 func ValidateView(v View, requireBothClasses bool) error {
 	if v.Set() == nil || v.Len() == 0 {
 		return fmt.Errorf("ml: empty sample view")
@@ -287,27 +265,4 @@ func ValidateView(v View, requireBothClasses bool) error {
 		}
 	}
 	return nil
-}
-
-// ViewTrainer is implemented by trainers whose view-trained models
-// index features globally: a model fitted on a column sub-view
-// predicts on full-width arena rows, so callers score rows straight
-// out of the arena. The tree ensembles fit exactly what Train fits on
-// v.Materialize() — binning only the view's rows — and then re-index
-// their splits.
-type ViewTrainer interface {
-	Trainer
-	// TrainView fits a model on the view's rows (and, when set, only
-	// its feature columns). The view and its set must stay unmutated.
-	TrainView(v View) (Classifier, error)
-}
-
-// TrainOn trains t on v: through TrainView when t implements
-// ViewTrainer, otherwise through Train on a materialised (header-only,
-// or masked when the view has a column subset) sample slice.
-func TrainOn(t Trainer, v View) (Classifier, error) {
-	if vt, ok := t.(ViewTrainer); ok {
-		return vt.TrainView(v)
-	}
-	return t.Train(v.Materialize())
 }

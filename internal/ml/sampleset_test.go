@@ -28,14 +28,13 @@ func TestFromSamplesRoundTrip(t *testing.T) {
 	if set.Len() != len(samples) || set.Width() != 4 {
 		t.Fatalf("set is %d×%d, want %d×4", set.Len(), set.Width(), len(samples))
 	}
-	back := set.All().Materialize()
 	for i := range samples {
-		if back[i].Y != samples[i].Y || back[i].Day != samples[i].Day || back[i].SN != samples[i].SN {
-			t.Fatalf("row %d metadata mismatch: %+v vs %+v", i, back[i], samples[i])
+		if set.Y(i) != samples[i].Y || set.Day(i) != samples[i].Day || set.SN(i) != samples[i].SN {
+			t.Fatalf("row %d metadata mismatch: %d/%d/%s vs %+v", i, set.Y(i), set.Day(i), set.SN(i), samples[i])
 		}
 		for j := range samples[i].X {
-			if back[i].X[j] != samples[i].X[j] {
-				t.Fatalf("row %d feature %d: %v, want %v", i, j, back[i].X[j], samples[i].X[j])
+			if got := set.Row(i)[j]; got != samples[i].X[j] {
+				t.Fatalf("row %d feature %d: %v, want %v", i, j, got, samples[i].X[j])
 			}
 		}
 	}
@@ -95,20 +94,16 @@ func TestViewRowsAndCols(t *testing.T) {
 	}
 
 	// Column sub-views keep full-width Row access (trees index features
-	// globally) but materialise masked copies.
+	// globally) and the row selection.
 	cv := v.WithCols([]int{3, 1})
-	if cv.Width() != 2 {
-		t.Fatalf("column view width %d, want 2", cv.Width())
+	if cv.Width() != 2 || cv.Len() != 3 {
+		t.Fatalf("column view is %d×%d, want 3×2", cv.Len(), cv.Width())
 	}
-	if len(cv.Row(0)) != 4 {
+	if c := cv.Cols(); len(c) != 2 || c[0] != 3 || c[1] != 1 {
+		t.Fatalf("column view Cols = %v, want [3 1]", c)
+	}
+	if len(cv.Row(0)) != 4 || cv.Row(0)[3] != samples[7].X[3] {
 		t.Fatalf("column view Row is masked; want full-width arena row")
-	}
-	masked := cv.Materialize()
-	for i, r := range []int{7, 2, 11} {
-		want := []float64{samples[r].X[3], samples[r].X[1]}
-		if masked[i].X[0] != want[0] || masked[i].X[1] != want[1] {
-			t.Fatalf("masked row %d = %v, want %v", i, masked[i].X, want)
-		}
 	}
 }
 
@@ -122,17 +117,6 @@ func TestXsAliasesArena(t *testing.T) {
 	xs := set.All().WithRows([]int32{4, 1}).Xs()
 	if &xs[0][0] != &set.Arena()[4*3] || &xs[1][0] != &set.Arena()[1*3] {
 		t.Fatal("Xs copied feature data instead of aliasing the arena")
-	}
-}
-
-func TestMaterializeHeaderOnly(t *testing.T) {
-	set, err := FromSamples(setSamples(6, 3, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := set.All().Materialize()
-	if &out[2].X[0] != &set.Arena()[2*3] {
-		t.Fatal("full-width Materialize copied feature data")
 	}
 }
 
@@ -155,27 +139,3 @@ func TestValidateView(t *testing.T) {
 		t.Fatal("empty row selection accepted")
 	}
 }
-
-func TestTrainOnFallsBackForNonViewTrainers(t *testing.T) {
-	samples := setSamples(60, 3, 9)
-	set, err := FromSamples(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := &recordingTrainer{}
-	if _, err := TrainOn(tr, set.All().WithRows([]int32{3, 1, 8})); err != nil {
-		t.Fatal(err)
-	}
-	if tr.got != 3 {
-		t.Fatalf("fallback trained on %d samples, want 3", tr.got)
-	}
-}
-
-type recordingTrainer struct{ got int }
-
-func (r *recordingTrainer) Train(s []Sample) (Classifier, error) {
-	r.got = len(s)
-	return constClassifier(0.5), nil
-}
-
-func (r *recordingTrainer) Name() string { return "recording" }

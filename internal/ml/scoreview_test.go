@@ -76,7 +76,7 @@ func TestScoreViewMatchesScoreBatch(t *testing.T) {
 		nodes int
 	}
 	fit := func(tr ml.Trainer) ml.Classifier {
-		clf, err := ml.TrainOn(tr, all)
+		clf, err := tr.Train(all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func BenchmarkScoreView(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	clf, err := ml.TrainOn(&forest.Trainer{Trees: 100, MaxDepth: 12, Seed: 1}, set.All())
+	clf, err := (&forest.Trainer{Trees: 100, MaxDepth: 12, Seed: 1}).Train(set.All())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func BenchmarkGridSearchWorkers(b *testing.B) {
 	v := viewOf(b, trendData(600, 31))
 	factory := func(params map[string]float64) ml.Trainer {
-		return &tree.Trainer{Config: tree.Config{
+		return &cart{tree.Config{
 			MaxDepth:       int(params["depth"]),
 			MinSamplesLeaf: int(params["leaf"]),
 		}}

@@ -32,7 +32,7 @@ func wideTrendData(n, width int, seed int64) []ml.Sample {
 }
 
 func treeFactory(params map[string]float64) ml.Trainer {
-	return &tree.Trainer{Config: tree.Config{
+	return &cart{tree.Config{
 		MaxDepth:       int(params["depth"]),
 		MinSamplesLeaf: 10,
 	}}
@@ -69,11 +69,11 @@ type failingTrainer struct {
 	inner ml.Trainer
 }
 
-func (f *failingTrainer) Train(s []ml.Sample) (ml.Classifier, error) {
+func (f *failingTrainer) Train(v ml.View) (ml.Classifier, error) {
 	if f.fail {
 		return nil, errors.New("unfittable combination")
 	}
-	return f.inner.Train(s)
+	return f.inner.Train(v)
 }
 
 func (f *failingTrainer) Name() string { return "failing" }
@@ -108,7 +108,7 @@ func TestGridSearchWorkersErrorIdentical(t *testing.T) {
 func TestForwardSelectWorkersIdentical(t *testing.T) {
 	samples := wideTrendData(600, 5, 23)
 	train, val := viewOf(t, samples[:400]), viewOf(t, samples[400:])
-	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
+	trainer := &cart{tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
 	names := []string{"signal", "n1", "n2", "n3", "n4"}
 	want, err := ForwardSelectSet(trainer, train, val, names, 3, 0, 1)
 	if err != nil {
@@ -150,7 +150,7 @@ func TestForwardSelectWorkersErrorIdentical(t *testing.T) {
 func TestBackwardEliminateWorkersIdentical(t *testing.T) {
 	samples := wideTrendData(600, 5, 25)
 	train, val := viewOf(t, samples[:400]), viewOf(t, samples[400:])
-	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
+	trainer := &cart{tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
 	names := []string{"signal", "n1", "n2", "n3", "n4"}
 	want, err := BackwardEliminateSet(trainer, train, val, names, 1, 0.05, 1)
 	if err != nil {

@@ -36,7 +36,7 @@ type Candidate struct {
 //
 // CV folds are index views of the shared arena (no sample copies).
 // Each (combination, fold) pair trains on its fold's training view
-// through ml.TrainOn — the tree ensembles bin only that view's rows,
+// through ml.Trainer.Train — the tree ensembles bin only that view's rows,
 // so a fold's split candidates never see its validation rows — and
 // scores the validation rows straight out of the arena, in arena
 // order. The pairs fan out across workers (0 = GOMAXPROCS,
@@ -83,7 +83,7 @@ func GridSearchSet(factory Factory, grid Grid, v ml.View, k, workers int) ([]Can
 	aucs, err := parallel.Map(len(pairs), workers, func(i int) (float64, error) {
 		p := pairs[i]
 		trainer := factory(combos[p.combo])
-		clf, err := ml.TrainOn(trainer, folds[p.fold].Train)
+		clf, err := trainer.Train(folds[p.fold].Train)
 		if err != nil {
 			return 0, fmt.Errorf("search: %s on %v: %w", trainer.Name(), combos[p.combo], err)
 		}

@@ -9,9 +9,9 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/features"
 	"repro/internal/ml"
 	"repro/internal/ml/metrics"
+	"repro/internal/ml/mltest"
 	"repro/internal/parallel"
 	"repro/internal/sampling"
 )
@@ -36,7 +36,7 @@ func timeSeriesCV(samples []ml.Sample, k int) ([]sampleFold, error) {
 	}
 	out := make([]sampleFold, len(folds))
 	for i, f := range folds {
-		out[i] = sampleFold{Train: f.Train.Materialize(), Val: f.Val.Materialize()}
+		out[i] = sampleFold{Train: mltest.Materialize(f.Train), Val: mltest.Materialize(f.Val)}
 	}
 	return out, nil
 }
@@ -75,11 +75,18 @@ func GridSearchWorkers(factory Factory, grid Grid, samples []ml.Sample, k, worke
 	aucs, err := parallel.Map(len(pairs), workers, func(i int) (float64, error) {
 		p := pairs[i]
 		trainer := factory(combos[p.combo])
-		clf, err := trainer.Train(folds[p.fold].Train)
+		clf, err := trainer.Train(mltest.View(folds[p.fold].Train))
 		if err != nil {
 			return 0, fmt.Errorf("search: %s on %v: %w", trainer.Name(), combos[p.combo], err)
 		}
-		return metrics.AUCScore(clf, folds[p.fold].Val), nil
+		val := folds[p.fold].Val
+		scores := make([]float64, len(val))
+		labels := make([]int, len(val))
+		for i := range val {
+			scores[i] = clf.PredictProba(val[i].X)
+			labels[i] = val[i].Y
+		}
+		return metrics.AUC(metrics.ROCFromScores(scores, labels)), nil
 	})
 	if err != nil {
 		return nil, Candidate{}, err
@@ -104,19 +111,41 @@ func GridSearchWorkers(factory Factory, grid Grid, samples []ml.Sample, k, worke
 }
 
 func bothClasses(samples []ml.Sample) bool {
-	neg, pos := ml.ClassCounts(samples)
+	var neg, pos int
+	for i := range samples {
+		if samples[i].Y == 1 {
+			pos++
+		} else {
+			neg++
+		}
+	}
 	return neg > 0 && pos > 0
+}
+
+// validate is ml.ValidateView with both classes required, on a fresh
+// set of samples.
+func validate(samples []ml.Sample) error {
+	set, err := ml.FromSamples(samples)
+	if err != nil {
+		return err
+	}
+	return ml.ValidateView(set.All(), true)
+}
+
+// mask returns masked copies of samples restricted to subset.
+func mask(samples []ml.Sample, subset []int) []ml.Sample {
+	return mltest.Materialize(mltest.View(samples).WithCols(subset))
 }
 
 // scoreSubset trains on the masked training set and scores the masked
 // validation set once, deriving both the AUC and the 0.5-threshold
 // confusion matrix from a single prediction pass.
 func scoreSubset(trainer ml.Trainer, train, val []ml.Sample, subset []int) (subsetScore, error) {
-	clf, err := trainer.Train(features.Mask(train, subset))
+	clf, err := trainer.Train(mltest.View(mask(train, subset)))
 	if err != nil {
 		return subsetScore{}, err
 	}
-	masked := features.Mask(val, subset)
+	masked := mask(val, subset)
 	scores := make([]float64, len(masked))
 	labels := make([]int, len(masked))
 	var cm metrics.Confusion
@@ -137,10 +166,10 @@ func scoreSubset(trainer ml.Trainer, train, val []ml.Sample, subset []int) (subs
 // and score concurrently; ties break toward the lowest feature index,
 // so the trajectory is identical at any worker count.
 func ForwardSelectWorkers(trainer ml.Trainer, train, val []ml.Sample, names []string, maxFeatures int, minGain float64, workers int) (*SFSResult, error) {
-	if err := ml.ValidateSamples(train, true); err != nil {
+	if err := validate(train); err != nil {
 		return nil, fmt.Errorf("search: train: %w", err)
 	}
-	if err := ml.ValidateSamples(val, true); err != nil {
+	if err := validate(val); err != nil {
 		return nil, fmt.Errorf("search: val: %w", err)
 	}
 	width := len(train[0].X)
@@ -209,10 +238,10 @@ func ForwardSelectWorkers(trainer ml.Trainer, train, val []ml.Sample, names []st
 // and score concurrently; ties break toward the earliest candidate, so
 // the elimination order is identical at any worker count.
 func BackwardEliminateWorkers(trainer ml.Trainer, train, val []ml.Sample, names []string, minFeatures int, maxLoss float64, workers int) (*SFSResult, error) {
-	if err := ml.ValidateSamples(train, true); err != nil {
+	if err := validate(train); err != nil {
 		return nil, fmt.Errorf("search: train: %w", err)
 	}
-	if err := ml.ValidateSamples(val, true); err != nil {
+	if err := validate(val); err != nil {
 		return nil, fmt.Errorf("search: val: %w", err)
 	}
 	width := len(train[0].X)

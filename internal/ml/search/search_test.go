@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/matrix"
 	"repro/internal/ml/tree"
 )
 
@@ -27,6 +28,32 @@ func trendData(n int, seed int64) []ml.Sample {
 		})
 	}
 	return out
+}
+
+// cart is a single gini tree grown by the histogram engine: the search
+// tests' cheap, deterministic trainer. Like the ensembles it honours a
+// column sub-view and widens its splits to global features.
+type cart struct{ cfg tree.Config }
+
+func (c *cart) Name() string { return "CART" }
+
+func (c *cart) Train(v ml.View) (ml.Classifier, error) {
+	if err := ml.ValidateView(v, false); err != nil {
+		return nil, err
+	}
+	m, err := matrix.Build(v, 0, 1)
+	if err != nil {
+		return nil, err
+	}
+	ys := make([]float64, v.Len())
+	for i := range ys {
+		ys[i] = float64(v.Y(i))
+	}
+	clf := tree.GrowClassifierBinned(m, ys, nil, c.cfg)
+	if cols := v.Cols(); cols != nil {
+		clf.WidenFeatures(cols, v.Set().Width())
+	}
+	return clf, nil
 }
 
 // viewOf returns the all-rows view of a set built from samples.
@@ -67,7 +94,7 @@ func TestEnumerateEmpty(t *testing.T) {
 func TestGridSearchPicksSensibleDepth(t *testing.T) {
 	samples := trendData(400, 1)
 	factory := func(params map[string]float64) ml.Trainer {
-		return &tree.Trainer{Config: tree.Config{
+		return &cart{tree.Config{
 			MaxDepth:       int(params["depth"]),
 			MinSamplesLeaf: 10,
 		}}
@@ -89,7 +116,7 @@ func TestGridSearchPicksSensibleDepth(t *testing.T) {
 }
 
 func TestGridSearchErrorsOnTinyData(t *testing.T) {
-	factory := func(map[string]float64) ml.Trainer { return &tree.Trainer{} }
+	factory := func(map[string]float64) ml.Trainer { return &cart{} }
 	if _, _, err := GridSearchSet(factory, Grid{"x": {1}}, viewOf(t, trendData(3, 2)), 5, 0); err == nil {
 		t.Fatal("too-small sample set accepted")
 	}
@@ -98,7 +125,7 @@ func TestGridSearchErrorsOnTinyData(t *testing.T) {
 func TestForwardSelectFindsInformativeFeature(t *testing.T) {
 	samples := trendData(600, 3)
 	train, val := samples[:400], samples[400:]
-	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
+	trainer := &cart{tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
 	res, err := ForwardSelectSet(trainer, viewOf(t, train), viewOf(t, val), []string{"signal", "noise"}, 0, 1e-3, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +144,7 @@ func TestForwardSelectFindsInformativeFeature(t *testing.T) {
 func TestForwardSelectStopsWithoutGain(t *testing.T) {
 	samples := trendData(600, 4)
 	train, val := samples[:400], samples[400:]
-	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
+	trainer := &cart{tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
 	// The noise feature cannot add minGain=0.05 of AUC, so selection
 	// should stop after the signal.
 	res, err := ForwardSelectSet(trainer, viewOf(t, train), viewOf(t, val), []string{"signal", "noise"}, 0, 0.05, 0)
@@ -132,7 +159,7 @@ func TestForwardSelectStopsWithoutGain(t *testing.T) {
 func TestForwardSelectMaxFeatures(t *testing.T) {
 	samples := trendData(400, 5)
 	train, val := samples[:300], samples[300:]
-	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
+	trainer := &cart{tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
 	res, err := ForwardSelectSet(trainer, viewOf(t, train), viewOf(t, val), []string{"a", "b"}, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +171,7 @@ func TestForwardSelectMaxFeatures(t *testing.T) {
 
 func TestForwardSelectValidation(t *testing.T) {
 	samples := trendData(100, 6)
-	trainer := &tree.Trainer{}
+	trainer := &cart{}
 	if _, err := ForwardSelectSet(trainer, viewOf(t, samples), viewOf(t, samples), []string{"one"}, 0, 0, 0); err == nil {
 		t.Fatal("name/width mismatch accepted")
 	}
@@ -157,7 +184,7 @@ func TestForwardSelectValidation(t *testing.T) {
 func TestBackwardEliminateDropsNoiseFirst(t *testing.T) {
 	samples := trendData(600, 11)
 	train, val := samples[:400], samples[400:]
-	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
+	trainer := &cart{tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
 	res, err := BackwardEliminateSet(trainer, viewOf(t, train), viewOf(t, val), []string{"signal", "noise"}, 1, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +204,7 @@ func TestBackwardEliminateDropsNoiseFirst(t *testing.T) {
 func TestBackwardEliminateRespectsMaxLoss(t *testing.T) {
 	samples := trendData(600, 12)
 	train, val := samples[:400], samples[400:]
-	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
+	trainer := &cart{tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
 	// With zero tolerated loss and minFeatures 1, the signal feature
 	// must never be eliminated (dropping it collapses AUC).
 	res, err := BackwardEliminateSet(trainer, viewOf(t, train), viewOf(t, val), []string{"signal", "noise"}, 1, 0, 0)
@@ -193,7 +220,7 @@ func TestBackwardEliminateRespectsMaxLoss(t *testing.T) {
 
 func TestBackwardEliminateValidation(t *testing.T) {
 	samples := trendData(100, 13)
-	trainer := &tree.Trainer{}
+	trainer := &cart{}
 	if _, err := BackwardEliminateSet(trainer, viewOf(t, samples), viewOf(t, samples), []string{"one"}, 1, 0, 0); err == nil {
 		t.Fatal("name/width mismatch accepted")
 	}

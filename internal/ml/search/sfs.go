@@ -42,41 +42,21 @@ type subsetScore struct {
 // scoreSubsetView trains on one candidate feature subset and scores
 // the validation rows once, deriving both the AUC and the
 // 0.5-threshold confusion matrix from a single prediction pass. The
-// subset is a *column* sub-view of the shared arena. A ViewTrainer
-// fits what it would fit on the masked rows, binning only the view's
-// rows and columns, and its model indexes features globally, so
-// validation rows are scored straight out of the arena; other trainers
-// train and score on masked copies.
+// subset is a *column* sub-view of the shared arena: the trainer must
+// honour column sub-views (the tree ensembles do, binning only the
+// view's rows and columns), and its model indexes features globally,
+// so validation rows are scored straight out of the arena.
 func scoreSubsetView(trainer ml.Trainer, train, val ml.View, subset []int) (subsetScore, error) {
-	sub := train.WithCols(subset)
-	var clf ml.Classifier
-	var err error
-	vt, fullWidth := trainer.(ml.ViewTrainer)
-	if fullWidth {
-		clf, err = vt.TrainView(sub)
-	} else {
-		clf, err = trainer.Train(sub.Materialize())
-	}
+	clf, err := trainer.Train(train.WithCols(subset))
 	if err != nil {
 		return subsetScore{}, err
 	}
 	n := val.Len()
 	scores := make([]float64, n)
 	labels := make([]int, n)
-	var masked []float64
-	if !fullWidth {
-		masked = make([]float64, len(subset))
-	}
 	var cm metrics.Confusion
 	for i := 0; i < n; i++ {
-		x := val.Row(i)
-		if !fullWidth {
-			for j, c := range subset {
-				masked[j] = x[c]
-			}
-			x = masked
-		}
-		scores[i] = clf.PredictProba(x)
+		scores[i] = clf.PredictProba(val.Row(i))
 		labels[i] = val.Y(i)
 		pred := 0
 		if scores[i] >= 0.5 {
@@ -93,7 +73,8 @@ func scoreSubsetView(trainer ml.Trainer, train, val ml.View, subset []int) (subs
 // validation AUC, stopping when no candidate improves it by more than
 // minGain or when maxFeatures is reached (0 = no limit). Every
 // candidate subset trains on a column sub-view of the shared arena, so
-// no masked copy of train and validation is made per subset. Each
+// no masked copy of train and validation is made per subset; trainer
+// must therefore accept column sub-views (the tree ensembles do). Each
 // step's candidates train and score on workers goroutines
 // (0 = GOMAXPROCS, 1 = serial); ties break toward the lowest feature
 // index, so the trajectory is identical at any worker count.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/bayes"
 	"repro/internal/ml/forest"
 	"repro/internal/ml/mltest"
 )
@@ -89,22 +90,25 @@ func TestGridSearchSetMatchesSlice(t *testing.T) {
 	}
 }
 
-// TestGridSearchSetFallbackTrainer covers the non-ViewTrainer path:
-// candidates materialise their folds (header-only) and must still
-// match the slice sweep — here even on continuous features, since the
-// fallback trains on exactly the fold's rows.
+// TestGridSearchSetFallbackTrainer covers a trainer that is not a tree
+// ensemble and reads whole rows (Bayes), the case that once fell back
+// to materialised folds: its sweep must still match the slice sweep on
+// continuous features.
 func TestGridSearchSetFallbackTrainer(t *testing.T) {
 	samples := wideTrendData(300, 5, 9)
 	set, err := ml.FromSamples(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := Grid{"depth": {1, 3, 5}}
-	want, _, err := GridSearchWorkers(treeFactory, grid, samples, 3, 1)
+	factory := func(params map[string]float64) ml.Trainer {
+		return &bayes.Trainer{VarSmoothing: params["smoothing"]}
+	}
+	grid := Grid{"smoothing": {1e-9, 1e-2, 0.5}}
+	want, _, err := GridSearchWorkers(factory, grid, samples, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := GridSearchSet(treeFactory, grid, set.All(), 3, 2)
+	got, _, err := GridSearchSet(factory, grid, set.All(), 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@
 // scaling that keeps scores monotonic in the margin, which is all the
 // ROC/AUC machinery needs).
 //
-// Inputs should be standardised (see the features package's Scaler);
-// the trainer standardises internally when Standardize is set, so raw
-// SMART counters spanning ten orders of magnitude remain usable.
+// Inputs should be standardised: the trainer fits a per-feature z-score
+// transform when Standardize is set, so raw SMART counters spanning
+// ten orders of magnitude remain usable.
 package svm
 
 import (
@@ -37,10 +37,14 @@ type Trainer struct {
 // Name implements ml.Trainer.
 func (t *Trainer) Name() string { return "SVM" }
 
-// Train implements ml.Trainer.
-func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
-	if err := ml.ValidateSamples(samples, true); err != nil {
+// Train implements ml.Trainer. It reads whole rows, so a column
+// sub-view is rejected.
+func (t *Trainer) Train(v ml.View) (ml.Classifier, error) {
+	if err := ml.ValidateView(v, true); err != nil {
 		return nil, err
+	}
+	if v.Cols() != nil {
+		return nil, fmt.Errorf("svm: column sub-view not supported")
 	}
 	lambda := t.Lambda
 	if lambda == 0 {
@@ -54,13 +58,10 @@ func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
 	if posWeight == 0 {
 		posWeight = 1
 	}
-	width := len(samples[0].X)
+	n, width := v.Len(), v.Width()
 
 	m := &Model{w: make([]float64, width)}
-	xs := make([][]float64, len(samples))
-	for i := range samples {
-		xs[i] = samples[i].X
-	}
+	xs := v.Xs()
 	if t.Standardize {
 		m.mean, m.std = fitScaler(xs)
 		scaled := make([][]float64, len(xs))
@@ -78,15 +79,16 @@ func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
 	avgW := make([]float64, width)
 	var avgB float64
 	avgCount := 0
-	halfway := epochs * len(samples) / 2
+	halfway := epochs * n / 2
 	for e := 0; e < epochs; e++ {
-		order := r.Perm(len(samples))
+		order := r.Perm(n)
 		for _, i := range order {
 			step++
 			eta := 1 / (lambda * float64(step))
-			y := float64(2*samples[i].Y - 1) // {-1, +1}
+			label := v.Y(i)
+			y := float64(2*label - 1) // {-1, +1}
 			weight := 1.0
-			if samples[i].Y == 1 {
+			if label == 1 {
 				weight = posWeight
 			}
 			margin := y * (dot(m.w, xs[i]) + m.b)

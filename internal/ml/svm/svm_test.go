@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/mltest"
 )
 
 func blobs(n int, sep float64, seed int64) []ml.Sample {
@@ -25,7 +26,7 @@ func TestLinearlySeparable(t *testing.T) {
 	test := blobs(200, 3, 2)
 	// Standardize matches the production configuration (core.Config);
 	// raw Pegasos on unscaled data converges noticeably slower.
-	clf, err := (&Trainer{Seed: 1, Standardize: true}).Train(train)
+	clf, err := (&Trainer{Seed: 1, Standardize: true}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestLinearlySeparable(t *testing.T) {
 
 func TestMarginSign(t *testing.T) {
 	train := blobs(300, 3, 3)
-	clf, err := (&Trainer{Seed: 1}).Train(train)
+	clf, err := (&Trainer{Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestStandardizeHandlesHugeScales(t *testing.T) {
 			ml.Sample{X: []float64{2e9 + 1e7*r.NormFloat64(), r.NormFloat64()}, Y: 1},
 		)
 	}
-	clf, err := (&Trainer{Seed: 1, Standardize: true}).Train(train)
+	clf, err := (&Trainer{Seed: 1, Standardize: true}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +88,11 @@ func TestStandardizeHandlesHugeScales(t *testing.T) {
 
 func TestDeterministicGivenSeed(t *testing.T) {
 	// Two independent copies of one seeded training set.
-	a, err := (&Trainer{Seed: 9}).Train(blobs(100, 2, 5))
+	a, err := (&Trainer{Seed: 9}).Train(mltest.View(blobs(100, 2, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := (&Trainer{Seed: 9}).Train(blobs(100, 2, 5))
+	b, err := (&Trainer{Seed: 9}).Train(mltest.View(blobs(100, 2, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +107,11 @@ func TestDeterministicGivenSeed(t *testing.T) {
 func TestClassWeightShiftsBoundary(t *testing.T) {
 	// Overlapping classes: upweighting positives must increase recall.
 	train := blobs(400, 0.5, 6)
-	plain, err := (&Trainer{Seed: 1}).Train(train)
+	plain, err := (&Trainer{Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := (&Trainer{Seed: 1, ClassWeight: 5}).Train(train)
+	weighted, err := (&Trainer{Seed: 1, ClassWeight: 5}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestClassWeightShiftsBoundary(t *testing.T) {
 
 func TestProbabilityBounds(t *testing.T) {
 	train := blobs(50, 2, 8)
-	clf, err := (&Trainer{Seed: 1}).Train(train)
+	clf, err := (&Trainer{Seed: 1}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +150,14 @@ func TestProbabilityBounds(t *testing.T) {
 }
 
 func TestTrainRequiresBothClasses(t *testing.T) {
-	if _, err := (&Trainer{}).Train([]ml.Sample{{X: []float64{1}, Y: 0}}); err == nil {
+	if _, err := (&Trainer{}).Train(mltest.View([]ml.Sample{{X: []float64{1}, Y: 0}})); err == nil {
 		t.Fatal("single-class training accepted")
 	}
 }
 
 func TestExportImportRoundTrip(t *testing.T) {
 	train := blobs(150, 3, 30)
-	clf, err := (&Trainer{Seed: 1, Standardize: true}).Train(train)
+	clf, err := (&Trainer{Seed: 1, Standardize: true}).Train(mltest.View(train))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,5 +182,12 @@ func TestImportRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := Import(Exported{Weights: []float64{1, 2}, Mean: []float64{1}, Std: []float64{1}}); err == nil {
 		t.Error("scaler width mismatch accepted")
+	}
+}
+
+func TestRejectsColumnSubView(t *testing.T) {
+	v := mltest.View(blobs(100, 2, 1))
+	if _, err := (&Trainer{Seed: 1}).Train(v.WithCols([]int{0})); err == nil {
+		t.Fatal("column sub-view accepted")
 	}
 }

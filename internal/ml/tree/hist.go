@@ -16,9 +16,10 @@ package tree
 // Exactness: when every feature has one bin per distinct value
 // (bins ≥ distinct values), the candidate thresholds, the candidate
 // order, and — for integer-valued targets, whose partial sums are
-// exact in float64 — every accumulated statistic coincide with the
-// exact sort-based engine's, so the two engines grow bit-identical
-// trees. The equivalence tests in hist_test.go pin this down.
+// exact in float64 — every accumulated statistic coincide with those
+// of an exact sort-based grower, so the two grow bit-identical trees.
+// The equivalence tests in hist_test.go pin this down against the
+// sort-based grower kept in oracle_test.go.
 
 import (
 	"fmt"
@@ -162,7 +163,7 @@ func (g *histGrower) grow(lo, hi, depth int) int {
 }
 
 // nodeStats returns the node's weighted count, mean, SSE (two-pass,
-// arithmetic-compatible with the exact engine's meanSSE at unit
+// arithmetic-compatible with the sort-based oracle's meanSSE at unit
 // weights), and the weighted Σy / Σy² the split scan subtracts from.
 func (g *histGrower) nodeStats(rows []int) (wn int, mean, sse, wsum, wsum2 float64) {
 	for _, p := range rows {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ml/matrix"
+	"repro/internal/ml/mltest"
 )
 
 // gridData draws n rows over width features, each feature taking one
@@ -32,8 +33,8 @@ func gridData(n, width, levels int, seed int64) ([][]float64, []float64) {
 // TestHistogramMatchesExactClassifier is the headline equivalence
 // guarantee: with one bin per distinct value and integer-valued
 // targets, the histogram engine grows trees bit-identical to the
-// exact sort-based engine — same structure, thresholds, leaf values,
-// and gains.
+// exact sort-based oracle (oracle_test.go) — same structure,
+// thresholds, leaf values, and gains.
 func TestHistogramMatchesExactClassifier(t *testing.T) {
 	cfgs := []Config{
 		{MaxDepth: 6},
@@ -44,7 +45,7 @@ func TestHistogramMatchesExactClassifier(t *testing.T) {
 	for ci, cfg := range cfgs {
 		for seed := int64(1); seed <= 3; seed++ {
 			xs, ys := gridData(500, 6, 17, seed)
-			m, err := matrix.Build(xs, 0)
+			m, err := matrix.Build(mltest.Rows(xs), 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +66,7 @@ func TestHistogramMatchesExactRegressor(t *testing.T) {
 	for i := range ys {
 		ys[i] = float64(r.Intn(7) - 3)
 	}
-	m, err := matrix.Build(xs, 0)
+	m, err := matrix.Build(mltest.Rows(xs), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestHistogramMatchesExactRegressor(t *testing.T) {
 
 // TestWeightedMatchesDuplicated checks the weight-based bagging
 // identity: growing on per-row integer weights is the same tree as
-// growing the exact engine on a physically duplicated sample set.
+// growing the sort-based oracle on a physically duplicated sample set.
 func TestWeightedMatchesDuplicated(t *testing.T) {
 	xs, ys := gridData(300, 4, 13, 21)
 	r := rand.New(rand.NewSource(22))
@@ -100,7 +101,7 @@ func TestWeightedMatchesDuplicated(t *testing.T) {
 			dupYs = append(dupYs, ys[i])
 		}
 	}
-	m, err := matrix.Build(xs, 0)
+	m, err := matrix.Build(mltest.Rows(xs), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestHistogramQuantizedStillLearns(t *testing.T) {
 			ys[i] = 1
 		}
 	}
-	m, err := matrix.Build(xs, 64)
+	m, err := matrix.Build(mltest.Rows(xs), 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestHistogramConstantFeaturesLeafOnly(t *testing.T) {
 	// the class prior.
 	xs := [][]float64{{1, 2}, {1, 2}, {1, 2}, {1, 2}}
 	ys := []float64{1, 0, 1, 1}
-	m, err := matrix.Build(xs, 0)
+	m, err := matrix.Build(mltest.Rows(xs), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestHistogramConstantFeaturesLeafOnly(t *testing.T) {
 
 func TestHistogramSingleSampleNode(t *testing.T) {
 	// One row: immediate leaf, no split search, no panic.
-	m, err := matrix.Build([][]float64{{3, 1}}, 0)
+	m, err := matrix.Build(mltest.Rows([][]float64{{3, 1}}), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestHistogramSingleSampleNode(t *testing.T) {
 }
 
 func TestHistogramAllZeroWeights(t *testing.T) {
-	m, err := matrix.Build([][]float64{{1}, {2}, {3}}, 0)
+	m, err := matrix.Build(mltest.Rows([][]float64{{1}, {2}, {3}}), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestHistogramZeroWeightRowsExcluded(t *testing.T) {
 			keptYs = append(keptYs, ys[i])
 		}
 	}
-	m, err := matrix.Build(xs, 0)
+	m, err := matrix.Build(mltest.Rows(xs), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestHistogramMinSamplesLeafWeighted(t *testing.T) {
 	for i := range w {
 		w[i] = 3
 	}
-	m, err := matrix.Build(xs, 0)
+	m, err := matrix.Build(mltest.Rows(xs), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestHistogramMinSamplesLeafWeighted(t *testing.T) {
 
 func TestHistogramDeterministicSubsampling(t *testing.T) {
 	xs, ys := gridData(300, 8, 15, 61)
-	m, err := matrix.Build(xs, 0)
+	m, err := matrix.Build(mltest.Rows(xs), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestHistogramRegressorSetLeafValue(t *testing.T) {
 	for i := range ys {
 		ys[i] = float64(r.Intn(5))
 	}
-	m, err := matrix.Build(xs, 0)
+	m, err := matrix.Build(mltest.Rows(xs), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestHistogramRegressorSetLeafValue(t *testing.T) {
 }
 
 func TestHistogramMismatchedShapesPanic(t *testing.T) {
-	m, err := matrix.Build([][]float64{{1}, {2}}, 0)
+	m, err := matrix.Build(mltest.Rows([][]float64{{1}, {2}}), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

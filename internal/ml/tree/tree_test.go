@@ -6,8 +6,30 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/ml"
+	"repro/internal/ml/matrix"
+	"repro/internal/ml/mltest"
 )
+
+// The growth tests run on the histogram engine, the one the ensembles
+// use, with unit weights and the default 256-bin budget.
+
+func growClassifier(t testing.TB, xs [][]float64, ys []float64, cfg Config) *Classifier {
+	t.Helper()
+	m, err := matrix.Build(mltest.Rows(xs), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return GrowClassifierBinned(m, ys, nil, cfg)
+}
+
+func growRegressor(t testing.TB, xs [][]float64, ys []float64, cfg Config) *Regressor {
+	t.Helper()
+	m, err := matrix.Build(mltest.Rows(xs), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return GrowRegressorBinned(m, ys, nil, cfg)
+}
 
 func xorData(n int, seed int64) ([][]float64, []float64) {
 	r := rand.New(rand.NewSource(seed))
@@ -33,7 +55,7 @@ func TestClassifierLearnsXOR(t *testing.T) {
 	// MinSamplesLeaf=1 wastes its depth trimming pure edge slivers; a
 	// modest leaf floor forces the central splits that unlock the
 	// pattern (the forest uses the same mechanism via bagging).
-	tree := GrowClassifier(xs, ys, Config{MaxDepth: 6, MinSamplesLeaf: 20})
+	tree := growClassifier(t, xs, ys, Config{MaxDepth: 6, MinSamplesLeaf: 20})
 	testXs, testYs := xorData(300, 2)
 	correct := 0
 	for i := range testXs {
@@ -53,7 +75,7 @@ func TestClassifierLearnsXOR(t *testing.T) {
 func TestPureLeafShortCircuit(t *testing.T) {
 	xs := [][]float64{{1}, {2}, {3}}
 	ys := []float64{1, 1, 1}
-	tree := GrowClassifier(xs, ys, Config{})
+	tree := growClassifier(t, xs, ys, Config{})
 	if tree.NodeCount() != 1 {
 		t.Fatalf("pure node grew %d nodes, want 1", tree.NodeCount())
 	}
@@ -65,7 +87,7 @@ func TestPureLeafShortCircuit(t *testing.T) {
 func TestMaxDepthRespected(t *testing.T) {
 	xs, ys := xorData(500, 3)
 	for _, depth := range []int{1, 2, 4} {
-		tree := GrowClassifier(xs, ys, Config{MaxDepth: depth})
+		tree := growClassifier(t, xs, ys, Config{MaxDepth: depth})
 		if got := tree.Depth(); got > depth {
 			t.Errorf("depth = %d, limit %d", got, depth)
 		}
@@ -74,35 +96,10 @@ func TestMaxDepthRespected(t *testing.T) {
 
 func TestMinSamplesLeaf(t *testing.T) {
 	xs, ys := xorData(100, 4)
-	tree := GrowClassifier(xs, ys, Config{MaxDepth: 20, MinSamplesLeaf: 30})
+	tree := growClassifier(t, xs, ys, Config{MaxDepth: 20, MinSamplesLeaf: 30})
 	// With a 30-sample leaf floor on 100 samples, the tree stays small.
 	if tree.NodeCount() > 9 {
 		t.Fatalf("tree has %d nodes despite MinSamplesLeaf", tree.NodeCount())
-	}
-}
-
-func TestTrainerInterface(t *testing.T) {
-	var samples []ml.Sample
-	xs, ys := xorData(300, 5)
-	for i := range xs {
-		samples = append(samples, ml.Sample{X: xs[i], Y: int(ys[i])})
-	}
-	tr := &Trainer{Config: Config{MaxDepth: 6}}
-	if tr.Name() != "CART" {
-		t.Fatal("wrong name")
-	}
-	clf, err := tr.Train(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for _, s := range samples {
-		if ml.Predict(clf, s.X) == s.Y {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(samples)); acc < 0.95 {
-		t.Fatalf("training accuracy = %g", acc)
 	}
 }
 
@@ -115,7 +112,7 @@ func TestRegressorFitsStep(t *testing.T) {
 			ys[i] = 10
 		}
 	}
-	reg := GrowRegressor(xs, ys, Config{MaxDepth: 2})
+	reg := growRegressor(t, xs, ys, Config{MaxDepth: 2})
 	if got := reg.Predict([]float64{10}); got != 0 {
 		t.Errorf("left side = %g, want 0", got)
 	}
@@ -126,7 +123,7 @@ func TestRegressorFitsStep(t *testing.T) {
 
 func TestRegressorLeafIDsDense(t *testing.T) {
 	xs, ys := xorData(200, 6)
-	reg := GrowRegressor(xs, ys, Config{MaxDepth: 4})
+	reg := growRegressor(t, xs, ys, Config{MaxDepth: 4})
 	seen := make(map[int]bool)
 	for _, x := range xs {
 		id := reg.Apply(x)
@@ -143,7 +140,7 @@ func TestRegressorLeafIDsDense(t *testing.T) {
 func TestSetLeafValue(t *testing.T) {
 	xs := [][]float64{{0}, {1}}
 	ys := []float64{0, 1}
-	reg := GrowRegressor(xs, ys, Config{MaxDepth: 1})
+	reg := growRegressor(t, xs, ys, Config{MaxDepth: 1})
 	leaf := reg.Apply([]float64{0})
 	reg.SetLeafValue(leaf, 42)
 	if got := reg.Predict([]float64{0}); got != 42 {
@@ -152,7 +149,7 @@ func TestSetLeafValue(t *testing.T) {
 }
 
 func TestSetLeafValuePanicsOnBadID(t *testing.T) {
-	reg := GrowRegressor([][]float64{{0}}, []float64{0}, Config{})
+	reg := growRegressor(t, [][]float64{{0}}, []float64{0}, Config{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bad leaf id should panic")
@@ -164,8 +161,8 @@ func TestSetLeafValuePanicsOnBadID(t *testing.T) {
 func TestFeatureSubsampling(t *testing.T) {
 	// With MaxFeatures=1 of 2 and a fixed seed, growth is deterministic.
 	xs, ys := xorData(300, 7)
-	a := GrowClassifier(xs, ys, Config{MaxDepth: 6, MaxFeatures: 1, Seed: 3})
-	b := GrowClassifier(xs, ys, Config{MaxDepth: 6, MaxFeatures: 1, Seed: 3})
+	a := growClassifier(t, xs, ys, Config{MaxDepth: 6, MaxFeatures: 1, Seed: 3})
+	b := growClassifier(t, xs, ys, Config{MaxDepth: 6, MaxFeatures: 1, Seed: 3})
 	for i := 0; i < 50; i++ {
 		x := []float64{float64(i) / 50, float64(50-i) / 50}
 		if a.PredictProba(x) != b.PredictProba(x) {
@@ -189,12 +186,6 @@ func TestSqrtFeatures(t *testing.T) {
 	}
 }
 
-func TestTrainerValidates(t *testing.T) {
-	if _, err := (&Trainer{}).Train(nil); err == nil {
-		t.Fatal("empty training set accepted")
-	}
-}
-
 func TestRegressorPredictionsWithinTargetRange(t *testing.T) {
 	// A regression tree's leaf values are means of target subsets, so
 	// predictions can never escape the target range.
@@ -210,7 +201,7 @@ func TestRegressorPredictionsWithinTargetRange(t *testing.T) {
 			lo = math.Min(lo, ys[i])
 			hi = math.Max(hi, ys[i])
 		}
-		reg := GrowRegressor(xs, ys, Config{MaxDepth: 5, Seed: seed})
+		reg := growRegressor(t, xs, ys, Config{MaxDepth: 5, Seed: seed})
 		for trial := 0; trial < 20; trial++ {
 			p := reg.Predict([]float64{r.NormFloat64() * 3, r.NormFloat64() * 3})
 			if p < lo-1e-9 || p > hi+1e-9 {
@@ -234,7 +225,7 @@ func TestClassifierProbabilityWithinUnitRange(t *testing.T) {
 			xs[i] = []float64{r.NormFloat64()}
 			ys[i] = float64(r.Intn(2))
 		}
-		tree := GrowClassifier(xs, ys, Config{MaxDepth: 6, Seed: seed})
+		tree := growClassifier(t, xs, ys, Config{MaxDepth: 6, Seed: seed})
 		for trial := 0; trial < 20; trial++ {
 			p := tree.PredictProba([]float64{r.NormFloat64() * 5})
 			if p < 0 || p > 1 {
@@ -250,7 +241,7 @@ func TestClassifierProbabilityWithinUnitRange(t *testing.T) {
 
 func TestExportRoundTrip(t *testing.T) {
 	xs, ys := xorData(300, 8)
-	orig := GrowClassifier(xs, ys, Config{MaxDepth: 6, MinSamplesLeaf: 20})
+	orig := growClassifier(t, xs, ys, Config{MaxDepth: 6, MinSamplesLeaf: 20})
 	restored, err := ImportClassifier(orig.Export())
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +251,7 @@ func TestExportRoundTrip(t *testing.T) {
 			t.Fatal("classifier round trip changed predictions")
 		}
 	}
-	reg := GrowRegressor(xs, ys, Config{MaxDepth: 4})
+	reg := growRegressor(t, xs, ys, Config{MaxDepth: 4})
 	regBack, err := ImportRegressor(reg.Export())
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +282,7 @@ func TestImportRejectsCorruptTrees(t *testing.T) {
 
 func TestExplainReconstructsPrediction(t *testing.T) {
 	xs, ys := xorData(400, 9)
-	tree := GrowClassifier(xs, ys, Config{MaxDepth: 6, MinSamplesLeaf: 20})
+	tree := growClassifier(t, xs, ys, Config{MaxDepth: 6, MinSamplesLeaf: 20})
 	for i := 0; i < 50; i++ {
 		x := xs[i]
 		contrib, bias := tree.Explain(x)
@@ -316,12 +307,49 @@ func TestExplainAttributesToUsedFeaturesOnly(t *testing.T) {
 			ys[i] = 1
 		}
 	}
-	tree := GrowClassifier(xs, ys, Config{MaxDepth: 3})
+	tree := growClassifier(t, xs, ys, Config{MaxDepth: 3})
 	contrib, _ := tree.Explain([]float64{75, 42})
 	if contrib[1] != 0 {
 		t.Fatalf("constant feature got contribution %g", contrib[1])
 	}
 	if contrib[0] <= 0 {
 		t.Fatalf("splitting feature contribution = %g, want positive toward class 1", contrib[0])
+	}
+}
+
+// TestWidenFeatures grows trees on a column projection of wider rows,
+// then widens them: each widened tree must score a full-width row
+// exactly as its unwidened copy scores the projected row.
+func TestWidenFeatures(t *testing.T) {
+	xs, ys := xorData(400, 10)
+	cols := []int{3, 1}
+	wide := make([][]float64, len(xs))
+	for i, x := range xs {
+		wide[i] = []float64{float64(i), x[1], -1, x[0]}
+	}
+	clf := growClassifier(t, xs, ys, Config{MaxDepth: 6, MinSamplesLeaf: 5})
+	reg := growRegressor(t, xs, ys, Config{MaxDepth: 4})
+	narrowClf, err := ImportClassifier(clf.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrowReg, err := ImportRegressor(reg.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// cols maps projected feature j to wide feature cols[j]: xs[i][0]
+	// is wide[i][3] and xs[i][1] is wide[i][1].
+	clf.WidenFeatures(cols, 4)
+	reg.WidenFeatures(cols)
+	for i := range xs {
+		if a, b := clf.PredictProba(wide[i]), narrowClf.PredictProba(xs[i]); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("row %d: widened classifier %v, projected %v", i, a, b)
+		}
+		if a, b := reg.Apply(wide[i]), narrowReg.Apply(xs[i]); a != b {
+			t.Fatalf("row %d: widened regressor leaf %d, projected %d", i, a, b)
+		}
+	}
+	if got := clf.Export(); got.Width != 4 {
+		t.Fatalf("widened classifier width %d, want 4", got.Width)
 	}
 }

@@ -35,7 +35,14 @@ func UnderSample(samples []ml.Sample, ratio float64, seed int64) ([]ml.Sample, e
 	if ratio <= 0 {
 		return nil, fmt.Errorf("sampling: ratio %g must be > 0", ratio)
 	}
-	neg, pos := ml.ClassCounts(samples)
+	var neg, pos int
+	for i := range samples {
+		if samples[i].Y == 1 {
+			pos++
+		} else {
+			neg++
+		}
+	}
 	target := int(float64(pos) * ratio)
 	if pos == 0 || neg <= target {
 		out := make([]ml.Sample, len(samples))
