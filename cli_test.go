@@ -109,3 +109,20 @@ func TestCLIRejectsNegativeBins(t *testing.T) {
 		t.Fatalf("simulated a fleet before rejecting the flag:\n%s", out)
 	}
 }
+
+// TestCLIRejectsBadConfig: mfpatrain validates the pipeline
+// configuration its flags build before it simulates or reads anything,
+// so a negative -ratio fails at once and says what is wrong.
+func TestCLIRejectsBadConfig(t *testing.T) {
+	train := buildCmd(t, t.TempDir(), "mfpatrain")
+	out, err := exec.Command(train, "-ratio", "-1", "-scale", "0.01").CombinedOutput()
+	if err == nil {
+		t.Fatalf("-ratio -1 accepted:\n%s", out)
+	}
+	if !strings.Contains(string(out), "NegativeRatio -1 must be > 0") {
+		t.Fatalf("error does not name the problem:\n%s", out)
+	}
+	if strings.Contains(string(out), "simulated fleet") {
+		t.Fatalf("simulated a fleet before rejecting the configuration:\n%s", out)
+	}
+}

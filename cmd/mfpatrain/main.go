@@ -89,6 +89,11 @@ func main() {
 	cfg.NegativeRatio = *ratio
 	cfg.Workers = *workers
 	cfg.Bins = *bins
+	// Reject bad -ratio, -window, -theta or -algo values before
+	// anything is simulated or read.
+	if err := cfg.Validate(); err != nil {
+		log.Fatal(err)
+	}
 
 	if *dataPath != "" {
 		if *ticketsPath == "" {

@@ -9,13 +9,24 @@ import "repro/internal/parallel"
 // into out (len(out) == len(xs)), must be safe for concurrent use, and
 // must honour the repository Workers convention (0 = GOMAXPROCS,
 // 1 = serial) with results identical at any worker count.
+//
+// PredictProbaRuns is the same contract for rows that come in runs of
+// one drive's consecutive days, and must be bit-identical to
+// PredictProbaBatch for any row order; only its speed may depend on
+// the order. The tree ensembles implement it with a differential
+// kernel that re-walks only the trees whose current path holds a split
+// threshold the row crossed since the previous row, which pays off
+// when neighbouring rows are one drive's days and costs extra when
+// they are not.
 type BatchClassifier interface {
 	Classifier
 	PredictProbaBatch(xs [][]float64, out []float64, workers int)
+	PredictProbaRuns(xs [][]float64, out []float64, workers int)
 }
 
 // ScoreBatch scores raw feature vectors into out through the fastest
-// path clf offers: the flattened batch kernel when clf implements
+// path clf offers for rows in no particular order (serving's day
+// batches, the agent): the flattened batch kernel when clf implements
 // BatchClassifier, otherwise a per-row fan-out via internal/parallel.
 // Both paths produce identical scores at any worker count.
 func ScoreBatch(clf Classifier, xs [][]float64, out []float64, workers int) {
@@ -35,16 +46,34 @@ func ScoreBatch(clf Classifier, xs [][]float64, out []float64, workers int) {
 	})
 }
 
+// ScoreRuns is ScoreBatch for rows that come in runs of one drive's
+// consecutive days: it scores through PredictProbaRuns when clf
+// implements BatchClassifier, otherwise per row as ScoreBatch does.
+// The scores are identical to ScoreBatch's for any row order. Rows in
+// any other order (a day's rows of many drives, as serving sees them)
+// belong on ScoreBatch, which is faster there.
+func ScoreRuns(clf Classifier, xs [][]float64, out []float64, workers int) {
+	if len(xs) != len(out) {
+		panic("ml: ScoreRuns rows and outputs differ in length")
+	}
+	if bc, ok := clf.(BatchClassifier); ok {
+		bc.PredictProbaRuns(xs, out, workers)
+		return
+	}
+	ScoreBatch(clf, xs, out, workers)
+}
+
 // ScoreView scores a view's rows into out (len(out) == v.Len()) through
-// ScoreBatch, reading full-width vectors straight out of the arena.
+// ScoreRuns, reading full-width vectors straight out of the arena.
 //
 // Rows are scored in ascending arena order and each score is written
 // back to its view position, so out is in view order. Sets built by
 // features.BuildSampleSetFrame store rows drive then day, so arena
-// order keeps a drive's rows together: consecutive rows take the same
-// tree paths, which the batch kernels' branch prediction relies on.
-// The sampling package hands back day-ordered views, where consecutive
-// rows come from different drives. Repeated rows are scored once per
+// order keeps a drive's days together, and most features barely move
+// from one day to the next: the differential kernel behind ScoreRuns
+// then re-walks only a few percent of the trees per row. The sampling
+// package hands back day-ordered views, where consecutive rows come
+// from different drives. Repeated rows are scored once per
 // occurrence. Scores are identical in any order and at any worker
 // count, so the reordering never changes a result.
 //
@@ -68,11 +97,11 @@ func ScoreView(clf Classifier, v View, out []float64, workers int) {
 	}
 	sorted, pos := v.InArenaOrder()
 	if pos == nil {
-		ScoreBatch(clf, v.Xs(), out, workers)
+		ScoreRuns(clf, v.Xs(), out, workers)
 		return
 	}
 	scores := make([]float64, len(pos))
-	ScoreBatch(clf, sorted.Xs(), scores, workers)
+	ScoreRuns(clf, sorted.Xs(), scores, workers)
 	for k, p := range pos {
 		out[p] = scores[k]
 	}

@@ -7,16 +7,24 @@ type constClf struct{}
 
 func (constClf) PredictProba(x []float64) float64 { return x[0] / 2 }
 
-// recordingBatch implements BatchClassifier and records whether the
-// batch path was taken.
+// recordingBatch implements BatchClassifier and records which of its
+// two batch paths was taken.
 type recordingBatch struct {
 	constClf
-	batchCalls int
-	gotWorkers int
+	batchCalls, runsCalls int
+	gotWorkers            int
 }
 
 func (r *recordingBatch) PredictProbaBatch(xs [][]float64, out []float64, workers int) {
 	r.batchCalls++
+	r.gotWorkers = workers
+	for i := range xs {
+		out[i] = r.PredictProba(xs[i])
+	}
+}
+
+func (r *recordingBatch) PredictProbaRuns(xs [][]float64, out []float64, workers int) {
+	r.runsCalls++
 	r.gotWorkers = workers
 	for i := range xs {
 		out[i] = r.PredictProba(xs[i])
@@ -37,8 +45,8 @@ func batchView(t *testing.T) View {
 func TestBatchScoresPrefersBatchClassifier(t *testing.T) {
 	rb := &recordingBatch{}
 	scores := BatchScoresView(rb, batchView(t), 3)
-	if rb.batchCalls != 1 {
-		t.Fatalf("batch path taken %d times, want 1", rb.batchCalls)
+	if rb.runsCalls != 1 || rb.batchCalls != 0 {
+		t.Fatalf("view scoring took the runs path %d and the batch path %d times, want 1 and 0", rb.runsCalls, rb.batchCalls)
 	}
 	if rb.gotWorkers != 3 {
 		t.Fatalf("workers = %d, want 3 threaded through", rb.gotWorkers)
@@ -48,6 +56,17 @@ func TestBatchScoresPrefersBatchClassifier(t *testing.T) {
 		if scores[i] != want[i] {
 			t.Fatalf("row %d: batch %v != per-row %v", i, scores[i], want[i])
 		}
+	}
+}
+
+// TestScoreBatchKeepsDirectPath pins the split between the two batch
+// entry points: ScoreBatch, which serves unordered rows, never takes
+// the runs path.
+func TestScoreBatchKeepsDirectPath(t *testing.T) {
+	rb := &recordingBatch{}
+	ScoreBatch(rb, batchView(t).Xs(), make([]float64, 3), 2)
+	if rb.batchCalls != 1 || rb.runsCalls != 0 {
+		t.Fatalf("ScoreBatch took the batch path %d and the runs path %d times, want 1 and 0", rb.batchCalls, rb.runsCalls)
 	}
 }
 

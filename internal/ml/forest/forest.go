@@ -159,6 +159,18 @@ func (m *Model) PredictProbaBatch(xs [][]float64, out []float64, workers int) {
 	})
 }
 
+// PredictProbaRuns implements ml.BatchClassifier with the flattened
+// arena's differential kernel, for rows in runs of one drive's
+// consecutive days. It is bit-identical to PredictProbaBatch at any
+// worker count and for any row order.
+func (m *Model) PredictProbaRuns(xs [][]float64, out []float64, workers int) {
+	if e := m.flatten(); e != nil {
+		e.PredictProbaRuns(xs, out, workers)
+		return
+	}
+	m.PredictProbaBatch(xs, out, workers)
+}
+
 // Size returns the ensemble size.
 func (m *Model) Size() int { return len(m.trees) }
 

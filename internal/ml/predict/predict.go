@@ -13,17 +13,30 @@
 // across goroutines via internal/parallel under the repository's
 // Workers convention (0 = GOMAXPROCS, 1 = serial).
 //
+// Rows that come in runs of one drive's consecutive days — a sample
+// arena stored drive then day, as ml.ScoreView scores it — have a
+// second kernel, PredictProbaRuns. Most features barely move from one
+// day to the next, so it keeps each tree's leaf from the previous row
+// and re-walks only the trees whose current path holds a split
+// threshold that some feature crossed; a row that flips no split on
+// any tree's current path reuses the previous score outright.
+// PredictProbaBatch stays the kernel for rows in any other order (a
+// day's rows of many drives, as serving scores them), where many more
+// trees would have to be re-walked.
+//
 // Scores are bit-exact against the per-row pointer-walking path at any
-// worker count: per row, leaf contributions accumulate in tree order
-// with exactly the arithmetic the per-row path uses (raw sum then one
-// divide for the forest mean; bias plus per-tree lr·leaf then one
-// sigmoid for GBDT), and blocking only changes which rows are in
-// flight, never the order of additions within a row.
+// worker count, from both kernels: per row, leaf contributions
+// accumulate in tree order with exactly the arithmetic the per-row
+// path uses (raw sum then one divide for the forest mean; bias plus
+// per-tree lr·leaf then one sigmoid for GBDT), and blocking only
+// changes which rows are in flight, never the order of additions
+// within a row.
 package predict
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/ml/tree"
 	"repro/internal/parallel"
@@ -95,11 +108,17 @@ type Ensemble struct {
 	kind kind
 	// bias and rate are the GBDT intercept and learning rate.
 	bias, rate float64
-	// invTrees caches the forest divisor.
+	// trees is the forest divisor: the tree count as a float64.
 	trees float64
 	// width is the minimum feature-vector length the arena can consume
 	// (max referenced feature id + 1).
 	width int
+
+	// runTab holds the differential kernel's threshold tables, built
+	// on the first PredictProbaRuns call so compiling stays as cheap as
+	// before for callers that never score ordered rows.
+	runsOnce sync.Once
+	runTab   *runTables
 }
 
 // CompileForest flattens a random forest's exported trees into a batch
@@ -262,7 +281,7 @@ func (e *Ensemble) PredictProba(x []float64) float64 {
 // ensemble's per-row prediction path.
 func (e *Ensemble) PredictProbaBatch(xs [][]float64, out []float64, workers int) {
 	if len(xs) != len(out) {
-		panic(fmt.Sprintf("predict: %d rows but %d outputs", len(xs), len(out)))
+		panicLengths(len(xs), len(out))
 	}
 	if len(xs) == 0 {
 		return
@@ -279,6 +298,21 @@ func (e *Ensemble) PredictProbaBatch(xs [][]float64, out []float64, workers int)
 		e.scoreBlock(xs[lo:hi], out[lo:hi])
 		return nil
 	})
+}
+
+func panicLengths(rows, outs int) {
+	panic(fmt.Sprintf("predict: %d rows but %d outputs", rows, outs))
+}
+
+// accumulation returns the start value and the per-leaf multiplier
+// that fold the two accumulation rules into one kernel: the forest
+// adds raw leaf values (mul = 1, bit-exact — multiplying a float by 1
+// is the identity), GBDT adds rate-scaled ones to its bias.
+func (e *Ensemble) accumulation() (init, mul float64) {
+	if e.kind == kindGBDTLogit {
+		return e.bias, e.rate
+	}
+	return 0, 1
 }
 
 // scoreBlock accumulates every tree's contribution for one row block:
@@ -298,13 +332,7 @@ func (e *Ensemble) PredictProbaBatch(xs [][]float64, out []float64, workers int)
 // "x[f] <= threshold goes left" test.
 func (e *Ensemble) scoreBlock(xs [][]float64, out []float64) {
 	acc := out
-	// mul folds the two accumulation rules into one kernel: the forest
-	// adds raw leaf values (mul = 1, bit-exact — multiplying a float by
-	// 1 is the identity), GBDT adds rate-scaled ones.
-	init, mul := 0.0, 1.0
-	if e.kind == kindGBDTLogit {
-		init, mul = e.bias, e.rate
-	}
+	init, mul := e.accumulation()
 	for r := range acc {
 		acc[r] = init
 	}
@@ -313,17 +341,9 @@ func (e *Ensemble) scoreBlock(xs [][]float64, out []float64) {
 	if e.aos != nil {
 		// Small cache-resident arena: rows outer, trees inner, walking
 		// each true path to its leaf (a self-pointing child marks it)
-		// over the packed one-line-per-node mirror. Here the select
-		// stays a predicted branch on purpose: speculation beats the
-		// conditional-move dependency chain when the predictor is
-		// nearly always right, and that holds only when consecutive
-		// rows take the same paths. Rows in drive order give that —
-		// a drive's consecutive days barely move, and ml.ScoreView
-		// scores views in arena (drive) order for this reason. Rows
-		// in day order do not: neighbours are different drives, and
-		// the branch keeps mispredicting. Same compares, same
-		// accumulation order — bit-exact with the padded walk and the
-		// per-row path.
+		// over the packed one-line-per-node mirror, with the select
+		// left as a predicted branch. Same compares, same accumulation
+		// order — bit-exact with the padded walk and the per-row path.
 		nodes := e.aos
 		for r, x := range xs {
 			a := acc[r]
@@ -390,16 +410,18 @@ func (e *Ensemble) scoreBlock(xs [][]float64, out []float64) {
 }
 
 // finish applies the ensemble's final transform to the accumulated raw
-// scores: the forest mean's divide, or GBDT's sigmoid.
+// scores in place.
 func (e *Ensemble) finish(acc []float64) {
-	switch e.kind {
-	case kindForestMean:
-		for r := range acc {
-			acc[r] /= e.trees
-		}
-	case kindGBDTLogit:
-		for r := range acc {
-			acc[r] = 1 / (1 + math.Exp(-acc[r]))
-		}
+	for r, a := range acc {
+		acc[r] = e.final(a)
 	}
+}
+
+// final is the ensemble's final transform of one accumulated raw
+// score: the forest mean's divide, or GBDT's sigmoid.
+func (e *Ensemble) final(a float64) float64 {
+	if e.kind == kindGBDTLogit {
+		return 1 / (1 + math.Exp(-a))
+	}
+	return a / e.trees
 }

@@ -61,8 +61,9 @@ func GridSearchSet(factory Factory, grid Grid, v ml.View, k, workers int) ([]Can
 			// Materialise each usable fold's validation rows once —
 			// header-only, in arena (drive) order, labels permuted
 			// with them — and share them across every combination.
-			// AUC consumes tied scores as one group, so row order
-			// cannot change it.
+			// Drive order is what ml.ScoreRuns is fast on; AUC
+			// consumes tied scores as one group, so row order cannot
+			// change it.
 			val, _ := folds[fi].Val.InArenaOrder()
 			valXs[fi] = val.Xs()
 			ys := make([]int, val.Len())
@@ -88,7 +89,7 @@ func GridSearchSet(factory Factory, grid Grid, v ml.View, k, workers int) ([]Can
 			return 0, fmt.Errorf("search: %s on %v: %w", trainer.Name(), combos[p.combo], err)
 		}
 		scores := make([]float64, len(valXs[p.fold]))
-		ml.ScoreBatch(clf, valXs[p.fold], scores, 1)
+		ml.ScoreRuns(clf, valXs[p.fold], scores, 1)
 		return metrics.AUC(metrics.ROCFromScores(scores, valYs[p.fold])), nil
 	})
 	if err != nil {

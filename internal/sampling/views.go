@@ -137,7 +137,7 @@ func UnderSampleView(v ml.View, ratio float64, seed int64) (ml.View, error) {
 	r.Shuffle(len(negPositions), func(i, j int) {
 		negPositions[i], negPositions[j] = negPositions[j], negPositions[i]
 	})
-	keep := make(map[int]bool, target)
+	keep := make([]bool, n)
 	for _, p := range negPositions[:target] {
 		keep[p] = true
 	}
