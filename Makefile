@@ -40,13 +40,16 @@ chaos:
 # fuzz runs each fuzz target for a short fixed budget, one go test call
 # per target (go test accepts only one -fuzz target per package run):
 # the MFPAC container reader, the MFPAC block decoder on its own (past
-# the CRCs), the flattened tree kernel against the pointer walk, and
-# the differential kernel for drive-ordered rows against the direct one.
+# the CRCs), the flattened tree kernel against the pointer walk, the
+# differential kernel for drive-ordered rows against the direct one,
+# and interleaved resumable runs (one per drive, as serving keeps them)
+# against the direct one.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMFPAC$$' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMFPACBlock$$' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzFlatVsPointer$$' -fuzztime 10s ./internal/ml/predict
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferentialVsDirect$$' -fuzztime 10s ./internal/ml/predict
+	$(GO) test -run '^$$' -fuzz '^FuzzRunResumeVsDirect$$' -fuzztime 10s ./internal/ml/predict
 
 # verify is the full local gate: build, lint, unit tests, chaos suite.
 verify: build lint test chaos
@@ -55,7 +58,7 @@ verify: build lint test chaos
 # (workloads, gates, per-layer breakdown) lives in bench/; see
 # bench/README.md and BENCHMARK.json.
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' ./internal/parallel ./internal/simfleet ./internal/dataset ./internal/features ./internal/ml ./internal/ml/search ./internal/ml/predict ./internal/ml/forest ./internal/ml/gbdt ./internal/core
+	$(GO) test -bench=. -benchmem -run '^$$' ./internal/parallel ./internal/simfleet ./internal/dataset ./internal/features ./internal/ml ./internal/ml/search ./internal/ml/predict ./internal/ml/forest ./internal/ml/gbdt ./internal/core ./internal/serve
 
 report:
 	$(GO) run ./cmd/mfpareport -scale 0.2

@@ -10,25 +10,47 @@ import "repro/internal/parallel"
 // must honour the repository Workers convention (0 = GOMAXPROCS,
 // 1 = serial) with results identical at any worker count.
 //
-// PredictProbaRuns is the same contract for rows that come in runs of
-// one drive's consecutive days, and must be bit-identical to
-// PredictProbaBatch for any row order; only its speed may depend on
-// the order. The tree ensembles implement it with a differential
-// kernel that re-walks only the trees whose current path holds a split
-// threshold the row crossed since the previous row, which pays off
-// when neighbouring rows are one drive's days and costs extra when
-// they are not.
+// NewRun returns a fresh Run for scoring one sequence of rows — one
+// drive's consecutive days — and must be safe to call concurrently.
+// The tree ensembles return their differential kernel's resumable
+// state, which re-walks only the trees whose current path holds a
+// split threshold the row crossed since the run's previous row.
 type BatchClassifier interface {
 	Classifier
 	PredictProbaBatch(xs [][]float64, out []float64, workers int)
-	PredictProbaRuns(xs [][]float64, out []float64, workers int)
+	NewRun() Run
+}
+
+// Run scores one sequence of rows, one row at a time, and must return
+// exactly PredictProba's score for every row whatever rows came before
+// it; only its speed may depend on the order. A run is not safe for
+// concurrent use. The serving scorer keeps one per drive and resumes
+// it with each day's rows; ScoreRuns starts one per worker block.
+type Run interface {
+	Score(x []float64) float64
+}
+
+// PerRow is the stateless Run: each Score is one PredictProba call.
+type PerRow struct{ Classifier }
+
+// Score implements Run.
+func (p PerRow) Score(x []float64) float64 { return p.PredictProba(x) }
+
+// NewRun returns a fresh Run for clf: its own NewRun when clf
+// implements BatchClassifier, otherwise PerRow.
+func NewRun(clf Classifier) Run {
+	if bc, ok := clf.(BatchClassifier); ok {
+		return bc.NewRun()
+	}
+	return PerRow{clf}
 }
 
 // ScoreBatch scores raw feature vectors into out through the fastest
-// path clf offers for rows in no particular order (serving's day
-// batches, the agent): the flattened batch kernel when clf implements
+// path clf offers for rows in no particular order (the agent's day
+// batches): the flattened batch kernel when clf implements
 // BatchClassifier, otherwise a per-row fan-out via internal/parallel.
-// Both paths produce identical scores at any worker count.
+// Both paths produce identical scores at any worker count. The serving
+// scorer does not call it: it resumes each drive's own Run instead.
 func ScoreBatch(clf Classifier, xs [][]float64, out []float64, workers int) {
 	if len(xs) != len(out) {
 		panic("ml: ScoreBatch rows and outputs differ in length")
@@ -46,21 +68,38 @@ func ScoreBatch(clf Classifier, xs [][]float64, out []float64, workers int) {
 	})
 }
 
+// runBlockRows is ScoreRuns' worker block. Each block starts a fresh
+// run, whose first row walks every tree, so a block must be long
+// enough for that restart to vanish against the rows that follow it.
+const runBlockRows = 4096
+
 // ScoreRuns is ScoreBatch for rows that come in runs of one drive's
-// consecutive days: it scores through PredictProbaRuns when clf
-// implements BatchClassifier, otherwise per row as ScoreBatch does.
-// The scores are identical to ScoreBatch's for any row order. Rows in
-// any other order (a day's rows of many drives, as serving sees them)
-// belong on ScoreBatch, which is faster there.
+// consecutive days: rows are cut into worker blocks of runBlockRows
+// (0 = GOMAXPROCS, 1 = serial), and each block scores its rows in
+// order through one Run when clf implements BatchClassifier; other
+// classifiers score per row as ScoreBatch does. The scores are
+// identical to ScoreBatch's for any row order. Rows in any other order
+// (a day's rows of many drives) belong on ScoreBatch, which is faster
+// there.
 func ScoreRuns(clf Classifier, xs [][]float64, out []float64, workers int) {
 	if len(xs) != len(out) {
 		panic("ml: ScoreRuns rows and outputs differ in length")
 	}
-	if bc, ok := clf.(BatchClassifier); ok {
-		bc.PredictProbaRuns(xs, out, workers)
+	bc, ok := clf.(BatchClassifier)
+	if !ok {
+		ScoreBatch(clf, xs, out, workers)
 		return
 	}
-	ScoreBatch(clf, xs, out, workers)
+	blocks := (len(xs) + runBlockRows - 1) / runBlockRows
+	_ = parallel.Do(blocks, workers, func(b int) error {
+		lo := b * runBlockRows
+		hi := min(lo+runBlockRows, len(xs))
+		run := bc.NewRun()
+		for i := lo; i < hi; i++ {
+			out[i] = run.Score(xs[i])
+		}
+		return nil
+	})
 }
 
 // ScoreView scores a view's rows into out (len(out) == v.Len()) through

@@ -8,7 +8,7 @@ type constClf struct{}
 func (constClf) PredictProba(x []float64) float64 { return x[0] / 2 }
 
 // recordingBatch implements BatchClassifier and records which of its
-// two batch paths was taken.
+// two batch paths was taken: a PredictProbaBatch call, or a NewRun.
 type recordingBatch struct {
 	constClf
 	batchCalls, runsCalls int
@@ -23,12 +23,9 @@ func (r *recordingBatch) PredictProbaBatch(xs [][]float64, out []float64, worker
 	}
 }
 
-func (r *recordingBatch) PredictProbaRuns(xs [][]float64, out []float64, workers int) {
+func (r *recordingBatch) NewRun() Run {
 	r.runsCalls++
-	r.gotWorkers = workers
-	for i := range xs {
-		out[i] = r.PredictProba(xs[i])
-	}
+	return PerRow{r.constClf}
 }
 
 func batchView(t *testing.T) View {
@@ -45,11 +42,9 @@ func batchView(t *testing.T) View {
 func TestBatchScoresPrefersBatchClassifier(t *testing.T) {
 	rb := &recordingBatch{}
 	scores := BatchScoresView(rb, batchView(t), 3)
+	// Three rows are one worker block, so one run.
 	if rb.runsCalls != 1 || rb.batchCalls != 0 {
 		t.Fatalf("view scoring took the runs path %d and the batch path %d times, want 1 and 0", rb.runsCalls, rb.batchCalls)
-	}
-	if rb.gotWorkers != 3 {
-		t.Fatalf("workers = %d, want 3 threaded through", rb.gotWorkers)
 	}
 	want := BatchScoresView(constClf{}, batchView(t), 1)
 	for i := range scores {
@@ -67,6 +62,9 @@ func TestScoreBatchKeepsDirectPath(t *testing.T) {
 	ScoreBatch(rb, batchView(t).Xs(), make([]float64, 3), 2)
 	if rb.batchCalls != 1 || rb.runsCalls != 0 {
 		t.Fatalf("ScoreBatch took the batch path %d and the runs path %d times, want 1 and 0", rb.batchCalls, rb.runsCalls)
+	}
+	if rb.gotWorkers != 2 {
+		t.Fatalf("workers = %d, want 2 threaded through", rb.gotWorkers)
 	}
 }
 
@@ -90,4 +88,32 @@ func TestScoreBatchLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	ScoreBatch(constClf{}, make([][]float64, 2), make([]float64, 3), 1)
+}
+
+func TestScoreRunsLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched lengths accepted")
+		}
+	}()
+	ScoreRuns(&recordingBatch{}, make([][]float64, 2), make([]float64, 1), 1)
+}
+
+// TestNewRunFallsBackToPerRow pins the stateless run for classifiers
+// without a batch kernel: each Score is PredictProba.
+func TestNewRunFallsBackToPerRow(t *testing.T) {
+	run := NewRun(constClf{})
+	if _, ok := run.(PerRow); !ok {
+		t.Fatalf("NewRun(constClf) = %T, want PerRow", run)
+	}
+	for _, v := range []float64{0.2, 0.8, 0.2} {
+		if got := run.Score([]float64{v}); got != v/2 {
+			t.Fatalf("Score(%v) = %v, want %v", v, got, v/2)
+		}
+	}
+	rb := &recordingBatch{}
+	NewRun(rb)
+	if rb.runsCalls != 1 {
+		t.Fatalf("NewRun of a BatchClassifier made %d runs through it, want 1", rb.runsCalls)
+	}
 }

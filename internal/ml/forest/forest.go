@@ -86,11 +86,13 @@ func (t *Trainer) Train(v ml.View) (ml.Classifier, error) {
 	}
 	m := &Model{trees: make([]*tree.Classifier, nTrees)}
 	if err := parallel.Do(nTrees, t.Parallelism, func(ti int) error {
-		r := rand.New(rand.NewSource(seeds[ti]))
+		r := rngPool.Get().(*rand.Rand)
+		r.Seed(seeds[ti])
 		w := make([]int, n)
 		for i := 0; i < n; i++ {
 			w[r.Intn(n)]++
 		}
+		rngPool.Put(r)
 		tr := tree.GrowClassifierBinned(bm, ys, w, tree.Config{
 			MaxDepth:       t.MaxDepth,
 			MinSamplesLeaf: t.MinSamplesLeaf,
@@ -107,6 +109,12 @@ func (t *Trainer) Train(v ml.View) (ml.Classifier, error) {
 	}
 	return m, nil
 }
+
+// rngPool recycles the per-tree bootstrap generators: (*Rand).Seed
+// resets a pooled generator to exactly the stream a fresh
+// rand.New(rand.NewSource(seed)) would produce, without allocating a
+// new source per tree.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // Model is a fitted random forest.
 type Model struct {
@@ -159,16 +167,15 @@ func (m *Model) PredictProbaBatch(xs [][]float64, out []float64, workers int) {
 	})
 }
 
-// PredictProbaRuns implements ml.BatchClassifier with the flattened
-// arena's differential kernel, for rows in runs of one drive's
-// consecutive days. It is bit-identical to PredictProbaBatch at any
-// worker count and for any row order.
-func (m *Model) PredictProbaRuns(xs [][]float64, out []float64, workers int) {
+// NewRun implements ml.BatchClassifier with a resumable run of the
+// flattened arena's differential kernel, for scoring one drive's
+// consecutive days; its scores are bit-identical to PredictProba for
+// any row order.
+func (m *Model) NewRun() ml.Run {
 	if e := m.flatten(); e != nil {
-		e.PredictProbaRuns(xs, out, workers)
-		return
+		return e.NewRun()
 	}
-	m.PredictProbaBatch(xs, out, workers)
+	return ml.PerRow{Classifier: m}
 }
 
 // Size returns the ensemble size.

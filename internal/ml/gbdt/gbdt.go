@@ -223,16 +223,15 @@ func (m *Model) PredictProbaBatch(xs [][]float64, out []float64, workers int) {
 	})
 }
 
-// PredictProbaRuns implements ml.BatchClassifier with the flattened
-// arena's differential kernel, for rows in runs of one drive's
-// consecutive days. It is bit-identical to PredictProbaBatch at any
-// worker count and for any row order.
-func (m *Model) PredictProbaRuns(xs [][]float64, out []float64, workers int) {
+// NewRun implements ml.BatchClassifier with a resumable run of the
+// flattened arena's differential kernel, for scoring one drive's
+// consecutive days; its scores are bit-identical to PredictProba for
+// any row order.
+func (m *Model) NewRun() ml.Run {
 	if e := m.flatten(); e != nil {
-		e.PredictProbaRuns(xs, out, workers)
-		return
+		return e.NewRun()
 	}
-	m.PredictProbaBatch(xs, out, workers)
+	return ml.PerRow{Classifier: m}
 }
 
 // Rounds returns the number of boosted trees.

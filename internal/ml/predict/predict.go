@@ -14,14 +14,14 @@
 // Workers convention (0 = GOMAXPROCS, 1 = serial).
 //
 // Rows that come in runs of one drive's consecutive days — a sample
-// arena stored drive then day, as ml.ScoreView scores it — have a
-// second kernel, PredictProbaRuns. Most features barely move from one
-// day to the next, so it keeps each tree's leaf from the previous row
-// and re-walks only the trees whose current path holds a split
-// threshold that some feature crossed; a row that flips no split on
-// any tree's current path reuses the previous score outright.
-// PredictProbaBatch stays the kernel for rows in any other order (a
-// day's rows of many drives, as serving scores them), where many more
+// arena stored drive then day, or a served drive's daily rows — have a
+// second kernel, Run. A run is resumable per-sequence state: most
+// features barely move from one day to the next, so it keeps each
+// tree's leaf from the previous row and re-walks only the trees whose
+// current path holds a split threshold that some feature crossed; a
+// row that flips no split on any tree's current path reuses the
+// previous score outright. PredictProbaBatch stays the kernel for rows
+// in any other order (a day's rows of many drives), where many more
 // trees would have to be re-walked.
 //
 // Scores are bit-exact against the per-row pointer-walking path at any
@@ -115,8 +115,8 @@ type Ensemble struct {
 	width int
 
 	// runTab holds the differential kernel's threshold tables, built
-	// on the first PredictProbaRuns call so compiling stays as cheap as
-	// before for callers that never score ordered rows.
+	// on the first NewRun call so compiling stays as cheap as before
+	// for callers that never score ordered rows.
 	runsOnce sync.Once
 	runTab   *runTables
 }

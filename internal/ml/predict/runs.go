@@ -2,19 +2,12 @@ package predict
 
 import (
 	"math"
-	"math/bits"
-	"sort"
-
-	"repro/internal/parallel"
+	"slices"
 )
 
-// runBlockRows is the differential kernel's worker block. Each block
-// starts with a full walk of every tree, so a block must be long
-// enough for that restart to vanish against the rows that follow it.
-const runBlockRows = 4096
-
 // runTables are the differential kernel's threshold tables, built
-// once per compiled ensemble on its first ordered call.
+// once per compiled ensemble on its first NewRun and shared by every
+// run of it.
 //
 // For each feature f some split reads, T_f is the ascending list of
 // the distinct split thresholds on f across the whole ensemble, and a
@@ -28,28 +21,33 @@ type runTables struct {
 	// feats lists the features with at least one split, ascending.
 	feats []int32
 	// bounds holds, for feats[j], the padded list NaN, T_f..., +Inf
-	// starting at bounds[off[j]] (so off[j+1]-off[j] = |T_f|+2). A
-	// value of rank r lies in the r-th gap: !(v <= bounds[off[j]+r])
-	// && v <= bounds[off[j]+r+1]. The NaN pad makes the first test
-	// hold for every value, -Inf included; the +Inf pad fails only for
-	// NaN.
+	// starting at bounds[off[j]] (so off[j+1]-off[j] = |T_f|+2), and
+	// one more NaN at the very end. A value of rank r lies in the r-th
+	// gap: !(v <= bounds[off[j]+r]) && v <= bounds[off[j]+r+1]. The
+	// NaN pad makes the first test hold for every value, -Inf
+	// included; the +Inf pad fails only for NaN.
 	bounds []float64
 	off    []int32
-	// splits[start[p]:start[p+1]] are the split nodes, with their
-	// trees, whose threshold is bounds[p] (none at the pads). Slots are
-	// laid out in bounds order, so the splits whose outcome a rank move
-	// from r to r' flips are one contiguous run:
-	// splits[start[off[j]+1+min(r,r')]:start[off[j]+1+max(r,r')]].
+	// splits[start[p]:start[p+1]] are the split nodes whose threshold
+	// is bounds[p] (none at the pads). Slots are laid out in bounds
+	// order, so the splits whose outcome a move from the gap above
+	// bounds[p] to the gap above bounds[p'] flips are one contiguous
+	// run: splits[start[min(p,p')+1]:start[max(p,p')+1]].
 	splits []slotSplit
 	start  []int32
-	// pathOff[t] is where tree t's path starts in a block's path
-	// buffer; a path holds at most depths[t] split nodes.
-	pathOff []int32
+	// enter numbers the arena's reachable nodes in depth-first
+	// preorder, tree by tree, and value[enter[i]] is node i's leaf
+	// value. A run keeps each tree's leaf by its number: a split's
+	// subtree is the preorder interval [enter, enter+size), so the
+	// split lies on the path to the leaf numbered p exactly when p
+	// falls inside that interval.
+	enter []int32
+	value []float64
 }
 
-// slotSplit is one split node of a threshold slot: its arena index and
-// its tree.
-type slotSplit struct{ node, tree int32 }
+// slotSplit is one split node of a threshold slot: its tree and its
+// subtree's preorder interval [enter, enter+size).
+type slotSplit struct{ tree, enter, size int32 }
 
 // runs returns the ensemble's threshold tables, building them on the
 // first call.
@@ -58,46 +56,63 @@ func (e *Ensemble) runs() *runTables {
 	return e.runTab
 }
 
-// buildRuns collects every split node of the arena and lays the tables
-// out. A NaN threshold is left out: no value is <= NaN, so such a split
-// goes right for every row and never changes a leaf. A zero threshold
-// is stored as +0, so -0 and +0, which every compare treats alike,
-// share one slot.
+// buildRuns numbers every tree's reachable nodes in preorder, collects
+// their splits and lays the tables out. A NaN threshold is left out: no
+// value is <= NaN, so such a split goes right for every row and never
+// changes a leaf. A zero threshold is stored as +0, so -0 and +0, which
+// every compare treats alike, share one slot.
 func (e *Ensemble) buildRuns() *runTables {
 	type split struct {
-		feature    int32
-		thr        float64
-		node, tree int32
+		feature int32
+		thr     float64
+		node    int32
+		slot    slotSplit
 	}
-	var splits []split
-	for t, root := range e.roots {
-		end := len(e.feature)
-		if t+1 < len(e.roots) {
-			end = int(e.roots[t+1])
+	splits := make([]split, 0, len(e.feature)/2)
+	enter := make([]int32, len(e.feature))
+	value := make([]float64, 0, len(e.feature))
+	next := int32(0)
+	// number visits tree t's subtree at node i in preorder, so the
+	// subtree's nodes take the consecutive numbers [enter[i], next).
+	var number func(t, i int32)
+	number = func(t, i int32) {
+		enter[i] = next
+		next++
+		if e.kids[2*i] == i {
+			value = append(value, e.value[i])
+			return
 		}
-		for i := int(root); i < end; i++ {
-			thr := e.threshold[i]
-			if e.kids[2*i] == int32(i) || math.IsNaN(thr) {
-				continue
-			}
+		value = append(value, 0)
+		k := -1
+		if thr := e.threshold[i]; !math.IsNaN(thr) {
 			if thr == 0 {
 				thr = 0
 			}
-			splits = append(splits, split{e.feature[i], thr, int32(i), int32(t)})
+			k = len(splits)
+			splits = append(splits, split{e.feature[i], thr, i, slotSplit{t, enter[i], 0}})
+		}
+		number(t, e.kids[2*i])
+		number(t, e.kids[2*i+1])
+		if k >= 0 {
+			splits[k].slot.size = next - enter[i]
 		}
 	}
-	sort.Slice(splits, func(a, b int) bool {
-		sa, sb := splits[a], splits[b]
-		if sa.feature != sb.feature {
-			return sa.feature < sb.feature
+	for t, root := range e.roots {
+		number(int32(t), root)
+	}
+	slices.SortFunc(splits, func(a, b split) int {
+		switch {
+		case a.feature != b.feature:
+			return int(a.feature - b.feature)
+		case a.thr < b.thr:
+			return -1
+		case a.thr > b.thr:
+			return 1
 		}
-		if sa.thr != sb.thr {
-			return sa.thr < sb.thr
-		}
-		return sa.node < sb.node
+		return int(a.node - b.node)
 	})
 
-	rt := &runTables{}
+	rt := &runTables{enter: enter, value: value}
 	// closeFeature appends the +Inf pad of the feature being laid out.
 	closeFeature := func() {
 		rt.bounds = append(rt.bounds, math.Inf(1))
@@ -118,215 +133,210 @@ func (e *Ensemble) buildRuns() *runTables {
 			rt.bounds = append(rt.bounds, s.thr)
 			rt.start = append(rt.start, int32(len(rt.splits)))
 		}
-		rt.splits = append(rt.splits, slotSplit{s.node, s.tree})
+		rt.splits = append(rt.splits, s.slot)
 	}
 	if len(splits) > 0 {
 		closeFeature()
 	}
 	rt.off = append(rt.off, int32(len(rt.bounds)))
 	rt.start = append(rt.start, int32(len(rt.splits)))
-	rt.pathOff = make([]int32, len(e.roots)+1)
-	for t, d := range e.depths {
-		rt.pathOff[t+1] = rt.pathOff[t] + d
-	}
+	// A trailing NaN pad, so the +Inf pad of the last feature has a
+	// next bound too: (+Inf, NaN] is an empty gap, a run's mark for a
+	// feature not ranked yet.
+	rt.bounds = append(rt.bounds, math.NaN())
 	return rt
 }
 
-// rank returns the number of thresholds in thr (ascending) that v
-// falls right of, |thr| for NaN.
+// rank returns the number of thresholds in thr (ascending, non-empty)
+// that v falls right of, |thr| for NaN. The search halves a window
+// with a conditional move instead of a branch: a cold row ranks every
+// split feature, and a branchy search would mispredict half its steps.
 func rank(thr []float64, v float64) int32 {
-	lo, hi := 0, len(thr)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if !(v <= thr[m]) {
-			lo = m + 1
-		} else {
-			hi = m
-		}
+	base, n := 0, len(thr)
+	for n > 1 {
+		half := n >> 1
+		base += half & -right(v, thr[base+half-1])
+		n -= half
 	}
-	return int32(lo)
+	return int32(base + right(v, thr[base]))
 }
 
-// PredictProbaRuns scores xs into out like PredictProbaBatch and is
-// bit-identical to it, at any worker count and for any row order; only
-// its speed depends on the order. It is built for rows that come in
-// runs of slowly changing neighbours — a drive's consecutive days, as
-// in a sample arena stored drive then day. Each row re-walks only the
-// trees whose current path holds a split threshold that some feature
-// crossed since the previous row, and takes every other tree's leaf
-// from that row; a row that flips no such split reuses the previous
-// score outright. Rows are cut into worker blocks of runBlockRows
-// (0 = GOMAXPROCS, 1 = serial), and each block's first row walks every
-// tree.
+// right is 1 when v falls right of threshold t, else 0.
+func right(v, t float64) int {
+	if !(v <= t) {
+		return 1
+	}
+	return 0
+}
+
+// Run is the differential kernel's resumable state for one sequence
+// of rows — one drive's consecutive days, in a drive-ordered arena or
+// across a scorer's daily batches. Score returns exactly what
+// PredictProbaBatch would for each row, whatever rows came before it;
+// only its speed depends on how little the row moved since the last
+// one. Most features barely move from one day to the next, so a row
+// re-walks only the trees whose current path holds a split threshold
+// that some feature crossed, keeps every other tree's leaf, and reuses
+// the previous score outright when no such split flipped.
 //
-// Neighbours that share little (a day's rows of different drives)
-// re-walk most trees and pay the threshold checks on top; score those
-// with PredictProbaBatch.
-func (e *Ensemble) PredictProbaRuns(xs [][]float64, out []float64, workers int) {
-	if len(xs) != len(out) {
-		panicLengths(len(xs), len(out))
-	}
-	if len(xs) == 0 {
-		return
-	}
+// The state is one leaf per tree (4 B) and, per split feature, a gap
+// index (4 B) and the first row's value (8 B), plus a constant, so a
+// scorer can keep a run per served drive. A Run is not safe for
+// concurrent use; runs of one ensemble share its read-only tables and
+// may score concurrently.
+type Run struct {
+	e  *Ensemble
+	rt *runTables
+	// leaf[t] is the preorder number of tree t's leaf for the last
+	// row, complemented (negative) while a crossed split marks it for
+	// a re-walk. gap[j] locates the last row's value on feats[j]: it
+	// lies in (bounds[gap[j]], bounds[gap[j]+1]], so gap[j]-off[j] is
+	// its rank. A feature whose value has not moved since the first
+	// row is not ranked yet: its gap[j] is off[j+1]-1, the +Inf pad,
+	// whose gap test fails for every value, and first[j] holds the
+	// first row's value to rank once it moves.
+	leaf, gap []int32
+	first     []float64
+	score     float64
+	warm      bool
+}
+
+// NewRun returns a run with no row scored yet; its first row walks
+// every tree. The threshold tables are built on the ensemble's first
+// call.
+func (e *Ensemble) NewRun() *Run {
 	rt := e.runs()
-	blocks := (len(xs) + runBlockRows - 1) / runBlockRows
-	_ = parallel.Do(blocks, workers, func(b int) error {
-		lo := b * runBlockRows
-		hi := lo + runBlockRows
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		e.scoreRuns(rt, xs[lo:hi], out[lo:hi])
-		return nil
-	})
+	nt := len(e.roots)
+	state := make([]int32, nt+len(rt.feats))
+	return &Run{e: e, rt: rt, leaf: state[:nt:nt], gap: state[nt:], first: make([]float64, len(rt.feats))}
 }
 
-// runState is one block's view of the current row.
-type runState struct {
-	// leaf[t] is tree t's leaf value.
-	leaf []float64
-	// ranks[j] is the rank on feats[j], gaps[j] the thresholds either
-	// side of it (bounds[off[j]+ranks[j]] and the next).
-	ranks []int32
-	gaps  []gap
-	// path[pathOff[t]:pathOff[t]+pathLen[t]] are the split nodes of
-	// tree t's path, and onPath the same nodes as an arena bitset.
-	path    []int32
-	pathLen []int32
-	onPath  []uint64
-	// dirty marks the trees to re-walk.
-	dirty []uint64
-}
-
-type gap struct{ lo, hi float64 }
-
-// scoreRuns is the differential kernel on one block. A tree is
-// re-walked only when a crossed threshold belongs to a split on its
-// current path: a tree whose path splits all fall the same way for the
-// new row ends in the same leaf. A changed row re-sums every tree's
-// leaf in tree order with the direct kernel's arithmetic (init, then
-// += mul·leaf, then the final transform), which is what keeps the
-// scores bit-identical: nothing is ever subtracted out of a sum.
-func (e *Ensemble) scoreRuns(rt *runTables, xs [][]float64, out []float64) {
-	init, mul := e.accumulation()
-	nTrees := len(e.roots)
-	st := &runState{
-		leaf:    make([]float64, nTrees),
-		ranks:   make([]int32, len(rt.feats)),
-		gaps:    make([]gap, len(rt.feats)),
-		path:    make([]int32, rt.pathOff[nTrees]),
-		pathLen: make([]int32, nTrees),
-		onPath:  make([]uint64, (len(e.feature)+63)/64),
-		dirty:   make([]uint64, (nTrees+63)/64),
-	}
+// Score scores x, the run's next row. A changed row re-sums every
+// tree's leaf in tree order with the direct kernel's arithmetic (init,
+// then += mul·leaf, then the final transform), which is what keeps the
+// score bit-identical to PredictProbaBatch for any previous row:
+// nothing is ever subtracted out of a sum.
+//
+// The first row costs about what the direct kernel's walk does: it
+// walks every tree and only notes each split feature's value. A
+// feature is ranked on the first later row that moves it, so a feature
+// that never moves is never ranked.
+func (r *Run) Score(x []float64) float64 {
+	rt, leaf, gaps := r.rt, r.leaf, r.gap
 	feats, bounds, off := rt.feats, rt.bounds, rt.off
+	if !r.warm {
+		for j, f := range feats {
+			r.first[j] = x[f]
+			gaps[j] = off[j+1] - 1
+		}
+		for t := range leaf {
+			leaf[t] = -1
+		}
+		r.warm = true
+		return r.resum(x)
+	}
 	splits, start := rt.splits, rt.start
-	gaps, ranks, onPath, dirty := st.gaps, st.ranks, st.onPath, st.dirty
-
-	for r, x := range xs {
-		if r == 0 {
-			for j, f := range feats {
-				nr := rank(bounds[off[j]+1:off[j+1]-1], x[f])
-				ranks[j] = nr
-				gaps[j] = gap{bounds[off[j]+nr], bounds[off[j]+nr+1]}
-			}
-			for t := range st.leaf {
-				e.walk(rt, st, t, x)
-			}
-		} else {
-			changed := false
-			for j, f := range feats {
-				v := x[f]
-				g := &gaps[j]
-				if !(v <= g.lo) && v <= g.hi {
-					continue
-				}
-				// Step the rank to v's gap from the old one: values
-				// drift, so the new gap is usually next door, and the
-				// step never costs more than the marking below.
-				o, r0 := off[j], ranks[j]
-				lo, hi := r0, r0
-				if v <= g.lo {
-					for lo--; v <= bounds[o+lo]; lo-- { // the NaN pad stops it
-					}
-				} else {
-					top := off[j+1] - o - 2
-					if hi == top {
-						continue // NaN, already in the top gap
-					}
-					for hi++; hi < top && !(v <= bounds[o+hi+1]); hi++ {
-					}
-				}
-				nr := lo + hi - r0
-				ranks[j] = nr
-				*g = gap{bounds[o+nr], bounds[o+nr+1]}
-				for _, sp := range splits[start[o+1+lo]:start[o+1+hi]] {
-					if onPath[sp.node>>6]&(1<<(sp.node&63)) != 0 {
-						dirty[sp.tree>>6] |= 1 << (sp.tree & 63)
-						changed = true
-					}
-				}
-			}
-			if !changed {
-				out[r] = out[r-1]
+	changed := false
+	for j, f := range feats {
+		v := x[f]
+		p0 := gaps[j]
+		if !(v <= bounds[p0]) && v <= bounds[p0+1] {
+			continue
+		}
+		if p0 == off[j+1]-1 {
+			// Not ranked yet: rank the first row's value, unless this
+			// row repeats it.
+			u := r.first[j]
+			if v == u {
 				continue
 			}
-			for w, word := range dirty {
-				if word == 0 {
-					continue
-				}
-				dirty[w] = 0
-				for ; word != 0; word &= word - 1 {
-					e.walk(rt, st, w<<6+bits.TrailingZeros64(word), x)
-				}
+			p0 = off[j] + rank(bounds[off[j]+1:off[j+1]-1], u)
+			gaps[j] = p0
+			if !(v <= bounds[p0]) && v <= bounds[p0+1] {
+				continue
 			}
 		}
-		a := init
-		for _, v := range st.leaf {
-			a += mul * v
+		// Step to v's gap from the old one: values drift, so the new
+		// gap is usually next door, and the step never costs more than
+		// the marking below.
+		lo, hi := p0, p0
+		if v <= bounds[p0] {
+			for lo--; v <= bounds[lo]; lo-- { // the NaN pad stops it
+			}
+		} else {
+			top := off[j+1] - 2
+			if hi == top {
+				continue // NaN, already in the top gap
+			}
+			for hi++; hi < top && !(v <= bounds[hi+1]); hi++ {
+			}
 		}
-		out[r] = e.final(a)
+		gaps[j] = lo + hi - p0
+		// Mark each tree whose current path holds a crossed split: its
+		// leaf is inside the split's subtree interval, which one
+		// unsigned compare tests (a data-dependent pair of branches
+		// would mispredict). A marked leaf is negative, so it never
+		// tests inside again.
+		for _, sp := range splits[start[lo+1]:start[hi+1]] {
+			if p := leaf[sp.tree]; uint32(p-sp.enter) < uint32(sp.size) {
+				leaf[sp.tree] = ^p
+				changed = true
+			}
+		}
 	}
+	if !changed {
+		return r.score
+	}
+	return r.resum(x)
 }
 
-// walk walks tree t's true path for x, over the packed mirror when
-// there is one, else the flat arrays, and stores its leaf value and
-// its split nodes in st in place of the old path's.
-func (e *Ensemble) walk(rt *runTables, st *runState, t int, x []float64) {
-	path, onPath := st.path[rt.pathOff[t]:rt.pathOff[t+1]], st.onPath
-	for _, k := range path[:st.pathLen[t]] {
-		onPath[k>>6] &^= 1 << (k & 63)
-	}
-	d := 0
-	i := e.roots[t]
+// resum re-walks every marked tree's true path for x, over the packed
+// mirror when there is one, else the flat arrays, and sums all leaves
+// in tree order into the run's new score. A re-walked tree adds its
+// leaf's value straight from the walk; the others read it by number.
+func (r *Run) resum(x []float64) float64 {
+	e, leaf := r.e, r.leaf
+	init, mul := e.accumulation()
+	enter, value := r.rt.enter, r.rt.value
+	a := init
 	if nodes := e.aos; nodes != nil {
-		n := &nodes[i]
-		for n.left != i {
-			path[d] = i
-			d++
-			onPath[i>>6] |= 1 << (i & 63)
-			if x[n.feature] <= n.threshold {
-				i = n.left
-			} else {
-				i = n.right
+		for t, p := range leaf {
+			if p < 0 {
+				i := e.roots[t]
+				n := &nodes[i]
+				for n.left != i {
+					if x[n.feature] <= n.threshold {
+						i = n.left
+					} else {
+						i = n.right
+					}
+					n = &nodes[i]
+				}
+				leaf[t] = enter[i]
+				a += mul * n.value
+				continue
 			}
-			n = &nodes[i]
+			a += mul * value[p]
 		}
-		st.leaf[t] = n.value
 	} else {
-		kids := e.kids
-		for l := kids[2*i]; l != i; l = kids[2*i] {
-			path[d] = i
-			d++
-			onPath[i>>6] |= 1 << (i & 63)
-			if x[e.feature[i]] <= e.threshold[i] {
-				i = l
-			} else {
-				i = kids[2*i+1]
+		kids, feature, threshold := e.kids, e.feature, e.threshold
+		for t, p := range leaf {
+			if p < 0 {
+				i := e.roots[t]
+				for c := kids[2*i]; c != i; c = kids[2*i] {
+					if x[feature[i]] <= threshold[i] {
+						i = c
+					} else {
+						i = kids[2*i+1]
+					}
+				}
+				leaf[t] = enter[i]
+				a += mul * e.value[i]
+				continue
 			}
+			a += mul * value[p]
 		}
-		st.leaf[t] = e.value[i]
 	}
-	st.pathLen[t] = int32(d)
+	r.score = e.final(a)
+	return r.score
 }

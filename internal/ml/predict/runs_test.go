@@ -135,18 +135,21 @@ func runRows(r *rand.Rand, n, width int, pool []float64, mix uint8) [][]float64 
 	return xs
 }
 
-// checkRuns scores xs with both kernels at workers 1 and 3 and demands
-// Float64bits-equal scores.
+// checkRuns scores xs with the direct kernel and through runs — one
+// run over all rows, and a fresh run every few rows, as worker blocks
+// restart — and demands Float64bits-equal scores.
 func checkRuns(t *testing.T, e *Ensemble, xs [][]float64) {
 	t.Helper()
 	want := make([]float64, len(xs))
 	e.PredictProbaBatch(xs, want, 1)
-	for _, workers := range []int{1, 3} {
-		got := make([]float64, len(xs))
-		e.PredictProbaRuns(xs, got, workers)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("workers=%d row %d %v: differential %v != direct %v", workers, i, xs[i], got[i], want[i])
+	for _, block := range []int{len(xs), 7} {
+		var run *Run
+		for i, x := range xs {
+			if i%max(block, 1) == 0 {
+				run = e.NewRun()
+			}
+			if got := run.Score(x); math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Fatalf("block=%d row %d %v: differential %v != direct %v", block, i, x, got, want[i])
 			}
 		}
 	}
@@ -176,20 +179,20 @@ func FuzzDifferentialVsDirect(f *testing.F) {
 }
 
 // TestRunsMatchesDirect covers what the fuzz seeds are too short for:
-// several worker blocks, so block restarts and the fan-out are checked
-// on both arena kinds and both ensembles.
+// long runs of rows on both arena kinds and both ensembles.
 func TestRunsMatchesDirect(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		pool := thresholdPool(r, 10, mixAll)
 		e := runEnsemble(t, r, 6, pool, seed&1 != 0, seed&2 != 0)
-		checkRuns(t, e, runRows(r, 2*runBlockRows+77, 6, pool, mixAll))
+		checkRuns(t, e, runRows(r, 9000, 6, pool, mixAll))
 	}
 }
 
 // TestRunTables pins the table layout on a hand-built ensemble: one
 // slot per distinct threshold per feature, -0 folded into +0, a NaN
-// split and leaves left out, each slot listing its split nodes.
+// split and leaves left out, each slot listing its split nodes with
+// their preorder subtree intervals.
 func TestRunTables(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	split := func(f int, thr float64) []tree.ExportedNode {
@@ -219,7 +222,7 @@ func TestRunTables(t *testing.T) {
 	if len(rt.feats) != 1 || rt.feats[0] != 2 {
 		t.Fatalf("feats = %v, want [2]", rt.feats)
 	}
-	wantBounds := []float64{math.NaN(), 0, 0.5, math.Inf(1)}
+	wantBounds := []float64{math.NaN(), 0, 0.5, math.Inf(1), math.NaN()}
 	if len(rt.bounds) != len(wantBounds) {
 		t.Fatalf("bounds = %v, want %v", rt.bounds, wantBounds)
 	}
@@ -229,8 +232,15 @@ func TestRunTables(t *testing.T) {
 		}
 	}
 	// Arena nodes: tree 0 is 0–4, tree 1 5–7, tree 2 8–10, tree 3 11,
-	// tree 4 12–16.
-	wantSplits := [][]slotSplit{{}, {{5, 1}, {12, 4}}, {{0, 0}, {1, 0}, {13, 4}}, {}}
+	// tree 4 12–16. Preorder visits tree 0 as 0, 1, 3, 4, 2 (numbers
+	// 0–4), and tree 4 likewise as 12, 13, 15, 16, 14 (numbers 12–16).
+	wantSplits := [][]slotSplit{{}, {{1, 5, 3}, {4, 12, 5}}, {{0, 0, 5}, {0, 1, 3}, {4, 13, 3}}, {}}
+	wantEnter := []int32{0, 1, 4, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 14, 15}
+	for i, want := range wantEnter {
+		if rt.enter[i] != want {
+			t.Fatalf("enter = %v, want %v", rt.enter, wantEnter)
+		}
+	}
 	for p, want := range wantSplits {
 		got := rt.splits[rt.start[p]:rt.start[p+1]]
 		if len(got) != len(want) {
@@ -248,17 +258,71 @@ func TestRunTables(t *testing.T) {
 	})
 }
 
+// TestRunsEmptyAndMismatch covers a run with no trees and no splits
+// (a bias-only GBDT, whose every row scores the bias) and a row
+// narrower than the ensemble, which a run rejects like PredictProba.
 func TestRunsEmptyAndMismatch(t *testing.T) {
 	e, err := CompileGBDT(nil, 0.3, 0.1) // bias only: no splits at all
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.PredictProbaRuns(nil, nil, 0)
 	checkRuns(t, e, [][]float64{{}, {1}, {2}})
+	r := rand.New(rand.NewSource(1))
+	pool := thresholdPool(r, 4, 0)
+	e = runEnsemble(t, r, 5, pool, false, false)
+	run := e.NewRun()
+	run.Score(make([]float64, e.Width()))
 	defer func() {
 		if recover() == nil {
-			t.Fatal("mismatched out length accepted")
+			t.Fatal("a row narrower than the ensemble was accepted")
 		}
 	}()
-	e.PredictProbaRuns(make([][]float64, 2), make([]float64, 1), 1)
+	run.Score(make([]float64, e.Width()-1))
+}
+
+// FuzzRunResumeVsDirect interleaves k runs of one ensemble, as a
+// scorer resumes each drive's run once a day: every step picks a run
+// at random and scores that run's next row, so runs advance in a
+// random order, and each run's scores must be Float64bits-equal to
+// the direct kernel's on the same rows. mode bit 0 selects GBDT over
+// the forest, bit 1 an arena above directNodes; mix selects the row
+// and threshold kinds (mix* bits), repeats included.
+func FuzzRunResumeVsDirect(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(200), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(5), uint8(200), uint8(1), uint8(mixRepeat|mixOnSplit))
+	f.Add(int64(3), uint8(1), uint8(200), uint8(0), uint8(mixNaN|mixInf))
+	f.Add(int64(4), uint8(8), uint8(255), uint8(1), uint8(mixZero|mixThreshold))
+	f.Add(int64(5), uint8(4), uint8(255), uint8(2), uint8(mixAll))
+	f.Add(int64(6), uint8(6), uint8(255), uint8(3), uint8(mixAll))
+	f.Add(int64(7), uint8(2), uint8(1), uint8(0), uint8(mixAll))
+	f.Fuzz(func(t *testing.T, seed int64, k, n, mode, mix uint8) {
+		r := rand.New(rand.NewSource(seed))
+		width := 1 + r.Intn(8)
+		pool := thresholdPool(r, 1+r.Intn(12), mix)
+		e := runEnsemble(t, r, width, pool, mode&1 != 0, mode&2 != 0)
+		seqs := make([][][]float64, 1+int(k)%8)
+		for i := range seqs {
+			seqs[i] = runRows(r, int(n)/len(seqs)+1, width, pool, mix)
+		}
+		runs := make([]*Run, len(seqs))
+		next := make([]int, len(seqs))
+		for left := len(seqs); left > 0; {
+			i := r.Intn(len(seqs))
+			if next[i] == len(seqs[i]) {
+				continue // exhausted; pick again
+			}
+			if runs[i] == nil {
+				runs[i] = e.NewRun()
+			}
+			x := seqs[i][next[i]]
+			var want [1]float64
+			e.PredictProbaBatch([][]float64{x}, want[:], 1)
+			if got := runs[i].Score(x); math.Float64bits(got) != math.Float64bits(want[0]) {
+				t.Fatalf("run %d row %d %v: resumed %v != direct %v", i, next[i], x, got, want[0])
+			}
+			if next[i]++; next[i] == len(seqs[i]) {
+				left--
+			}
+		}
+	})
 }

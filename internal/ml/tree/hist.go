@@ -24,6 +24,7 @@ package tree
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/ml/matrix"
 )
@@ -34,6 +35,7 @@ import (
 // out of growth entirely.
 func GrowClassifierBinned(m *matrix.BinnedMatrix, ys []float64, weights []int, cfg Config) *Classifier {
 	g := newHistGrower(m, ys, weights, cfg)
+	defer rngPool.Put(g.sampler.rng)
 	g.growRoot()
 	return &Classifier{nodes: g.nodes, width: m.Cols()}
 }
@@ -43,6 +45,7 @@ func GrowClassifierBinned(m *matrix.BinnedMatrix, ys []float64, weights []int, c
 // ys (the per-round gradients) and weights change.
 func GrowRegressorBinned(m *matrix.BinnedMatrix, ys []float64, weights []int, cfg Config) *Regressor {
 	g := newHistGrower(m, ys, weights, cfg)
+	defer rngPool.Put(g.sampler.rng)
 	g.growRoot()
 	return &Regressor{nodes: g.nodes, leafIndex: g.leafIdx}
 }
@@ -78,6 +81,15 @@ type histGrower struct {
 	sums2   []float64
 }
 
+// rngPool recycles the feature samplers' generators, one taken per
+// grown tree (per forest tree, per boosting round): (*Rand).Seed
+// resets a pooled generator to exactly the stream a fresh
+// rand.New(rand.NewSource(seed)) would produce, without allocating a
+// new source each time.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// newHistGrower sets up growth on m; its sampler's generator comes
+// from rngPool, and the caller puts it back once growth is done.
 func newHistGrower(m *matrix.BinnedMatrix, ys []float64, weights []int, cfg Config) *histGrower {
 	if len(ys) != m.Rows() {
 		panic(fmt.Sprintf("tree: %d targets for %d matrix rows", len(ys), m.Rows()))
@@ -86,10 +98,12 @@ func newHistGrower(m *matrix.BinnedMatrix, ys []float64, weights []int, cfg Conf
 		panic(fmt.Sprintf("tree: %d weights for %d matrix rows", len(weights), m.Rows()))
 	}
 	cfg = cfg.withDefaults()
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(cfg.Seed + 17)
 	g := &histGrower{
 		m:       m,
 		cfg:     cfg,
-		sampler: newFeatureSampler(rand.New(rand.NewSource(cfg.Seed+17)), m.Cols()),
+		sampler: newFeatureSampler(rng, m.Cols()),
 		counts:  make([]int, matrix.MaxBins),
 		sums:    make([]float64, matrix.MaxBins),
 		sums2:   make([]float64, matrix.MaxBins),

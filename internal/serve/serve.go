@@ -3,13 +3,15 @@
 // scores one record at a time, the Scorer ingests a whole day of fleet
 // telemetry at once: drives are sharded by serial hash across
 // internal/parallel workers, each shard advances its drives'
-// RollingStates and accumulates the day's feature rows into a pooled
-// flat arena, the whole day is scored through ml.ScoreBatch in one
-// call (hitting the flattened batch kernel), and per-shard results are
-// merged back into input order deterministically. Feature rows and
-// scores are bit-identical to the offline batch pipeline
-// (dataset.PreparePipeline → features.BuildSampleSetFrame) at any
-// worker or shard count.
+// RollingStates and scores each new feature row by resuming the
+// drive's own ml.Run — for the tree ensembles, the differential
+// kernel's state from the drive's previous row, so a drive whose
+// features barely moved since yesterday re-walks few trees or none —
+// and per-shard results are merged back into input order
+// deterministically. Feature rows and scores are bit-identical to the
+// offline batch pipeline (dataset.PreparePipeline →
+// features.BuildSampleSetFrame, scored by ml.ScoreBatch) at any worker
+// or shard count.
 //
 // Production telemetry is messy, so the scorer is fail-soft, not
 // fail-stop. A record that fails validation or feature extraction
@@ -46,8 +48,9 @@ type FaultHooks struct {
 	// Observe runs at the top of ObserveDay, before any state mutates;
 	// an error fails the whole batch transiently (safe to retry).
 	Observe func() error
-	// Score runs before the day's batch-scoring call; an error forces
-	// the day onto the degraded fallback detector.
+	// Score runs once per batch that routes at least one record to
+	// the shards, before any row is scored; an error forces the day
+	// onto the degraded fallback detector.
 	Score func() error
 	// Swap runs at the top of UpdateModel; an error fails the swap and
 	// keeps the current model serving.
@@ -56,9 +59,9 @@ type FaultHooks struct {
 
 // Options configures a Scorer.
 type Options struct {
-	// Workers bounds the goroutines of the shard fan-out and the batch
-	// scoring kernel: 0 = GOMAXPROCS, 1 = serial. Outputs are identical
-	// at any setting.
+	// Workers bounds the goroutines of the shard fan-out, which also
+	// scores each shard's rows: 0 = GOMAXPROCS, 1 = serial. Outputs are
+	// identical at any setting.
 	Workers int
 	// Shards is the number of drive shards; 0 selects 32. More shards
 	// than workers keeps the fan-out balanced when drive populations
@@ -184,24 +187,28 @@ type Assessment struct {
 }
 
 // driveRoll is one drive's serving state: the rolling feature state,
+// its scoring run and the model generation the run was built for,
 // alarm hysteresis, and its quarantine entry (Reason ==
 // QuarantineNone while healthy).
 type driveRoll struct {
 	roll        *features.RollingState
+	run         ml.Run // nil until the drive's first scored row
+	gen         uint32
 	consecutive int
 	alarmed     bool
 	q           QuarantineEntry
 }
 
 // shard owns a disjoint subset of the fleet's drives plus the pooled
-// per-day scratch its worker fills: the feature-row arena, row
-// metadata, and the record indexes routed to it.
+// per-day scratch its worker fills: the record indexes routed to it,
+// one record's feature rows and their metadata, and the day's
+// assessments of its scored rows.
 type shard struct {
 	drives map[string]*driveRoll
 	recIdx []int32 // input indexes of today's records, in input order
 	x      []float64
 	meta   []features.EmittedRow
-	rowOff int // row offset of this shard within the day's arena
+	out    []Assessment
 	stats  SweepStats
 }
 
@@ -215,12 +222,11 @@ const (
 	planSkip                    // drive was already quarantined
 )
 
-// recPlan locates one input record's emitted rows inside its shard.
+// recPlan locates one input record's assessments inside its shard.
 type recPlan struct {
 	shard  int32
-	rowOff int32 // rows before this record within the shard
+	rowOff int32 // assessments before this record's within the shard
 	rows   int32 // emitted rows
-	outOff int32 // offset into the output slice
 	kind   planKind
 }
 
@@ -239,14 +245,15 @@ type Scorer struct {
 	faults     FaultHooks
 	fallback   ml.Classifier // degraded-mode detector; nil when the group lacks SMART
 	degraded   bool          // last scored batch used the fallback
+	// gen counts model swaps; a drive's run built under an older
+	// generation is rebuilt on its next scored row.
+	gen uint32
 
 	seed   maphash.Seed
 	shards []shard
 
 	// Pooled per-call scratch.
-	plans  []recPlan
-	xs     [][]float64
-	scores []float64
+	plans []recPlan
 }
 
 // New builds a scorer around a deployed model.
@@ -434,17 +441,31 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 		sh.recIdx = append(sh.recIdx, int32(i))
 	}
 
-	// Fan out: each shard advances its drives in input order and
-	// accumulates feature rows into its pooled arena slab. A failing
-	// record quarantines its drive and the shard moves on; quarantine
-	// is still deterministic because each drive lives in exactly one
-	// shard and its records process in input order.
+	// The day is degraded or healthy before any row is scored: a
+	// scoring-backend failure swings it onto the SMART-threshold
+	// detector instead of losing it, and the next healthy batch
+	// recovers.
+	routed := 0
+	for si := range s.shards {
+		routed += len(s.shards[si].recIdx)
+	}
+	dayDegraded := false
+	if routed > 0 && s.faults.Score != nil {
+		dayDegraded = s.faults.Score() != nil
+	}
+
+	// Fan out: each shard advances its drives in input order, scores
+	// each emitted row by resuming the drive's run (or through the
+	// fallback on a degraded day, leaving runs untouched), and applies
+	// the alarm hysteresis. A failing record quarantines its drive and
+	// the shard moves on; quarantine is still deterministic because
+	// each drive lives in exactly one shard and its records process in
+	// input order.
 	width := s.ext.Width()
-	nsh := len(s.shards)
-	_ = parallel.Do(nsh, s.workers, func(si int) error {
+	clf, gen, threshold := s.model.Classifier, s.gen, s.model.Threshold
+	_ = parallel.Do(len(s.shards), s.workers, func(si int) error {
 		sh := &s.shards[si]
-		sh.x = sh.x[:0]
-		sh.meta = sh.meta[:0]
+		sh.out = sh.out[:0]
 		for _, ri := range sh.recIdx {
 			rec := &recs[ri]
 			dr := sh.rollFor(rec.SerialNumber)
@@ -454,21 +475,16 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 				sh.stats.Skipped++
 				continue
 			}
-			before := len(sh.meta)
-			x, meta, err := dr.roll.Advance(s.ext, s.policy, rec, sh.x, sh.meta)
+			x, meta, err := dr.roll.Advance(s.ext, s.policy, rec, sh.x[:0], sh.meta[:0])
 			sh.x, sh.meta = x, meta
 			if err != nil {
-				sh.x = sh.x[:before*width]
-				sh.meta = sh.meta[:before]
 				dr.q = QuarantineEntry{SerialNumber: rec.SerialNumber, Day: rec.Day,
 					Reason: QuarantineRollingError, Err: err.Error()}
 				s.plans[ri] = recPlan{shard: int32(si), kind: planQuar}
 				sh.stats.Quarantined++
 				continue
 			}
-			if !finiteRows(sh.x[before*width:]) {
-				sh.x = sh.x[:before*width]
-				sh.meta = sh.meta[:before]
+			if !finiteRows(x) {
 				dr.q = QuarantineEntry{SerialNumber: rec.SerialNumber, Day: rec.Day,
 					Reason: QuarantineBadValue,
 					Err:    fmt.Sprintf("serve: drive %s day %d produced a non-finite feature", rec.SerialNumber, rec.Day)}
@@ -476,97 +492,24 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 				sh.stats.Quarantined++
 				continue
 			}
-			rows := int32(len(sh.meta) - before)
-			kind := planRows
-			if rows == 0 {
-				kind = planDropped
+			if len(meta) == 0 {
+				s.plans[ri] = recPlan{shard: int32(si), kind: planDropped}
 				sh.stats.Dropped++
+				continue
 			}
-			s.plans[ri] = recPlan{shard: int32(si), rowOff: int32(before), rows: rows, kind: kind}
-		}
-		return nil
-	})
-	for si := range s.shards {
-		st := &s.shards[si].stats
-		stats.Quarantined += st.Quarantined
-		stats.Skipped += st.Skipped
-		stats.Dropped += st.Dropped
-	}
-
-	// Stitch the shard slabs into one row-pointer batch and score it
-	// through the flattened kernel in a single call. A scoring-backend
-	// failure degrades the day onto the SMART-threshold detector
-	// instead of losing it; the next healthy batch recovers.
-	totalRows := 0
-	for si := range s.shards {
-		s.shards[si].rowOff = totalRows
-		totalRows += len(s.shards[si].meta)
-	}
-	entries := 0
-	for i := range recs {
-		p := &s.plans[i]
-		n := int32(1) // dropped/quarantined/skipped records still produce one entry
-		if p.kind == planRows {
-			n = p.rows
-		}
-		p.outOff = int32(entries)
-		entries += int(n)
-	}
-	s.xs = s.xs[:0]
-	for si := range s.shards {
-		sh := &s.shards[si]
-		for r := 0; r < len(sh.meta); r++ {
-			s.xs = append(s.xs, sh.x[r*width:(r+1)*width:(r+1)*width])
-		}
-	}
-	if cap(s.scores) < totalRows {
-		s.scores = make([]float64, totalRows)
-	}
-	s.scores = s.scores[:totalRows]
-	dayDegraded := false
-	if totalRows > 0 {
-		if s.faults.Score != nil {
-			if err := s.faults.Score(); err != nil {
-				dayDegraded = true
-			}
-		}
-		if dayDegraded {
-			for r, x := range s.xs {
-				if s.fallback != nil {
-					s.scores[r] = s.fallback.PredictProba(x)
-				} else {
-					s.scores[r] = 0
+			s.plans[ri] = recPlan{shard: int32(si), rowOff: int32(len(sh.out)), rows: int32(len(meta)), kind: planRows}
+			for k, m := range meta {
+				row := x[k*width : (k+1)*width : (k+1)*width]
+				var score float64
+				switch {
+				case !dayDegraded:
+					if dr.run == nil || dr.gen != gen {
+						dr.run, dr.gen = ml.NewRun(clf), gen
+					}
+					score = dr.run.Score(row)
+				case s.fallback != nil:
+					score = s.fallback.PredictProba(row)
 				}
-			}
-			stats.Degraded = totalRows
-		} else {
-			ml.ScoreBatch(s.model.Classifier, s.xs, s.scores, s.workers)
-		}
-		s.degraded = dayDegraded
-	}
-	stats.Scored = totalRows
-
-	// Merge: each shard applies hysteresis to its own drives (disjoint,
-	// so no locking) and writes assessments at precomputed offsets.
-	out := make([]Assessment, entries)
-	threshold := s.model.Threshold
-	_ = parallel.Do(nsh, s.workers, func(si int) error {
-		sh := &s.shards[si]
-		for _, ri := range sh.recIdx {
-			rec := &recs[ri]
-			p := &s.plans[ri]
-			switch p.kind {
-			case planDropped:
-				out[p.outOff] = Assessment{SerialNumber: rec.SerialNumber, Day: rec.Day, Dropped: true}
-				continue
-			case planQuar, planSkip:
-				// Written by the serial quarantine pass below.
-				continue
-			}
-			dr := sh.drives[rec.SerialNumber]
-			for k := int32(0); k < p.rows; k++ {
-				m := sh.meta[p.rowOff+k]
-				score := s.scores[sh.rowOff+int(p.rowOff+k)]
 				flagged := score >= threshold
 				if flagged {
 					dr.consecutive++
@@ -576,7 +519,7 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 				if dr.consecutive >= s.alarmAfter {
 					dr.alarmed = true
 				}
-				out[p.outOff+k] = Assessment{
+				sh.out = append(sh.out, Assessment{
 					SerialNumber:     rec.SerialNumber,
 					Day:              int(m.Day),
 					Probability:      score,
@@ -585,16 +528,38 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 					ConsecutiveFlags: dr.consecutive,
 					Alarmed:          dr.alarmed,
 					Degraded:         dayDegraded,
-				}
+				})
 			}
 		}
 		return nil
 	})
-	// Serial pass for the records the fan-out never routed or the
-	// shards rejected: one Quarantined entry each.
+	for si := range s.shards {
+		sh := &s.shards[si]
+		stats.Quarantined += sh.stats.Quarantined
+		stats.Skipped += sh.stats.Skipped
+		stats.Dropped += sh.stats.Dropped
+		stats.Scored += len(sh.out)
+	}
+	if stats.Scored > 0 {
+		s.degraded = dayDegraded
+		if dayDegraded {
+			stats.Degraded = stats.Scored
+		}
+	}
+
+	// Merge in input order: a record's scored rows come from its
+	// shard, and every dropped, quarantined or skipped record gets one
+	// entry of its own.
+	out := make([]Assessment, 0, stats.Scored+stats.Dropped+stats.Quarantined+stats.Skipped)
 	for i := range recs {
-		if k := s.plans[i].kind; k == planQuar || k == planSkip {
-			out[s.plans[i].outOff] = Assessment{SerialNumber: recs[i].SerialNumber, Day: recs[i].Day, Quarantined: true}
+		p := &s.plans[i]
+		switch p.kind {
+		case planRows:
+			out = append(out, s.shards[p.shard].out[p.rowOff:p.rowOff+p.rows]...)
+		case planDropped:
+			out = append(out, Assessment{SerialNumber: recs[i].SerialNumber, Day: recs[i].Day, Dropped: true})
+		default:
+			out = append(out, Assessment{SerialNumber: recs[i].SerialNumber, Day: recs[i].Day, Quarantined: true})
 		}
 	}
 	return out, stats, nil
@@ -711,6 +676,9 @@ func (s *Scorer) UpdateModel(model *core.Model) error {
 	}
 	s.model = model
 	s.ext = ext
+	// No per-drive work: each drive rebuilds its run on its next
+	// scored row.
+	s.gen++
 	return nil
 }
 

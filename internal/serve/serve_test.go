@@ -25,7 +25,7 @@ var (
 	cachedRegs  map[string]*firmware.Registry
 )
 
-func setup(t *testing.T) (*simfleet.Result, *core.Model, map[string]*firmware.Registry) {
+func setup(t testing.TB) (*simfleet.Result, *core.Model, map[string]*firmware.Registry) {
 	t.Helper()
 	if cachedFleet == nil {
 		cfg := simfleet.TinyConfig()
