@@ -60,35 +60,6 @@ func (s *DriveSeries) At(day int) (*Record, bool) {
 	return nil, false
 }
 
-// ClosestAtOrBefore returns the latest record with Day ≤ day, if any.
-func (s *DriveSeries) ClosestAtOrBefore(day int) (*Record, bool) {
-	i := sort.Search(len(s.Records), func(i int) bool { return s.Records[i].Day > day })
-	if i == 0 {
-		return nil, false
-	}
-	return &s.Records[i-1], true
-}
-
-// Closest returns the record whose Day is nearest to day (earlier wins
-// ties), if the series is non-empty.
-func (s *DriveSeries) Closest(day int) (*Record, bool) {
-	if len(s.Records) == 0 {
-		return nil, false
-	}
-	i := sort.Search(len(s.Records), func(i int) bool { return s.Records[i].Day >= day })
-	switch {
-	case i == 0:
-		return &s.Records[0], true
-	case i == len(s.Records):
-		return &s.Records[len(s.Records)-1], true
-	}
-	before, after := &s.Records[i-1], &s.Records[i]
-	if day-before.Day <= after.Day-day {
-		return before, true
-	}
-	return after, true
-}
-
 // Window returns the records with from ≤ Day ≤ to. The returned slice
 // aliases the series' backing array.
 func (s *DriveSeries) Window(from, to int) []Record {
@@ -219,29 +190,6 @@ func (d *Dataset) Vendors() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// DayRange returns the minimum and maximum observation days across the
-// dataset. ok is false for an empty dataset.
-func (d *Dataset) DayRange() (min, max int, ok bool) {
-	first := true
-	for _, s := range d.bySN {
-		if len(s.Records) == 0 {
-			continue
-		}
-		lo, hi := s.FirstDay(), s.LastDay()
-		if first {
-			min, max, first = lo, hi, false
-			continue
-		}
-		if lo < min {
-			min = lo
-		}
-		if hi > max {
-			max = hi
-		}
-	}
-	return min, max, !first
 }
 
 // Clone returns a deep copy of the dataset.

@@ -109,24 +109,6 @@ func TestSeriesQueries(t *testing.T) {
 	if _, ok := s.At(4); ok {
 		t.Fatal("At(4) should miss")
 	}
-	if r, ok := s.ClosestAtOrBefore(8); !ok || r.Day != 5 {
-		t.Fatal("ClosestAtOrBefore(8) should be day 5")
-	}
-	if _, ok := s.ClosestAtOrBefore(1); ok {
-		t.Fatal("ClosestAtOrBefore(1) should miss")
-	}
-	if r, ok := s.Closest(6); !ok || r.Day != 5 {
-		t.Fatalf("Closest(6) = %v", r.Day)
-	}
-	if r, ok := s.Closest(8); !ok || r.Day != 9 {
-		t.Fatalf("Closest(8) = %v", r.Day)
-	}
-	if r, ok := s.Closest(0); !ok || r.Day != 2 {
-		t.Fatalf("Closest(0) = %v", r.Day)
-	}
-	if r, ok := s.Closest(100); !ok || r.Day != 9 {
-		t.Fatalf("Closest(100) = %v", r.Day)
-	}
 
 	w := s.Window(3, 9)
 	if len(w) != 2 || w[0].Day != 5 || w[1].Day != 9 {
@@ -135,14 +117,9 @@ func TestSeriesQueries(t *testing.T) {
 	if got := s.Window(10, 20); len(got) != 0 {
 		t.Fatalf("empty window returned %d", len(got))
 	}
-}
 
-func TestClosestEmptySeries(t *testing.T) {
-	s := &DriveSeries{}
-	if _, ok := s.Closest(1); ok {
-		t.Fatal("Closest on empty series should miss")
-	}
-	if s.FirstDay() != -1 || s.LastDay() != -1 {
+	empty := &DriveSeries{}
+	if empty.FirstDay() != -1 || empty.LastDay() != -1 {
 		t.Fatal("empty series day bounds should be -1")
 	}
 }
@@ -158,10 +135,6 @@ func TestDatasetAccounting(t *testing.T) {
 	if got := d.SerialNumbers(); len(got) != 2 || got[0] != "A" {
 		t.Fatalf("SerialNumbers = %v", got)
 	}
-	min, max, ok := d.DayRange()
-	if !ok || min != 1 || max != 2 {
-		t.Fatalf("DayRange = %d..%d, %v", min, max, ok)
-	}
 	if !d.Remove("A") {
 		t.Fatal("Remove(A) failed")
 	}
@@ -170,12 +143,6 @@ func TestDatasetAccounting(t *testing.T) {
 	}
 	if d.Drives() != 1 {
 		t.Fatal("drive count after remove")
-	}
-}
-
-func TestDayRangeEmpty(t *testing.T) {
-	if _, _, ok := New().DayRange(); ok {
-		t.Fatal("empty dataset should have no day range")
 	}
 }
 
@@ -245,7 +212,10 @@ func TestUntil(t *testing.T) {
 			cumulateRef(d)
 		}
 		f := frameOf(t, d)
-		lo, hi, _ := d.DayRange()
+		lo, hi := int(f.Day(0)), int(f.Day(0))
+		for r := 0; r < f.Len(); r++ {
+			lo, hi = min(lo, int(f.Day(r))), max(hi, int(f.Day(r)))
+		}
 		for _, day := range []int{lo - 1, lo, (lo + hi) / 2, hi - 1, hi, hi + 5} {
 			cut := f.Until(day)
 			want := subset(d, func(r *Record) bool { return r.Day <= day })

@@ -233,8 +233,7 @@ func PositiveSamplesAt(f *dataset.Frame, labels labeling.Labels, e *Extractor, l
 }
 
 // closestRow returns the row of a non-empty drive whose day is nearest
-// to day, the earlier row winning ties — dataset.DriveSeries.Closest's
-// rule.
+// to day, the earlier row winning ties.
 func closestRow(f *dataset.Frame, d *dataset.FrameDrive, day int) int {
 	start, n := int(d.Start), d.Rows()
 	k := sort.Search(n, func(k int) bool { return int(f.Day(start+k)) >= day })

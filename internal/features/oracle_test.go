@@ -104,6 +104,19 @@ func BuildSeqSamples(data *dataset.Dataset, labels labeling.Labels, e *Extractor
 	return samples, nil
 }
 
+// closestRef returns the record of a non-empty series whose day is
+// nearest to day, the earlier record winning ties.
+func closestRef(s *dataset.DriveSeries, day int) *dataset.Record {
+	dist := func(r *dataset.Record) int { return max(r.Day-day, day-r.Day) }
+	best := &s.Records[0]
+	for i := range s.Records {
+		if r := &s.Records[i]; dist(r) < dist(best) {
+			best = r
+		}
+	}
+	return best
+}
+
 // positiveSamplesAtRef extracts one evaluation sample per faulty drive at
 // exactly lookahead days before its labelled failure (nearest record
 // within ±tolerance days). Used by the Fig. 19 lookahead sweep: can the
@@ -112,17 +125,14 @@ func positiveSamplesAtRef(data *dataset.Dataset, labels labeling.Labels, e *Extr
 	var samples []ml.Sample
 	for sn, label := range labels {
 		series, ok := data.Series(sn)
-		if !ok {
+		if !ok || len(series.Records) == 0 {
 			continue
 		}
 		target := label.FailDay - lookahead
 		if target < 0 {
 			continue
 		}
-		rec, ok := series.Closest(target)
-		if !ok {
-			continue
-		}
+		rec := closestRef(series, target)
 		diff := rec.Day - target
 		if diff < 0 {
 			diff = -diff

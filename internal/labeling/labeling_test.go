@@ -32,6 +32,19 @@ func buildData(t *testing.T, days map[string][]int) *dataset.Dataset {
 	return d
 }
 
+// closestRef returns the record of a non-empty series whose day is
+// nearest to day, the earlier record winning ties.
+func closestRef(s *dataset.DriveSeries, day int) *dataset.Record {
+	dist := func(r *dataset.Record) int { return max(r.Day-day, day-r.Day) }
+	best := &s.Records[0]
+	for i := range s.Records {
+		if r := &s.Records[i]; dist(r) < dist(best) {
+			best = r
+		}
+	}
+	return best
+}
+
 // identifyRef is the record-form failure-time identification, kept as
 // the oracle IdentifyFrame is pinned against: a linear DriveSeries
 // walk instead of a binary search over the day column.
@@ -49,10 +62,7 @@ func identifyRef(data *dataset.Dataset, tickets *ticket.Store, theta int) (Label
 		if !ok || len(series.Records) == 0 {
 			continue
 		}
-		rec, ok := series.Closest(t.IMT)
-		if !ok {
-			continue
-		}
+		rec := closestRef(series, t.IMT)
 		interval := t.IMT - rec.Day
 		if interval < 0 {
 			interval = -interval

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -512,4 +514,311 @@ func TestMidSessionOpsDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestQuarantineOrderMatchesSerialPrepass pins the decisions the
+// validation phase makes per shard to the ones a serial pass over the
+// batch makes: hand-built batches mix a valid then an invalid record
+// of one drive, an invalid then a valid one, a duplicate day, a record
+// of an already-quarantined drive, new drives, registry-unknown
+// firmware first seen on many drives, and an unknown version on an
+// invalid record, with StrictFirmware off and on. Every worker/shard
+// combination must give the serial scorer's assessments (probabilities
+// by Float64bits), sweep stats, ledger, drive set and firmware codes,
+// and each case's expected outcome is asserted on its own.
+func TestQuarantineOrderMatchesSerialPrepass(t *testing.T) {
+	fleet, model, regs := setup(t)
+	batches := dayBatches(fleet, "I")
+	days := batches[:5]
+	d1, d2, d3 := days[1][0].Day, days[2][0].Day, days[3][0].Day
+	at := make([]map[string]dataset.Record, len(days))
+	for i, b := range days {
+		at[i] = make(map[string]dataset.Record, len(b))
+		for _, r := range b {
+			at[i][r.SerialNumber] = r
+		}
+	}
+	// The cases' drives report on every one of the first four days.
+	var pool []string
+	for _, r := range days[0] {
+		if _, ok := at[1][r.SerialNumber]; !ok {
+			continue
+		}
+		if _, ok := at[2][r.SerialNumber]; !ok {
+			continue
+		}
+		if _, ok := at[3][r.SerialNumber]; ok {
+			pool = append(pool, r.SerialNumber)
+		}
+	}
+	const nUnknown = 6 // drives that each first show a registry-unknown version
+	if len(pool) < 4+nUnknown+1 {
+		t.Fatalf("fixture has %d drives reporting on days %d..%d, need %d", len(pool), days[0][0].Day, d3, 4+nUnknown+1)
+	}
+	rec := func(day int, sn string) dataset.Record { r := at[day][sn]; return r.Clone() }
+	nan := func(r dataset.Record) dataset.Record { r.Smart[0] = math.NaN(); return r }
+	withFW := func(r dataset.Record, v string) dataset.Record { r.Firmware = firmware.Version(v); return r }
+	renamed := func(r dataset.Record, sn string) dataset.Record { r.SerialNumber = sn; return r }
+	// withRest completes a hand-built batch with the day's records of
+	// drives it does not mention.
+	withRest := func(day int, batch []dataset.Record) []dataset.Record {
+		seen := make(map[string]bool)
+		for _, r := range batch {
+			seen[r.SerialNumber] = true
+		}
+		for _, r := range days[day] {
+			if !seen[r.SerialNumber] {
+				batch = append(batch, r)
+			}
+		}
+		return batch
+	}
+	unknown := func(i int) string { return fmt.Sprintf("U-%d", i) }
+
+	// Permissive firmware.
+	a, b, c, d := pool[0], pool[1], pool[2], pool[3]
+	es := pool[4 : 4+nUnknown+1]
+	day1 := withRest(1, []dataset.Record{nan(rec(1, d))})
+	shortW := rec(2, b)
+	shortW.WCounts = shortW.WCounts[:2]
+	shortB := renamed(rec(2, c), "NEW-BAD")
+	shortB.BCounts = shortB.BCounts[:1]
+	day2 := []dataset.Record{
+		withFW(shortW, "U-invalid"),   // invalid, then valid: b
+		withFW(rec(2, a), "U-routed"), // valid, then invalid: a
+	}
+	for i, sn := range es[:nUnknown] {
+		day2 = append(day2, withFW(rec(2, sn), unknown(i)))
+	}
+	day2 = append(day2,
+		withFW(rec(2, es[nUnknown]), unknown(0)), // a version already seen this batch
+		nan(rec(3, a)),
+		rec(3, b),
+		rec(2, c), rec(2, c), // duplicate day
+		rec(2, d), // quarantined on day 1
+		shortB,    // new drive, invalid
+		renamed(rec(2, d), "NEW-OK"),
+	)
+	day2 = withRest(2, day2)
+	lax := [][]dataset.Record{days[0], day1, day2, days[3], days[4]}
+	laxVersions := []string{"U-routed"}
+	for i := 0; i < nUnknown; i++ {
+		laxVersions = append(laxVersions, unknown(i))
+	}
+	laxVersions = append(laxVersions, "U-invalid") // never primed: probed last
+
+	// Strict firmware.
+	g, h, k := pool[0], pool[1], pool[2]
+	strictDay2 := withRest(2, []dataset.Record{
+		withFW(rec(2, g), "U-strict"),
+		rec(2, h), // valid, then unknown firmware
+		withFW(nan(rec(2, k)), "U-both"),
+		withFW(rec(3, h), "U-strict2"),
+		rec(3, g),
+	})
+	strict := [][]dataset.Record{days[0], days[1], strictDay2, days[3], days[4]}
+	strictVersions := []string{"U-strict", "U-strict2", "U-both"}
+
+	type result struct {
+		as     [][]Assessment
+		stats  []SweepStats
+		ledger []QuarantineEntry
+		drives []string
+		codes  []float64
+		spread bool // the unknown versions' first drives span ≥ 2 shards
+	}
+	play := func(strictFW bool, feed [][]dataset.Record, versions []string, workers, shards int) result {
+		s, err := New(model, Options{Workers: workers, Shards: shards, Registries: regs, StrictFirmware: strictFW})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res result
+		for _, batch := range feed {
+			as, st, err := s.ObserveDay(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.as = append(res.as, as)
+			res.stats = append(res.stats, st)
+		}
+		res.ledger = s.QuarantineReasons()
+		res.drives = s.Drives()
+		fi := -1
+		for i, name := range s.ext.Names() {
+			if name == "F" {
+				fi = i
+			}
+		}
+		if fi < 0 {
+			t.Fatal("model group has no firmware feature")
+		}
+		probe := days[0][0].Clone()
+		for _, rel := range regs["I"].Releases() {
+			probe.Firmware = rel.Version
+			res.codes = append(res.codes, s.ext.Extract(&probe)[fi])
+		}
+		for _, v := range versions {
+			probe.Firmware = firmware.Version(v)
+			res.codes = append(res.codes, s.ext.Extract(&probe)[fi])
+		}
+		shardSet := make(map[int]bool)
+		for _, sn := range es[:nUnknown] {
+			shardSet[s.shardOf(sn)] = true
+		}
+		res.spread = len(shardSet) > 1
+		return res
+	}
+	same := func(t *testing.T, got, want result) {
+		t.Helper()
+		for day := range want.as {
+			if len(got.as[day]) != len(want.as[day]) {
+				t.Fatalf("batch %d: %d assessments, serial %d", day, len(got.as[day]), len(want.as[day]))
+			}
+			for i, w := range want.as[day] {
+				g := got.as[day][i]
+				if math.Float64bits(g.Probability) != math.Float64bits(w.Probability) {
+					t.Fatalf("batch %d assessment %d: probability %v, serial %v", day, i, g.Probability, w.Probability)
+				}
+				g.Probability = w.Probability
+				if g != w {
+					t.Fatalf("batch %d assessment %d: %+v, serial %+v", day, i, g, w)
+				}
+			}
+			if got.stats[day] != want.stats[day] {
+				t.Fatalf("batch %d: stats %+v, serial %+v", day, got.stats[day], want.stats[day])
+			}
+		}
+		if !reflect.DeepEqual(got.ledger, want.ledger) {
+			t.Fatalf("ledger %+v, serial %+v", got.ledger, want.ledger)
+		}
+		if !reflect.DeepEqual(got.drives, want.drives) {
+			t.Fatalf("%d drives, serial %d", len(got.drives), len(want.drives))
+		}
+		for i := range want.codes {
+			if math.Float64bits(got.codes[i]) != math.Float64bits(want.codes[i]) {
+				t.Fatalf("firmware codes %v, serial %v", got.codes, want.codes)
+			}
+		}
+	}
+	// outcomes returns sn's assessments in one batch.
+	outcomes := func(as []Assessment, sn string) []Assessment {
+		var out []Assessment
+		for _, x := range as {
+			if x.SerialNumber == sn {
+				out = append(out, x)
+			}
+		}
+		return out
+	}
+	quarantinedOnly := func(t *testing.T, as []Assessment, sn string, n int) {
+		t.Helper()
+		got := outcomes(as, sn)
+		if len(got) != n {
+			t.Fatalf("%s: %d assessments, want %d", sn, len(got), n)
+		}
+		for _, x := range got {
+			if !x.Quarantined {
+				t.Fatalf("%s: %+v, want quarantined", sn, x)
+			}
+		}
+	}
+	entry := func(t *testing.T, ledger []QuarantineEntry, sn string, day int, reason QuarantineReason) QuarantineEntry {
+		t.Helper()
+		for _, e := range ledger {
+			if e.SerialNumber == sn {
+				if e.Day != day || e.Reason != reason {
+					t.Fatalf("%s: ledger entry %+v, want day %d reason %s", sn, e, day, reason)
+				}
+				return e
+			}
+		}
+		t.Fatalf("%s: no ledger entry", sn)
+		return QuarantineEntry{}
+	}
+	nreg := float64(regs["I"].Len())
+
+	t.Run("permissive", func(t *testing.T) {
+		want := play(false, lax, laxVersions, 1, 1)
+		as, st := want.as[2], want.stats[2]
+		// Valid then invalid: the valid record is skipped, not scored.
+		quarantinedOnly(t, as, a, 2)
+		entry(t, want.ledger, a, d3, QuarantineBadValue)
+		// Invalid then valid: the valid record is skipped.
+		quarantinedOnly(t, as, b, 2)
+		entry(t, want.ledger, b, d2, QuarantineBadRecord)
+		// Duplicate day: the first copy scores, the second quarantines.
+		if got := outcomes(as, c); len(got) != 2 || got[0].Quarantined || got[0].Dropped || !got[1].Quarantined {
+			t.Fatalf("duplicate day: %+v", got)
+		}
+		entry(t, want.ledger, c, d2, QuarantineRollingError)
+		// Already quarantined on day 1: skipped.
+		quarantinedOnly(t, as, d, 1)
+		entry(t, want.ledger, d, d1, QuarantineBadValue)
+		// New drives: the invalid one is quarantined, the valid one scores.
+		quarantinedOnly(t, as, "NEW-BAD", 1)
+		entry(t, want.ledger, "NEW-BAD", d2, QuarantineBadRecord)
+		if got := outcomes(as, "NEW-OK"); len(got) != 1 || got[0].Quarantined || got[0].Dropped {
+			t.Fatalf("new valid drive: %+v", got)
+		}
+		if len(want.ledger) != 5 {
+			t.Fatalf("ledger %+v, want 5 entries", want.ledger)
+		}
+		if st.Quarantined != 4 || st.Skipped != 3 || st.Records != len(day2) {
+			t.Fatalf("day 2 stats %+v, want 4 quarantined and 3 skipped of %d", st, len(day2))
+		}
+		if st := want.stats[3]; st.Skipped != 4 || st.Quarantined != 0 {
+			t.Fatalf("day 3 stats %+v, want the 4 quarantined drives skipped", st)
+		}
+		for _, sn := range []string{"NEW-BAD", "NEW-OK"} {
+			if i := sort.SearchStrings(want.drives, sn); i == len(want.drives) || want.drives[i] != sn {
+				t.Fatalf("new drive %s has no slot", sn)
+			}
+		}
+		// Unknown versions take first-seen codes in input order: the
+		// routed-then-skipped record's version first, and the invalid
+		// record's version never (it mints the next code when probed).
+		codes := want.codes[regs["I"].Len():]
+		for i := range laxVersions {
+			if codes[i] != nreg+float64(i+1) {
+				t.Fatalf("unknown versions %v coded %v, want %v.. in order", laxVersions, codes, nreg+1)
+			}
+		}
+		spread := false
+		for _, tc := range []struct{ workers, shards int }{{1, 7}, {1, 32}, {3, 1}, {3, 7}, {3, 32}} {
+			got := play(false, lax, laxVersions, tc.workers, tc.shards)
+			spread = spread || got.spread
+			same(t, got, want)
+		}
+		if !spread {
+			t.Fatal("the unknown versions' drives shared one shard at every shard count")
+		}
+	})
+
+	t.Run("strict", func(t *testing.T) {
+		want := play(true, strict, strictVersions, 1, 1)
+		as, st := want.as[2], want.stats[2]
+		quarantinedOnly(t, as, g, 2)
+		e := entry(t, want.ledger, g, d2, QuarantineUnknownFirmware)
+		if wantErr := fmt.Sprintf("serve: drive %s firmware %q not in vendor I registry", g, "U-strict"); e.Err != wantErr {
+			t.Fatalf("ledger error %q, want %q", e.Err, wantErr)
+		}
+		quarantinedOnly(t, as, h, 2)
+		entry(t, want.ledger, h, d3, QuarantineUnknownFirmware)
+		// Validation runs before the registry check.
+		quarantinedOnly(t, as, k, 1)
+		entry(t, want.ledger, k, d2, QuarantineBadValue)
+		if len(want.ledger) != 3 || st.Quarantined != 3 || st.Skipped != 2 {
+			t.Fatalf("ledger %+v, day 2 stats %+v", want.ledger, st)
+		}
+		// No rejected version was primed.
+		codes := want.codes[regs["I"].Len():]
+		for i := range strictVersions {
+			if codes[i] != nreg+float64(i+1) {
+				t.Fatalf("rejected versions %v coded %v, want %v.. in probe order", strictVersions, codes, nreg+1)
+			}
+		}
+		for _, tc := range []struct{ workers, shards int }{{1, 7}, {1, 32}, {3, 1}, {3, 7}, {3, 32}} {
+			same(t, play(true, strict, strictVersions, tc.workers, tc.shards), want)
+		}
+	})
 }

@@ -315,24 +315,31 @@ func TestSwapRebuildsRunsConcurrently(t *testing.T) {
 // BenchmarkObserveDay serves the fixture fleet's days on a scorer that
 // has already served the first half of them and reports the time per
 // scored row. "steady" serves the second half, so every drive resumes
-// its run from its previous day; "swap" serves only the first day
-// after a freshly loaded model is swapped in, when every drive's run
-// is rebuilt and its first row walks every tree.
+// its run from its previous day, and "steady-serial" does the same
+// with one worker, so the two show the shard fan-out's speed-up;
+// "swap" serves only the first day after a freshly loaded model is
+// swapped in, when every drive's run is rebuilt and its first row
+// walks every tree.
 func BenchmarkObserveDay(b *testing.B) {
 	fleet, model, regs := setup(b)
 	batches := dayBatches(fleet, "I")
 	warm := len(batches) / 2
 	for _, bc := range []struct {
-		name string
-		swap bool
-		days [][]dataset.Record
-	}{{"steady", false, batches[warm:]}, {"swap", true, batches[warm : warm+1]}} {
+		name    string
+		workers int
+		swap    bool
+		days    [][]dataset.Record
+	}{
+		{"steady", 0, false, batches[warm:]},
+		{"steady-serial", 1, false, batches[warm:]},
+		{"swap", 0, true, batches[warm : warm+1]},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			rows := 0
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s, err := New(model, Options{Registries: regs})
+				s, err := New(model, Options{Workers: bc.workers, Registries: regs})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -13,6 +13,16 @@
 // features.BuildSampleSetFrame, scored by ml.ScoreBatch) at any worker
 // or shard count.
 //
+// ObserveDay alternates serial passes with shard fan-outs. One serial
+// pass routes each record to its drive's shard. In the validation
+// phase each shard checks its records in input order and quarantines
+// the corrupt ones. One serial pass then registers the surviving
+// records' firmware versions with the encoders in input order — the
+// only extractor mutation, so registry-unknown versions get first-seen
+// codes in arrival order. In the advance phase each shard advances,
+// scores and applies the alarm hysteresis; a last serial pass merges
+// the results.
+//
 // Production telemetry is messy, so the scorer is fail-soft, not
 // fail-stop. A record that fails validation or feature extraction
 // quarantines that drive — with a typed reason — instead of aborting
@@ -20,8 +30,9 @@
 // that never saw the bad record. A scoring-backend failure degrades
 // the day onto the vendor SMART-threshold detector instead of losing
 // it, and the scorer recovers by itself on the next healthy sweep.
-// Quarantine decisions are made per drive in input order, so the
-// ledger is deterministic at any worker or shard count.
+// Quarantine decisions are made per drive in input order, and each
+// drive lives in exactly one shard, so the ledger is deterministic at
+// any worker or shard count.
 package serve
 
 import (
@@ -48,8 +59,8 @@ type FaultHooks struct {
 	// Observe runs at the top of ObserveDay, before any state mutates;
 	// an error fails the whole batch transiently (safe to retry).
 	Observe func() error
-	// Score runs once per batch that routes at least one record to
-	// the shards, before any row is scored; an error forces the day
+	// Score runs once per batch in which at least one record passes
+	// validation, before any row is scored; an error forces the day
 	// onto the degraded fallback detector.
 	Score func() error
 	// Swap runs at the top of UpdateModel; an error fails the swap and
@@ -59,9 +70,9 @@ type FaultHooks struct {
 
 // Options configures a Scorer.
 type Options struct {
-	// Workers bounds the goroutines of the shard fan-out, which also
-	// scores each shard's rows: 0 = GOMAXPROCS, 1 = serial. Outputs are
-	// identical at any setting.
+	// Workers bounds the goroutines of the shard fan-outs, which
+	// validate, advance and score each shard's records: 0 = GOMAXPROCS,
+	// 1 = serial. Outputs are identical at any setting.
 	Workers int
 	// Shards is the number of drive shards; 0 selects 32. More shards
 	// than workers keeps the fan-out balanced when drive populations
@@ -200,12 +211,13 @@ type driveRoll struct {
 }
 
 // shard owns a disjoint subset of the fleet's drives plus the pooled
-// per-day scratch its worker fills: the record indexes routed to it,
-// one record's feature rows and their metadata, and the day's
-// assessments of its scored rows.
+// per-day scratch its worker fills: the record indexes routed to it
+// and, once validated, their drives' states, one record's feature rows
+// and their metadata, and the day's assessments of its scored rows.
 type shard struct {
 	drives map[string]*driveRoll
-	recIdx []int32 // input indexes of today's records, in input order
+	recIdx []int32      // input indexes of today's records, in input order
+	rolls  []*driveRoll // rolls[k] is recIdx[k]'s drive after validation
 	x      []float64
 	meta   []features.EmittedRow
 	out    []Assessment
@@ -220,6 +232,7 @@ const (
 	planDropped                 // gap-policy-excluded drive
 	planQuar                    // record newly quarantined its drive
 	planSkip                    // drive was already quarantined
+	planRouted                  // passed validation; the advance phase decides
 )
 
 // recPlan locates one input record's assessments inside its shard.
@@ -313,6 +326,7 @@ func New(model *core.Model, opts Options) (*Scorer, error) {
 		// view the vendor threshold detector expects.
 		s.fallback = baselines.ThresholdDetector{}
 	}
+	prepareRuns(model.Classifier)
 	for i := range s.shards {
 		s.shards[i].drives = make(map[string]*driveRoll)
 		// Non-nil from the start: a nil x tells Advance to skip
@@ -321,6 +335,13 @@ func New(model *core.Model, opts Options) (*Scorer, error) {
 	}
 	return s, nil
 }
+
+// prepareRuns builds what every run of clf shares — for the tree
+// ensembles, the compiled arena and the differential kernel's
+// threshold tables — when the model is installed. Built lazily, they
+// would fall on the first scored row of the next served day, inside
+// the fan-out, while the other shards wait.
+func prepareRuns(clf ml.Classifier) { ml.NewRun(clf) }
 
 // shardOf hashes a serial number to its shard. The seed is per-Scorer,
 // so shard contents are an implementation detail; outputs never depend
@@ -347,6 +368,62 @@ func quarantineReasonFor(err error) QuarantineReason {
 		return QuarantineBadValue
 	}
 	return QuarantineBadRecord
+}
+
+// reject validates one record and, under StrictFirmware, looks its
+// firmware version up in the vendor's registry. It returns the
+// quarantine entry a failure earns, or the zero entry for a record the
+// advance phase may take.
+func (s *Scorer) reject(rec *dataset.Record) QuarantineEntry {
+	if err := rec.Validate(); err != nil {
+		return QuarantineEntry{SerialNumber: rec.SerialNumber, Day: rec.Day,
+			Reason: quarantineReasonFor(err), Err: err.Error()}
+	}
+	if s.strictFW {
+		if reg, ok := s.registries[rec.Vendor]; ok {
+			if _, known := reg.ByVersion(rec.Firmware); !known {
+				return QuarantineEntry{SerialNumber: rec.SerialNumber, Day: rec.Day,
+					Reason: QuarantineUnknownFirmware,
+					Err:    fmt.Sprintf("serve: drive %s firmware %q not in vendor %s registry", rec.SerialNumber, rec.Firmware, rec.Vendor)}
+			}
+		}
+	}
+	return QuarantineEntry{}
+}
+
+// validateShard is one shard's validation phase. It walks the shard's
+// records in input order: a record of a quarantined drive is skipped,
+// a rejected record quarantines its drive, and every other record
+// stays in recIdx, compacted, with its drive's state beside it in
+// rolls and its plan marked planRouted. Every record leaves its drive
+// with a slot, looked up once.
+func (s *Scorer) validateShard(si int, recs []dataset.Record) {
+	sh := &s.shards[si]
+	sh.rolls = sh.rolls[:0]
+	kept := sh.recIdx[:0]
+	for _, ri := range sh.recIdx {
+		rec := &recs[ri]
+		dr, ok := sh.drives[rec.SerialNumber]
+		if ok && dr.q.Reason != QuarantineNone {
+			s.plans[ri] = recPlan{shard: int32(si), kind: planSkip}
+			sh.stats.Skipped++
+			continue
+		}
+		if !ok {
+			dr = &driveRoll{roll: features.NewRollingState()}
+			sh.drives[rec.SerialNumber] = dr
+		}
+		if q := s.reject(rec); q.Reason != QuarantineNone {
+			dr.q = q
+			s.plans[ri] = recPlan{shard: int32(si), kind: planQuar}
+			sh.stats.Quarantined++
+			continue
+		}
+		s.plans[ri] = recPlan{shard: int32(si), kind: planRouted}
+		kept = append(kept, ri)
+		sh.rolls = append(sh.rolls, dr)
+	}
+	sh.recIdx = kept
 }
 
 // finiteRows reports whether every value in rows is finite. NaN and
@@ -376,7 +453,11 @@ const maxFinite = 1.7976931348623157e308 // math.MaxFloat64
 // chronological order (within and across calls). A record that fails
 // validation or extraction quarantines that drive only — the rest of
 // the fleet scores bit-identically to a batch that never carried the
-// bad record. The only error return is the injected transient observe
+// bad record. Every record of a batch is validated before any is
+// advanced, so a record that fails validation (or the StrictFirmware
+// check) makes its drive skip all its other records of the batch, the
+// earlier ones included; an error found while advancing skips only the
+// later ones. The only error return is the injected transient observe
 // fault, which fires before any state mutates, so a failed call is
 // safe to retry with the same batch.
 func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, error) {
@@ -393,12 +474,8 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 	}
 	stats.Records = len(recs)
 
-	// Serial pre-pass: skip records of quarantined drives, validate,
-	// quarantine corrupt records, register firmware versions with the
-	// encoders (the only extractor mutation — after this, extraction is
-	// read-only and safe to fan out), and route healthy records to
-	// shards. Quarantine decisions happen here in input order, so the
-	// ledger never depends on worker or shard count.
+	// Serial routing: hash each record to its shard. Everything that
+	// reads a record's telemetry runs inside the fan-outs below.
 	for i := range s.shards {
 		s.shards[i].recIdx = s.shards[i].recIdx[:0]
 		s.shards[i].stats = SweepStats{}
@@ -408,69 +485,58 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 	}
 	s.plans = s.plans[:len(recs)]
 	for i := range recs {
-		rec := &recs[i]
-		si := s.shardOf(rec.SerialNumber)
-		sh := &s.shards[si]
-		if dr, ok := sh.drives[rec.SerialNumber]; ok && dr.q.Reason != QuarantineNone {
-			s.plans[i] = recPlan{shard: int32(si), kind: planSkip}
-			stats.Skipped++
-			continue
-		}
-		if err := rec.Validate(); err != nil {
-			dr := sh.rollFor(rec.SerialNumber)
-			dr.q = QuarantineEntry{SerialNumber: rec.SerialNumber, Day: rec.Day,
-				Reason: quarantineReasonFor(err), Err: err.Error()}
-			s.plans[i] = recPlan{shard: int32(si), kind: planQuar}
-			stats.Quarantined++
-			continue
-		}
-		if s.strictFW {
-			if reg, ok := s.registries[rec.Vendor]; ok {
-				if _, known := reg.ByVersion(rec.Firmware); !known {
-					dr := sh.rollFor(rec.SerialNumber)
-					dr.q = QuarantineEntry{SerialNumber: rec.SerialNumber, Day: rec.Day,
-						Reason: QuarantineUnknownFirmware,
-						Err:    fmt.Sprintf("serve: drive %s firmware %q not in vendor %s registry", rec.SerialNumber, rec.Firmware, rec.Vendor)}
-					s.plans[i] = recPlan{shard: int32(si), kind: planQuar}
-					stats.Quarantined++
-					continue
-				}
-			}
-		}
-		s.ext.PrimeVersion(rec.Vendor, rec.Firmware)
+		sh := &s.shards[s.shardOf(recs[i].SerialNumber)]
 		sh.recIdx = append(sh.recIdx, int32(i))
+	}
+
+	// Validation phase: each shard skips the records of quarantined
+	// drives, quarantines corrupt records, and keeps the rest routed
+	// beside their drive's state. Each drive lives in exactly one shard
+	// and its records are visited in input order, so every decision,
+	// and the ledger, is the one a serial pass over the batch makes.
+	_ = parallel.Do(len(s.shards), s.workers, func(si int) error {
+		s.validateShard(si, recs)
+		return nil
+	})
+
+	// Priming: register the routed records' firmware versions with the
+	// encoders in input order. It is the only extractor mutation, so
+	// extraction in the advance phase is read-only, and registry-unknown
+	// versions get first-seen codes in arrival order at any worker or
+	// shard count.
+	routed := 0
+	for i := range s.plans {
+		if s.plans[i].kind == planRouted {
+			s.ext.PrimeVersion(recs[i].Vendor, recs[i].Firmware)
+			routed++
+		}
 	}
 
 	// The day is degraded or healthy before any row is scored: a
 	// scoring-backend failure swings it onto the SMART-threshold
 	// detector instead of losing it, and the next healthy batch
 	// recovers.
-	routed := 0
-	for si := range s.shards {
-		routed += len(s.shards[si].recIdx)
-	}
 	dayDegraded := false
 	if routed > 0 && s.faults.Score != nil {
 		dayDegraded = s.faults.Score() != nil
 	}
 
-	// Fan out: each shard advances its drives in input order, scores
-	// each emitted row by resuming the drive's run (or through the
-	// fallback on a degraded day, leaving runs untouched), and applies
-	// the alarm hysteresis. A failing record quarantines its drive and
-	// the shard moves on; quarantine is still deterministic because
-	// each drive lives in exactly one shard and its records process in
-	// input order.
+	// Advance phase: each shard advances its drives in input order,
+	// scores each emitted row by resuming the drive's run (or through
+	// the fallback on a degraded day, leaving runs untouched), and
+	// applies the alarm hysteresis. A failing record quarantines its
+	// drive and the shard moves on. A drive quarantined by a later
+	// record of this batch in the validation phase has its earlier
+	// routed records skipped here.
 	width := s.ext.Width()
 	clf, gen, threshold := s.model.Classifier, s.gen, s.model.Threshold
 	_ = parallel.Do(len(s.shards), s.workers, func(si int) error {
 		sh := &s.shards[si]
 		sh.out = sh.out[:0]
-		for _, ri := range sh.recIdx {
-			rec := &recs[ri]
-			dr := sh.rollFor(rec.SerialNumber)
+		for j, ri := range sh.recIdx {
+			rec, dr := &recs[ri], sh.rolls[j]
 			if dr.q.Reason != QuarantineNone {
-				// Quarantined earlier in this very batch.
+				// Quarantined by another record of this batch.
 				s.plans[ri] = recPlan{shard: int32(si), kind: planSkip}
 				sh.stats.Skipped++
 				continue
@@ -674,6 +740,7 @@ func (s *Scorer) UpdateModel(model *core.Model) error {
 	if err != nil {
 		return err
 	}
+	prepareRuns(model.Classifier)
 	s.model = model
 	s.ext = ext
 	// No per-drive work: each drive rebuilds its run on its next
