@@ -25,10 +25,13 @@ lint:
 # codec, labelling, extraction, training, sampling views, the pipeline
 # front-end, search, the sharded serving engine, and the batched
 # agent) under the race detector; determinism tests double as ordering
-# checks.
+# checks. The experiments line runs only the tests that drive the
+# concurrent model trainings of the paper reproduction: the whole
+# package under -race takes minutes.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/parallel ./internal/simfleet ./internal/ml/... ./internal/dataset ./internal/labeling ./internal/ingest ./internal/features ./internal/sampling ./internal/core ./internal/serve ./internal/agent ./internal/fleetops ./internal/atomicio ./internal/faultinject
+	$(GO) test -race -run 'WorkersRenderIdentically|TrainAllDedupsAndNamesFirstFailure|CachesOrderIndependentAndShared' ./internal/experiments
 
 # chaos runs the fault-tolerance suite under the race detector: seeded
 # record corruption, scorer/swap/observe fault seams, crash-safe
@@ -58,7 +61,7 @@ verify: build lint test chaos
 # (workloads, gates, per-layer breakdown) lives in bench/; see
 # bench/README.md and BENCHMARK.json.
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' ./internal/parallel ./internal/simfleet ./internal/dataset ./internal/features ./internal/ml ./internal/ml/search ./internal/ml/predict ./internal/ml/forest ./internal/ml/gbdt ./internal/core ./internal/serve
+	$(GO) test -bench=. -benchmem -run '^$$' ./internal/parallel ./internal/simfleet ./internal/dataset ./internal/features ./internal/ml ./internal/ml/search ./internal/ml/predict ./internal/ml/forest ./internal/ml/gbdt ./internal/ml/nn ./internal/core ./internal/serve
 
 report:
 	$(GO) run ./cmd/mfpareport -scale 0.2

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/labeling"
 	"repro/internal/ml"
 	"repro/internal/ml/metrics"
+	"repro/internal/parallel"
 	"repro/internal/sampling"
 	"repro/internal/ticket"
 )
@@ -230,13 +232,7 @@ func TrainSet(p *Prepared, set *ml.SampleSet) (*Model, *TrainReport, error) {
 		return nil, nil, err
 	}
 	start := time.Now()
-	threshold := 0.5
-	if !cfg.FixedThreshold {
-		if t, err := calibrateThresholdView(trainer, trainFull, cfg); err == nil {
-			threshold = t
-		}
-	}
-	clf, err := trainer.Train(train)
+	clf, threshold, err := fitCalibrated(trainer, train, trainFull, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -259,54 +255,118 @@ func TrainSet(p *Prepared, set *ml.SampleSet) (*Model, *TrainReport, error) {
 	return m, report, nil
 }
 
-// calibrateThresholdView picks the decision threshold on pooled
-// time-series cross-validation folds of the *full-prevalence* training
-// window: each fold's training part is under-sampled exactly as the
-// final model's is, but validation keeps the natural class balance so
-// the FPR estimate is trustworthy. The operating point is chosen
-// without touching test data. CV folds and their under-sampled
-// training parts are row-index views of the shared arena, and the
-// pooled score/label buffers are preallocated from the usable folds'
-// validation sizes — each fold scores straight into its slot.
-func calibrateThresholdView(trainer ml.Trainer, trainFull ml.View, cfg Config) (float64, error) {
+// fitCalibrated trains the final model on train and, unless
+// cfg.FixedThreshold is set, calibrates its decision threshold on
+// trainFull. The calibration folds and the final fit are independent
+// seeded fits, so they run in one fan-out bounded by cfg.Workers, the
+// final fit last (at Workers=1 the order is fold by fold, then the
+// final fit): it never reads the threshold. A calibration that cannot
+// be planned or whose fold fails keeps the 0.5 default; only the final
+// fit's error is returned.
+func fitCalibrated(trainer ml.Trainer, train, trainFull ml.View, cfg Config) (ml.Classifier, float64, error) {
+	var cal *calibration
+	folds := 0
+	if !cfg.FixedThreshold {
+		if c, err := newCalibration(trainFull, cfg); err == nil {
+			cal, folds = c, len(c.folds)
+		}
+	}
+	var (
+		clf       ml.Classifier
+		calFailed atomic.Bool
+	)
+	err := parallel.Do(folds+1, cfg.Workers, func(i int) error {
+		if i == folds {
+			var err error
+			clf, err = trainer.Train(train)
+			return err
+		}
+		// After a failed fold the threshold is lost anyway; at Workers=1
+		// this stops calibrating where a serial loop would.
+		if !calFailed.Load() && cal.fit(trainer, i, cfg.Workers) != nil {
+			calFailed.Store(true)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	threshold := 0.5
+	if cal != nil && !calFailed.Load() {
+		threshold = cal.threshold()
+	}
+	return clf, threshold, nil
+}
+
+// calibration picks the decision threshold on pooled time-series
+// cross-validation folds of the *full-prevalence* training window: each
+// fold's training part is under-sampled exactly as the final model's
+// is, but validation keeps the natural class balance so the FPR
+// estimate is trustworthy. The operating point is chosen without
+// touching test data. CV folds and their under-sampled training parts
+// are row-index views of the shared arena, and the pooled score/label
+// buffers are preallocated from the usable folds' validation sizes —
+// each fold scores straight into its own slot, so folds may be fitted
+// concurrently.
+type calibration struct {
+	folds  []calFold
+	scores []float64
+	labels []int
+}
+
+type calFold struct {
+	train, val ml.View
+	off        int
+}
+
+// newCalibration plans the usable folds of trainFull: those whose
+// under-sampled training part and validation part both hold both
+// classes. It fails when there are none.
+func newCalibration(trainFull ml.View, cfg Config) (*calibration, error) {
 	folds, err := sampling.TimeSeriesCVView(trainFull, cfg.CVFolds)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	type calFold struct {
-		train, val ml.View
-		off        int
-	}
-	usable := make([]calFold, 0, len(folds))
+	c := &calibration{folds: make([]calFold, 0, len(folds))}
 	total := 0
 	for _, fold := range folds {
 		tr, err := sampling.UnderSampleView(fold.Train, cfg.NegativeRatio, cfg.Seed)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		if !bothClassesView(tr) || !bothClassesView(fold.Val) {
 			continue
 		}
-		usable = append(usable, calFold{train: tr, val: fold.Val, off: total})
+		c.folds = append(c.folds, calFold{train: tr, val: fold.Val, off: total})
 		total += fold.Val.Len()
 	}
 	if total == 0 {
-		return 0, fmt.Errorf("core: no usable calibration folds")
+		return nil, fmt.Errorf("core: no usable calibration folds")
 	}
-	scores := make([]float64, total)
-	labels := make([]int, total)
-	for _, f := range usable {
-		clf, err := trainer.Train(f.train)
-		if err != nil {
-			return 0, err
-		}
-		n := f.val.Len()
-		ml.ScoreView(clf, f.val, scores[f.off:f.off+n], cfg.Workers)
-		for i := 0; i < n; i++ {
-			labels[f.off+i] = f.val.Y(i)
-		}
+	c.scores = make([]float64, total)
+	c.labels = make([]int, total)
+	return c, nil
+}
+
+// fit trains fold i and scores its validation rows into the fold's
+// slot.
+func (c *calibration) fit(trainer ml.Trainer, i, workers int) error {
+	f := c.folds[i]
+	clf, err := trainer.Train(f.train)
+	if err != nil {
+		return err
 	}
-	return pickThreshold(scores, labels), nil
+	n := f.val.Len()
+	ml.ScoreView(clf, f.val, c.scores[f.off:f.off+n], workers)
+	for j := 0; j < n; j++ {
+		c.labels[f.off+j] = f.val.Y(j)
+	}
+	return nil
+}
+
+// threshold picks the operating point once every fold is fitted.
+func (c *calibration) threshold() float64 {
+	return pickThreshold(c.scores, c.labels)
 }
 
 // pickThreshold selects the operating point from pooled calibration

@@ -47,25 +47,41 @@ func (r *AblationResult) Row(setting string) (AblationRow, bool) {
 	return AblationRow{}, false
 }
 
-// runVariant trains one pipeline variant and converts it to a row.
-func (c *Context) runVariant(setting string, mutate func(*core.Config)) (AblationRow, error) {
-	f, err := c.FleetFrame()
-	if err != nil {
-		return AblationRow{}, err
-	}
-	return c.runVariantOn(f, c.Fleet.Tickets, setting, mutate)
+// variant is one setting of an ablation sweep: how it changes the
+// default pipeline config, and the note its row carries.
+type variant struct {
+	setting string
+	mutate  func(*core.Config)
+	note    string
 }
 
-// runVariantOn trains one pipeline variant against an explicit fleet,
-// through the context's caches.
-func (c *Context) runVariantOn(f *dataset.Frame, tickets *ticket.Store, setting string, mutate func(*core.Config)) (AblationRow, error) {
-	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
-	mutate(&cfg)
-	r, err := c.train(f, tickets, cfg)
+// runVariants trains the variants on the context fleet and converts
+// each to a row.
+func (c *Context) runVariants(vs []variant) ([]AblationRow, error) {
+	f, err := c.FleetFrame()
 	if err != nil {
-		return AblationRow{}, fmt.Errorf("experiments: variant %s: %w", setting, err)
+		return nil, err
 	}
-	return AblationRow{Setting: setting, TPR: r.eval.TPR(), FPR: r.eval.FPR(), AUC: r.eval.AUC}, nil
+	return c.runVariantsOn(f, c.Fleet.Tickets, vs)
+}
+
+// runVariantsOn trains the variants against an explicit fleet, through
+// the context's caches, and converts each to a row.
+func (c *Context) runVariantsOn(f *dataset.Frame, tickets *ticket.Store, vs []variant) ([]AblationRow, error) {
+	cfgs := make([]core.Config, len(vs))
+	for i, v := range vs {
+		cfgs[i] = c.PipelineConfig(primaryVendor, features.GroupSFWB)
+		v.mutate(&cfgs[i])
+	}
+	fits, i, err := c.trainAll(f, tickets, cfgs)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: variant %s: %w", vs[i].setting, err)
+	}
+	rows := make([]AblationRow, len(vs))
+	for i, r := range fits {
+		rows[i] = AblationRow{Setting: vs[i].setting, TPR: r.eval.TPR(), FPR: r.eval.FPR(), AUC: r.eval.AUC, Note: vs[i].note}
+	}
+	return rows, nil
 }
 
 // thetaFleet simulates (once) a fleet with heavy ticket delays and
@@ -99,43 +115,34 @@ func (c *Context) AblationTheta() (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &AblationResult{Title: "Ablation: failure-time threshold θ (delays mean 9d, 50% early abandonment)"}
+	var vs []variant
 	for _, theta := range []int{1, 3, 5, 7, 10, 14, 21} {
-		row, err := c.runVariantOn(fleet.Frame, fleet.Tickets, fmt.Sprintf("θ=%d", theta), func(cfg *core.Config) { cfg.Theta = theta })
-		if err != nil {
-			return nil, err
-		}
+		v := variant{setting: fmt.Sprintf("θ=%d", theta), mutate: func(cfg *core.Config) { cfg.Theta = theta }}
 		if theta == 7 {
-			row.Note = "paper's choice"
+			v.note = "paper's choice"
 		}
-		res.Rows = append(res.Rows, row)
+		vs = append(vs, v)
 	}
-	return res, nil
+	rows, err := c.runVariantsOn(fleet.Frame, fleet.Tickets, vs)
+	if err != nil {
+		return nil, err
+	}
+	return &AblationResult{Title: "Ablation: failure-time threshold θ (delays mean 9d, 50% early abandonment)", Rows: rows}, nil
 }
 
 // AblationGapPolicy compares the paper's discontinuity optimisation
 // against no cleaning and against a stricter drop rule.
 func (c *Context) AblationGapPolicy() (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: discontinuity optimisation (drop/fill policy)"}
-	variants := []struct {
-		name   string
-		mutate func(*core.Config)
-		note   string
-	}{
+	rows, err := c.runVariants([]variant{
 		{"drop≥10,fill≤3", func(cfg *core.Config) {}, "paper's policy"},
 		{"no cleaning", func(cfg *core.Config) { cfg.SkipClean = true }, ""},
 		{"drop≥6,fill≤3", func(cfg *core.Config) { cfg.GapPolicy = dataset.GapPolicy{DropGap: 6, FillGap: 3} }, "stricter drop"},
 		{"drop≥10,fill≤1", func(cfg *core.Config) { cfg.GapPolicy = dataset.GapPolicy{DropGap: 10, FillGap: 1} }, "no mean fill"},
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, v := range variants {
-		row, err := c.runVariant(v.name, v.mutate)
-		if err != nil {
-			return nil, err
-		}
-		row.Note = v.note
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+	return &AblationResult{Title: "Ablation: discontinuity optimisation (drop/fill policy)", Rows: rows}, nil
 }
 
 // AblationSegmentation compares timepoint-based segmentation with the
@@ -143,21 +150,14 @@ func (c *Context) AblationGapPolicy() (*AblationResult, error) {
 // split trains on future data, so its numbers are optimistically
 // biased — the ablation quantifies the bias.
 func (c *Context) AblationSegmentation() (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: sample segmentation (Fig 8a)"}
-	row, err := c.runVariant("timepoint-based", func(cfg *core.Config) {})
+	rows, err := c.runVariants([]variant{
+		{"timepoint-based", func(cfg *core.Config) {}, "paper's method; honest forward evaluation"},
+		{"random split", func(cfg *core.Config) { cfg.RandomSegmentation = true }, "leaks future data into training"},
+	})
 	if err != nil {
 		return nil, err
 	}
-	row.Note = "paper's method; honest forward evaluation"
-	res.Rows = append(res.Rows, row)
-
-	row, err = c.runVariant("random split", func(cfg *core.Config) { cfg.RandomSegmentation = true })
-	if err != nil {
-		return nil, err
-	}
-	row.Note = "leaks future data into training"
-	res.Rows = append(res.Rows, row)
-	return res, nil
+	return &AblationResult{Title: "Ablation: sample segmentation (Fig 8a)", Rows: rows}, nil
 }
 
 // AblationCrossValidation compares how well time-series CV and
@@ -235,53 +235,49 @@ func (c *Context) AblationCrossValidation() (*AblationResult, error) {
 // AblationSampling sweeps the under-sampling ratio (the paper uses 3:1
 // or 5:1).
 func (c *Context) AblationSampling() (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: negative under-sampling ratio"}
+	var vs []variant
 	for _, ratio := range []float64{1, 3, 5, 10} {
-		row, err := c.runVariant(fmt.Sprintf("%g:1", ratio), func(cfg *core.Config) { cfg.NegativeRatio = ratio })
-		if err != nil {
-			return nil, err
-		}
+		v := variant{setting: fmt.Sprintf("%g:1", ratio), mutate: func(cfg *core.Config) { cfg.NegativeRatio = ratio }}
 		if ratio == 3 {
-			row.Note = "paper's default"
+			v.note = "paper's default"
 		}
-		res.Rows = append(res.Rows, row)
+		vs = append(vs, v)
 	}
-	return res, nil
+	rows, err := c.runVariants(vs)
+	if err != nil {
+		return nil, err
+	}
+	return &AblationResult{Title: "Ablation: negative under-sampling ratio", Rows: rows}, nil
 }
 
 // AblationCumulative compares cumulative W/B counters against raw daily
 // counts (the paper accumulates because daily counts are too sparse to
 // show trends).
 func (c *Context) AblationCumulative() (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: cumulative vs daily W/B counters"}
-	row, err := c.runVariant("cumulative", func(cfg *core.Config) {})
+	rows, err := c.runVariants([]variant{
+		{"cumulative", func(cfg *core.Config) {}, "paper's preprocessing"},
+		{"daily counts", func(cfg *core.Config) { cfg.SkipCumulate = true }, ""},
+	})
 	if err != nil {
 		return nil, err
 	}
-	row.Note = "paper's preprocessing"
-	res.Rows = append(res.Rows, row)
-
-	row, err = c.runVariant("daily counts", func(cfg *core.Config) { cfg.SkipCumulate = true })
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, row)
-	return res, nil
+	return &AblationResult{Title: "Ablation: cumulative vs daily W/B counters", Rows: rows}, nil
 }
 
 // AblationPositiveWindow sweeps the positive sample window (7/14/21
 // days, the choices the paper lists).
 func (c *Context) AblationPositiveWindow() (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: positive sample window"}
+	var vs []variant
 	for _, days := range []int{7, 14, 21} {
-		row, err := c.runVariant(fmt.Sprintf("%dd", days), func(cfg *core.Config) { cfg.PositiveWindowDays = days })
-		if err != nil {
-			return nil, err
-		}
+		v := variant{setting: fmt.Sprintf("%dd", days), mutate: func(cfg *core.Config) { cfg.PositiveWindowDays = days }}
 		if days == 7 {
-			row.Note = "paper's default"
+			v.note = "paper's default"
 		}
-		res.Rows = append(res.Rows, row)
+		vs = append(vs, v)
 	}
-	return res, nil
+	rows, err := c.runVariants(vs)
+	if err != nil {
+		return nil, err
+	}
+	return &AblationResult{Title: "Ablation: positive sample window", Rows: rows}, nil
 }

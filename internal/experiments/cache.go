@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/ml"
+	"repro/internal/parallel"
 	"repro/internal/ticket"
 )
 
@@ -126,37 +127,117 @@ type fit struct {
 	eval  core.Evaluation
 }
 
-// train returns cfg's model on the fleet (f, tickets) and its held-out
-// evaluation, training only the first time the context meets the
-// config.
-func (c *Context) train(f *dataset.Frame, tickets *ticket.Store, cfg core.Config) (fit, error) {
-	key := modelKeyOf(f, cfg)
-	if r, ok := c.models[key]; ok {
-		return r, nil
+// trainAll returns each config's model on the fleet (f, tickets) and
+// its held-out evaluation, training only the configs the context has
+// not met; a config repeated within one call trains once. On failure
+// it returns the index of the first config, in list order, whose
+// preparation or training failed.
+//
+// Every cache read and write happens in serial passes around one
+// fan-out over c.Workers:
+//   - before it, memo hits are taken, and each config that views the
+//     shared preparation gets its Prepared and, when kept, its sample
+//     set. A config that needs its own preparation trains here, one at
+//     a time: each holds a whole preparation while it trains;
+//   - the fan-out builds the sets that are not kept, and trains;
+//   - after it, the memo and the trained list are filled in config
+//     order.
+func (c *Context) trainAll(f *dataset.Frame, tickets *ticket.Store, cfgs []core.Config) ([]fit, int, error) {
+	type job struct {
+		at  int // index of the config's first occurrence in cfgs
+		key modelKey
+		cfg core.Config    // the config as its Prepared holds it
+		p   *core.Prepared // nil once trained
+		set *ml.SampleSet  // a kept set; nil builds one in the fan-out
+		fit fit
+		err error
 	}
-	p, err := c.prepared(f, tickets, cfg)
-	if err != nil {
-		return fit{}, err
+	var (
+		jobs    []job
+		failAt  int
+		failErr error
+	)
+	keys := make([]modelKey, len(cfgs))
+	queued := make(map[modelKey]bool)
+	for i, cfg := range cfgs {
+		keys[i] = modelKeyOf(f, cfg)
+		if _, ok := c.models[keys[i]]; ok || queued[keys[i]] {
+			continue
+		}
+		queued[keys[i]] = true
+		jb := job{at: i, key: keys[i]}
+		var p *core.Prepared
+		if c.sharesPreparation(f, cfg) {
+			if p, failErr = c.prepared(f, tickets, cfg); failErr == nil && c.keepsSet(p) {
+				jb.set, failErr = c.sampleSet(p)
+			}
+			jb.p = p
+		} else if p, failErr = c.prepareOn(f, tickets, cfg); failErr == nil {
+			jb.fit, failErr = trainPrepared(p, nil)
+		}
+		if failErr != nil {
+			failAt = i
+			break
+		}
+		jb.cfg = p.Config
+		jobs = append(jobs, jb)
 	}
-	set, err := c.sampleSet(p)
-	if err != nil {
-		return fit{}, err
+	// Every queued job comes before the first failure in config order,
+	// and the fan-out attempts every job below its lowest failure, so
+	// the first failed job is the one a serial loop would meet.
+	_ = parallel.Do(len(jobs), c.Workers, func(j int) error {
+		jb := &jobs[j]
+		if jb.p == nil {
+			return nil // trained in the serial pass
+		}
+		jb.fit, jb.err = trainPrepared(jb.p, jb.set)
+		jb.p, jb.set = nil, nil
+		return jb.err
+	})
+	for _, jb := range jobs {
+		if jb.err != nil {
+			return nil, jb.at, jb.err
+		}
+	}
+	if failErr != nil {
+		return nil, failAt, failErr
+	}
+	for _, jb := range jobs {
+		c.models[jb.key] = jb.fit
+		c.work.trained = append(c.work.trained, jb.cfg)
+	}
+	out := make([]fit, len(cfgs))
+	for i, key := range keys {
+		out[i] = c.models[key]
+	}
+	return out, 0, nil
+}
+
+// trainPrepared trains p on set, building p's sample set when set is
+// nil.
+func trainPrepared(p *core.Prepared, set *ml.SampleSet) (fit, error) {
+	if set == nil {
+		var err error
+		if set, err = p.BuildSampleSet(); err != nil {
+			return fit{}, err
+		}
 	}
 	m, rep, err := core.TrainSet(p, set)
 	if err != nil {
 		return fit{}, err
 	}
-	r := fit{model: m, eval: rep.Eval}
-	c.models[key] = r
-	c.work.trained = append(c.work.trained, p.Config)
-	return r, nil
+	return fit{model: m, eval: rep.Eval}, nil
 }
 
-// trainFleet is train on the context fleet.
+// trainFleet is trainAll of one config on the context fleet.
 func (c *Context) trainFleet(cfg core.Config) (fit, error) {
 	f, err := c.FleetFrame()
 	if err != nil {
 		return fit{}, err
 	}
-	return c.train(f, c.Fleet.Tickets, cfg)
+	fits, _, err := c.trainAll(f, c.Fleet.Tickets, []core.Config{cfg})
+	if err != nil {
+		return fit{}, err
+	}
+	return fits[0], nil
 }

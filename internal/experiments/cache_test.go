@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/firmware"
 	"repro/internal/simfleet"
@@ -155,6 +156,89 @@ func BenchmarkPaperReproPass(b *testing.B) {
 		b.StartTimer()
 		for _, name := range []string{"fig9", "fig18", "gaps", "ratio"} {
 			runNamed(b, c, name)
+		}
+	}
+}
+
+// TestWorkersRenderIdentically runs the experiments whose models train
+// concurrently — fig9's groups, fig18's baselines, and the ratio and
+// gap ablations — on a serial context and on a two-worker one: every
+// rendering must match, and both must train the same configs in the
+// same order.
+func TestWorkersRenderIdentically(t *testing.T) {
+	ctxs := make([]*Context, 2)
+	for i, workers := range []int{1, 2} {
+		cfg := simfleet.TinyConfig()
+		cfg.Workers = workers
+		c, err := NewContextWith(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctxs[i] = c
+	}
+	for _, name := range []string{"fig9", "fig18", "ratio", "gaps"} {
+		if serial, two := runNamed(t, ctxs[0], name), runNamed(t, ctxs[1], name); serial != two {
+			t.Fatalf("%s at 1 worker:\n%s\nat 2 workers:\n%s", name, serial, two)
+		}
+	}
+	trained := func(c *Context) []string {
+		var out []string
+		for _, cfg := range c.work.trained {
+			cfg.Workers, cfg.Registries = 0, nil
+			out = append(out, fmt.Sprintf("%+v", cfg))
+		}
+		return out
+	}
+	if a, b := trained(ctxs[0]), trained(ctxs[1]); !reflect.DeepEqual(a, b) {
+		t.Fatalf("trained list differs:\n1 worker:  %v\n2 workers: %v", a, b)
+	}
+}
+
+// TestTrainAllDedupsAndNamesFirstFailure checks trainAll's contract: a
+// config repeated within one call trains once and both positions get
+// its fit; on failure the index returned is the first failing config
+// in list order, whether it fails in the serial pass (an unknown
+// vendor needs its own preparation, which fails) or in the fan-out (a
+// learning window too short to hold a failure).
+func TestTrainAllDedupsAndNamesFirstFailure(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		cfg := simfleet.TinyConfig()
+		cfg.Workers = workers
+		c, err := NewContextWith(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := c.FleetFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sfwb := c.PipelineConfig(primaryVendor, features.GroupSFWB)
+		s := c.PipelineConfig(primaryVendor, features.GroupS)
+		fits, _, err := c.trainAll(f, c.Fleet.Tickets, []core.Config{sfwb, s, sfwb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.work.trained) != 2 || fits[0] != fits[2] || fits[0] == fits[1] {
+			t.Fatalf("workers=%d: %d models trained for two distinct configs", workers, len(c.work.trained))
+		}
+
+		noVendor := c.PipelineConfig("no-such-vendor", features.GroupSFWB)
+		short := c.PipelineConfig(primaryVendor, features.GroupSF)
+		short.TrainFrac = 0.01
+		if _, _, err := c.trainAll(f, c.Fleet.Tickets, []core.Config{short}); err == nil {
+			t.Fatal("a learning window without failures trained")
+		}
+		for _, tc := range []struct {
+			cfgs []core.Config
+			want int
+		}{
+			{[]core.Config{sfwb, short, noVendor}, 1},
+			{[]core.Config{sfwb, noVendor, short}, 1},
+			{[]core.Config{noVendor, short}, 0},
+		} {
+			if _, i, err := c.trainAll(f, c.Fleet.Tickets, tc.cfgs); err == nil || i != tc.want {
+				t.Errorf("workers=%d: failed at %d (%v), want %d", workers, i, err, tc.want)
+			}
 		}
 	}
 }

@@ -18,22 +18,21 @@ type ChannelsResult struct {
 // Channels trains RF on vendor I for the full SFWB set and each
 // leave-one-out variant.
 func (c *Context) Channels() (*ChannelsResult, error) {
-	variants := []struct {
-		name  string
-		group features.Group
-	}{
-		{"SFWB (all channels)", features.GroupSFWB},
-		{"drop F  (=SWB)", features.Group{SMART: true, WEvents: true, BSOD: true}},
-		{"drop W  (=SFB)", features.GroupSFB},
-		{"drop B  (=SFW)", features.GroupSFW},
-		{"drop S  (=FWB)", features.Group{Firmware: true, WEvents: true, BSOD: true}},
+	groupIs := func(g features.Group) func(*core.Config) {
+		return func(cfg *core.Config) { cfg.Group = g }
+	}
+	rows, err := c.runVariants([]variant{
+		{setting: "SFWB (all channels)", mutate: groupIs(features.GroupSFWB)},
+		{setting: "drop F  (=SWB)", mutate: groupIs(features.Group{SMART: true, WEvents: true, BSOD: true})},
+		{setting: "drop W  (=SFB)", mutate: groupIs(features.GroupSFB)},
+		{setting: "drop B  (=SFW)", mutate: groupIs(features.GroupSFW)},
+		{setting: "drop S  (=FWB)", mutate: groupIs(features.Group{Firmware: true, WEvents: true, BSOD: true})},
+	})
+	if err != nil {
+		return nil, err
 	}
 	res := &ChannelsResult{}
-	for _, v := range variants {
-		row, err := c.runVariant(v.name, func(cfg *core.Config) { cfg.Group = v.group })
-		if err != nil {
-			return nil, err
-		}
+	for _, row := range rows {
 		res.Rows = append(res.Rows, MetricRow{
 			Name: row.Setting,
 			TPR:  row.TPR,

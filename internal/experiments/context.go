@@ -45,7 +45,9 @@ import (
 //     context. The memo keeps each model and its held-out evaluation,
 //     never a TrainReport's test view, so it pins no sample set.
 //
-// Fig20 bypasses the caches: it reports what preparation costs.
+// The caches are read and written only outside training fan-outs (see
+// trainAll), so a context is not safe for concurrent use. Fig20
+// bypasses the caches: it reports what preparation costs.
 type Context struct {
 	// Cfg is the fleet configuration of the headline experiments.
 	Cfg simfleet.Config
@@ -57,8 +59,9 @@ type Context struct {
 	Registries map[string]*firmware.Registry
 
 	// Workers bounds the fan-out of every parallelised stage the
-	// experiments drive — pipeline preparation, grid search, feature
-	// selection — following the repository convention (0 = GOMAXPROCS,
+	// experiments drive — pipeline preparation, independent model
+	// trainings, grid search, feature selection — following the
+	// repository convention (0 = GOMAXPROCS,
 	// 1 = serial). It is seeded from the fleet config's Workers field
 	// and never changes results, only wall-clock time.
 	Workers int

@@ -54,15 +54,25 @@ type Fig9Result struct {
 	Rows []MetricRow
 }
 
-// Fig9 trains one RF per feature group on vendor I.
+// Fig9 trains one RF per feature group on vendor I, the groups
+// concurrently.
 func (c *Context) Fig9() (*Fig9Result, error) {
+	f, err := c.FleetFrame()
+	if err != nil {
+		return nil, err
+	}
+	groups := features.AllGroups()
+	cfgs := make([]core.Config, len(groups))
+	for i, g := range groups {
+		cfgs[i] = c.PipelineConfig(primaryVendor, g)
+	}
+	fits, i, err := c.trainAll(f, c.Fleet.Tickets, cfgs)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: group %s: %w", groups[i], err)
+	}
 	res := &Fig9Result{}
-	for _, g := range features.AllGroups() {
-		r, err := c.trainFleet(c.PipelineConfig(primaryVendor, g))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: group %s: %w", g, err)
-		}
-		res.Rows = append(res.Rows, metricRow(g.String(), r))
+	for i, r := range fits {
+		res.Rows = append(res.Rows, metricRow(groups[i].String(), r))
 	}
 	return res, nil
 }

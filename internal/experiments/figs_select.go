@@ -6,8 +6,10 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/ml"
 	"repro/internal/ml/forest"
 	"repro/internal/ml/search"
+	"repro/internal/parallel"
 	"repro/internal/sampling"
 )
 
@@ -94,8 +96,15 @@ func (c *Context) Fig18() (*Fig18Result, error) {
 	})
 
 	// The learned baselines share MFPA's preprocessing but keep their
-	// original feature families and algorithms.
-	for _, b := range baselines.All() {
+	// original feature families and algorithms. Their sets come from
+	// the context's caches one by one; then they train concurrently.
+	bs := baselines.All()
+	type split struct {
+		train, test ml.View
+		seed        int64
+	}
+	splits := make([]split, len(bs))
+	for i, b := range bs {
 		train, test, pb, err := c.SplitSet(primaryVendor, b.Group)
 		if err != nil {
 			return nil, err
@@ -104,13 +113,16 @@ func (c *Context) Fig18() (*Fig18Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		clf, err := b.NewTrainer(pb.Config.Seed).Train(trainUS)
+		splits[i] = split{train: trainUS, test: test, seed: pb.Config.Seed}
+	}
+	rows, err := parallel.Map(len(bs), c.Workers, func(i int) (MetricRow, error) {
+		clf, err := bs[i].NewTrainer(splits[i].seed).Train(splits[i].train)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: baseline %s: %w", b.Name, err)
+			return MetricRow{}, fmt.Errorf("experiments: baseline %s: %w", bs[i].Name, err)
 		}
-		ev := core.EvaluateSamples(clf, test)
-		res.Rows = append(res.Rows, MetricRow{
-			Name:      b.Name,
+		ev := core.EvaluateSamples(clf, splits[i].test)
+		return MetricRow{
+			Name:      bs[i].Name,
 			TPR:       ev.TPR(),
 			FPR:       ev.FPR(),
 			ACC:       ev.Accuracy(),
@@ -119,8 +131,12 @@ func (c *Context) Fig18() (*Fig18Result, error) {
 			DriveTPR:  ev.DriveConfusion.TPR(),
 			DriveFPR:  ev.DriveConfusion.FPR(),
 			Threshold: 0.5,
-		})
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	res.Rows = append(res.Rows, rows...)
 	return res, nil
 }
 

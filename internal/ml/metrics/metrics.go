@@ -5,9 +5,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Confusion is a binary confusion matrix.
@@ -95,12 +96,6 @@ func ROCFromScores(scores []float64, labels []int) []ROCPoint {
 	if len(scores) != len(labels) {
 		panic(fmt.Sprintf("metrics: %d scores but %d labels", len(scores), len(labels)))
 	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-
 	var pos, neg int
 	for _, y := range labels {
 		if y == 1 {
@@ -110,26 +105,64 @@ func ROCFromScores(scores []float64, labels []int) []ROCPoint {
 		}
 	}
 	points := []ROCPoint{{Threshold: math.Inf(1)}}
-	tp, fp := 0, 0
-	for i := 0; i < len(idx); {
-		// Consume all samples sharing one score so ties move the curve
-		// diagonally rather than optimistically.
-		s := scores[idx[i]]
-		for i < len(idx) && scores[idx[i]] == s {
-			if labels[idx[i]] == 1 {
-				tp++
-			} else {
-				fp++
-			}
-			i++
-		}
+	// Each point consumes all samples sharing one score, so ties move
+	// the curve diagonally rather than optimistically.
+	tieGroups(scores, labels, func(s float64, tp, fp int) {
 		points = append(points, ROCPoint{
 			Threshold: s,
 			TPR:       safeDiv(tp, pos),
 			FPR:       safeDiv(fp, neg),
 		})
-	}
+	})
 	return points
+}
+
+// tieGroups calls fn once per distinct score, in descending score
+// order, with the number of positive (label 1) and other samples
+// scoring at or above it. NaN scores rank below every other score, so
+// a diverged model's NaNs form one group at the bottom of the curve.
+// Each class's scores are sorted on their own and the two runs merged.
+func tieGroups(scores []float64, labels []int, fn func(s float64, tp, fp int)) {
+	sorted := make([]float64, len(scores))
+	p, n := 0, len(scores)
+	for i, s := range scores {
+		if labels[i] == 1 {
+			sorted[p] = s
+			p++
+		} else {
+			n--
+			sorted[n] = s
+		}
+	}
+	pos, neg := sorted[:p], sorted[p:]
+	slices.Sort(pos) // ascending, NaNs first
+	slices.Sort(neg)
+	i, j := len(pos)-1, len(neg)-1
+	tp, fp := 0, 0
+	for i >= 0 || j >= 0 {
+		var s float64
+		switch {
+		case i < 0:
+			s = neg[j]
+		case j < 0 || cmp.Less(neg[j], pos[i]):
+			s = pos[i]
+		default:
+			s = neg[j]
+		}
+		for ; i >= 0 && sameScore(pos[i], s); i-- {
+			tp++
+		}
+		for ; j >= 0 && sameScore(neg[j], s); j-- {
+			fp++
+		}
+		fn(s, tp, fp)
+	}
+}
+
+// sameScore reports whether a and b fall in one tie group: equal, or
+// both NaN.
+func sameScore(a, b float64) bool {
+	return a == b || (a != a && b != b)
 }
 
 func safeDiv(n, d int) float64 {
@@ -162,11 +195,6 @@ func PRFromScores(scores []float64, labels []int) []PRPoint {
 	if len(scores) != len(labels) {
 		panic(fmt.Sprintf("metrics: %d scores but %d labels", len(scores), len(labels)))
 	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
 	var pos int
 	for _, y := range labels {
 		if y == 1 {
@@ -174,26 +202,13 @@ func PRFromScores(scores []float64, labels []int) []PRPoint {
 		}
 	}
 	var points []PRPoint
-	tp, fp := 0, 0
-	for i := 0; i < len(idx); {
-		s := scores[idx[i]]
-		for i < len(idx) && scores[idx[i]] == s {
-			if labels[idx[i]] == 1 {
-				tp++
-			} else {
-				fp++
-			}
-			i++
-		}
-		if tp+fp == 0 {
-			continue
-		}
+	tieGroups(scores, labels, func(s float64, tp, fp int) {
 		points = append(points, PRPoint{
 			Threshold: s,
 			Precision: float64(tp) / float64(tp+fp),
 			Recall:    safeDiv(tp, pos),
 		})
-	}
+	})
 	return points
 }
 

@@ -3,6 +3,8 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -203,5 +205,85 @@ func TestAveragePrecisionBaseRate(t *testing.T) {
 	base := float64(pos) / float64(n)
 	if math.Abs(ap-base) > 0.05 {
 		t.Fatalf("random AP = %g, base rate %g", ap, base)
+	}
+}
+
+// TestCurvesRankNaNScoresLast pins how both curves treat NaN scores, as
+// a diverged model emits them: they rank below every other score as one
+// tie group, and the curves still end at the (1, 1) corner.
+func TestCurvesRankNaNScoresLast(t *testing.T) {
+	nan := math.NaN()
+	scores := []float64{0.2, nan, 0.9, nan, 0.2}
+	labels := []int{0, 1, 1, 0, 1}
+
+	roc := ROCFromScores(scores, labels)
+	wantThr := []float64{math.Inf(1), 0.9, 0.2, nan}
+	wantTPR := []float64{0, 1.0 / 3, 2.0 / 3, 1}
+	wantFPR := []float64{0, 0, 0.5, 1}
+	if len(roc) != len(wantThr) {
+		t.Fatalf("ROC has %d points, want %d: %+v", len(roc), len(wantThr), roc)
+	}
+	for i, pt := range roc {
+		if !sameScore(pt.Threshold, wantThr[i]) || pt.TPR != wantTPR[i] || pt.FPR != wantFPR[i] {
+			t.Fatalf("ROC point %d = %+v, want {%g %g %g}", i, pt, wantThr[i], wantTPR[i], wantFPR[i])
+		}
+	}
+
+	pr := PRFromScores(scores, labels)
+	if len(pr) != 3 {
+		t.Fatalf("PR has %d points, want 3: %+v", len(pr), pr)
+	}
+	if last := pr[2]; !math.IsNaN(last.Threshold) || last.Recall != 1 || last.Precision != 3.0/5 {
+		t.Fatalf("PR NaN group = %+v, want recall 1 at precision 0.6", last)
+	}
+}
+
+// TestCurvesMatchIndexSortOracle checks the merged per-class ranking
+// against the direct construction — one index sort of all scores, then
+// a walk over tie groups — on scores quantised to force many ties.
+func TestCurvesMatchIndexSortOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + r.Intn(400)
+		scores := make([]float64, n)
+		labels := make([]int, n)
+		for i := range scores {
+			scores[i] = float64(r.Intn(1+trial*3)) / 7
+			labels[i] = r.Intn(2)
+		}
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
+		var pos, neg int
+		for _, y := range labels {
+			if y == 1 {
+				pos++
+			} else {
+				neg++
+			}
+		}
+		want := []ROCPoint{{Threshold: math.Inf(1)}}
+		var wantPR []PRPoint
+		tp, fp := 0, 0
+		for i := 0; i < n; {
+			s := scores[idx[i]]
+			for ; i < n && scores[idx[i]] == s; i++ {
+				if labels[idx[i]] == 1 {
+					tp++
+				} else {
+					fp++
+				}
+			}
+			want = append(want, ROCPoint{Threshold: s, TPR: safeDiv(tp, pos), FPR: safeDiv(fp, neg)})
+			wantPR = append(wantPR, PRPoint{Threshold: s, Precision: float64(tp) / float64(tp+fp), Recall: safeDiv(tp, pos)})
+		}
+		if got := ROCFromScores(scores, labels); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: ROC\n got %+v\nwant %+v", trial, got, want)
+		}
+		if got := PRFromScores(scores, labels); !reflect.DeepEqual(got, wantPR) {
+			t.Fatalf("trial %d: PR\n got %+v\nwant %+v", trial, got, wantPR)
+		}
 	}
 }

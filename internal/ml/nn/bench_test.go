@@ -24,18 +24,20 @@ func benchNet(b *testing.B) (*Model, []float64) {
 
 func BenchmarkCNNLSTMForward(b *testing.B) {
 	m, x := benchNet(b)
+	st := m.newState()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.forward(x)
+		m.forward(st, x)
 	}
 }
 
 func BenchmarkCNNLSTMBackward(b *testing.B) {
 	m, x := benchNet(b)
+	st := m.newState()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.backward(x, 1)
+		m.backward(st, x, 1)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/ml"
 )
@@ -81,6 +82,7 @@ func (t *CNNLSTMTrainer) Train(v ml.View) (ml.Classifier, error) {
 	for i := range order {
 		order[i] = i
 	}
+	st := m.newState()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for start := 0; start < len(order); start += cfg.Batch {
@@ -89,7 +91,7 @@ func (t *CNNLSTMTrainer) Train(v ml.View) (ml.Classifier, error) {
 				end = len(order)
 			}
 			for _, i := range order[start:end] {
-				m.backward(v.Row(i), float64(v.Y(i)))
+				m.backward(st, v.Row(i), float64(v.Y(i)))
 			}
 			opt.update(m.params(), end-start)
 		}
@@ -110,6 +112,9 @@ type Model struct {
 
 	// Input z-score scaler, fitted on training data.
 	mean, std []float64
+
+	// states pools PredictProba's per-call scratch.
+	states sync.Pool
 }
 
 func newModel(cfg *CNNLSTMTrainer, r *rand.Rand) *Model {
@@ -165,41 +170,56 @@ func (m *Model) fitScaler(v ml.View) {
 	}
 }
 
-// scale returns the z-scored input as a T×F matrix.
-func (m *Model) scale(x []float64) [][]float64 {
-	T, F := m.cfg.SeqLen, m.cfg.Features
-	out := make([][]float64, T)
-	for t := 0; t < T; t++ {
-		row := make([]float64, F)
-		for f := 0; f < F; f++ {
-			row[f] = (x[t*F+f] - m.mean[f]) / m.std[f]
-		}
-		out[t] = row
-	}
-	return out
-}
-
-// forwardState captures the activations needed for backprop.
-type forwardState struct {
-	x     [][]float64 // scaled input T×F
-	convZ [][]float64 // pre-activation T×C
-	convA [][]float64 // ReLU output T×C
+// state is one sample's activations, flat and time-major, and the
+// accumulators backward reads them into. A pass overwrites or zeroes
+// every buffer before reading it, so one state serves any number of
+// samples in turn; it must not be shared between goroutines.
+type state struct {
+	x     []float64 // scaled input T×F
+	convZ []float64 // pre-activation T×C
+	convA []float64 // ReLU output T×C
 	// LSTM internals, all T×H.
-	gi, gf, go_, gg [][]float64
-	cell, cellTanh  [][]float64
-	hidden          [][]float64
-	logit           float64
-	prob            float64
+	gi, gf, gout, gg []float64
+	cell, cellTanh   []float64
+	hidden           []float64
+	// Backward accumulators: dL/dh_t (T×H), dL/d convA (T×C) and the
+	// cell gradient carried to the previous step (H).
+	dH, dA, dCNext []float64
+	// zero is the H-vector of zeros that stands in for the hidden and
+	// cell state before the first step; nothing writes it.
+	zero []float64
+	prob float64
 }
 
-// forward runs the network on raw input x.
-func (m *Model) forward(x []float64) *forwardState {
+func (m *Model) newState() *state {
+	T, F, C, H := m.cfg.SeqLen, m.cfg.Features, m.cfg.Filters, m.cfg.Hidden
+	buf := make([]float64, T*F+3*T*C+8*T*H+2*H)
+	next := func(n int) []float64 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	return &state{
+		x: next(T * F), convZ: next(T * C), convA: next(T * C),
+		gi: next(T * H), gf: next(T * H), gout: next(T * H), gg: next(T * H),
+		cell: next(T * H), cellTanh: next(T * H), hidden: next(T * H),
+		dH: next(T * H), dA: next(T * C), dCNext: next(H), zero: next(H),
+	}
+}
+
+// forward runs the network on raw input x, leaving its activations in
+// st, and returns the probability.
+func (m *Model) forward(st *state, x []float64) float64 {
 	T, F, C, K, H := m.cfg.SeqLen, m.cfg.Features, m.cfg.Filters, m.cfg.Kernel, m.cfg.Hidden
-	st := &forwardState{x: m.scale(x)}
+
+	// z-score the input.
+	for t := 0; t < T; t++ {
+		for f := 0; f < F; f++ {
+			st.x[t*F+f] = (x[t*F+f] - m.mean[f]) / m.std[f]
+		}
+	}
 
 	// Conv1d, zero ("same") padding.
-	st.convZ = make2d(T, C)
-	st.convA = make2d(T, C)
 	half := K / 2
 	for t := 0; t < T; t++ {
 		for c := 0; c < C; c++ {
@@ -210,45 +230,44 @@ func (m *Model) forward(x []float64) *forwardState {
 					continue
 				}
 				wOff := c*K*F + k*F
-				row := st.x[tt]
-				for f := 0; f < F; f++ {
-					z += m.convW.w[wOff+f] * row[f]
+				row := st.x[tt*F : (tt+1)*F]
+				w := m.convW.w[wOff : wOff+F]
+				for f, v := range row {
+					z += w[f] * v
 				}
 			}
-			st.convZ[t][c] = z
+			st.convZ[t*C+c] = z
+			st.convA[t*C+c] = 0
 			if z > 0 {
-				st.convA[t][c] = z
+				st.convA[t*C+c] = z
 			}
 		}
 	}
 
 	// LSTM over T steps.
-	st.gi, st.gf, st.go_, st.gg = make2d(T, H), make2d(T, H), make2d(T, H), make2d(T, H)
-	st.cell, st.cellTanh, st.hidden = make2d(T, H), make2d(T, H), make2d(T, H)
 	in := C + H
-	prevH := make([]float64, H)
-	prevC := make([]float64, H)
+	prevH, prevC := st.zero, st.zero
 	for t := 0; t < T; t++ {
-		a := st.convA[t]
+		a := st.convA[t*C : (t+1)*C]
 		for h := 0; h < H; h++ {
 			var zi, zf, zo, zg float64
 			rowI := (0*H + h) * in
 			rowF := (1*H + h) * in
 			rowO := (2*H + h) * in
 			rowG := (3*H + h) * in
-			for j := 0; j < C; j++ {
-				v := a[j]
-				zi += m.lstmW.w[rowI+j] * v
-				zf += m.lstmW.w[rowF+j] * v
-				zo += m.lstmW.w[rowO+j] * v
-				zg += m.lstmW.w[rowG+j] * v
+			wI, wF, wO, wG := m.lstmW.w[rowI:rowI+in], m.lstmW.w[rowF:rowF+in], m.lstmW.w[rowO:rowO+in], m.lstmW.w[rowG:rowG+in]
+			for j, v := range a {
+				zi += wI[j] * v
+				zf += wF[j] * v
+				zo += wO[j] * v
+				zg += wG[j] * v
 			}
-			for j := 0; j < H; j++ {
-				v := prevH[j]
-				zi += m.lstmW.w[rowI+C+j] * v
-				zf += m.lstmW.w[rowF+C+j] * v
-				zo += m.lstmW.w[rowO+C+j] * v
-				zg += m.lstmW.w[rowG+C+j] * v
+			wI, wF, wO, wG = wI[C:], wF[C:], wO[C:], wG[C:]
+			for j, v := range prevH {
+				zi += wI[j] * v
+				zf += wF[j] * v
+				zo += wO[j] * v
+				zg += wG[j] * v
 			}
 			gi := sigmoid(zi + m.lstmB.w[0*H+h])
 			gf := sigmoid(zf + m.lstmB.w[1*H+h])
@@ -256,65 +275,65 @@ func (m *Model) forward(x []float64) *forwardState {
 			gg := tanh(zg + m.lstmB.w[3*H+h])
 			cell := gf*prevC[h] + gi*gg
 			ct := tanh(cell)
-			st.gi[t][h], st.gf[t][h], st.go_[t][h], st.gg[t][h] = gi, gf, gout, gg
-			st.cell[t][h], st.cellTanh[t][h] = cell, ct
-			st.hidden[t][h] = gout * ct
+			i := t*H + h
+			st.gi[i], st.gf[i], st.gout[i], st.gg[i] = gi, gf, gout, gg
+			st.cell[i], st.cellTanh[i] = cell, ct
+			st.hidden[i] = gout * ct
 		}
-		copy(prevH, st.hidden[t])
-		copy(prevC, st.cell[t])
+		prevH, prevC = st.hidden[t*H:(t+1)*H], st.cell[t*H:(t+1)*H]
 	}
 
 	// Dense sigmoid head on the final hidden state.
 	z := m.outB.w[0]
-	last := st.hidden[T-1]
-	for h := 0; h < H; h++ {
-		z += m.outW.w[h] * last[h]
+	for h, v := range prevH {
+		z += m.outW.w[h] * v
 	}
-	st.logit = z
 	st.prob = sigmoid(z)
-	return st
+	return st.prob
 }
 
-// backward accumulates gradients of the BCE loss for one sample.
-func (m *Model) backward(x []float64, y float64) {
+// backward accumulates gradients of the BCE loss for one sample, using
+// st for its activations and accumulators.
+func (m *Model) backward(st *state, x []float64, y float64) {
 	T, F, C, K, H := m.cfg.SeqLen, m.cfg.Features, m.cfg.Filters, m.cfg.Kernel, m.cfg.Hidden
-	st := m.forward(x)
+	m.forward(st, x)
+	clear(st.dH)
+	clear(st.dA)
+	clear(st.dCNext)
 
 	// dL/dlogit for BCE + sigmoid.
 	dz := st.prob - y
 	m.outB.g[0] += dz
-	last := st.hidden[T-1]
-	dH := make2d(T, H) // dL/dh_t (accumulated)
+	last := st.hidden[(T-1)*H:]
+	dHLast := st.dH[(T-1)*H:]
 	for h := 0; h < H; h++ {
 		m.outW.g[h] += dz * last[h]
-		dH[T-1][h] += dz * m.outW.w[h]
+		dHLast[h] += dz * m.outW.w[h]
 	}
 
 	// BPTT.
 	in := C + H
-	dA := make2d(T, C) // dL/d convA
-	dCNext := make([]float64, H)
 	for t := T - 1; t >= 0; t-- {
-		var prevH, prevC []float64
+		prevH, prevC := st.zero, st.zero
 		if t > 0 {
-			prevH = st.hidden[t-1]
-			prevC = st.cell[t-1]
-		} else {
-			prevH = make([]float64, H)
-			prevC = make([]float64, H)
+			prevH = st.hidden[(t-1)*H : t*H]
+			prevC = st.cell[(t-1)*H : t*H]
 		}
+		a := st.convA[t*C : (t+1)*C]
+		dA := st.dA[t*C : (t+1)*C]
 		for h := 0; h < H; h++ {
-			dh := dH[t][h]
-			ct := st.cellTanh[t][h]
-			gout := st.go_[t][h]
-			dc := dCNext[h] + dh*gout*(1-ct*ct)
+			i := t*H + h
+			dh := st.dH[i]
+			ct := st.cellTanh[i]
+			gout := st.gout[i]
+			dc := st.dCNext[h] + dh*gout*(1-ct*ct)
 
-			gi, gf, gg := st.gi[t][h], st.gf[t][h], st.gg[t][h]
+			gi, gf, gg := st.gi[i], st.gf[i], st.gg[i]
 			dzo := dh * ct * gout * (1 - gout)
 			dzi := dc * gg * gi * (1 - gi)
 			dzf := dc * prevC[h] * gf * (1 - gf)
 			dzg := dc * gi * (1 - gg*gg)
-			dCNext[h] = dc * gf
+			st.dCNext[h] = dc * gf
 
 			m.lstmB.g[0*H+h] += dzi
 			m.lstmB.g[1*H+h] += dzf
@@ -325,25 +344,24 @@ func (m *Model) backward(x []float64, y float64) {
 			rowF := (1*H + h) * in
 			rowO := (2*H + h) * in
 			rowG := (3*H + h) * in
-			a := st.convA[t]
-			for j := 0; j < C; j++ {
-				v := a[j]
-				m.lstmW.g[rowI+j] += dzi * v
-				m.lstmW.g[rowF+j] += dzf * v
-				m.lstmW.g[rowO+j] += dzo * v
-				m.lstmW.g[rowG+j] += dzg * v
-				dA[t][j] += dzi*m.lstmW.w[rowI+j] + dzf*m.lstmW.w[rowF+j] +
-					dzo*m.lstmW.w[rowO+j] + dzg*m.lstmW.w[rowG+j]
+			wI, wF, wO, wG := m.lstmW.w[rowI:rowI+in], m.lstmW.w[rowF:rowF+in], m.lstmW.w[rowO:rowO+in], m.lstmW.w[rowG:rowG+in]
+			gI, gF, gO, gG := m.lstmW.g[rowI:rowI+in], m.lstmW.g[rowF:rowF+in], m.lstmW.g[rowO:rowO+in], m.lstmW.g[rowG:rowG+in]
+			for j, v := range a {
+				gI[j] += dzi * v
+				gF[j] += dzf * v
+				gO[j] += dzo * v
+				gG[j] += dzg * v
+				dA[j] += dzi*wI[j] + dzf*wF[j] + dzo*wO[j] + dzg*wG[j]
 			}
-			for j := 0; j < H; j++ {
-				v := prevH[j]
-				m.lstmW.g[rowI+C+j] += dzi * v
-				m.lstmW.g[rowF+C+j] += dzf * v
-				m.lstmW.g[rowO+C+j] += dzo * v
-				m.lstmW.g[rowG+C+j] += dzg * v
+			wI, wF, wO, wG = wI[C:], wF[C:], wO[C:], wG[C:]
+			gI, gF, gO, gG = gI[C:], gF[C:], gO[C:], gG[C:]
+			for j, v := range prevH {
+				gI[j] += dzi * v
+				gF[j] += dzf * v
+				gO[j] += dzo * v
+				gG[j] += dzg * v
 				if t > 0 {
-					dH[t-1][j] += dzi*m.lstmW.w[rowI+C+j] + dzf*m.lstmW.w[rowF+C+j] +
-						dzo*m.lstmW.w[rowO+C+j] + dzg*m.lstmW.w[rowG+C+j]
+					st.dH[(t-1)*H+j] += dzi*wI[j] + dzf*wF[j] + dzo*wO[j] + dzg*wG[j]
 				}
 			}
 		}
@@ -353,10 +371,10 @@ func (m *Model) backward(x []float64, y float64) {
 	half := K / 2
 	for t := 0; t < T; t++ {
 		for c := 0; c < C; c++ {
-			if st.convZ[t][c] <= 0 {
+			if st.convZ[t*C+c] <= 0 {
 				continue
 			}
-			g := dA[t][c]
+			g := st.dA[t*C+c]
 			if g == 0 {
 				continue
 			}
@@ -367,25 +385,24 @@ func (m *Model) backward(x []float64, y float64) {
 					continue
 				}
 				wOff := c*K*F + k*F
-				row := st.x[tt]
-				for f := 0; f < F; f++ {
-					m.convW.g[wOff+f] += g * row[f]
+				row := st.x[tt*F : (tt+1)*F]
+				gw := m.convW.g[wOff : wOff+F]
+				for f, v := range row {
+					gw[f] += g * v
 				}
 			}
 		}
 	}
 }
 
-// PredictProba implements ml.Classifier.
+// PredictProba implements ml.Classifier. It is safe for concurrent use:
+// each call takes a state from the model's pool.
 func (m *Model) PredictProba(x []float64) float64 {
-	return m.forward(x).prob
-}
-
-func make2d(rows, cols int) [][]float64 {
-	backing := make([]float64, rows*cols)
-	out := make([][]float64, rows)
-	for i := range out {
-		out[i] = backing[i*cols : (i+1)*cols]
+	st, _ := m.states.Get().(*state)
+	if st == nil {
+		st = m.newState()
 	}
-	return out
+	p := m.forward(st, x)
+	m.states.Put(st)
+	return p
 }

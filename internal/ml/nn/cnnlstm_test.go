@@ -22,7 +22,7 @@ func newTinyNet(seed int64) *Model {
 
 // bceLoss evaluates the network's binary cross-entropy on one sample.
 func bceLoss(m *Model, x []float64, y float64) float64 {
-	p := m.forward(x).prob
+	p := m.forward(m.newState(), x)
 	p = math.Min(math.Max(p, 1e-12), 1-1e-12)
 	if y == 1 {
 		return -math.Log(p)
@@ -46,7 +46,7 @@ func TestGradientCheck(t *testing.T) {
 	for _, p := range m.params() {
 		p.zeroGrad()
 	}
-	m.backward(x, y)
+	m.backward(m.newState(), x, y)
 
 	params := m.params()
 	names := []string{"convW", "convB", "lstmW", "lstmB", "outW", "outB"}
@@ -78,7 +78,7 @@ func TestGradientCheckNegativeLabel(t *testing.T) {
 		x[i] = r.NormFloat64()
 	}
 	const eps = 1e-5
-	m.backward(x, 0)
+	m.backward(m.newState(), x, 0)
 	p := m.lstmW
 	for _, i := range []int{0, 7, len(p.w) / 2, len(p.w) - 1} {
 		orig := p.w[i]
@@ -180,8 +180,9 @@ func TestAdamStepReducesLoss(t *testing.T) {
 	}
 	opt := newAdam(1e-2)
 	before := bceLoss(m, x, 1)
+	st := m.newState()
 	for i := 0; i < 50; i++ {
-		m.backward(x, 1)
+		m.backward(st, x, 1)
 		opt.update(m.params(), 1)
 	}
 	after := bceLoss(m, x, 1)

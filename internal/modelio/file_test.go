@@ -14,8 +14,7 @@ import (
 // envelope exactly — the file bytes match Save's stream bytes and the
 // reloaded model scores identically.
 func TestSaveFileLoadFileRoundTrip(t *testing.T) {
-	models := trainedModels(t)
-	m := models[core.AlgoRF]
+	m := trainedModel(t, core.AlgoRF)
 	path := filepath.Join(t.TempDir(), "model.json")
 	if err := SaveFile(path, m); err != nil {
 		t.Fatal(err)
@@ -51,8 +50,7 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 // TestSaveFileCrashKeepsOldModel: a save that dies before publish
 // leaves the previously deployed envelope loadable.
 func TestSaveFileCrashKeepsOldModel(t *testing.T) {
-	models := trainedModels(t)
-	m := models[core.AlgoRF]
+	m, next := trainedModel(t, core.AlgoRF), trainedModel(t, core.AlgoGBDT)
 	path := filepath.Join(t.TempDir(), "model.json")
 	if err := SaveFile(path, m); err != nil {
 		t.Fatal(err)
@@ -65,7 +63,7 @@ func TestSaveFileCrashKeepsOldModel(t *testing.T) {
 	restore := atomicio.SetHooks(&atomicio.Hooks{
 		BeforeRename: func(string) error { return os.ErrPermission },
 	})
-	err = SaveFile(path, models[core.AlgoGBDT])
+	err = SaveFile(path, next)
 	restore()
 	if err == nil {
 		t.Fatal("blocked publish not surfaced")

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"os"
 	"strings"
 	"sync"
@@ -15,56 +14,64 @@ import (
 	"repro/internal/simfleet"
 )
 
-// The per-algorithm models are trained once per test binary, since
-// training all five algorithms dominates the package's run time. Tests
-// share them read-only; TestMain fails the run if one changed.
+// Each algorithm's model is trained on first use, once per test
+// binary, on one shared tiny fleet: a test that needs only some
+// algorithms does not pay for CNN_LSTM. Tests share the models
+// read-only; TestMain fails the run if one changed.
 var (
-	sharedOnce  sync.Once
-	shared      map[core.Algorithm]*core.Model
-	sharedBytes map[core.Algorithm][]byte
-	sharedErr   error
+	sharedMu    sync.Mutex
+	fleet       *simfleet.FrameResult
+	shared      = make(map[core.Algorithm]*core.Model)
+	sharedBytes = make(map[core.Algorithm][]byte)
 )
 
-// trainedModels returns one small model per algorithm, trained on a
-// shared tiny fleet. The map is the caller's; the models are shared.
-func trainedModels(t *testing.T) map[core.Algorithm]*core.Model {
+// trainedModel returns algo's shared model, training it on first use.
+func trainedModel(t *testing.T, algo core.Algorithm) *core.Model {
 	t.Helper()
-	sharedOnce.Do(func() { shared, sharedBytes, sharedErr = trainModels() })
-	if sharedErr != nil {
-		t.Fatal(sharedErr)
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
+	if m, ok := shared[algo]; ok {
+		return m
 	}
-	return maps.Clone(shared)
+	if fleet == nil {
+		cfg := simfleet.TinyConfig()
+		cfg.FailureScale = 0.04
+		f, err := simfleet.SimulateFrame(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet = f
+	}
+	pc := core.DefaultConfig("I")
+	pc.Algorithm = algo
+	if algo == core.AlgoCNNLSTM {
+		pc.SeqLen = 3
+	}
+	m, _, err := core.TrainOnFrame(fleet.Frame, fleet.Tickets, pc)
+	if err != nil {
+		t.Fatalf("%s: %v", algo, err)
+	}
+	b, err := Marshal(m)
+	if err != nil {
+		t.Fatalf("%s: %v", algo, err)
+	}
+	shared[algo], sharedBytes[algo] = m, b
+	return m
 }
 
-func trainModels() (map[core.Algorithm]*core.Model, map[core.Algorithm][]byte, error) {
-	cfg := simfleet.TinyConfig()
-	cfg.FailureScale = 0.04
-	fleet, err := simfleet.SimulateFrame(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
+// trainedModels returns every algorithm's shared model. The map is the
+// caller's; the models are shared.
+func trainedModels(t *testing.T) map[core.Algorithm]*core.Model {
+	t.Helper()
 	models := make(map[core.Algorithm]*core.Model)
-	marshalled := make(map[core.Algorithm][]byte)
 	for _, algo := range core.Algorithms() {
-		pc := core.DefaultConfig("I")
-		pc.Algorithm = algo
-		if algo == core.AlgoCNNLSTM {
-			pc.SeqLen = 3
-		}
-		m, _, err := core.TrainOnFrame(fleet.Frame, fleet.Tickets, pc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", algo, err)
-		}
-		if marshalled[algo], err = Marshal(m); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", algo, err)
-		}
-		models[algo] = m
+		models[algo] = trainedModel(t, algo)
 	}
-	return models, marshalled, nil
+	return models
 }
 
 // TestMain runs the tests, then checks that none of them changed a
-// shared model.
+// shared model that was trained.
 func TestMain(m *testing.M) {
 	code := m.Run()
 	for algo, want := range sharedBytes {
@@ -114,8 +121,7 @@ func TestRoundTripAllAlgorithms(t *testing.T) {
 }
 
 func TestMarshalUnmarshal(t *testing.T) {
-	models := trainedModels(t)
-	m := models[core.AlgoRF]
+	m := trainedModel(t, core.AlgoRF)
 	data, err := Marshal(m)
 	if err != nil {
 		t.Fatal(err)
