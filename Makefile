@@ -23,14 +23,14 @@ lint:
 # race exercises every parallelised stage (the parallel engine, fleet
 # simulation, the fused clean+cumulate frame pipeline, the MFPAC block
 # codec, labelling, extraction, training, sampling views, the pipeline
-# front-end, search, the sharded serving engine, and the batched
-# agent) under the race detector; determinism tests double as ordering
-# checks. The experiments line runs only the tests that drive the
-# concurrent model trainings of the paper reproduction: the whole
-# package under -race takes minutes.
+# front-end, search, the sharded serving engine, the batched agent, the
+# pooled tree growers and the seeded generator) under the race detector;
+# determinism tests double as ordering checks. The experiments line runs
+# only the tests that drive the concurrent model trainings of the paper
+# reproduction: the whole package under -race takes minutes.
 race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/parallel ./internal/simfleet ./internal/ml/... ./internal/dataset ./internal/labeling ./internal/ingest ./internal/features ./internal/sampling ./internal/core ./internal/serve ./internal/agent ./internal/fleetops ./internal/atomicio ./internal/faultinject
+	$(GO) test -race ./internal/parallel ./internal/simfleet ./internal/ml/... ./internal/rng ./internal/dataset ./internal/labeling ./internal/ingest ./internal/features ./internal/sampling ./internal/core ./internal/serve ./internal/agent ./internal/fleetops ./internal/atomicio ./internal/faultinject
 	$(GO) test -race -run 'WorkersRenderIdentically|TrainAllDedupsAndNamesFirstFailure|CachesOrderIndependentAndShared' ./internal/experiments
 
 # chaos runs the fault-tolerance suite under the race detector: seeded
@@ -46,13 +46,15 @@ chaos:
 # the CRCs), the flattened tree kernel against the pointer walk, the
 # differential kernel for drive-ordered rows against the direct one,
 # and interleaved resumable runs (one per drive, as serving keeps them)
-# against the direct one.
+# against the direct one, and the seeded generator's streams against
+# math/rand's for any seed.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMFPAC$$' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMFPACBlock$$' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzFlatVsPointer$$' -fuzztime 10s ./internal/ml/predict
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferentialVsDirect$$' -fuzztime 10s ./internal/ml/predict
 	$(GO) test -run '^$$' -fuzz '^FuzzRunResumeVsDirect$$' -fuzztime 10s ./internal/ml/predict
+	$(GO) test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s ./internal/rng
 
 # verify is the full local gate: build, lint, unit tests, chaos suite.
 verify: build lint test chaos
@@ -61,7 +63,7 @@ verify: build lint test chaos
 # (workloads, gates, per-layer breakdown) lives in bench/; see
 # bench/README.md and BENCHMARK.json.
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' ./internal/parallel ./internal/simfleet ./internal/dataset ./internal/features ./internal/ml ./internal/ml/search ./internal/ml/predict ./internal/ml/forest ./internal/ml/gbdt ./internal/ml/nn ./internal/core ./internal/serve
+	$(GO) test -bench=. -benchmem -run '^$$' ./internal/parallel ./internal/simfleet ./internal/dataset ./internal/features ./internal/ml ./internal/ml/search ./internal/ml/predict ./internal/ml/tree ./internal/ml/forest ./internal/ml/gbdt ./internal/ml/nn ./internal/core ./internal/serve ./internal/rng
 
 report:
 	$(GO) run ./cmd/mfpareport -scale 0.2

@@ -28,6 +28,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+
+	"repro/internal/rng"
 )
 
 // Error is one injected fault.
@@ -65,7 +67,7 @@ func opRNG(seed int64, op string) *rand.Rand {
 		h ^= int64(op[i])
 		h *= 1099511628211
 	}
-	return rand.New(rand.NewSource(seed ^ h))
+	return rand.New(rng.NewSource(seed ^ h))
 }
 
 // schedule is one op's deterministic fault stream: the first First

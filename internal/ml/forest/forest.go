@@ -22,6 +22,7 @@ import (
 	"repro/internal/ml/predict"
 	"repro/internal/ml/tree"
 	"repro/internal/parallel"
+	"repro/internal/rng"
 )
 
 // Trainer configures random forest training.
@@ -72,7 +73,7 @@ func (t *Trainer) Train(v ml.View) (ml.Classifier, error) {
 
 	// Pre-draw one bootstrap seed per tree from a master source so the
 	// result does not depend on goroutine scheduling.
-	master := rand.New(rand.NewSource(t.Seed + 101))
+	master := rand.New(rng.NewSource(t.Seed + 101))
 	seeds := make([]int64, nTrees)
 	for i := range seeds {
 		seeds[i] = master.Int63()
@@ -86,19 +87,15 @@ func (t *Trainer) Train(v ml.View) (ml.Classifier, error) {
 	}
 	m := &Model{trees: make([]*tree.Classifier, nTrees)}
 	if err := parallel.Do(nTrees, t.Parallelism, func(ti int) error {
-		r := rngPool.Get().(*rand.Rand)
-		r.Seed(seeds[ti])
-		w := make([]int, n)
-		for i := 0; i < n; i++ {
-			w[r.Intn(n)]++
-		}
-		rngPool.Put(r)
+		b := bootPool.Get().(*bootstrap)
+		w := b.draw(seeds[ti], n)
 		tr := tree.GrowClassifierBinned(bm, ys, w, tree.Config{
 			MaxDepth:       t.MaxDepth,
 			MinSamplesLeaf: t.MinSamplesLeaf,
 			MaxFeatures:    maxFeatures,
 			Seed:           seeds[ti],
 		})
+		bootPool.Put(b)
 		if cols := v.Cols(); cols != nil {
 			tr.WidenFeatures(cols, v.Set().Width())
 		}
@@ -110,11 +107,35 @@ func (t *Trainer) Train(v ml.View) (ml.Classifier, error) {
 	return m, nil
 }
 
-// rngPool recycles the per-tree bootstrap generators: (*Rand).Seed
-// resets a pooled generator to exactly the stream a fresh
-// rand.New(rand.NewSource(seed)) would produce, without allocating a
-// new source per tree.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// bootstrap is one tree's bagging state: a generator and the per-row
+// weight vector it draws into. Both are recycled through bootPool, so
+// a tree allocates neither; the weights grow to the largest fit seen.
+type bootstrap struct {
+	r *rand.Rand
+	w []int
+}
+
+// bootPool recycles bootstraps across trees and fits; concurrent trees
+// each take their own.
+var bootPool = sync.Pool{New: func() any { return &bootstrap{r: rand.New(rng.NewSource(0))} }}
+
+// draw returns the bootstrap multiplicities of n rows under seed: n
+// draws with replacement, counted per row. (*Rand).Seed resets the
+// pooled generator to exactly the stream a fresh
+// rand.New(rng.NewSource(seed)) would produce. The slice is valid until
+// the next draw.
+func (b *bootstrap) draw(seed int64, n int) []int {
+	b.r.Seed(seed)
+	if cap(b.w) < n {
+		b.w = make([]int, n)
+	}
+	w := b.w[:n]
+	clear(w)
+	for i := 0; i < n; i++ {
+		w[b.r.Intn(n)]++
+	}
+	return w
+}
 
 // Model is a fitted random forest.
 type Model struct {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/ml/predict"
 	"repro/internal/ml/tree"
 	"repro/internal/parallel"
+	"repro/internal/rng"
 )
 
 // Trainer configures boosting.
@@ -98,7 +99,7 @@ func (t *Trainer) Train(v ml.View) (ml.Classifier, error) {
 		f[i] = m.bias
 	}
 	grad := make([]float64, n)
-	r := rand.New(rand.NewSource(t.Seed + 7))
+	r := rand.New(rng.NewSource(t.Seed + 7))
 
 	// The binned matrix depends only on the feature values, so it is
 	// built once and reused by every boosting round.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"repro/internal/rng"
 )
 
 // BootstrapCI estimates a two-sided confidence interval for a rate
@@ -28,7 +30,7 @@ func BootstrapCI(scores []float64, labels []int, threshold float64,
 	if level <= 0 || level >= 1 {
 		return 0, 0, fmt.Errorf("metrics: level %g must be in (0,1)", level)
 	}
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(rng.NewSource(seed))
 	stats := make([]float64, 0, iters)
 	n := len(scores)
 	for it := 0; it < iters; it++ {

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 
 	"repro/internal/ml"
+	"repro/internal/rng"
 	"repro/internal/sampling"
 )
 
@@ -19,7 +20,7 @@ import (
 // therefore matters; the fifth is a small integer alphabet. Day runs
 // i/7, so time-ordered splits and CV folds are well defined.
 func Continuous(n int, seed int64) []ml.Sample {
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(rng.NewSource(seed))
 	out := make([]ml.Sample, n)
 	for i := range out {
 		a := r.NormFloat64()
@@ -90,7 +91,7 @@ func Views(set *ml.SampleSet, seed int64) ([]NamedView, error) {
 	if err != nil {
 		return nil, err
 	}
-	perm := rand.New(rand.NewSource(seed)).Perm(set.Len())
+	perm := rand.New(rng.NewSource(seed)).Perm(set.Len())
 	half := make([]int32, set.Len()/2)
 	for i := range half {
 		half[i] = int32(perm[i])

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/ml"
+	"repro/internal/rng"
 )
 
 // CNNLSTMTrainer trains the paper's CNN_LSTM model: conv1d over the
@@ -73,7 +74,7 @@ func (t *CNNLSTMTrainer) Train(v ml.View) (ml.Classifier, error) {
 		cfg.LearningRate = 1e-3
 	}
 
-	r := rand.New(rand.NewSource(cfg.Seed + 42))
+	r := rand.New(rng.NewSource(cfg.Seed + 42))
 	m := newModel(&cfg, r)
 	m.fitScaler(v)
 

@@ -144,25 +144,3 @@ func TestForwardSelectWorkersErrorIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestBackwardEliminateWorkersIdentical asserts the drop-candidate
-// fan-out of SBS reproduces the serial trajectory exactly.
-func TestBackwardEliminateWorkersIdentical(t *testing.T) {
-	samples := wideTrendData(600, 5, 25)
-	train, val := viewOf(t, samples[:400]), viewOf(t, samples[400:])
-	trainer := &cart{tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
-	names := []string{"signal", "n1", "n2", "n3", "n4"}
-	want, err := BackwardEliminateSet(trainer, train, val, names, 1, 0.05, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{0, 2, 3, 8} {
-		got, err := BackwardEliminateSet(trainer, train, val, names, 1, 0.05, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: elimination differs: %v vs %v", w, got.Names, want.Names)
-		}
-	}
-}

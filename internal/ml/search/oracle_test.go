@@ -232,82 +232,3 @@ func ForwardSelectWorkers(trainer ml.Trainer, train, val []ml.Sample, names []st
 	}
 	return res, nil
 }
-
-// BackwardEliminateWorkers is BackwardEliminate with an explicit worker
-// count (0 = GOMAXPROCS, 1 = serial). Each step's drop candidates train
-// and score concurrently; ties break toward the earliest candidate, so
-// the elimination order is identical at any worker count.
-func BackwardEliminateWorkers(trainer ml.Trainer, train, val []ml.Sample, names []string, minFeatures int, maxLoss float64, workers int) (*SFSResult, error) {
-	if err := validate(train); err != nil {
-		return nil, fmt.Errorf("search: train: %w", err)
-	}
-	if err := validate(val); err != nil {
-		return nil, fmt.Errorf("search: val: %w", err)
-	}
-	width := len(train[0].X)
-	if len(names) != width {
-		return nil, fmt.Errorf("search: %d names for width %d", len(names), width)
-	}
-	if minFeatures < 1 {
-		minFeatures = 1
-	}
-	if minFeatures > width {
-		return nil, fmt.Errorf("search: minFeatures %d exceeds width %d", minFeatures, width)
-	}
-
-	current := make([]int, width)
-	for i := range current {
-		current[i] = i
-	}
-
-	full, err := scoreSubset(trainer, train, val, current)
-	if err != nil {
-		return nil, fmt.Errorf("search: full set: %w", err)
-	}
-	baseAUC := full.auc
-
-	res := &SFSResult{}
-	for len(current) > minFeatures {
-		scored, err := parallel.Map(len(current), workers, func(di int) (subsetScore, error) {
-			subset := make([]int, 0, len(current)-1)
-			subset = append(subset, current[:di]...)
-			subset = append(subset, current[di+1:]...)
-			s, err := scoreSubset(trainer, train, val, subset)
-			if err != nil {
-				return subsetScore{}, fmt.Errorf("search: dropping %s: %w", names[current[di]], err)
-			}
-			return s, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		bestDrop := 0
-		for i := 1; i < len(scored); i++ {
-			if scored[i].auc > scored[bestDrop].auc {
-				bestDrop = i
-			}
-		}
-		if scored[bestDrop].auc < baseAUC-maxLoss {
-			break
-		}
-		bestAUC := scored[bestDrop].auc
-		bestCM := scored[bestDrop].cm
-		dropped := current[bestDrop]
-		current = append(current[:bestDrop], current[bestDrop+1:]...)
-		res.Steps = append(res.Steps, SFSStep{
-			FeatureIndex: dropped,
-			FeatureName:  names[dropped],
-			TPR:          bestCM.TPR(),
-			FPR:          bestCM.FPR(),
-			AUC:          bestAUC,
-		})
-		if bestAUC > baseAUC {
-			baseAUC = bestAUC
-		}
-	}
-	res.Selected = append([]int(nil), current...)
-	for _, i := range current {
-		res.Names = append(res.Names, names[i])
-	}
-	return res, nil
-}

@@ -180,51 +180,3 @@ func TestForwardSelectValidation(t *testing.T) {
 		t.Fatal("single-class training set accepted")
 	}
 }
-
-func TestBackwardEliminateDropsNoiseFirst(t *testing.T) {
-	samples := trendData(600, 11)
-	train, val := samples[:400], samples[400:]
-	trainer := &cart{tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
-	res, err := BackwardEliminateSet(trainer, viewOf(t, train), viewOf(t, val), []string{"signal", "noise"}, 1, 0.05, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The noise feature goes first; the signal survives.
-	if len(res.Steps) == 0 {
-		t.Fatal("nothing eliminated")
-	}
-	if res.Steps[0].FeatureName != "noise" {
-		t.Fatalf("first drop = %q, want the noise", res.Steps[0].FeatureName)
-	}
-	if len(res.Names) != 1 || res.Names[0] != "signal" {
-		t.Fatalf("survivors = %v", res.Names)
-	}
-}
-
-func TestBackwardEliminateRespectsMaxLoss(t *testing.T) {
-	samples := trendData(600, 12)
-	train, val := samples[:400], samples[400:]
-	trainer := &cart{tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
-	// With zero tolerated loss and minFeatures 1, the signal feature
-	// must never be eliminated (dropping it collapses AUC).
-	res, err := BackwardEliminateSet(trainer, viewOf(t, train), viewOf(t, val), []string{"signal", "noise"}, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range res.Steps {
-		if s.FeatureName == "signal" {
-			t.Fatal("signal eliminated despite zero loss budget")
-		}
-	}
-}
-
-func TestBackwardEliminateValidation(t *testing.T) {
-	samples := trendData(100, 13)
-	trainer := &cart{}
-	if _, err := BackwardEliminateSet(trainer, viewOf(t, samples), viewOf(t, samples), []string{"one"}, 1, 0, 0); err == nil {
-		t.Fatal("name/width mismatch accepted")
-	}
-	if _, err := BackwardEliminateSet(trainer, viewOf(t, samples), viewOf(t, samples), []string{"a", "b"}, 5, 0, 0); err == nil {
-		t.Fatal("minFeatures > width accepted")
-	}
-}

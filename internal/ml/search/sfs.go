@@ -45,26 +45,24 @@ type subsetScore struct {
 // subset is a *column* sub-view of the shared arena: the trainer must
 // honour column sub-views (the tree ensembles do, binning only the
 // view's rows and columns), and its model indexes features globally,
-// so validation rows are scored straight out of the arena.
-func scoreSubsetView(trainer ml.Trainer, train, val ml.View, subset []int) (subsetScore, error) {
+// so the full-width validation rows valXs (labels ys) are scored
+// straight out of the arena, through ml.ScoreRuns on one worker.
+func scoreSubsetView(trainer ml.Trainer, train ml.View, valXs [][]float64, ys []int, subset []int) (subsetScore, error) {
 	clf, err := trainer.Train(train.WithCols(subset))
 	if err != nil {
 		return subsetScore{}, err
 	}
-	n := val.Len()
-	scores := make([]float64, n)
-	labels := make([]int, n)
+	scores := make([]float64, len(valXs))
+	ml.ScoreRuns(clf, valXs, scores, 1)
 	var cm metrics.Confusion
-	for i := 0; i < n; i++ {
-		scores[i] = clf.PredictProba(val.Row(i))
-		labels[i] = val.Y(i)
+	for i, s := range scores {
 		pred := 0
-		if scores[i] >= 0.5 {
+		if s >= 0.5 {
 			pred = 1
 		}
-		cm.Add(pred, labels[i])
+		cm.Add(pred, ys[i])
 	}
-	return subsetScore{auc: metrics.AUC(metrics.ROCFromScores(scores, labels)), cm: cm}, nil
+	return subsetScore{auc: metrics.AUC(metrics.ROCFromScores(scores, ys)), cm: cm}, nil
 }
 
 // ForwardSelectSet implements the sequential forward selection
@@ -93,6 +91,17 @@ func ForwardSelectSet(trainer ml.Trainer, train, val ml.View, names []string, ma
 		maxFeatures = width
 	}
 
+	// Read the validation rows and labels once, in arena (drive)
+	// order: that is the order ml.ScoreRuns is fast on, and neither the
+	// AUC (tied scores form one group) nor the confusion counts depend
+	// on row order.
+	sorted, _ := val.InArenaOrder()
+	valXs := sorted.Xs()
+	valYs := make([]int, sorted.Len())
+	for i := range valYs {
+		valYs[i] = sorted.Y(i)
+	}
+
 	res := &SFSResult{}
 	inSubset := make([]bool, width)
 	bestAUC := 0.0
@@ -109,7 +118,7 @@ func ForwardSelectSet(trainer ml.Trainer, train, val ml.View, names []string, ma
 		}
 		scored, err := parallel.Map(len(cands), workers, func(i int) (subsetScore, error) {
 			subset := append(append(make([]int, 0, len(res.Selected)+1), res.Selected...), cands[i])
-			s, err := scoreSubsetView(trainer, train, val, subset)
+			s, err := scoreSubsetView(trainer, train, valXs, valYs, subset)
 			if err != nil {
 				return subsetScore{}, fmt.Errorf("search: training with %v: %w", subset, err)
 			}

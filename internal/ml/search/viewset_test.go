@@ -162,39 +162,6 @@ func TestForwardSelectSetMatchesSlice(t *testing.T) {
 	}
 }
 
-// TestBackwardEliminateSetMatchesSlice requires the view SBS to drop
-// the same features in the same order as the slice implementation.
-func TestBackwardEliminateSetMatchesSlice(t *testing.T) {
-	for _, fx := range fixtures {
-		train := fx.gen(400, 7)
-		val := fx.gen(200, 8)
-		names := featureNames(train)
-		trainer := &forest.Trainer{Trees: 12, MaxDepth: 5, Seed: 3, Parallelism: 1}
-
-		want, err := BackwardEliminateWorkers(trainer, train, val, names, 1, 0.02, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trainSet, err := ml.FromSamples(train)
-		if err != nil {
-			t.Fatal(err)
-		}
-		valSet, err := ml.FromSamples(val)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{1, 3} {
-			got, err := BackwardEliminateSet(trainer, trainSet.All(), valSet.All(), names, 1, 0.02, w)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", fx.name, w, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s workers=%d: result = %+v, want %+v", fx.name, w, got, want)
-			}
-		}
-	}
-}
-
 // TestForwardSelectSetValidates mirrors the slice path's input checks.
 func TestForwardSelectSetValidates(t *testing.T) {
 	set, err := ml.FromSamples(discreteTrend(60, 2))

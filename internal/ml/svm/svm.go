@@ -16,6 +16,7 @@ import (
 	"math/rand"
 
 	"repro/internal/ml"
+	"repro/internal/rng"
 )
 
 // Trainer configures Pegasos training.
@@ -71,7 +72,7 @@ func (t *Trainer) Train(v ml.View) (ml.Classifier, error) {
 		xs = scaled
 	}
 
-	r := rand.New(rand.NewSource(t.Seed + 1))
+	r := rand.New(rng.NewSource(t.Seed + 1))
 	step := 0
 	// Averaged Pegasos: the average of the iterates over the second
 	// half of training converges far more stably than the final

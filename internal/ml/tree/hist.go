@@ -4,9 +4,9 @@ package tree
 // (internal/ml/matrix). Instead of re-sorting the node's rows for
 // every candidate feature — O(n log n) per feature per node — the
 // engine accumulates per-bin (weighted count, Σwy, Σwy²) in one O(n)
-// pass per feature and scans at most 256 bins for the best gain; the
-// right-hand statistics come from parent-minus-left subtraction, so
-// each candidate costs O(1).
+// pass per feature and scans only the bins that pass populated for the
+// best gain; the right-hand statistics come from parent-minus-left
+// subtraction, so each candidate costs O(1).
 //
 // Bootstrap bagging is expressed as per-row integer weights on the
 // shared matrix: a row drawn w times contributes w to every count and
@@ -23,21 +23,24 @@ package tree
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/ml/matrix"
+	"repro/internal/rng"
 )
 
 // GrowClassifierBinned fits a gini tree on the binned matrix: ys must
 // be 0/1, indexed by matrix row. weights are per-row bootstrap
 // multiplicities (nil means one each); rows with weight 0 are left
-// out of growth entirely.
+// out of growth entirely. weights is read only before growth starts.
 func GrowClassifierBinned(m *matrix.BinnedMatrix, ys []float64, weights []int, cfg Config) *Classifier {
 	g := newHistGrower(m, ys, weights, cfg)
-	defer rngPool.Put(g.sampler.rng)
+	defer g.release()
 	g.growRoot()
-	return &Classifier{nodes: g.nodes, width: m.Cols()}
+	return &Classifier{nodes: slices.Clone(g.nodes), width: m.Cols()}
 }
 
 // GrowRegressorBinned fits a squared-error regression tree on the
@@ -45,51 +48,65 @@ func GrowClassifierBinned(m *matrix.BinnedMatrix, ys []float64, weights []int, c
 // ys (the per-round gradients) and weights change.
 func GrowRegressorBinned(m *matrix.BinnedMatrix, ys []float64, weights []int, cfg Config) *Regressor {
 	g := newHistGrower(m, ys, weights, cfg)
-	defer rngPool.Put(g.sampler.rng)
+	defer g.release()
 	g.growRoot()
-	return &Regressor{nodes: g.nodes, leafIndex: g.leafIdx}
+	return &Regressor{nodes: slices.Clone(g.nodes), leafIndex: slices.Clone(g.leafIdx)}
 }
 
-// histGrower holds the histogram split engine's growth state. All
-// scratch buffers are allocated once per tree and reused at every
-// node, so growth allocates little beyond the node arena itself.
+// histGrower holds the histogram split engine's growth state. Growers
+// are pooled (growerPool): every buffer is reused from tree to tree
+// and grows to the largest fit seen, so after warm-up a tree allocates
+// only the exact-size copies of its node arena (and leaf index) that
+// the returned model keeps.
 type histGrower struct {
 	m   *matrix.BinnedMatrix
 	cfg Config
-	// Compact per-active-row state, one slot per positive-weight row in
-	// matrix order: row is the matrix row, wc the bootstrap weight, yv
-	// the target, and wy/wy2 cache w·y and w·y² so histogram
-	// accumulation costs one add per statistic per row.
-	row     []int
-	wc      []int
-	yv      []float64
-	wy, wy2 []float64
-	sampler *featureSampler
+	// act is the compact per-active-row state, one slot per
+	// positive-weight row in matrix order, packed so that histogram
+	// accumulation reads one slot per row.
+	act     []activeRow
+	sampler featureSampler
 
-	nodes     []node
-	leafCount int
-	leafIdx   []int
+	nodes   []node
+	leafIdx []int
 
-	// idx is the single position arena (indexes into the compact state)
-	// partitioned in place (hi spills through scratch); counts/sums/
-	// sums2 are the per-feature bin histogram, sized to the matrix bin
-	// ceiling.
-	idx     []int
-	scratch []int
-	counts  []int
-	sums    []float64
-	sums2   []float64
+	// idx is the single position arena (indexes into act) partitioned
+	// in place (hi spills through scratch).
+	idx     []int32
+	scratch []int32
+	// hist is the per-feature bin histogram, indexed by the uint8 bin
+	// code. Between features every slot is zero: bestSplit zeroes each
+	// bin it consumes, and touches no other.
+	hist [matrix.MaxBins]binStats
 }
 
-// rngPool recycles the feature samplers' generators, one taken per
-// grown tree (per forest tree, per boosting round): (*Rand).Seed
-// resets a pooled generator to exactly the stream a fresh
-// rand.New(rand.NewSource(seed)) would produce, without allocating a
-// new source each time.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// activeRow is one positive-weight row: its matrix row, its bootstrap
+// weight w, its target y, and the cached w·y and w·y² that histogram
+// accumulation adds.
+type activeRow struct {
+	row     int32
+	w       int32
+	y       float64
+	wy, wy2 float64
+}
 
-// newHistGrower sets up growth on m; its sampler's generator comes
-// from rngPool, and the caller puts it back once growth is done.
+// binStats is one histogram bin: weighted count, Σwy and Σwy².
+type binStats struct {
+	n    int
+	sum  float64
+	sum2 float64
+}
+
+// growerPool recycles growers, each with its own feature-sampling
+// generator: (*Rand).Seed resets it to exactly the stream a fresh
+// rand.New(rng.NewSource(seed)) would produce. Concurrent tree fits
+// each take their own grower.
+var growerPool = sync.Pool{New: func() any {
+	return &histGrower{sampler: featureSampler{rng: rand.New(rng.NewSource(0))}}
+}}
+
+// newHistGrower takes a grower from growerPool and sets it up for
+// growth on m; the caller releases it once the tree is copied out.
 func newHistGrower(m *matrix.BinnedMatrix, ys []float64, weights []int, cfg Config) *histGrower {
 	if len(ys) != m.Rows() {
 		panic(fmt.Sprintf("tree: %d targets for %d matrix rows", len(ys), m.Rows()))
@@ -97,46 +114,47 @@ func newHistGrower(m *matrix.BinnedMatrix, ys []float64, weights []int, cfg Conf
 	if weights != nil && len(weights) != m.Rows() {
 		panic(fmt.Sprintf("tree: %d weights for %d matrix rows", len(weights), m.Rows()))
 	}
-	cfg = cfg.withDefaults()
-	rng := rngPool.Get().(*rand.Rand)
-	rng.Seed(cfg.Seed + 17)
-	g := &histGrower{
-		m:       m,
-		cfg:     cfg,
-		sampler: newFeatureSampler(rng, m.Cols()),
-		counts:  make([]int, matrix.MaxBins),
-		sums:    make([]float64, matrix.MaxBins),
-		sums2:   make([]float64, matrix.MaxBins),
-		row:     make([]int, 0, m.Rows()),
-		wc:      make([]int, 0, m.Rows()),
-	}
-	for i := 0; i < m.Rows(); i++ {
+	g := growerPool.Get().(*histGrower)
+	g.m = m
+	g.cfg = cfg.withDefaults()
+	g.sampler.rng.Seed(g.cfg.Seed + 17)
+	g.sampler.reset(m.Cols())
+	g.nodes = g.nodes[:0]
+	g.leafIdx = g.leafIdx[:0]
+	g.act = slices.Grow(g.act[:0], m.Rows())
+	for i, y := range ys {
 		w := 1
 		if weights != nil {
 			w = weights[i]
 		}
 		if w > 0 {
-			g.row = append(g.row, i)
-			g.wc = append(g.wc, w)
+			fw := float64(w)
+			g.act = append(g.act, activeRow{row: int32(i), w: int32(w), y: y, wy: fw * y, wy2: fw * y * y})
 		}
 	}
-	n := len(g.row)
-	g.yv = make([]float64, n)
-	g.wy = make([]float64, n)
-	g.wy2 = make([]float64, n)
-	for p, i := range g.row {
-		w := float64(g.wc[p])
-		y := ys[i]
-		g.yv[p] = y
-		g.wy[p] = w * y
-		g.wy2[p] = w * y * y
-	}
-	g.idx = make([]int, n)
+	n := len(g.act)
+	g.idx = resize(g.idx, n)
 	for p := range g.idx {
-		g.idx[p] = p
+		g.idx[p] = int32(p)
 	}
-	g.scratch = make([]int, n)
+	g.scratch = resize(g.scratch, n)
 	return g
+}
+
+// release returns the grower to growerPool, dropping its reference to
+// the matrix so a pooled grower does not keep it alive.
+func (g *histGrower) release() {
+	g.m = nil
+	growerPool.Put(g)
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (g *histGrower) growRoot() {
@@ -179,16 +197,18 @@ func (g *histGrower) grow(lo, hi, depth int) int {
 // nodeStats returns the node's weighted count, mean, SSE (two-pass,
 // arithmetic-compatible with the sort-based oracle's meanSSE at unit
 // weights), and the weighted Σy / Σy² the split scan subtracts from.
-func (g *histGrower) nodeStats(rows []int) (wn int, mean, sse, wsum, wsum2 float64) {
+func (g *histGrower) nodeStats(rows []int32) (wn int, mean, sse, wsum, wsum2 float64) {
 	for _, p := range rows {
-		wn += g.wc[p]
-		wsum += g.wy[p]
-		wsum2 += g.wy2[p]
+		a := &g.act[p]
+		wn += int(a.w)
+		wsum += a.wy
+		wsum2 += a.wy2
 	}
 	mean = wsum / float64(wn)
 	for _, p := range rows {
-		d := g.yv[p] - mean
-		sse += float64(g.wc[p]) * d * d
+		a := &g.act[p]
+		d := a.y - mean
+		sse += float64(a.w) * d * d
 	}
 	return wn, mean, sse, wsum, wsum2
 }
@@ -202,7 +222,7 @@ func (g *histGrower) partition(lo, hi, feat, splitBin int) int {
 	k, t := lo, 0
 	for q := lo; q < hi; q++ {
 		p := g.idx[q]
-		if col[g.row[p]] <= bound {
+		if col[g.act[p].row] <= bound {
 			g.idx[k] = p
 			k++
 		} else {
@@ -215,73 +235,75 @@ func (g *histGrower) partition(lo, hi, feat, splitBin int) int {
 }
 
 func (g *histGrower) sealLeaf(i int) {
-	g.nodes[i].leafID = g.leafCount
+	g.nodes[i].leafID = len(g.leafIdx)
 	g.leafIdx = append(g.leafIdx, i)
-	g.leafCount++
 }
 
 // bestSplit scans a feature subsample for the bin boundary minimising
 // the children's summed squared error. Per feature it accumulates the
-// bin histogram in O(rows) and walks the populated bins in ascending
-// order; the right child's statistics are parent minus left. The
-// returned threshold is the midpoint between the adjacent populated
-// bins' build-time value bounds, and splitBin is the last left-side
-// bin (the partition key).
-func (g *histGrower) bestSplit(rows []int, wn int, parentSSE, wsum, wsum2 float64) (feat, splitBin int, thr, bestGainOut float64, ok bool) {
+// bin histogram in O(rows), marking each touched bin in a 256-bit
+// bitmap, then walks only the touched bins in ascending order, zeroing
+// each as it is consumed: O(rows + touched bins) per feature, however
+// many bins the feature has. Every active row has weight ≥ 1, so a
+// touched bin is exactly one with a positive count, and the candidates,
+// their order and their sums are those of a scan over all bins that
+// skips the empty ones. The right child's statistics are parent minus
+// left. The returned threshold is the midpoint between the adjacent
+// populated bins' build-time value bounds, and splitBin is the last
+// left-side bin (the partition key).
+func (g *histGrower) bestSplit(rows []int32, wn int, parentSSE, wsum, wsum2 float64) (feat, splitBin int, thr, bestGainOut float64, ok bool) {
 	k := g.cfg.featuresPerSplit(g.m.Cols())
 	feats := g.sampler.sample(k)
 	minLeaf := g.cfg.MinSamplesLeaf
+	hist := &g.hist
 
 	bestGain := 1e-10
 	for _, f := range feats {
-		nb := g.m.NumBins(f)
-		if nb < 2 {
+		if g.m.NumBins(f) < 2 {
 			continue // constant feature: nothing to split
 		}
 		col := g.m.Column(f)
-		counts := g.counts[:nb]
-		sums := g.sums[:nb]
-		sums2 := g.sums2[:nb]
-		for b := range counts {
-			counts[b] = 0
-			sums[b] = 0
-			sums2[b] = 0
-		}
+		var touched [matrix.MaxBins / 64]uint64
 		for _, p := range rows {
-			b := col[g.row[p]]
-			counts[b] += g.wc[p]
-			sums[b] += g.wy[p]
-			sums2[b] += g.wy2[p]
+			a := &g.act[p]
+			b := col[a.row]
+			h := &hist[b]
+			h.n += int(a.w)
+			h.sum += a.wy
+			h.sum2 += a.wy2
+			touched[b>>6] |= 1 << (b & 63)
 		}
 
 		nL := 0
 		var sumL, sumL2 float64
 		lastB := -1
-		for b := 0; b < nb; b++ {
-			if counts[b] == 0 {
-				continue
-			}
-			if lastB >= 0 {
-				nR := wn - nL
-				if nL >= minLeaf && nR >= minLeaf {
-					sseL := sumL2 - sumL*sumL/float64(nL)
-					sumR := wsum - sumL
-					sumR2 := wsum2 - sumL2
-					sseR := sumR2 - sumR*sumR/float64(nR)
-					gain := parentSSE - sseL - sseR
-					if gain > bestGain {
-						bestGain = gain
-						feat = f
-						splitBin = lastB
-						thr = g.m.CutBetween(f, lastB, b)
-						ok = true
+		for w, word := range touched {
+			for ; word != 0; word &= word - 1 {
+				b := w<<6 | bits.TrailingZeros64(word)
+				h := hist[b]
+				hist[b] = binStats{}
+				if lastB >= 0 {
+					nR := wn - nL
+					if nL >= minLeaf && nR >= minLeaf {
+						sseL := sumL2 - sumL*sumL/float64(nL)
+						sumR := wsum - sumL
+						sumR2 := wsum2 - sumL2
+						sseR := sumR2 - sumR*sumR/float64(nR)
+						gain := parentSSE - sseL - sseR
+						if gain > bestGain {
+							bestGain = gain
+							feat = f
+							splitBin = lastB
+							thr = g.m.CutBetween(f, lastB, b)
+							ok = true
+						}
 					}
 				}
+				nL += h.n
+				sumL += h.sum
+				sumL2 += h.sum2
+				lastB = b
 			}
-			nL += counts[b]
-			sumL += sums[b]
-			sumL2 += sums2[b]
-			lastB = b
 		}
 	}
 	return feat, splitBin, thr, bestGain, ok

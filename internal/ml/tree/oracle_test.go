@@ -183,3 +183,20 @@ func meanSSE(ys []float64, idx []int) (mean, sse float64) {
 	}
 	return mean, sse
 }
+
+// newFeatureSampler returns a sampler over width features drawing from
+// rng.
+func newFeatureSampler(rng *rand.Rand, width int) *featureSampler {
+	s := &featureSampler{rng: rng}
+	s.reset(width)
+	return s
+}
+
+// orderedIndex returns [0, 1, …, n-1].
+func orderedIndex(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}

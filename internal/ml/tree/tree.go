@@ -171,15 +171,6 @@ func depthOf(nodes []node, i, d int) int {
 	return r
 }
 
-// orderedIndex returns [0, 1, …, n-1].
-func orderedIndex(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
 // featureSampler draws k-feature subsets with a reusable partial
 // Fisher–Yates buffer, replacing the per-split rng.Perm allocation.
 // The buffer persists across draws (the partial shuffle keeps it a
@@ -189,8 +180,13 @@ type featureSampler struct {
 	buf []int
 }
 
-func newFeatureSampler(rng *rand.Rand, width int) *featureSampler {
-	return &featureSampler{rng: rng, buf: orderedIndex(width)}
+// reset restores the identity order over width features, so a reused
+// sampler draws what a fresh one would from the same generator state.
+func (s *featureSampler) reset(width int) {
+	s.buf = resize(s.buf, width)
+	for i := range s.buf {
+		s.buf[i] = i
+	}
 }
 
 // sample returns k features without replacement. When k covers every

@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"repro/internal/ml"
+	"repro/internal/rng"
 )
 
 // SortedByDay returns the view's arena rows stably ordered by day:
@@ -105,7 +106,7 @@ func SplitAtDayView(v ml.View, learnEndDay int) (train, test ml.View) {
 // shuffle of the rows, the last testFrac of them testing.
 func RandomSplitView(v ml.View, testFrac float64, seed int64) (train, test ml.View) {
 	idx := v.Indices()
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(rng.NewSource(seed))
 	r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 	cut := len(idx) - int(float64(len(idx))*testFrac)
 	return v.WithRows(idx[:cut:cut]), v.WithRows(idx[cut:])
@@ -133,7 +134,7 @@ func UnderSampleView(v ml.View, ratio float64, seed int64) (ml.View, error) {
 			negPositions = append(negPositions, i)
 		}
 	}
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(rng.NewSource(seed))
 	r.Shuffle(len(negPositions), func(i, j int) {
 		negPositions[i], negPositions[j] = negPositions[j], negPositions[i]
 	})
@@ -197,7 +198,7 @@ func KFoldCVView(v ml.View, k int, seed int64) ([]FoldView, error) {
 		return nil, fmt.Errorf("sampling: %d samples cannot form %d folds", v.Len(), k)
 	}
 	idx := v.Indices()
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(rng.NewSource(seed))
 	r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 	bounds := chunkBounds(len(idx), k)
 	folds := make([]FoldView, 0, k)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/firmware"
 	"repro/internal/parallel"
+	"repro/internal/rng"
 	"repro/internal/smartattr"
 	"repro/internal/ticket"
 )
@@ -67,7 +68,7 @@ func SimulateFrame(cfg Config) (*FrameResult, error) {
 		Truth:   make(map[string]DriveTruth),
 		Config:  cfg,
 	}
-	master := rand.New(rand.NewSource(cfg.Seed))
+	master := rand.New(rng.NewSource(cfg.Seed))
 	causes := ticket.AllCauses()
 	causeWeights := make([]float64, len(causes))
 	for i, c := range causes {

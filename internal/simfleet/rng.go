@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+
+	"repro/internal/rng"
 )
 
 // driveRNGSeed derives a drive's RNG seed from the run seed and its
@@ -22,14 +24,14 @@ func driveRNGSeed(seed int64, sn string) int64 {
 // drive's trajectory does not depend on how many other drives exist or
 // the order they are generated in.
 func driveRNG(seed int64, sn string) *rand.Rand {
-	return rand.New(rand.NewSource(driveRNGSeed(seed, sn)))
+	return rand.New(rng.NewSource(driveRNGSeed(seed, sn)))
 }
 
 // rngPool recycles per-drive RNGs for the frame simulation path:
 // (*Rand).Seed resets a pooled generator to the exact stream a fresh
-// rand.New(rand.NewSource(seed)) would produce, without the two
+// rand.New(rng.NewSource(seed)) would produce, without the two
 // allocations per drive.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+var rngPool = sync.Pool{New: func() any { return rand.New(rng.NewSource(0)) }}
 
 // poisson draws from a Poisson distribution with the given mean using
 // Knuth's method for small means and a normal approximation above 30,

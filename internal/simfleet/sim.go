@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/parallel"
+	"repro/internal/rng"
 	"repro/internal/smartattr"
 	"repro/internal/ticket"
 )
@@ -126,7 +127,7 @@ func Simulate(cfg Config) (*Result, error) {
 		Truth:   make(map[string]DriveTruth),
 		Config:  cfg,
 	}
-	master := rand.New(rand.NewSource(cfg.Seed))
+	master := rand.New(rng.NewSource(cfg.Seed))
 	causes := ticket.AllCauses()
 	causeWeights := make([]float64, len(causes))
 	for i, c := range causes {
