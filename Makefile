@@ -23,22 +23,23 @@ lint:
 # race exercises every parallelised stage (the parallel engine, fleet
 # simulation, the fused clean+cumulate frame pipeline, the MFPAC block
 # codec, labelling, extraction, training, sampling views, the pipeline
-# front-end, search, the sharded serving engine, the batched agent, the
-# pooled tree growers and the seeded generator) under the race detector;
+# front-end, search, the sharded serving engine and its state restore,
+# the pooled tree growers and the seeded generator) under the race detector;
 # determinism tests double as ordering checks. The experiments line runs
 # only the tests that drive the concurrent model trainings of the paper
 # reproduction: the whole package under -race takes minutes.
 race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/parallel ./internal/simfleet ./internal/ml/... ./internal/rng ./internal/dataset ./internal/labeling ./internal/ingest ./internal/features ./internal/sampling ./internal/core ./internal/serve ./internal/agent ./internal/fleetops ./internal/atomicio ./internal/faultinject
+	$(GO) test -race ./internal/parallel ./internal/simfleet ./internal/ml/... ./internal/rng ./internal/dataset ./internal/labeling ./internal/ingest ./internal/features ./internal/sampling ./internal/core ./internal/serve ./internal/fleetops ./internal/atomicio ./internal/faultinject
 	$(GO) test -race -run 'WorkersRenderIdentically|TrainAllDedupsAndNamesFirstFailure|CachesOrderIndependentAndShared' ./internal/experiments
 
 # chaos runs the fault-tolerance suite under the race detector: seeded
 # record corruption, scorer/swap/observe fault seams, crash-safe
-# persistence, and quarantine determinism across worker/shard counts.
+# persistence, kill-and-resume of the scorer, and quarantine
+# determinism across worker/shard counts.
 chaos:
-	$(GO) test -race -run 'Chaos|Corrupt|Fault|Quarantine|Revive|Degraded|Retr|Crash|Torn|KillMidWrite|StateFile|Atomic|WriteFile|Open|Hooks' \
-		./internal/atomicio ./internal/faultinject ./internal/serve ./internal/fleetops ./internal/agent ./internal/ingest ./internal/dataset ./internal/modelio
+	$(GO) test -race -run 'Chaos|Corrupt|Fault|Quarantine|Revive|Degraded|Retr|Crash|Torn|KillMidWrite|StateFile|Atomic|WriteFile|Open|Hooks|Resume' \
+		./internal/atomicio ./internal/faultinject ./internal/serve ./internal/ingest ./internal/dataset ./internal/modelio
 
 # fuzz runs each fuzz target for a short fixed budget, one go test call
 # per target (go test accepts only one -fuzz target per package run):
@@ -46,8 +47,9 @@ chaos:
 # the CRCs), the flattened tree kernel against the pointer walk, the
 # differential kernel for drive-ordered rows against the direct one,
 # and interleaved resumable runs (one per drive, as serving keeps them)
-# against the direct one, and the seeded generator's streams against
-# math/rand's for any seed.
+# against the direct one, the seeded generator's streams against
+# math/rand's for any seed, and the scorer's state decoder on arbitrary
+# bytes.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMFPAC$$' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMFPACBlock$$' -fuzztime 10s ./internal/dataset
@@ -55,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferentialVsDirect$$' -fuzztime 10s ./internal/ml/predict
 	$(GO) test -run '^$$' -fuzz '^FuzzRunResumeVsDirect$$' -fuzztime 10s ./internal/ml/predict
 	$(GO) test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s ./internal/rng
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadState$$' -fuzztime 10s ./internal/serve
 
 # verify is the full local gate: build, lint, unit tests, chaos suite.
 verify: build lint test chaos

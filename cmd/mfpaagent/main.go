@@ -1,21 +1,26 @@
-// Command mfpaagent is the client-side monitor as a CLI: it loads a
+// Command mfpaagent is the on-machine monitor as a CLI: it loads a
 // model envelope (from mfpatrain -save or fleetops publishing), replays
 // telemetry (from mfpagen, CSV or the MFPAC binary container — the
-// format is detected from the file's leading bytes) through the agent,
-// and reports every alarm with its top contributing features.
+// format is detected from the file's leading bytes) through the online
+// scorer, and reports every alarm with its top contributing features.
 //
 // Usage:
 //
-//	mfpaagent -model model.json -data fleet.csv [-sn I-F000000] [-alarm-after 2]
-//	mfpaagent -model model.json -data fleet.csv -daily [-workers 0]
+//	mfpaagent -model model.json -data fleet.csv [-sn I-F000000] [-alarm-after 2] [-workers 0]
+//	mfpaagent -model model.json -data fleet.csv -state scorer.state
+//	mfpaagent -model model.json -data fleet.csv -chaos [-chaos-seed 1] [-chaos-rate 0.01]
 //
-// The default mode replays drive by drive through per-record Observe
-// calls. -daily replays the same telemetry as the fleet service would
-// serve it: day-major batches through the incremental sharded scoring
-// engine, with -workers goroutines. -chaos adds a seeded fault
-// campaign on top of -daily — corrupted records, transient batch
-// faults, scoring-backend faults — to demonstrate the quarantine and
-// degradation machinery; the same seed replays the same campaign.
+// The telemetry is replayed day-major, as a monitor sees it arrive:
+// each day's records of the model's vendor (or of the -sn drive) go
+// through serve.Scorer in one batch, with -workers goroutines, under the
+// model's own gap policy. A record that fails validation quarantines
+// its drive instead of stopping the replay. -state restores the
+// scorer's per-drive state from a checkpoint if the file exists, so
+// the telemetry should then hold the days after it, and saves the state
+// atomically at exit. -chaos adds a seeded fault campaign (corrupted
+// records, transient batch faults, scoring-backend faults) to show the
+// quarantine and degradation machinery; the same seed replays the same
+// campaign.
 package main
 
 import (
@@ -25,8 +30,6 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/agent"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/faultinject"
 	"repro/internal/modelio"
@@ -42,10 +45,9 @@ func main() {
 		dataPath   = flag.String("data", "", "telemetry path, CSV or MFPAC (required)")
 		sn         = flag.String("sn", "", "replay only this drive (empty = all)")
 		alarmAfter = flag.Int("alarm-after", 2, "consecutive flags before alarming")
-		daily      = flag.Bool("daily", false, "batched day-major sweep through the sharded scoring engine")
-		workers    = flag.Int("workers", 0, "daily-sweep scoring goroutines (0 = GOMAXPROCS, 1 = serial)")
-		statePath  = flag.String("state", "", "agent state checkpoint: loaded at start if present, saved atomically at exit (per-record mode)")
-		chaos      = flag.Bool("chaos", false, "with -daily: run a seeded fault-injection campaign (corrupt records, transient and scoring faults)")
+		workers    = flag.Int("workers", 0, "scoring goroutines (0 = GOMAXPROCS, 1 = serial)")
+		statePath  = flag.String("state", "", "scorer state checkpoint: loaded at start if present, saved atomically at exit")
+		chaos      = flag.Bool("chaos", false, "run a seeded fault-injection campaign (corrupt records, transient and scoring faults)")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "chaos campaign seed; the same seed replays the same faults")
 		chaosRate  = flag.Float64("chaos-rate", 0.01, "per-record corruption probability for -chaos")
 		verbose    = flag.Bool("v", false, "print every flagged observation, not just alarms")
@@ -60,116 +62,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
 	df, err := os.Open(*dataPath)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Either telemetry format loads into the columnar frame; the replay
-	// paths below still walk records, so materialise them once.
+	// batches records, so materialise them once.
 	frame, err := dataset.ReadTelemetryWorkers(df, *workers)
 	df.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
 	data := frame.ToDataset()
-
-	fmt.Printf("agent: %s/%s model, threshold %.3f, alarm after %d flags\n",
-		model.TrainerName, model.Config.Group, model.Threshold, *alarmAfter)
-
-	if *daily {
-		var campaign *chaosCampaign
-		if *chaos {
-			campaign = newChaosCampaign(*chaosSeed, *chaosRate)
-		}
-		runDaily(model, data, *alarmAfter, *workers, *verbose, campaign)
-		return
-	}
-	if *chaos {
-		log.Fatal("-chaos requires -daily")
-	}
-
-	ag, err := agent.New(model, agent.Options{AlarmAfter: *alarmAfter, Explain: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *statePath != "" {
-		if _, serr := os.Stat(*statePath); serr == nil {
-			if err := ag.LoadStateFile(*statePath); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("agent: restored state from %s\n", *statePath)
-		}
-	}
-
-	drives := data.SerialNumbers()
 	if *sn != "" {
 		if _, ok := data.Series(*sn); !ok {
 			log.Fatalf("drive %s not in %s", *sn, *dataPath)
 		}
-		drives = []string{*sn}
 	}
 
-	alarms, scanned := 0, 0
-	for _, drive := range drives {
-		series, _ := data.Series(drive)
-		// Only vendor-matched drives can be scored meaningfully.
-		if model.Config.Vendor != "" && series.Vendor != model.Config.Vendor {
-			continue
-		}
-		scanned++
-		for i := range series.Records {
-			as, err := ag.Observe(series.Records[i])
-			if err != nil {
-				log.Fatal(err)
-			}
-			if *verbose && as.Flagged {
-				fmt.Printf("%s day %d: P=%.3f flagged (%d consecutive)\n",
-					drive, as.Day, as.Probability, as.ConsecutiveFlags)
-			}
-			if as.Alarmed {
-				alarms++
-				fmt.Printf("%s day %d: ALARM P=%.3f", drive, as.Day, as.Probability)
-				for _, f := range as.TopFactors {
-					fmt.Printf("  %s+%.3f", f.Feature, f.Contribution)
-				}
-				fmt.Println()
-				break
-			}
-		}
-	}
-	fmt.Printf("%d drives scanned, %d alarms\n", scanned, alarms)
-	if *statePath != "" {
-		if err := ag.SaveStateFile(*statePath); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("agent: state checkpointed to %s\n", *statePath)
-	}
-}
+	fmt.Printf("agent: %s/%s model, threshold %.3f, alarm after %d flags\n",
+		model.TrainerName, model.Config.Group, model.Threshold, *alarmAfter)
 
-// chaosCampaign bundles the seeded injectors for a -chaos run.
-type chaosCampaign struct {
-	corruptor *faultinject.RecordCorruptor
-	faults    *faultinject.ScorerFaults
-	corrupted int
-	retries   int
-}
-
-func newChaosCampaign(seed int64, rate float64) *chaosCampaign {
-	return &chaosCampaign{
-		corruptor: faultinject.NewRecordCorruptor(faultinject.CorruptorConfig{Seed: seed, Rate: rate}),
-		faults: faultinject.NewScorerFaults(faultinject.ScorerConfig{
-			Seed: seed, ObserveP: 0.02, ScoreP: 0.02,
-		}),
-	}
-}
-
-// runDaily replays the telemetry as a fleet service would see it
-// arrive: one day-major batch at a time through the sharded incremental
-// scorer, with alarms reported once per drive.
-func runDaily(model *core.Model, data *dataset.Dataset, alarmAfter, workers int, verbose bool, campaign *chaosCampaign) {
-	opts := serve.Options{Workers: workers, AlarmAfter: alarmAfter}
-	if campaign != nil {
+	opts := serve.Options{Workers: *workers, AlarmAfter: *alarmAfter}
+	var campaign *chaosCampaign
+	if *chaos {
+		campaign = newChaosCampaign(*chaosSeed, *chaosRate)
 		opts.Faults = serve.FaultHooks{
 			Observe: campaign.faults.Observe,
 			Score:   campaign.faults.Score,
@@ -180,11 +97,24 @@ func runDaily(model *core.Model, data *dataset.Dataset, alarmAfter, workers int,
 	if err != nil {
 		log.Fatal(err)
 	}
+	if *statePath != "" {
+		if _, serr := os.Stat(*statePath); serr == nil {
+			if err := sc.LoadStateFile(*statePath); err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("agent: restored state from %s\n", *statePath)
+		}
+	}
 
+	// Day-major batches of the drives the model can score: its vendor's,
+	// or the one -sn names.
 	byDay := make(map[int][]dataset.Record)
 	var days []int
 	drives := 0
 	data.Each(func(s *dataset.DriveSeries) {
+		if *sn != "" && s.SerialNumber != *sn {
+			return
+		}
 		if model.Config.Vendor != "" && s.Vendor != model.Config.Vendor {
 			return
 		}
@@ -238,7 +168,7 @@ func runDaily(model *core.Model, data *dataset.Dataset, alarmAfter, workers int,
 			scored++
 			if a.Flagged {
 				flagged++
-				if verbose {
+				if *verbose {
 					fmt.Printf("%s day %d: P=%.3f flagged (%d consecutive)\n",
 						a.SerialNumber, a.Day, a.Probability, a.ConsecutiveFlags)
 				}
@@ -246,6 +176,9 @@ func runDaily(model *core.Model, data *dataset.Dataset, alarmAfter, workers int,
 			if a.Alarmed && !alarmed[a.SerialNumber] {
 				alarmed[a.SerialNumber] = true
 				fmt.Printf("%s day %d: ALARM P=%.3f", a.SerialNumber, a.Day, a.Probability)
+				for _, f := range sc.Explain(a.SerialNumber) {
+					fmt.Printf("  %s+%.3f", f.Feature, f.Contribution)
+				}
 				if w, ok := sc.Window(a.SerialNumber); ok && w.Days > 1 {
 					fmt.Printf("  [%dd window: %.0f W/d, %.0f B/d, media err +%.0f]",
 						w.Days, w.WPerDay, w.BPerDay, w.MediaErrGrowth)
@@ -254,20 +187,41 @@ func runDaily(model *core.Model, data *dataset.Dataset, alarmAfter, workers int,
 			}
 		}
 	}
-	fmt.Printf("%d drives swept over %d days: %d scored (%d flagged), %d dropped, %d alarms\n",
-		drives, len(days), scored, flagged, dropped, len(alarmed))
+	fmt.Printf("%d drives scanned over %d days: %d scored (%d flagged), %d dropped, %d quarantined, %d alarms\n",
+		drives, len(days), scored, flagged, dropped, len(sc.QuarantineReasons()), len(alarmed))
 	if campaign != nil {
 		observe, score, swap := campaign.faults.Fired()
 		fmt.Printf("chaos: %d records corrupted, %d observe faults (%d retried), %d score faults, %d swap faults\n",
 			campaign.corrupted, observe, campaign.retries, score, swap)
 		fmt.Printf("chaos: %d records quarantined their drive, %d skipped while quarantined, %d rows scored degraded\n",
 			quarantined, skipped, degradedRows)
-		ledger := sc.QuarantineReasons()
-		fmt.Printf("chaos: quarantine ledger holds %d drives\n", len(ledger))
-		if verbose {
-			for _, e := range ledger {
+		if *verbose {
+			for _, e := range sc.QuarantineReasons() {
 				fmt.Printf("  %s day %d: %s (%s)\n", e.SerialNumber, e.Day, e.Reason, e.Err)
 			}
 		}
+	}
+	if *statePath != "" {
+		if err := sc.SaveStateFile(*statePath); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("agent: state checkpointed to %s\n", *statePath)
+	}
+}
+
+// chaosCampaign bundles the seeded injectors for a -chaos run.
+type chaosCampaign struct {
+	corruptor *faultinject.RecordCorruptor
+	faults    *faultinject.ScorerFaults
+	corrupted int
+	retries   int
+}
+
+func newChaosCampaign(seed int64, rate float64) *chaosCampaign {
+	return &chaosCampaign{
+		corruptor: faultinject.NewRecordCorruptor(faultinject.CorruptorConfig{Seed: seed, Rate: rate}),
+		faults: faultinject.NewScorerFaults(faultinject.ScorerConfig{
+			Seed: seed, ObserveP: 0.02, ScoreP: 0.02,
+		}),
 	}
 }

@@ -14,8 +14,9 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/agent"
+	"repro/internal/dataset"
 	"repro/internal/ingest"
+	"repro/internal/serve"
 	"repro/internal/smartattr"
 )
 
@@ -71,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ag, err := agent.New(model, agent.Options{AlarmAfter: 2})
+	sc, err := serve.New(model, serve.Options{AlarmAfter: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func main() {
 	}
 
 	// Each evening the collector snapshots the NVMe health log and
-	// hands the assembled record to the agent. The SMART state below
+	// hands the assembled record to the scorer. The SMART state below
 	// degrades in step with the event log.
 	type daySmart struct {
 		spare, media, errlog, hours float64
@@ -131,11 +132,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		as, err := ag.Observe(rec)
+		out, _, err := sc.ObserveDay([]dataset.Record{rec})
 		if err != nil {
 			log.Fatal(err)
 		}
+		as := out[len(out)-1]
 		status := "ok"
+		if as.Quarantined {
+			log.Fatalf("day %d: collector record rejected: %+v", as.Day, sc.QuarantineReasons())
+		}
 		if as.Flagged {
 			status = "flagged"
 		}

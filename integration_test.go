@@ -2,16 +2,16 @@ package mfpa
 
 // End-to-end integration test across the whole stack: simulate a fleet,
 // train per-vendor models through the fleet service, publish envelopes,
-// load them into client agents, and verify the agents catch failing
+// load them into the online scorer, and verify it catches failing
 // drives on live telemetry — the complete loop of the paper's Fig. 1.
 
 import (
 	"testing"
 
-	"repro/internal/agent"
 	"repro/internal/dataset"
 	"repro/internal/fleetops"
 	"repro/internal/modelio"
+	"repro/internal/serve"
 	"repro/internal/simfleet"
 )
 
@@ -52,11 +52,24 @@ func TestFullDeploymentLoop(t *testing.T) {
 	}
 
 	// Client side: replay raw telemetry of drives that fail *after* the
-	// training cutoff; the agent must alarm on most of them before
-	// death and stay quiet on healthy machines.
-	ag, err := agent.New(deployed, agent.Options{AlarmAfter: 2, Explain: true})
+	// training cutoff, a record at a time; the scorer must alarm on most
+	// of them before death, explain each alarm, and stay quiet on
+	// healthy machines.
+	sc, err := serve.New(deployed, serve.Options{AlarmAfter: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	alarmed := func(rec dataset.Record) bool {
+		as, _, err := sc.ObserveDay([]dataset.Record{rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range as {
+			if a.Alarmed {
+				return true
+			}
+		}
+		return false
 	}
 	var futureFaulty, caught int
 	var healthySeen, healthyAlarmed int
@@ -72,14 +85,10 @@ func TestFullDeploymentLoop(t *testing.T) {
 		case truth.Kind == "faulty" && truth.FailDay > 100:
 			futureFaulty++
 			for i := range series.Records {
-				as, err := ag.Observe(series.Records[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if as.Alarmed {
+				if alarmed(series.Records[i]) {
 					caught++
-					if len(as.TopFactors) == 0 {
-						t.Error("alarm without explanation despite Explain option")
+					if len(sc.Explain(sn)) == 0 {
+						t.Error("alarm without explanation")
 					}
 					break
 				}
@@ -87,11 +96,7 @@ func TestFullDeploymentLoop(t *testing.T) {
 		case truth.Kind == "healthy" && healthySeen < 60:
 			healthySeen++
 			for i := range series.Records {
-				as, err := ag.Observe(series.Records[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if as.Alarmed {
+				if alarmed(series.Records[i]) {
 					healthyAlarmed++
 					break
 				}
@@ -102,9 +107,9 @@ func TestFullDeploymentLoop(t *testing.T) {
 		t.Skip("no post-cutoff failures in this tiny fleet")
 	}
 	if rate := float64(caught) / float64(futureFaulty); rate < 0.6 {
-		t.Fatalf("agent caught %d of %d post-cutoff failures", caught, futureFaulty)
+		t.Fatalf("scorer caught %d of %d post-cutoff failures", caught, futureFaulty)
 	}
 	if healthySeen > 0 && float64(healthyAlarmed)/float64(healthySeen) > 0.1 {
-		t.Fatalf("agent alarmed on %d of %d healthy drives", healthyAlarmed, healthySeen)
+		t.Fatalf("scorer alarmed on %d of %d healthy drives", healthyAlarmed, healthySeen)
 	}
 }

@@ -1,6 +1,6 @@
 // Package atomicio provides crash-safe file persistence for the
 // checkpoints the serving stack writes continuously: telemetry
-// snapshots, model envelopes, and agent state. A bare os.Create
+// snapshots, model envelopes, and scorer state. A bare os.Create
 // truncates in place, so a crash mid-write leaves a torn file the
 // readers can only report as corruption; WriteFile instead stages the
 // bytes in a temporary file in the same directory, fsyncs, and renames

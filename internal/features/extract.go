@@ -151,6 +151,44 @@ func (e *Extractor) PrimeVersion(vendor string, v firmware.Version) {
 	e.encoder(vendor).Encode(v)
 }
 
+// FirmwareCode is one registry-unknown firmware version with the code
+// its vendor's encoder gave it.
+type FirmwareCode struct {
+	Version firmware.Version `json:"version"`
+	Code    float64          `json:"code"`
+}
+
+// UnknownFirmware returns, per vendor, the registry-unknown firmware
+// versions the encoders have coded, in code order. Vendors without
+// such versions are left out. With the registries, it is everything
+// that makes the encoding depend on arrival order.
+func (e *Extractor) UnknownFirmware() map[string][]FirmwareCode {
+	out := make(map[string][]FirmwareCode)
+	for vendor, enc := range e.encoders {
+		for _, v := range enc.Unregistered() {
+			code, _ := enc.Lookup(v)
+			out[vendor] = append(out[vendor], FirmwareCode{Version: v, Code: code})
+		}
+	}
+	return out
+}
+
+// RestoreFirmware primes vendor's encoder with codes' versions in
+// order, as UnknownFirmware listed them, and fails if any version comes
+// out with a different code: the registries or the encoder's history
+// differ from the ones the codes were taken under.
+func (e *Extractor) RestoreFirmware(vendor string, codes []FirmwareCode) error {
+	if len(codes) > 0 && !e.group.Firmware {
+		return fmt.Errorf("features: group %s has no firmware feature to restore codes for", e.group)
+	}
+	for _, c := range codes {
+		if got := e.encoder(vendor).Encode(c.Version); got != c.Code {
+			return fmt.Errorf("features: vendor %s firmware %q encodes as %v, want %v", vendor, c.Version, got, c.Code)
+		}
+	}
+	return nil
+}
+
 // appendCumRow appends the feature vector of one already-cumulated
 // drive-day — SMART values, firmware version, and the running W/B
 // totals held by a RollingState — to dst. It is ExtractInto without the

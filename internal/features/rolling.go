@@ -3,9 +3,11 @@ package features
 import (
 	"fmt"
 
+	"repro/internal/bsod"
 	"repro/internal/dataset"
 	"repro/internal/firmware"
 	"repro/internal/smartattr"
+	"repro/internal/winevent"
 )
 
 // This file is the incremental half of the feature pipeline: a
@@ -156,8 +158,8 @@ func (st *RollingState) Window() WindowStats {
 // arrive in strictly increasing day order.
 //
 // policy is the discontinuity optimisation: the zero value disables it
-// (every record emits exactly one row — the pure-cumulate behaviour of
-// the original client agent); any other value must satisfy
+// (every record emits exactly one row, gaps ignored: pure cumulation);
+// any other value must satisfy
 // policy.Validate and reproduces the clean stage of
 // dataset.PreparePipeline, including marking the drive Dropped (after which no rows
 // are emitted).
@@ -211,14 +213,6 @@ func (st *RollingState) advance(e *Extractor, policy dataset.GapPolicy, sn, vend
 			return x, meta, nil
 		}
 		if gap >= 2 && gap <= policy.FillGap {
-			// Mean-filling needs the previous raw record. A v1
-			// snapshot restores cumulates only (v1 predates gap
-			// policies), so a fillable gap right after such a restart
-			// cannot reproduce the offline fill — refuse rather than
-			// fabricate rows the offline pipeline would not emit.
-			if len(st.prevW) != len(w) || len(st.prevB) != len(b) {
-				return x, meta, fmt.Errorf("features: drive %s: cannot mean-fill %d-day gap: state has no previous record (v1 snapshot)", sn, gap-1)
-			}
 			// Synthesise the offline fill row once; it is identical
 			// for every day of the gap.
 			for i := range st.fillSmart {
@@ -300,8 +294,30 @@ func (st *RollingState) emit(e *Extractor, vendor string, day int, smart []float
 	return x, meta
 }
 
+// AppendLastRow appends the feature row of the drive's last emitted day
+// to dst, rebuilt from the running cumulates and the previous raw
+// observation (the last emitted row is always an observed day's). It
+// reports false, leaving dst as it was, when the state has emitted no
+// row or the firmware version has no code in e; it never registers a
+// version, so it only reads the extractor.
+func (st *RollingState) AppendLastRow(e *Extractor, vendor string, dst []float64) ([]float64, bool) {
+	if st.rows == 0 {
+		return dst, false
+	}
+	if e.group.Firmware {
+		enc, ok := e.encoders[vendor]
+		if !ok {
+			return dst, false
+		}
+		if _, ok := enc.Lookup(st.prevFW); !ok {
+			return dst, false
+		}
+	}
+	return e.appendCumRow(vendor, st.prevSmart[:], st.prevFW, st.cumW, st.cumB, dst), true
+}
+
 // RollingSnapshot is the serialisable form of a RollingState, used by
-// the agent's persisted state (consumer machines reboot constantly).
+// the scorer's persisted state (consumer machines reboot constantly).
 // Ring entries are ordered oldest to newest.
 type RollingSnapshot struct {
 	LastDay      int       `json:"last_day"`
@@ -356,6 +372,13 @@ func RollingFromSnapshot(s RollingSnapshot) (*RollingState, error) {
 	}
 	if len(s.PrevSmart) != 0 && len(s.PrevSmart) != smartattr.Count {
 		return nil, fmt.Errorf("features: rolling snapshot has %d SMART values, want %d", len(s.PrevSmart), smartattr.Count)
+	}
+	// A state with observations carries the previous record a mean-fill
+	// starts from, as wide as the cumulates it adds to.
+	if s.Observed > 0 && (len(s.PrevSmart) != smartattr.Count ||
+		len(s.CumW) != winevent.Count() || len(s.CumB) != bsod.Count() ||
+		len(s.PrevW) != len(s.CumW) || len(s.PrevB) != len(s.CumB)) {
+		return nil, fmt.Errorf("features: rolling snapshot has observations but its previous record does not match its cumulates")
 	}
 	n := len(s.RingDays)
 	if n > RollingWindow || len(s.RingW) != n || len(s.RingB) != n || len(s.RingMedia) != n {

@@ -258,8 +258,8 @@ func TestRollingAdvanceRowMatchesBuildSampleSetFrame(t *testing.T) {
 	}
 }
 
-// TestRollingZeroPolicyIsPureCumulate pins the zero gap policy to the
-// original agent semantics: one row per record, cumulates matching
+// TestRollingZeroPolicyIsPureCumulate pins the zero gap policy to pure
+// cumulation: one row per record, cumulates matching
 // the cumulate-only PreparePipeline with gaps ignored.
 func TestRollingZeroPolicyIsPureCumulate(t *testing.T) {
 	raw := randomRawFleet(t, 11, 6)
@@ -297,7 +297,7 @@ func TestRollingZeroPolicyIsPureCumulate(t *testing.T) {
 // TestRollingSnapshotRoundTrip: persisting mid-stream (including right
 // before a mean-filled gap, which needs the previous raw observation)
 // and restoring must continue bit-identically to the uninterrupted
-// state, through JSON like the agent's state file.
+// state, through JSON like the scorer's state file.
 func TestRollingSnapshotRoundTrip(t *testing.T) {
 	policy := dataset.DefaultGapPolicy()
 	raw := randomRawFleet(t, 13, 8)
@@ -427,5 +427,75 @@ func TestRollingAdvanceRejectsOutOfOrder(t *testing.T) {
 	rec.Day = 4
 	if _, _, err := st.Advance(ext, dataset.GapPolicy{}, &rec, x[:0], meta[:0]); err == nil {
 		t.Fatal("out-of-order record accepted")
+	}
+}
+
+// TestRollingFromSnapshotRejectsMissingPrevious: a snapshot with
+// observations must carry the previous raw record, as wide as its
+// cumulates, since the next fillable gap mean-fills from it. A
+// cumulates-only snapshot is rejected at load instead of failing (or
+// fabricating rows) at the first gap.
+func TestRollingFromSnapshotRejectsMissingPrevious(t *testing.T) {
+	nw, nb := winevent.Count(), bsod.Count()
+	good := RollingSnapshot{LastDay: 0, Observed: 1, Rows: 1,
+		CumW: make([]float64, nw), CumB: make([]float64, nb),
+		PrevSmart: make([]float64, smartattr.Count), PrevW: make([]float64, nw), PrevB: make([]float64, nb)}
+	if _, err := RollingFromSnapshot(good); err != nil {
+		t.Fatalf("complete snapshot rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*RollingSnapshot){
+		"cumulates only": func(s *RollingSnapshot) { s.PrevSmart, s.PrevW, s.PrevB = nil, nil, nil },
+		"no prev smart":  func(s *RollingSnapshot) { s.PrevSmart = nil },
+		"short prev W":   func(s *RollingSnapshot) { s.PrevW = s.PrevW[:nw-1] },
+		"short prev B":   func(s *RollingSnapshot) { s.PrevB = nil },
+		"short cum W":    func(s *RollingSnapshot) { s.CumW, s.PrevW = s.CumW[:1], s.PrevW[:1] },
+	} {
+		s := good
+		mutate(&s)
+		if _, err := RollingFromSnapshot(s); err == nil {
+			t.Errorf("%s: snapshot accepted", name)
+		}
+	}
+	if _, err := RollingFromSnapshot(RollingSnapshot{LastDay: -1}); err != nil {
+		t.Fatalf("empty snapshot rejected: %v", err)
+	}
+}
+
+// TestRollingAppendLastRowMatchesEmitted: the row rebuilt from the
+// state equals the last row Advance emitted, bit for bit, on every
+// record of drives with fills, drops and firmware upgrades, and before
+// the first row there is none.
+func TestRollingAppendLastRowMatchesEmitted(t *testing.T) {
+	policy := dataset.DefaultGapPolicy()
+	raw := randomRawFleet(t, 21, 8)
+	ext, err := NewExtractor(GroupSFWB, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext.prime(raw)
+	raw.Each(func(s *dataset.DriveSeries) {
+		st := NewRollingState()
+		if _, ok := st.AppendLastRow(ext, s.Vendor, nil); ok {
+			t.Fatal("fresh state rebuilt a row")
+		}
+		var last []float64
+		x := make([]float64, 0, ext.Width()*4)
+		var meta []EmittedRow
+		for i := range s.Records {
+			x, meta, err = st.Advance(ext, policy, &s.Records[i], x[:0], meta[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(meta) > 0 {
+				last = append(last[:0], x[len(x)-ext.Width():]...)
+			}
+			got, ok := st.AppendLastRow(ext, s.Vendor, nil)
+			if !ok || !bitsEqual(got, last) {
+				t.Fatalf("drive %s record %d: rebuilt row %v (ok %t), last emitted %v", s.SerialNumber, i, got, ok, last)
+			}
+		}
+	})
+	if _, ok := NewRollingState().AppendLastRow(ext, "I", nil); ok {
+		t.Fatal("empty state rebuilt a row")
 	}
 }

@@ -166,18 +166,36 @@ func NewEncoder(reg *Registry) *Encoder {
 // Encode returns the numeric code of version v, registering it if
 // needed. Codes are stable for the lifetime of the encoder.
 func (e *Encoder) Encode(v Version) float64 {
-	if e.reg != nil {
-		if rel, ok := e.reg.ByVersion(v); ok {
-			return float64(rel.Seq)
-		}
-	}
-	if code, ok := e.extra[v]; ok {
+	if code, ok := e.Lookup(v); ok {
 		return code
 	}
 	code := e.nextID
 	e.extra[v] = code
 	e.nextID++
 	return code
+}
+
+// Lookup returns the code of version v without registering it,
+// reporting whether v has one.
+func (e *Encoder) Lookup(v Version) (float64, bool) {
+	if e.reg != nil {
+		if rel, ok := e.reg.ByVersion(v); ok {
+			return float64(rel.Seq), true
+		}
+	}
+	code, ok := e.extra[v]
+	return code, ok
+}
+
+// Unregistered returns the registry-unknown versions the encoder has
+// coded, in code order (first-seen order).
+func (e *Encoder) Unregistered() []Version {
+	out := make([]Version, 0, len(e.extra))
+	for v := range e.extra {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return e.extra[out[i]] < e.extra[out[j]] })
+	return out
 }
 
 // KnownCodes returns the number of distinct codes the encoder has

@@ -3,20 +3,18 @@
 // each model on a fixed cadence — the paper recommends every two to
 // three months — using only the telemetry and tickets visible at that
 // date, tracks evaluation history across iterations, and publishes
-// modelio envelopes for the client agents to download.
+// modelio envelopes for the on-machine scorers (serve.Scorer) to
+// download.
 package fleetops
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/modelio"
-	"repro/internal/serve"
 	"repro/internal/ticket"
 )
 
@@ -29,13 +27,6 @@ type Options struct {
 	// IterationDays is the re-training cadence; 0 selects 60 (the
 	// paper's two months).
 	IterationDays int
-	// MaxRetries bounds the extra attempts made when a sweep or model
-	// swap fails transiently (errors declaring Transient() bool); 0
-	// selects 2, negative disables retries.
-	MaxRetries int
-	// RetryBackoff is the sleep before the first retry, doubling per
-	// attempt; 0 selects 10ms.
-	RetryBackoff time.Duration
 }
 
 // IterationRecord is one completed training of a vendor model.
@@ -50,12 +41,10 @@ type IterationRecord struct {
 	TrainSamples int
 }
 
-// vendorState tracks one vendor's current model, history, and (once
-// daily sweeps start) its incremental fleet scorer.
+// vendorState tracks one vendor's current model and history.
 type vendorState struct {
 	model   *core.Model
 	history []IterationRecord
-	scorer  *serve.Scorer
 }
 
 // Service manages per-vendor MFPA models. It is safe for concurrent
@@ -64,8 +53,6 @@ type Service struct {
 	mu            sync.Mutex
 	template      core.Config
 	iterationDays int
-	maxRetries    int
-	retryBackoff  time.Duration
 	vendors       map[string]*vendorState
 }
 
@@ -77,17 +64,6 @@ func New(opts Options) (*Service, error) {
 	}
 	if iter < 1 {
 		return nil, fmt.Errorf("fleetops: IterationDays %d must be ≥ 1", iter)
-	}
-	retries := opts.MaxRetries
-	if retries == 0 {
-		retries = 2
-	}
-	if retries < 0 {
-		retries = 0
-	}
-	backoff := opts.RetryBackoff
-	if backoff == 0 {
-		backoff = 10 * time.Millisecond
 	}
 	tpl := opts.Template
 	tpl.Vendor = ""
@@ -101,34 +77,8 @@ func New(opts Options) (*Service, error) {
 	return &Service{
 		template:      tpl,
 		iterationDays: iter,
-		maxRetries:    retries,
-		retryBackoff:  backoff,
 		vendors:       make(map[string]*vendorState),
 	}, nil
-}
-
-// isTransient reports whether err (or anything it wraps) declares
-// itself retryable via a Transient() bool method — the structural
-// contract injected faults and transport errors share, so fleetops
-// never needs to import their packages.
-func isTransient(err error) bool {
-	var te interface{ Transient() bool }
-	return errors.As(err, &te) && te.Transient()
-}
-
-// retryTransient runs fn up to 1+s.maxRetries times with exponential
-// backoff, retrying only while the error stays transient. It returns
-// the number of retries consumed alongside fn's final error.
-func (s *Service) retryTransient(fn func() error) (retries int, err error) {
-	for attempt := 0; ; attempt++ {
-		err = fn()
-		if err == nil || attempt >= s.maxRetries || !isTransient(err) {
-			return attempt, err
-		}
-		if s.retryBackoff > 0 {
-			time.Sleep(s.retryBackoff << attempt)
-		}
-	}
 }
 
 // Train (re-)trains the vendor's model as of asOfDay: only telemetry
@@ -154,17 +104,6 @@ func (s *Service) Train(data *dataset.Frame, tickets *ticket.Store, vendor strin
 	if !ok {
 		st = &vendorState{}
 		s.vendors[vendor] = st
-	}
-	if st.scorer != nil {
-		// The sweep scorer keeps its accumulated drive state across
-		// iterations; only the model swaps (the template's group never
-		// changes, so the state stays valid). Transient swap failures
-		// are retried; a persistent failure leaves the previous model
-		// both serving and published, so the fleet never sees a
-		// half-deployed iteration.
-		if _, err := s.retryTransient(func() error { return st.scorer.UpdateModel(model) }); err != nil {
-			return rec, fmt.Errorf("fleetops: vendor %s: %w", vendor, err)
-		}
 	}
 	st.model = model
 	st.history = append(st.history, rec)
@@ -213,7 +152,7 @@ func (s *Service) Model(vendor string) (*core.Model, bool) {
 }
 
 // Publish serialises the vendor's current model for distribution to
-// client agents.
+// the on-machine scorers.
 func (s *Service) Publish(vendor string) ([]byte, error) {
 	m, ok := s.Model(vendor)
 	if !ok {

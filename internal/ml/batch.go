@@ -46,11 +46,11 @@ func NewRun(clf Classifier) Run {
 }
 
 // ScoreBatch scores raw feature vectors into out through the fastest
-// path clf offers for rows in no particular order (the agent's day
-// batches): the flattened batch kernel when clf implements
-// BatchClassifier, otherwise a per-row fan-out via internal/parallel.
-// Both paths produce identical scores at any worker count. The serving
-// scorer does not call it: it resumes each drive's own Run instead.
+// path clf offers for rows in no particular order: the flattened batch
+// kernel when clf implements BatchClassifier, otherwise a per-row
+// fan-out via internal/parallel. Both paths produce identical scores at
+// any worker count. The serving scorer does not call it: it resumes
+// each drive's own Run instead.
 func ScoreBatch(clf Classifier, xs [][]float64, out []float64, workers int) {
 	if len(xs) != len(out) {
 		panic("ml: ScoreBatch rows and outputs differ in length")

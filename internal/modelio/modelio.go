@@ -1,8 +1,8 @@
 // Package modelio serialises trained MFPA models to a versioned JSON
 // envelope and back. This is the distribution path the paper describes
 // for deployment: "the model is iterated every two months and pushed to
-// the user for updates" — the server trains and Saves, the client-side
-// agent Loads and scores locally.
+// the user for updates" — the server trains and Saves, the on-machine
+// scorer (serve.Scorer) Loads and scores locally.
 package modelio
 
 import (

@@ -1,7 +1,8 @@
-// Package serve is the fleet-side daily scoring engine — the serving
-// counterpart of the offline pipeline speedups. Where the client agent
-// scores one record at a time, the Scorer ingests a whole day of fleet
-// telemetry at once: drives are sharded by serial hash across
+// Package serve is the online scorer, the one serving path for both
+// deployments: a fleet host scoring a day of fleet telemetry, and the
+// on-machine monitor scoring its own drives' daily records (a batch of
+// one drive-day is as valid as a fleet day). It
+// ingests each batch at once: drives are sharded by serial hash across
 // internal/parallel workers, each shard advances its drives'
 // RollingStates and scores each new feature row by resuming the
 // drive's own ml.Run — for the tree ensembles, the differential
@@ -33,6 +34,14 @@
 // Quarantine decisions are made per drive in input order, and each
 // drive lives in exactly one shard, so the ledger is deterministic at
 // any worker or shard count.
+//
+// Consumer machines reboot constantly and fleet hosts restart, so the
+// scorer's state persists: SaveStateFile checkpoints every drive's
+// rolling state, flag run, alarm latch and quarantine entry, plus the
+// arrival-order firmware codes, crash-safely, and a fresh scorer that
+// LoadStateFiles it resumes exactly where the saved one stopped.
+// Explain answers why a drive scores as it does: the top feature
+// contributions to its last row, for models with attribution.
 package serve
 
 import (
@@ -197,11 +206,12 @@ type Assessment struct {
 	Degraded bool
 }
 
-// driveRoll is one drive's serving state: the rolling feature state,
-// its scoring run and the model generation the run was built for,
-// alarm hysteresis, and its quarantine entry (Reason ==
+// driveRoll is one drive's serving state: its vendor, the rolling
+// feature state, its scoring run and the model generation the run was
+// built for, alarm hysteresis, and its quarantine entry (Reason ==
 // QuarantineNone while healthy).
 type driveRoll struct {
+	vendor      string
 	roll        *features.RollingState
 	run         ml.Run // nil until the drive's first scored row
 	gen         uint32
@@ -350,11 +360,11 @@ func (s *Scorer) shardOf(sn string) int {
 	return int(maphash.String(s.seed, sn) % uint64(len(s.shards)))
 }
 
-// roll returns (creating if needed) a shard's state for sn.
-func (sh *shard) rollFor(sn string) *driveRoll {
+// rollFor returns (creating if needed) a shard's state for sn.
+func (sh *shard) rollFor(sn, vendor string) *driveRoll {
 	dr, ok := sh.drives[sn]
 	if !ok {
-		dr = &driveRoll{roll: features.NewRollingState()}
+		dr = &driveRoll{vendor: vendor, roll: features.NewRollingState()}
 		sh.drives[sn] = dr
 	}
 	return dr
@@ -410,7 +420,7 @@ func (s *Scorer) validateShard(si int, recs []dataset.Record) {
 			continue
 		}
 		if !ok {
-			dr = &driveRoll{roll: features.NewRollingState()}
+			dr = &driveRoll{vendor: rec.Vendor, roll: features.NewRollingState()}
 			sh.drives[rec.SerialNumber] = dr
 		}
 		if q := s.reject(rec); q.Reason != QuarantineNone {
@@ -678,7 +688,7 @@ func (s *Scorer) ReplayFrame(f *dataset.Frame) (ReplayStats, error) {
 		sh := &s.shards[si]
 		for _, di := range lists[si] {
 			d := f.Drive(int(di))
-			dr := sh.rollFor(d.SerialNumber)
+			dr := sh.rollFor(d.SerialNumber, d.Vendor)
 			if dr.q.Reason != QuarantineNone {
 				continue
 			}
@@ -836,7 +846,7 @@ func (s *Scorer) ReviveDrive(sn string) bool {
 	if !ok || dr.q.Reason == QuarantineNone {
 		return false
 	}
-	sh.drives[sn] = &driveRoll{roll: features.NewRollingState()}
+	sh.drives[sn] = &driveRoll{vendor: dr.vendor, roll: features.NewRollingState()}
 	return true
 }
 
@@ -851,6 +861,58 @@ func (s *Scorer) ResetDrive(sn string) bool {
 	}
 	delete(sh.drives, sn)
 	return true
+}
+
+// Factor is one feature's contribution to a drive's score.
+type Factor struct {
+	Feature      string
+	Contribution float64
+}
+
+// explainer is satisfied by models with faithful per-prediction
+// attribution (forest.Model).
+type explainer interface {
+	Explain(x []float64) (contributions []float64, bias float64)
+}
+
+// Explain returns the three strongest positive feature contributions
+// to the active model's score of a drive's last emitted row, strongest
+// first. The row is rebuilt from the drive's rolling state, so Explain
+// costs one extraction and one attribution walk and is meant for the
+// few drives an operator asks about, such as alarmed ones. It returns
+// nil when the drive is unknown, quarantined or has emitted no row, or
+// when the model does not support attribution.
+func (s *Scorer) Explain(sn string) []Factor {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	exp, ok := s.model.Classifier.(explainer)
+	if !ok {
+		return nil
+	}
+	dr, ok := s.shards[s.shardOf(sn)].drives[sn]
+	if !ok || dr.q.Reason != QuarantineNone {
+		return nil
+	}
+	x, ok := dr.roll.AppendLastRow(s.ext, dr.vendor, nil)
+	if !ok {
+		return nil
+	}
+	contrib, _ := exp.Explain(x)
+	names := s.ext.Names()
+	if len(contrib) != len(names) {
+		return nil
+	}
+	var factors []Factor
+	for i, c := range contrib {
+		if c > 0 {
+			factors = append(factors, Factor{Feature: names[i], Contribution: c})
+		}
+	}
+	sort.SliceStable(factors, func(i, j int) bool { return factors[i].Contribution > factors[j].Contribution })
+	if len(factors) > 3 {
+		factors = factors[:3]
+	}
+	return factors
 }
 
 // Window returns a drive's trailing-window diagnostics.
