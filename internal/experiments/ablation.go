@@ -84,32 +84,26 @@ func (c *Context) runVariantsOn(f *dataset.Frame, tickets *ticket.Store, vs []va
 	return rows, nil
 }
 
-// thetaFleet simulates (once) a fleet with heavy ticket delays and
+// thetaFleet simulates a fleet with heavy ticket delays and
 // machine abandonment, so the θ sensitivity test actually bites: with a
 // mean failure→repair lag of nine days and half the users walking away
 // from flaky machines early, a small θ leaves many failures
 // unlabellable (starving the positive class) while a large θ back-dates
 // labels into barely-degraded territory (polluting it).
 func (c *Context) thetaFleet() (*simfleet.FrameResult, error) {
-	if c.slowTicketFleet != nil {
-		return c.slowTicketFleet, nil
-	}
 	cfg := c.Cfg
 	cfg.TicketDelayMeanDays = 9
 	cfg.TicketDelayMaxDays = 30
 	cfg.AbandonShare = 0.5
 	cfg.AbandonMaxDays = 15
-	fleet, err := simfleet.SimulateFrame(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.slowTicketFleet = fleet
-	return fleet, nil
+	return simfleet.SimulateFrame(cfg)
 }
 
 // AblationTheta sweeps the failure-time threshold θ (the paper sets 7
 // via a sensitivity test: too high raises FPR, too low starves TPR) on
-// the heavy-delay fleet where labelling noise matters.
+// the heavy-delay fleet where labelling noise matters. The fleet is
+// simulated for this one sweep; its models leave the memo when the
+// sweep returns, so nothing keeps the fleet.
 func (c *Context) AblationTheta() (*AblationResult, error) {
 	fleet, err := c.thetaFleet()
 	if err != nil {
@@ -124,6 +118,7 @@ func (c *Context) AblationTheta() (*AblationResult, error) {
 		vs = append(vs, v)
 	}
 	rows, err := c.runVariantsOn(fleet.Frame, fleet.Tickets, vs)
+	c.forgetFleet(fleet.Frame)
 	if err != nil {
 		return nil, err
 	}

@@ -213,6 +213,17 @@ func (c *Context) trainAll(f *dataset.Frame, tickets *ticket.Store, cfgs []core.
 	return out, 0, nil
 }
 
+// forgetFleet drops the memo's models of fleet f, whose keys pin its
+// frame. An experiment that simulates a fleet for its one use calls it
+// when done, outside any training fan-out.
+func (c *Context) forgetFleet(f *dataset.Frame) {
+	for k := range c.models {
+		if k.fleet == f {
+			delete(c.models, k)
+		}
+	}
+}
+
 // trainPrepared trains p on set, building p's sample set when set is
 // nil.
 func trainPrepared(p *core.Prepared, set *ml.SampleSet) (fit, error) {

@@ -66,9 +66,6 @@ type Context struct {
 	// and never changes results, only wall-clock time.
 	Workers int
 
-	driftFleet      *simfleet.FrameResult
-	slowTicketFleet *simfleet.FrameResult
-
 	// frame is the fleet telemetry in columnar form, converted lazily;
 	// every preparation of the context fleet runs on it.
 	frame *dataset.Frame
@@ -207,23 +204,6 @@ func (c *Context) SplitSet(vendor string, group features.Group) (train, test ml.
 	}
 	train, test = sampling.SplitFractionView(set.All(), p.Config.TrainFrac)
 	return train, test, p, nil
-}
-
-// DriftFleet simulates (once) the longer drifting fleet of the
-// Figs. 12/16 time-period study.
-func (c *Context) DriftFleet() (*simfleet.FrameResult, error) {
-	if c.driftFleet != nil {
-		return c.driftFleet, nil
-	}
-	cfg := simfleet.DriftConfig()
-	cfg.FailureScale = c.Cfg.FailureScale
-	cfg.Seed = c.Cfg.Seed
-	fleet, err := simfleet.SimulateFrame(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.driftFleet = fleet
-	return fleet, nil
 }
 
 // VendorNames returns the simulated vendor names in spec order.

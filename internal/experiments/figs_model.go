@@ -7,6 +7,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/ml/forest"
 	"repro/internal/sampling"
+	"repro/internal/simfleet"
 )
 
 // MetricRow is one evaluated configuration with the paper's headline
@@ -192,8 +193,13 @@ type Fig12Result struct {
 
 // Fig12 trains once on the drifting fleet's learning window and walks
 // forward five months, then repeats the walk with monthly iteration.
+// The drifting fleet is simulated for this one figure and trained
+// outside the model memo, so nothing keeps it once Fig12 returns.
 func (c *Context) Fig12() (*Fig12Result, error) {
-	fleet, err := c.DriftFleet()
+	dcfg := simfleet.DriftConfig()
+	dcfg.FailureScale = c.Cfg.FailureScale
+	dcfg.Seed = c.Cfg.Seed
+	fleet, err := simfleet.SimulateFrame(dcfg)
 	if err != nil {
 		return nil, err
 	}
