@@ -15,12 +15,12 @@
 // through serve.Scorer in one batch, with -workers goroutines, under the
 // model's own gap policy. A record that fails validation quarantines
 // its drive instead of stopping the replay. -state restores the
-// scorer's per-drive state from a checkpoint if the file exists, so
-// the telemetry should then hold the days after it, and saves the state
-// atomically at exit. -chaos adds a seeded fault campaign (corrupted
-// records, transient batch faults, scoring-backend faults) to show the
-// quarantine and degradation machinery; the same seed replays the same
-// campaign.
+// scorer's per-drive state from a checkpoint if the file exists,
+// skips each drive's records up to the last day the checkpoint holds,
+// and saves the state atomically at exit. -chaos adds a seeded fault
+// campaign (corrupted records, transient batch faults, scoring-backend
+// faults) to show the quarantine and degradation machinery; the same
+// seed replays the same campaign.
 package main
 
 import (
@@ -107,10 +107,11 @@ func main() {
 	}
 
 	// Day-major batches of the drives the model can score: its vendor's,
-	// or the one -sn names.
+	// or the one -sn names, without the records a restored checkpoint
+	// already holds.
 	byDay := make(map[int][]dataset.Record)
 	var days []int
-	drives := 0
+	drives, seen := 0, 0
 	data.Each(func(s *dataset.DriveSeries) {
 		if *sn != "" && s.SerialNumber != *sn {
 			return
@@ -119,8 +120,13 @@ func main() {
 			return
 		}
 		drives++
+		last, ok := sc.LastDay(s.SerialNumber)
 		for i := range s.Records {
 			d := s.Records[i].Day
+			if ok && d <= last {
+				seen++
+				continue
+			}
 			if len(byDay[d]) == 0 {
 				days = append(days, d)
 			}
@@ -128,6 +134,9 @@ func main() {
 		}
 	})
 	sort.Ints(days)
+	if seen > 0 {
+		fmt.Printf("agent: skipped %d records the checkpoint already holds\n", seen)
+	}
 
 	alarmed := make(map[string]bool)
 	scored, flagged, dropped := 0, 0, 0

@@ -160,8 +160,8 @@ type FirmwareCode struct {
 
 // UnknownFirmware returns, per vendor, the registry-unknown firmware
 // versions the encoders have coded, in code order. Vendors without
-// such versions are left out. With the registries, it is everything
-// that makes the encoding depend on arrival order.
+// such versions are left out. Together with the registries, these
+// codes fix the encoding.
 func (e *Extractor) UnknownFirmware() map[string][]FirmwareCode {
 	out := make(map[string][]FirmwareCode)
 	for vendor, enc := range e.encoders {

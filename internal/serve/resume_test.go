@@ -18,6 +18,7 @@ type resumeRun struct {
 	ledger  []QuarantineEntry
 	drives  []string
 	alarmed []bool
+	last    []int
 }
 
 // finishRun feeds batches to s and collects its outputs; prefix holds
@@ -37,8 +38,20 @@ func finishRun(t *testing.T, s *Scorer, batches [][]dataset.Record, prefix resum
 	run.drives = s.Drives()
 	for _, sn := range run.drives {
 		run.alarmed = append(run.alarmed, s.Alarmed(sn))
+		last, _ := s.LastDay(sn)
+		run.last = append(run.last, last)
 	}
 	return run
+}
+
+// quarantinedIn reports whether sn has an entry in ledger.
+func quarantinedIn(ledger []QuarantineEntry, sn string) bool {
+	for _, e := range ledger {
+		if e.SerialNumber == sn {
+			return true
+		}
+	}
+	return false
 }
 
 // sameRun reports the first difference between two runs, comparing
@@ -64,6 +77,12 @@ func sameRun(got, want resumeRun) error {
 	}
 	if !reflect.DeepEqual(got.drives, want.drives) || !reflect.DeepEqual(got.alarmed, want.alarmed) {
 		return fmt.Errorf("drives or alarms differ")
+	}
+	for i, sn := range got.drives {
+		// A quarantined drive's state restarts on restore.
+		if !quarantinedIn(got.ledger, sn) && got.last[i] != want.last[i] {
+			return fmt.Errorf("drive %s: last day %d, want %d", sn, got.last[i], want.last[i])
+		}
 	}
 	return nil
 }

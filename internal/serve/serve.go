@@ -915,6 +915,20 @@ func (s *Scorer) Explain(sn string) []Factor {
 	return factors
 }
 
+// LastDay returns the day of the last record a drive consumed, so a
+// scorer restored from saved state can skip telemetry it has already
+// seen. It reports false for an unknown drive, and -1 for one whose
+// state restarted (a revived, or a restored quarantined, drive).
+func (s *Scorer) LastDay(sn string) (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	dr, ok := s.shards[s.shardOf(sn)].drives[sn]
+	if !ok {
+		return 0, false
+	}
+	return dr.roll.LastDay(), true
+}
+
 // Window returns a drive's trailing-window diagnostics.
 func (s *Scorer) Window(sn string) (features.WindowStats, bool) {
 	s.mu.Lock()
