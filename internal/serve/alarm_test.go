@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -201,5 +202,110 @@ func TestUpdateModelFollowsThreshold(t *testing.T) {
 	wrong.Config.Group = features.GroupS
 	if err := s.UpdateModel(&wrong); err == nil {
 		t.Fatal("group change accepted")
+	}
+}
+
+// TestScorerCumulationMatchesPipeline: a drive streamed a record at a
+// time scores exactly the offline pipeline's rows for that drive,
+// bit-identical, with no row missing or extra.
+func TestScorerCumulationMatchesPipeline(t *testing.T) {
+	fleet, model, regs := setup(t)
+	offline := offlineScores(t, fleet, model, regs)
+	s, err := New(model, Options{Registries: regs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, sn := range vendorDrives(fleet, "faulty") {
+		want := 0
+		for k := range offline {
+			if k.sn == sn {
+				want++
+			}
+		}
+		if want == 0 {
+			continue // the pipeline excluded the drive
+		}
+		scored := 0
+		streamDrive(t, s, fleet, sn, func(as []Assessment) {
+			for _, a := range as {
+				p, ok := offline[key{sn, a.Day}]
+				if !ok || a.Dropped || a.Quarantined {
+					t.Fatalf("drive %s day %d: online %+v, offline row present %t", sn, a.Day, a, ok)
+				}
+				if math.Float64bits(a.Probability) != math.Float64bits(p) {
+					t.Fatalf("drive %s day %d: online score %g, pipeline score %g", sn, a.Day, a.Probability, p)
+				}
+				scored++
+			}
+		})
+		if scored != want {
+			t.Fatalf("drive %s: %d rows scored online, pipeline has %d", sn, scored, want)
+		}
+		if checked++; checked == 2 {
+			break
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no faulty drive survives the offline pipeline")
+	}
+}
+
+// TestScorerQuarantinesOutOfOrder: a record older than the drive's last
+// day quarantines the drive with a rolling-error reason instead of
+// failing the batch.
+func TestScorerQuarantinesOutOfOrder(t *testing.T) {
+	fleet, model, regs := setup(t)
+	s, err := New(model, Options{Registries: regs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := vendorDrives(fleet, "faulty")[0]
+	series, _ := fleet.Data.Series(sn)
+	if _, st, err := s.ObserveDay(series.Records[1:2]); err != nil || st.Quarantined != 0 {
+		t.Fatalf("in-order record: stats %+v, err %v", st, err)
+	}
+	as, st, err := s.ObserveDay(series.Records[0:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Quarantined != 1 || len(as) != 1 || !as[0].Quarantined {
+		t.Fatalf("out-of-order record accepted: stats %+v, assessments %+v", st, as)
+	}
+	e, ok := s.Quarantined(sn)
+	if !ok || e.Reason != QuarantineRollingError || e.Day != series.Records[0].Day {
+		t.Fatalf("ledger entry %+v, %t: want reason %v on day %d", e, ok, QuarantineRollingError, series.Records[0].Day)
+	}
+}
+
+// TestScorerResetDrive: ResetDrive forgets a drive once, clears its
+// alarm, and the drive then scores as a fresh series.
+func TestScorerResetDrive(t *testing.T) {
+	fleet, model, regs := setup(t)
+	s, err := New(model, Options{Registries: regs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := vendorDrives(fleet, "faulty")[0]
+	var first []Assessment
+	alarmedAt := streamDrive(t, s, fleet, sn, func(as []Assessment) { first = append(first, as...) })
+	if d := s.Drives(); len(d) != 1 || d[0] != sn {
+		t.Fatalf("drives = %v", d)
+	}
+	if !s.ResetDrive(sn) {
+		t.Fatal("ResetDrive failed")
+	}
+	if s.ResetDrive(sn) {
+		t.Fatal("second ResetDrive succeeded")
+	}
+	if s.Alarmed(sn) || len(s.Drives()) != 0 {
+		t.Fatal("drive state survived reset")
+	}
+	var again []Assessment
+	if at := streamDrive(t, s, fleet, sn, func(as []Assessment) { again = append(again, as...) }); at != alarmedAt {
+		t.Fatalf("re-streamed drive alarmed on day %d, first pass on day %d", at, alarmedAt)
+	}
+	if err := sameAssessments(again, first); err != nil {
+		t.Fatalf("re-streamed drive after reset: %v", err)
 	}
 }

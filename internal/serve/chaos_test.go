@@ -322,6 +322,115 @@ func TestSwapFaultKeepsModelServing(t *testing.T) {
 	}
 }
 
+// TestObserveFaultRetryKeepsStats: forced observe faults on the first
+// batch leave no drive state behind, fire exactly as scheduled, and the
+// retried batches report the fault-free run's sweep stats.
+func TestObserveFaultRetryKeepsStats(t *testing.T) {
+	fleet, model, regs := setup(t)
+	batches := dayBatches(fleet, "I")[:3]
+	clean, err := New(model, Options{Registries: regs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := faultinject.NewScorerFaults(faultinject.ScorerConfig{Seed: 11, ObserveFirst: 2})
+	s, err := New(model, Options{Registries: regs, Faults: FaultHooks{Observe: faults.Observe}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := s.ObserveDay(batches[0]); err == nil || !faultinject.IsTransient(err) {
+			t.Fatalf("forced fault %d: err %v, want a transient fault", i, err)
+		}
+		if len(s.Drives()) != 0 {
+			t.Fatal("failed observe left drive state behind")
+		}
+	}
+	for i, batch := range batches {
+		wantAs, wantSt, err := clean.ObserveDay(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotAs, gotSt, err := s.ObserveDay(batch)
+		if err != nil {
+			t.Fatalf("batch %d after the forced faults: %v", i, err)
+		}
+		if gotSt != wantSt {
+			t.Fatalf("batch %d: stats %+v, fault-free %+v", i, gotSt, wantSt)
+		}
+		if err := sameAssessments(gotAs, wantAs); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	if observe, _, _ := faults.Fired(); observe != 2 {
+		t.Fatalf("injector fired %d observe faults, want 2", observe)
+	}
+}
+
+// TestRepeatedSwapFaultKeepsOldModel: while every push of a re-trained
+// model fails, the scorer keeps scoring with the old one, bit-identical;
+// after a single transient failure the retried push takes effect.
+func TestRepeatedSwapFaultKeepsOldModel(t *testing.T) {
+	fleet, model, regs := setup(t)
+	batches := dayBatches(fleet, "I")[:6]
+	next := trainAsOf(t, 60)
+	mk := func(swap func() error) *Scorer {
+		s, err := New(model, Options{Registries: regs, Faults: FaultHooks{Swap: swap}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	// Reference runs: the old model throughout, and the re-trained model
+	// pushed after two days without faults.
+	wantOld := runDays(t, mk(nil), batches)
+	ref := mk(nil)
+	wantNext := runDays(t, ref, batches[:2])
+	if err := ref.UpdateModel(next); err != nil {
+		t.Fatal(err)
+	}
+	wantNext = append(wantNext, runDays(t, ref, batches[2:])...)
+	if sameAssessments(wantNext, wantOld) == nil {
+		t.Fatal("re-trained model scores like the old one; the swap is untested")
+	}
+
+	persistent := faultinject.NewScorerFaults(faultinject.ScorerConfig{Seed: 13, SwapFirst: 1000})
+	s := mk(persistent.Swap)
+	got := runDays(t, s, batches[:2])
+	for i := 0; i < 3; i++ {
+		if err := s.UpdateModel(next); err == nil || !faultinject.IsTransient(err) {
+			t.Fatalf("push %d under a persistent fault: err %v", i, err)
+		}
+	}
+	got = append(got, runDays(t, s, batches[2:])...)
+	if err := sameAssessments(got, wantOld); err != nil {
+		t.Fatalf("after failed pushes: %v", err)
+	}
+	if s.Threshold() != model.Threshold {
+		t.Fatal("failed pushes changed the threshold")
+	}
+	if _, _, swaps := persistent.Fired(); swaps != 3 {
+		t.Fatalf("injector fired %d swap faults, want 3", swaps)
+	}
+
+	once := faultinject.NewScorerFaults(faultinject.ScorerConfig{Seed: 13, SwapFirst: 1})
+	s = mk(once.Swap)
+	got = runDays(t, s, batches[:2])
+	if err := s.UpdateModel(next); err == nil {
+		t.Fatal("forced swap fault did not surface")
+	}
+	if err := s.UpdateModel(next); err != nil {
+		t.Fatalf("retried push failed: %v", err)
+	}
+	got = append(got, runDays(t, s, batches[2:])...)
+	if err := sameAssessments(got, wantNext); err != nil {
+		t.Fatalf("after the retried push: %v", err)
+	}
+	if s.Threshold() != next.Threshold {
+		t.Fatal("threshold did not follow the retried push")
+	}
+}
+
 // TestReviveDrive: quarantine a drive via a duplicate day, revive it,
 // and watch it score again as a fresh series while ReviveDrive refuses
 // healthy or unknown drives.

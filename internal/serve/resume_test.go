@@ -54,20 +54,29 @@ func quarantinedIn(ledger []QuarantineEntry, sn string) bool {
 	return false
 }
 
-// sameRun reports the first difference between two runs, comparing
-// probabilities by Float64bits.
-func sameRun(got, want resumeRun) error {
-	if len(got.as) != len(want.as) {
-		return fmt.Errorf("%d assessments, want %d", len(got.as), len(want.as))
+// sameAssessments reports the first difference between two assessment
+// streams, comparing probabilities by Float64bits.
+func sameAssessments(got, want []Assessment) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d assessments, want %d", len(got), len(want))
 	}
-	for i := range got.as {
-		a, b := got.as[i], want.as[i]
+	for i := range got {
+		a, b := got[i], want[i]
 		pa, pb := a.Probability, b.Probability
 		a.Probability, b.Probability = 0, 0
 		if a != b || math.Float64bits(pa) != math.Float64bits(pb) {
 			a.Probability, b.Probability = pa, pb
 			return fmt.Errorf("assessment %d: %+v, want %+v", i, a, b)
 		}
+	}
+	return nil
+}
+
+// sameRun reports the first difference between two runs, comparing
+// probabilities by Float64bits.
+func sameRun(got, want resumeRun) error {
+	if err := sameAssessments(got.as, want.as); err != nil {
+		return err
 	}
 	if !reflect.DeepEqual(got.stats, want.stats) {
 		return fmt.Errorf("sweep stats %+v, want %+v", got.stats, want.stats)

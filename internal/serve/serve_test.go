@@ -253,6 +253,86 @@ func TestReplayFrameBootstrapMatchesFromScratch(t *testing.T) {
 	}
 }
 
+// trainAsOf trains the fixture's vendor-I model on the telemetry and
+// tickets up to day, as a model iteration in deployment does.
+func trainAsOf(t *testing.T, day int) *core.Model {
+	t.Helper()
+	fleet, _, regs := setup(t)
+	cfg := core.DefaultConfig("I")
+	cfg.Registries = regs
+	model, _, err := core.TrainOnFrame(cachedFrame.Until(day), fleet.Tickets.Until(day), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model
+}
+
+// TestBootstrapThenServeAcrossRetrain is the deployment loop: a model
+// trained as of day 80 bootstraps from the history up to then, serves
+// the following days, and a re-trained model pushed mid-stream keeps
+// every drive's accumulated state.
+func TestBootstrapThenServeAcrossRetrain(t *testing.T) {
+	fleet, _, regs := setup(t)
+	const trainDay = 80
+	s, err := New(trainAsOf(t, trainDay), Options{Registries: regs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := s.ReplayFrame(cachedFrame.Until(trainDay).FilterVendor("I"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Drives == 0 || stats.Records == 0 {
+		t.Fatalf("empty bootstrap: %+v", stats)
+	}
+	byDay := make(map[int][]dataset.Record)
+	for _, b := range dayBatches(fleet, "I") {
+		byDay[b[0].Day] = b
+	}
+
+	scored := 0
+	for day := trainDay + 1; day <= trainDay+5; day++ {
+		recs := byDay[day]
+		as, st, err := s.ObserveDay(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Records != len(recs) || st.Scored+st.Dropped+st.Quarantined+st.Skipped != len(as) {
+			t.Fatalf("day %d: stats %+v for %d records, %d assessments", day, st, len(recs), len(as))
+		}
+		for _, a := range as {
+			if !a.Dropped && !a.Quarantined && (a.Day > day || a.Probability < 0 || a.Probability > 1) {
+				t.Fatalf("day %d: implausible assessment %+v", day, a)
+			}
+		}
+		scored += st.Scored
+	}
+	if scored == 0 {
+		t.Fatal("served days scored nothing")
+	}
+
+	drives := s.Drives()
+	last := make([]int, len(drives))
+	for i, sn := range drives {
+		last[i], _ = s.LastDay(sn)
+	}
+	next := trainAsOf(t, trainDay+5)
+	if err := s.UpdateModel(next); err != nil {
+		t.Fatal(err)
+	}
+	if s.Threshold() != next.Threshold {
+		t.Fatal("threshold did not follow the re-trained model")
+	}
+	for i, sn := range s.Drives() {
+		if d, _ := s.LastDay(sn); i >= len(drives) || sn != drives[i] || d != last[i] {
+			t.Fatalf("re-training disturbed drive state: %s at day %d", sn, d)
+		}
+	}
+	if _, st, err := s.ObserveDay(byDay[trainDay+6]); err != nil || st.Records == 0 || st.Scored == 0 {
+		t.Fatalf("post-iteration day: stats %+v, err %v", st, err)
+	}
+}
+
 // TestReplayFrameRejectsCumulated pins the raw-frame contract.
 func TestReplayFrameRejectsCumulated(t *testing.T) {
 	_, model, regs := setup(t)

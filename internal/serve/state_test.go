@@ -11,6 +11,7 @@ import (
 	"repro/internal/atomicio"
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/faultinject"
 	"repro/internal/firmware"
 )
@@ -166,6 +167,102 @@ func TestLoadStateOnlyAtStartup(t *testing.T) {
 	runDays(t, s, dayBatches(fleet, "I")[:1])
 	if err := s.LoadState(strings.NewReader(`{"version":1,"group":"SFWB","drives":{}}`)); err == nil {
 		t.Fatal("mid-stream restore accepted")
+	}
+}
+
+// TestStateSurvivesRestart: one drive streamed a record at a time,
+// saved halfway and restored into a fresh scorer, scores its second
+// half exactly as the uninterrupted scorer does.
+func TestStateSurvivesRestart(t *testing.T) {
+	fleet, model, regs := setup(t)
+	sn := vendorDrives(fleet, "faulty")[0]
+	series, _ := fleet.Data.Series(sn)
+	half := len(series.Records) / 2
+	if half < 2 {
+		t.Fatalf("series of %d records too short", len(series.Records))
+	}
+	observe := func(s *Scorer, recs []dataset.Record) []Assessment {
+		var out []Assessment
+		for i := range recs {
+			as, _, err := s.ObserveDay(recs[i : i+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, as...)
+		}
+		return out
+	}
+
+	cont, err := New(model, Options{Registries: regs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	observe(cont, series.Records[:half])
+	want := observe(cont, series.Records[half:])
+
+	first, err := New(model, Options{Registries: regs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	observe(first, series.Records[:half])
+	var buf bytes.Buffer
+	if err := first.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	second, err := New(model, Options{Registries: regs, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := second.LoadState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := sameAssessments(observe(second, series.Records[half:]), want); err != nil {
+		t.Fatalf("restored scorer: %v", err)
+	}
+	if second.Alarmed(sn) != cont.Alarmed(sn) {
+		t.Fatal("alarm latch differs after restart")
+	}
+}
+
+// TestStateRoundTripWithGapPolicy: a day-major feed under the explicit
+// default gap policy, cut at its midpoint, resumes exactly, and the
+// resumed half mean-fills gaps from the restored cumulates.
+func TestStateRoundTripWithGapPolicy(t *testing.T) {
+	fleet, model, regs := setup(t)
+	batches := dayBatches(fleet, "I")
+	cut := len(batches) / 2
+	mk := func() *Scorer {
+		s, err := New(model, Options{GapPolicy: dataset.DefaultGapPolicy(), Registries: regs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	straight := mk()
+	runDays(t, straight, batches[:cut])
+	want := runDays(t, straight, batches[cut:])
+
+	saved := mk()
+	runDays(t, saved, batches[:cut])
+	var buf bytes.Buffer
+	if err := saved.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := mk()
+	if err := restored.LoadState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := runDays(t, restored, batches[cut:])
+	if err := sameAssessments(got, want); err != nil {
+		t.Fatalf("restored run: %v", err)
+	}
+	interpolated := false
+	for _, a := range got {
+		interpolated = interpolated || a.Interpolated
+	}
+	if !interpolated {
+		t.Fatal("fixture tail produced no mean-filled rows; restart-under-fill untested")
 	}
 }
 
