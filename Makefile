@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race chaos fuzz verify bench report report-untimed loc
+.PHONY: build test vet lint race chaos fuzz reach verify bench report report-untimed loc
 
 build:
 	$(GO) build ./...
@@ -59,8 +59,16 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadState$$' -fuzztime 10s ./internal/serve
 
-# verify is the full local gate: build, lint, unit tests, chaos suite.
-verify: build lint test chaos
+# reach builds every main package (the module's and bench/'s) with the
+# linker's dependency dump and lists each non-test function no binary
+# reaches. It fails unless every one is on tools/reach/allowlist.txt,
+# with its reason, and every allowlist entry is still unreached.
+reach:
+	$(GO) run ./tools/reach
+
+# verify is the full local gate: build, lint, unit tests, chaos suite,
+# reachability.
+verify: build lint test chaos reach
 
 # bench runs the package micro-benchmarks. The end-to-end benchmark
 # (workloads, gates, per-layer breakdown) lives in bench/; see

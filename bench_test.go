@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/simfleet"
 )
 
 // benchScale keeps individual benchmarks in the seconds range.
@@ -31,7 +32,10 @@ var (
 func benchContext(b *testing.B) *experiments.Context {
 	b.Helper()
 	benchCtxOnce.Do(func() {
-		benchCtx, benchCtxErr = experiments.NewContext(benchScale, 1)
+		cfg := simfleet.DefaultConfig()
+		cfg.FailureScale = benchScale
+		cfg.Seed = 1
+		benchCtx, benchCtxErr = experiments.NewContextWith(cfg)
 	})
 	if benchCtxErr != nil {
 		b.Fatal(benchCtxErr)

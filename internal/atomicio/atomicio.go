@@ -102,14 +102,6 @@ func WriteFile(path string, write func(w io.Writer) error) (err error) {
 	return nil
 }
 
-// WriteFileBytes atomically replaces path with data.
-func WriteFileBytes(path string, data []byte) error {
-	return WriteFile(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
 // syncDir fsyncs the directory so the rename itself is durable.
 // Best-effort: some filesystems reject directory fsync, and the rename
 // has already happened atomically, so failures are ignored.

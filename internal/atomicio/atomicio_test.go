@@ -39,7 +39,7 @@ func TestWriteFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")
 	want := []byte("first version\n")
-	if err := WriteFileBytes(path, want); err != nil {
+	if err := writeBytes(path, want); err != nil {
 		t.Fatal(err)
 	}
 	if got := readAll(t, path); !bytes.Equal(got, want) {
@@ -47,7 +47,7 @@ func TestWriteFileRoundTrip(t *testing.T) {
 	}
 	// Overwrite replaces the whole file, never appends.
 	want2 := []byte("v2")
-	if err := WriteFileBytes(path, want2); err != nil {
+	if err := writeBytes(path, want2); err != nil {
 		t.Fatal(err)
 	}
 	if got := readAll(t, path); !bytes.Equal(got, want2) {
@@ -64,7 +64,7 @@ func TestWriteFileCrashMidWrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snapshot.csv")
 	prev := []byte("the good version")
-	if err := WriteFileBytes(path, prev); err != nil {
+	if err := writeBytes(path, prev); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,7 +92,7 @@ func TestWriteFileShortWriteHook(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.json")
 	prev := []byte("previous model")
-	if err := WriteFileBytes(path, prev); err != nil {
+	if err := writeBytes(path, prev); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,7 +100,7 @@ func TestWriteFileShortWriteHook(t *testing.T) {
 		return &failAfter{w: w, n: 5}
 	}})
 	defer restore()
-	err := WriteFileBytes(path, bytes.Repeat([]byte("x"), 1<<16))
+	err := writeBytes(path, bytes.Repeat([]byte("x"), 1<<16))
 	if err == nil {
 		t.Fatal("short write not surfaced")
 	}
@@ -118,13 +118,13 @@ func TestWriteFileRenameFailure(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "agent.state")
 	prev := []byte("prev")
-	if err := WriteFileBytes(path, prev); err != nil {
+	if err := writeBytes(path, prev); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("rename blocked")
 	restore := SetHooks(&Hooks{BeforeRename: func(string) error { return boom }})
 	defer restore()
-	if err := WriteFileBytes(path, []byte("next")); !errors.Is(err, boom) {
+	if err := writeBytes(path, []byte("next")); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
 	}
 	restore()
@@ -137,7 +137,7 @@ func TestWriteFileRenameFailure(t *testing.T) {
 }
 
 func TestWriteFileNewFileNoDirectory(t *testing.T) {
-	if err := WriteFileBytes(filepath.Join(t.TempDir(), "missing", "f"), []byte("x")); err == nil {
+	if err := writeBytes(filepath.Join(t.TempDir(), "missing", "f"), []byte("x")); err == nil {
 		t.Fatal("write into missing directory succeeded")
 	}
 }
@@ -147,7 +147,7 @@ func TestWriteFileNewFileNoDirectory(t *testing.T) {
 func TestOpenTruncateHook(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data")
 	payload := bytes.Repeat([]byte("abcd"), 100)
-	if err := WriteFileBytes(path, payload); err != nil {
+	if err := writeBytes(path, payload); err != nil {
 		t.Fatal(err)
 	}
 	restore := SetHooks(&Hooks{WrapReader: func(r io.Reader) io.Reader {
@@ -187,15 +187,15 @@ func TestSetHooksRestores(t *testing.T) {
 	r1 := SetHooks(&Hooks{BeforeRename: func(string) error { return marker }})
 	r2 := SetHooks(nil)
 	path := filepath.Join(t.TempDir(), "f")
-	if err := WriteFileBytes(path, []byte("a")); err != nil {
+	if err := writeBytes(path, []byte("a")); err != nil {
 		t.Fatalf("inner nil hooks should pass: %v", err)
 	}
 	r2()
-	if err := WriteFileBytes(path, []byte("b")); !errors.Is(err, marker) {
+	if err := writeBytes(path, []byte("b")); !errors.Is(err, marker) {
 		t.Fatalf("outer hooks not restored: %v", err)
 	}
 	r1()
-	if err := WriteFileBytes(path, []byte("c")); err != nil {
+	if err := writeBytes(path, []byte("c")); err != nil {
 		t.Fatalf("clean state not restored: %v", err)
 	}
 }
@@ -220,4 +220,12 @@ func (f *failAfter) Write(p []byte) (int, error) {
 		err = fmt.Errorf("failAfter: budget exhausted")
 	}
 	return n, err
+}
+
+// writeBytes atomically replaces path with data.
+func writeBytes(path string, data []byte) error {
+	return WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }

@@ -92,27 +92,6 @@ func All() []Info {
 	return out
 }
 
-// StorageRelated returns the codes whose dominant root cause is the
-// storage stack.
-func StorageRelated() []Info {
-	var out []Info
-	for _, info := range catalogue {
-		if info.StorageRelated {
-			out = append(out, info)
-		}
-	}
-	return out
-}
-
-// Lookup returns the description of code and whether it is catalogued.
-func Lookup(code Code) (Info, bool) {
-	i, ok := indexByCode[code]
-	if !ok {
-		return Info{}, false
-	}
-	return catalogue[i], true
-}
-
 // Index returns the dense 0-based catalogue position of code, used to
 // index per-code count vectors. It panics on unknown codes: stop codes
 // are program constants.
@@ -132,15 +111,6 @@ func (c Code) Valid() bool {
 
 // Label returns the paper's compact label, e.g. "B_50" for 0x50.
 func (c Code) Label() string { return fmt.Sprintf("B_%X", int(c)) }
-
-// String returns the symbolic stop-code name when catalogued, or the
-// compact label otherwise.
-func (c Code) String() string {
-	if info, ok := Lookup(c); ok {
-		return info.Name
-	}
-	return c.Label()
-}
 
 // Counts is a dense per-day count vector over the catalogue, indexed by
 // Code.Index().

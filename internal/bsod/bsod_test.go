@@ -18,19 +18,24 @@ func TestCatalogueMatchesTableIV(t *testing.T) {
 		{StatusCannotLoad, "STATUS_CANNOT_LOAD"},
 	}
 	for _, tc := range cases {
-		info, ok := Lookup(tc.code)
+		i, ok := indexByCode[tc.code]
 		if !ok {
-			t.Errorf("Lookup(%#x) failed", int(tc.code))
+			t.Errorf("code %#x not catalogued", int(tc.code))
 			continue
 		}
-		if info.Name != tc.name {
-			t.Errorf("Lookup(%#x).Name = %q, want %q", int(tc.code), info.Name, tc.name)
+		if name := catalogue[i].Name; name != tc.name {
+			t.Errorf("code %#x is named %q, want %q", int(tc.code), name, tc.name)
 		}
 	}
 }
 
 func TestStorageRelatedSubset(t *testing.T) {
-	storage := StorageRelated()
+	var storage []Info
+	for _, info := range All() {
+		if info.StorageRelated {
+			storage = append(storage, info)
+		}
+	}
 	if len(storage) == 0 {
 		t.Fatal("no storage-related codes")
 	}
@@ -39,8 +44,7 @@ func TestStorageRelatedSubset(t *testing.T) {
 	}
 	// The key pre-failure signals must be storage-related.
 	for _, code := range []Code{PageFaultInNonpagedArea, KernelDataInpageError, NTFSFileSystem} {
-		info, _ := Lookup(code)
-		if !info.StorageRelated {
+		if !catalogue[code.Index()].StorageRelated {
 			t.Errorf("%v should be storage-related", code)
 		}
 	}
@@ -52,12 +56,6 @@ func TestLabels(t *testing.T) {
 	}
 	if got := KernelDataInpageError.Label(); got != "B_7A" {
 		t.Fatalf("Label = %q, want B_7A", got)
-	}
-	if got := Code(0x42).String(); got != "B_42" {
-		t.Fatalf("unknown code String = %q, want B_42", got)
-	}
-	if got := NTFSFileSystem.String(); got != "NTFS_FILE_SYSTEM" {
-		t.Fatalf("known code String = %q", got)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/ml"
+	"repro/internal/sampling"
 	"repro/internal/simfleet"
 )
 
@@ -203,7 +204,8 @@ func TestEvaluateRangeFilters(t *testing.T) {
 		{X: []float64{0.1}, Y: 0, SN: "b", Day: 30},
 	}
 	m := &Model{Classifier: clf, Threshold: 0.5}
-	ev := m.EvaluateRange(viewOf(t, samples), 15, 25)
+	v := viewOf(t, samples)
+	ev := EvaluateSamplesAt(m.Classifier, dayWindow(v, sampling.SortedByDay(v), 15, 25), m.Threshold)
 	if ev.Confusion.Total() != 1 || ev.Confusion.TP != 1 {
 		t.Fatalf("range confusion = %+v", ev.Confusion)
 	}
@@ -229,6 +231,19 @@ func TestWalkForwardWindows(t *testing.T) {
 	if months[0].Negative != 30 {
 		t.Fatalf("month 1 negatives = %d", months[0].Negative)
 	}
+}
+
+// Youden returns the TPR−FPR Youden index of an evaluation, a single
+// scalar for ablation comparisons; NaN-safe (missing classes yield 0).
+func (e *Evaluation) Youden() float64 {
+	t, f := e.TPR(), e.FPR()
+	if math.IsNaN(t) {
+		t = 0
+	}
+	if math.IsNaN(f) {
+		f = 0
+	}
+	return t - f
 }
 
 func TestYoudenNaNSafe(t *testing.T) {
@@ -280,7 +295,8 @@ func (scoreFirst) PredictProba(x []float64) float64 { return x[0] }
 func TestEvaluateRangeEmptyWindow(t *testing.T) {
 	m := &Model{Classifier: scoreFirst{}, Threshold: 0.5}
 	samples := []ml.Sample{{X: []float64{0.9}, Y: 1, SN: "a", Day: 20}}
-	ev := m.EvaluateRange(viewOf(t, samples), 0, 10)
+	v := viewOf(t, samples)
+	ev := EvaluateSamplesAt(m.Classifier, dayWindow(v, sampling.SortedByDay(v), 0, 10), m.Threshold)
 	if ev.Confusion.Total() != 0 {
 		t.Fatalf("empty window produced %d cases", ev.Confusion.Total())
 	}
@@ -328,11 +344,6 @@ func TestDayWindowsMatchFilterOnUnsortedInput(t *testing.T) {
 	shuffled := ordered.WithRows(shuffledRows(r, len(samples)))
 	m := &Model{Classifier: scoreFirst{}, Threshold: 0.5, TrainEndDay: 20}
 
-	evA := m.EvaluateRange(ordered, 30, 60)
-	evB := m.EvaluateRange(shuffled, 30, 60)
-	if evA != evB {
-		t.Fatalf("EvaluateRange depends on input order:\n%+v\n%+v", evA, evB)
-	}
 	moA := m.WalkForward(ordered, 30, 3)
 	moB := m.WalkForward(shuffled, 30, 3)
 	if len(moA) != len(moB) {
@@ -354,7 +365,6 @@ func TestWalkForwardDoesNotMutateInput(t *testing.T) {
 	v := viewOf(t, samples).WithRows([]int32{2, 0, 1})
 	m := &Model{Classifier: scoreFirst{}, Threshold: 0.5, TrainEndDay: 0}
 	m.WalkForward(v, 30, 2)
-	m.EvaluateRange(v, 0, 100)
 	for i, want := range []int32{2, 0, 1} {
 		if got := v.RowIndex(i); got != want {
 			t.Fatalf("view reordered at %d: row %d, want %d", i, got, want)

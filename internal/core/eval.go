@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/ml"
@@ -96,17 +95,6 @@ func evaluateScores(scores []float64, threshold float64, row func(i int) (y int,
 // Predict scores one feature vector with the trained model.
 func (m *Model) Predict(x []float64) float64 { return m.Classifier.PredictProba(x) }
 
-// Evaluate scores an arbitrary sample view with the trained model.
-func (m *Model) Evaluate(v ml.View) Evaluation {
-	return EvaluateSamplesAt(m.Classifier, v, m.Threshold)
-}
-
-// EvaluateRange evaluates only the rows with fromDay ≤ Day ≤ toDay —
-// the walk-forward primitive behind the Figs. 12/16 time-period study.
-func (m *Model) EvaluateRange(v ml.View, fromDay, toDay int) Evaluation {
-	return EvaluateSamplesAt(m.Classifier, dayWindow(v, sampling.SortedByDay(v), fromDay, toDay), m.Threshold)
-}
-
 // MonthlyEvaluation is one month of a walk-forward study.
 type MonthlyEvaluation struct {
 	Month    int // 1-based month index after the training window
@@ -153,17 +141,4 @@ func dayWindow(v ml.View, sorted []int32, fromDay, toDay int) ml.View {
 	hi := sort.Search(len(sorted), func(i int) bool { return set.Day(int(sorted[i])) > toDay })
 	hi = max(lo, hi)
 	return v.WithRows(sorted[lo:hi:hi])
-}
-
-// Youden returns the TPR−FPR Youden index of an evaluation, a single
-// scalar for ablation comparisons; NaN-safe (missing classes yield 0).
-func (e *Evaluation) Youden() float64 {
-	t, f := e.TPR(), e.FPR()
-	if math.IsNaN(t) {
-		t = 0
-	}
-	if math.IsNaN(f) {
-		f = 0
-	}
-	return t - f
 }

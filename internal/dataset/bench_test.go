@@ -107,7 +107,7 @@ func BenchmarkTelemetryRead(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ReadMFPACWorkers(bytes.NewReader(pacBuf.Bytes()), bc.workers); err != nil {
+				if _, err := readMFPAC(bytes.NewReader(pacBuf.Bytes()), pacBuf.Len(), bc.workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -174,10 +174,7 @@ func TestCleanFillsShortGaps(t *testing.T) {
 		t.Fatalf("RecordsFilled = %d, want 2", stats.RecordsFilled)
 	}
 	for _, day := range []int{1, 2} {
-		r, ok := s.At(day)
-		if !ok {
-			t.Fatalf("day %d not filled", day)
-		}
+		r := &s.Records[day]
 		if !r.Interpolated {
 			t.Errorf("day %d not marked interpolated", day)
 		}

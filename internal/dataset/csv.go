@@ -32,58 +32,11 @@ func Header() []string {
 	return h
 }
 
-// WriteCSV writes the dataset to w, one row per record, drives in
-// insertion order.
-func WriteCSV(w io.Writer, d *Dataset) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(Header()); err != nil {
-		return fmt.Errorf("dataset: write header: %w", err)
-	}
-	var err error
-	d.Each(func(s *DriveSeries) {
-		if err != nil {
-			return
-		}
-		for i := range s.Records {
-			if e := cw.Write(recordRow(&s.Records[i])); e != nil {
-				err = fmt.Errorf("dataset: write record: %w", e)
-				return
-			}
-		}
-	})
-	if err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func recordRow(r *Record) []string {
-	row := make([]string, 0, 6+smartattr.Count+winevent.Count()+bsod.Count())
-	row = append(row,
-		r.SerialNumber,
-		r.Vendor,
-		r.Model,
-		strconv.Itoa(r.Day),
-		strconv.FormatBool(r.Interpolated),
-		string(r.Firmware),
-	)
-	for _, v := range r.Smart {
-		row = append(row, formatFloat(v))
-	}
-	for _, v := range r.WCounts {
-		row = append(row, formatFloat(v))
-	}
-	for _, v := range r.BCounts {
-		row = append(row, formatFloat(v))
-	}
-	return row
-}
-
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// WriteCSVFrame writes the frame to w in the exact byte layout of
-// WriteCSV on the equivalent dataset, without materialising records.
+// WriteCSVFrame writes the frame to w, one row per record, drives in
+// frame order. The tests keep a record-form writer, WriteCSV, that pins
+// this byte layout.
 func WriteCSVFrame(w io.Writer, f *Frame) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(Header()); err != nil {
@@ -119,49 +72,11 @@ func WriteCSVFrame(w io.Writer, f *Frame) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a dataset previously written by WriteCSV.
-func ReadCSV(r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(Header())
-	// One reused row slice for the whole file; every row is parsed into
-	// a Record before the next Read, so nothing aliases it.
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: read header: %w", err)
-	}
-	want := Header()
-	for i := range want {
-		if header[i] != want[i] {
-			return nil, fmt.Errorf("dataset: header column %d is %q, want %q", i, header[i], want[i])
-		}
-	}
-	d := New()
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: read line %d: %w", line, err)
-		}
-		rec, err := parseRow(row)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		if err := d.Append(rec); err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-	}
-	return d, nil
-}
-
-// ReadCSVFrame parses telemetry written by WriteCSV/WriteCSVFrame
-// straight into a columnar frame, one streamed row at a time — no
-// []Record ever materialises. Files produced by the MFPA tools are
-// grouped by drive in day order (the builder's fast path); anything
-// else falls back to Dataset ingestion plus conversion, so the result
-// is always the frame equivalent of ReadCSV.
+// ReadCSVFrame parses telemetry written by WriteCSVFrame straight into
+// a columnar frame, one streamed row at a time — no []Record ever
+// materialises. Files produced by the MFPA tools are grouped by drive
+// in day order (the builder's fast path); anything else falls back to
+// Dataset ingestion plus conversion.
 func ReadCSVFrame(r io.Reader) (*Frame, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(Header())
@@ -212,17 +127,6 @@ func ReadCSVFrame(r io.Reader) (*Frame, error) {
 		return FrameFromDataset(fallback)
 	}
 	return b.Finish(), nil
-}
-
-func parseRow(row []string) (Record, error) {
-	rec := Record{
-		WCounts: winevent.NewCounts(),
-		BCounts: bsod.NewCounts(),
-	}
-	if err := parseRowInto(&rec, row); err != nil {
-		return Record{}, err
-	}
-	return rec, nil
 }
 
 // parseRowInto fills rec from a CSV row, reusing its count slices.

@@ -2,12 +2,17 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bsod"
+	"repro/internal/smartattr"
 	"repro/internal/winevent"
 )
 
@@ -21,10 +26,11 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	f, err := ReadCSVFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := f.ToDataset()
 	if got.Drives() != d.Drives() || got.Len() != d.Len() {
 		t.Fatalf("round trip size mismatch: %d/%d vs %d/%d", got.Drives(), got.Len(), d.Drives(), d.Len())
 	}
@@ -68,10 +74,11 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		if err := WriteCSV(&buf, d); err != nil {
 			return false
 		}
-		got, err := ReadCSV(&buf)
+		f, err := ReadCSVFrame(&buf)
 		if err != nil {
 			return false
 		}
+		got := f.ToDataset()
 		if got.Len() != d.Len() || got.Drives() != d.Drives() {
 			return false
 		}
@@ -111,7 +118,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 
 func TestReadCSVRejectsBadHeader(t *testing.T) {
 	in := "nope,header\n"
-	if _, err := ReadCSV(strings.NewReader(in)); err == nil {
+	if _, err := ReadCSVFrame(strings.NewReader(in)); err == nil {
 		t.Fatal("bad header accepted")
 	}
 }
@@ -127,7 +134,7 @@ func TestReadCSVRejectsBadValues(t *testing.T) {
 	cells := strings.Split(lines[1], ",")
 	cells[3] = "notaday"
 	corrupted := lines[0] + "\n" + strings.Join(cells, ",") + "\n"
-	if _, err := ReadCSV(strings.NewReader(corrupted)); err == nil {
+	if _, err := ReadCSVFrame(strings.NewReader(corrupted)); err == nil {
 		t.Fatal("bad day value accepted")
 	}
 }
@@ -141,4 +148,53 @@ func TestHeaderShape(t *testing.T) {
 	if h[0] != "sn" || h[6] != "S_1" {
 		t.Fatalf("unexpected header layout: %v", h[:7])
 	}
+}
+
+// WriteCSV writes the dataset to w, one row per record, drives in
+// insertion order: the record-form reference for WriteCSVFrame's byte
+// layout.
+func WriteCSV(w io.Writer, d *Dataset) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(Header()); err != nil {
+		return fmt.Errorf("dataset: write header: %w", err)
+	}
+	var err error
+	d.Each(func(s *DriveSeries) {
+		if err != nil {
+			return
+		}
+		for i := range s.Records {
+			if e := cw.Write(recordRow(&s.Records[i])); e != nil {
+				err = fmt.Errorf("dataset: write record: %w", e)
+				return
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+func recordRow(r *Record) []string {
+	row := make([]string, 0, 6+smartattr.Count+winevent.Count()+bsod.Count())
+	row = append(row,
+		r.SerialNumber,
+		r.Vendor,
+		r.Model,
+		strconv.Itoa(r.Day),
+		strconv.FormatBool(r.Interpolated),
+		string(r.Firmware),
+	)
+	for _, v := range r.Smart {
+		row = append(row, formatFloat(v))
+	}
+	for _, v := range r.WCounts {
+		row = append(row, formatFloat(v))
+	}
+	for _, v := range r.BCounts {
+		row = append(row, formatFloat(v))
+	}
+	return row
 }

@@ -13,31 +13,6 @@ type DriveSeries struct {
 	Records      []Record // sorted by Day, one per day at most
 }
 
-// Days returns the observation day indexes of the series in order.
-func (s *DriveSeries) Days() []int {
-	days := make([]int, len(s.Records))
-	for i := range s.Records {
-		days[i] = s.Records[i].Day
-	}
-	return days
-}
-
-// FirstDay returns the earliest observation day, or -1 when empty.
-func (s *DriveSeries) FirstDay() int {
-	if len(s.Records) == 0 {
-		return -1
-	}
-	return s.Records[0].Day
-}
-
-// LastDay returns the latest observation day, or -1 when empty.
-func (s *DriveSeries) LastDay() int {
-	if len(s.Records) == 0 {
-		return -1
-	}
-	return s.Records[len(s.Records)-1].Day
-}
-
 // MaxGap returns the largest interval (in days) between consecutive
 // observations, or 0 for series with fewer than two records. A gap of 1
 // means consecutive days.
@@ -49,33 +24,6 @@ func (s *DriveSeries) MaxGap() int {
 		}
 	}
 	return max
-}
-
-// At returns the record observed on day, if any.
-func (s *DriveSeries) At(day int) (*Record, bool) {
-	i := sort.Search(len(s.Records), func(i int) bool { return s.Records[i].Day >= day })
-	if i < len(s.Records) && s.Records[i].Day == day {
-		return &s.Records[i], true
-	}
-	return nil, false
-}
-
-// Window returns the records with from ≤ Day ≤ to. The returned slice
-// aliases the series' backing array.
-func (s *DriveSeries) Window(from, to int) []Record {
-	lo := sort.Search(len(s.Records), func(i int) bool { return s.Records[i].Day >= from })
-	hi := sort.Search(len(s.Records), func(i int) bool { return s.Records[i].Day > to })
-	return s.Records[lo:hi]
-}
-
-// Clone returns a deep copy of the series.
-func (s *DriveSeries) Clone() *DriveSeries {
-	c := &DriveSeries{SerialNumber: s.SerialNumber, Vendor: s.Vendor, Model: s.Model}
-	c.Records = make([]Record, len(s.Records))
-	for i := range s.Records {
-		c.Records[i] = s.Records[i].Clone()
-	}
-	return c
 }
 
 // Dataset is a collection of drive series keyed by serial number: the
@@ -128,9 +76,6 @@ func (d *Dataset) Append(r Record) error {
 // Drives returns the number of drives in the dataset.
 func (d *Dataset) Drives() int { return len(d.bySN) }
 
-// Cumulated reports whether the W/B counts hold running totals.
-func (d *Dataset) Cumulated() bool { return d.cumulated }
-
 // Len returns the total number of records across all drives.
 func (d *Dataset) Len() int {
 	n := 0
@@ -160,45 +105,4 @@ func (d *Dataset) Each(fn func(*DriveSeries)) {
 	for _, sn := range d.order {
 		fn(d.bySN[sn])
 	}
-}
-
-// Remove deletes drive sn from the dataset and reports whether it was
-// present.
-func (d *Dataset) Remove(sn string) bool {
-	if _, ok := d.bySN[sn]; !ok {
-		return false
-	}
-	delete(d.bySN, sn)
-	for i, v := range d.order {
-		if v == sn {
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// Vendors returns the distinct vendor names present, sorted.
-func (d *Dataset) Vendors() []string {
-	set := make(map[string]bool)
-	for _, s := range d.bySN {
-		set[s.Vendor] = true
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Clone returns a deep copy of the dataset.
-func (d *Dataset) Clone() *Dataset {
-	out := New()
-	out.cumulated = d.cumulated
-	for _, sn := range d.order {
-		out.bySN[sn] = d.bySN[sn].Clone()
-		out.order = append(out.order, sn)
-	}
-	return out
 }

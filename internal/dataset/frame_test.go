@@ -82,8 +82,8 @@ func randomValue(rng *rand.Rand) float64 {
 // arithmetic reordering fail loudly).
 func requireDatasetsEqualBits(t *testing.T, want, got *Dataset) {
 	t.Helper()
-	if want.Cumulated() != got.Cumulated() {
-		t.Fatalf("cumulated marker: want %v, got %v", want.Cumulated(), got.Cumulated())
+	if want.cumulated != got.cumulated {
+		t.Fatalf("cumulated marker: want %v, got %v", want.cumulated, got.cumulated)
 	}
 	wantSNs, gotSNs := want.SerialNumbers(), got.SerialNumbers()
 	if len(wantSNs) != len(gotSNs) {
@@ -159,12 +159,18 @@ func TestFrameRoundTripCumulated(t *testing.T) {
 	requireDatasetsEqualBits(t, d, f.ToDataset())
 }
 
+// appendRecord streams one record into b.
+func appendRecord(b *FrameBuilder, r Record) error {
+	return b.AppendRow(r.SerialNumber, r.Vendor, r.Model, r.Day, r.Firmware,
+		&r.Smart, r.WCounts, r.BCounts, r.Interpolated)
+}
+
 func TestFrameBuilderStream(t *testing.T) {
 	d := randomDataset(3, 20)
 	b := NewFrameBuilder()
 	d.Each(func(s *DriveSeries) {
 		for i := range s.Records {
-			if err := b.Append(s.Records[i]); err != nil {
+			if err := appendRecord(b, s.Records[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -178,10 +184,10 @@ func TestFrameBuilderSameDayReplaces(t *testing.T) {
 	r1.WCounts[0] = 1
 	r2 := rec("A", 3)
 	r2.WCounts[0] = 9
-	if err := b.Append(r1); err != nil {
+	if err := appendRecord(b, r1); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Append(r2); err != nil {
+	if err := appendRecord(b, r2); err != nil {
 		t.Fatal(err)
 	}
 	f := b.Finish()
@@ -195,10 +201,10 @@ func TestFrameBuilderSameDayReplaces(t *testing.T) {
 
 func TestFrameBuilderRejectsOutOfOrder(t *testing.T) {
 	b := NewFrameBuilder()
-	if err := b.Append(rec("A", 5)); err != nil {
+	if err := appendRecord(b, rec("A", 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Append(rec("A", 4)); !errors.Is(err, ErrRowOrder) {
+	if err := appendRecord(b, rec("A", 4)); !errors.Is(err, ErrRowOrder) {
 		t.Fatalf("day regression: got %v, want ErrRowOrder", err)
 	}
 }
@@ -209,23 +215,23 @@ func TestFrameBuilderRejectsReappearingDrive(t *testing.T) {
 		sn  string
 		day int
 	}{{"A", 0}, {"B", 0}} {
-		if err := b.Append(rec(step.sn, step.day)); err != nil {
+		if err := appendRecord(b, rec(step.sn, step.day)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.Append(rec("A", 1)); !errors.Is(err, ErrRowOrder) {
+	if err := appendRecord(b, rec("A", 1)); !errors.Is(err, ErrRowOrder) {
 		t.Fatalf("drive reappearance: got %v, want ErrRowOrder", err)
 	}
 }
 
 func TestFrameBuilderRejectsIdentityChange(t *testing.T) {
 	b := NewFrameBuilder()
-	if err := b.Append(rec("A", 0)); err != nil {
+	if err := appendRecord(b, rec("A", 0)); err != nil {
 		t.Fatal(err)
 	}
 	r := rec("A", 1)
 	r.Model = "other"
-	if err := b.Append(r); err == nil {
+	if err := appendRecord(b, r); err == nil {
 		t.Fatal("identity change accepted")
 	}
 }
@@ -325,8 +331,7 @@ func TestReadCSVFrameFallbackOnInterleavedRows(t *testing.T) {
 	for day := 0; day < 4; day++ {
 		for _, sn := range []string{"A", "B"} {
 			s, _ := d.Series(sn)
-			r, _ := s.At(day)
-			if err := cw.Write(recordRow(r)); err != nil {
+			if err := cw.Write(recordRow(&s.Records[day])); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -376,10 +381,10 @@ func TestCumulatedMarkerPropagates(t *testing.T) {
 		t.Fatal("the clean stage dropped the cumulated marker")
 	}
 	back := cum.ToDataset()
-	if !back.Cumulated() {
+	if !back.cumulated {
 		t.Fatal("ToDataset dropped the cumulated marker")
 	}
-	if !back.Clone().Cumulated() {
+	if !back.Clone().cumulated {
 		t.Fatal("Clone dropped the cumulated marker")
 	}
 	if !frameOf(t, back).Cumulated() {
@@ -553,8 +558,8 @@ func FuzzPreparePipeline(f *testing.F) {
 	})
 }
 
-// FuzzReadCSVFrame mirrors FuzzReadCSV for the streaming frame reader:
-// it must never panic, and whatever parses must match ReadCSV.
+// FuzzReadCSVFrame asserts that whatever the streaming frame reader
+// parses, written back with WriteCSVFrame, reads back identically.
 func FuzzReadCSVFrame(f *testing.F) {
 	d := New()
 	_ = d.Append(rec("A", 1))
@@ -564,14 +569,18 @@ func FuzzReadCSVFrame(f *testing.F) {
 	f.Add("")
 	f.Add(strings.Repeat("x,", 53) + "x\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		fr, frameErr := ReadCSVFrame(strings.NewReader(input))
-		ds, dsErr := ReadCSV(strings.NewReader(input))
-		if (frameErr == nil) != (dsErr == nil) {
-			t.Fatalf("reader disagreement: frame err %v, dataset err %v", frameErr, dsErr)
-		}
-		if frameErr != nil {
+		fr, err := ReadCSVFrame(strings.NewReader(input))
+		if err != nil {
 			return
 		}
-		requireDatasetsEqualBits(t, ds, fr.ToDataset())
+		var buf bytes.Buffer
+		if err := WriteCSVFrame(&buf, fr); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSVFrame(&buf)
+		if err != nil {
+			t.Fatalf("rewritten frame does not parse: %v", err)
+		}
+		requireDatasetsEqualBits(t, fr.ToDataset(), back.ToDataset())
 	})
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzReadCSV asserts the dataset reader never panics and either errors
-// or returns a structurally valid dataset.
+// FuzzReadCSV asserts the CSV reader never panics and either errors or
+// returns structurally valid telemetry.
 func FuzzReadCSV(f *testing.F) {
 	d := New()
 	r := rec("A", 1)
@@ -18,10 +18,11 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("sn,vendor\n")
 	f.Add(strings.Repeat("x,", 53) + "x\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		got, err := ReadCSV(strings.NewReader(input))
+		f, err := ReadCSVFrame(strings.NewReader(input))
 		if err != nil {
 			return
 		}
+		got := f.ToDataset()
 		// Whatever parsed must satisfy the dataset invariants.
 		got.Each(func(s *DriveSeries) {
 			for i := 1; i < len(s.Records); i++ {

@@ -306,20 +306,6 @@ func encodeMFPACFooter(f *Frame, blockSizes []uint32) []byte {
 	return out
 }
 
-// ReadMFPAC loads an MFPAC container into a columnar frame: the footer
-// pre-sizes the arena, blocks decode in parallel straight into the
-// column slabs (no intermediate []Record), and drives register with
-// the same day-monotonicity validation every frame build runs.
-func ReadMFPAC(r io.Reader) (*Frame, error) {
-	return ReadMFPACWorkers(r, 0)
-}
-
-// ReadMFPACWorkers is ReadMFPAC with an explicit decode worker count
-// (0 = GOMAXPROCS, 1 = serial). The frame is identical at any count.
-func ReadMFPACWorkers(r io.Reader, workers int) (*Frame, error) {
-	return readMFPAC(r, readerSize(r), workers)
-}
-
 // readMFPAC reads the whole container and decodes it. size is the
 // container's length when known, else 0; it only sizes the read buffer
 // (see readSized).

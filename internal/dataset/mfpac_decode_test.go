@@ -67,7 +67,7 @@ func edgeFrame(t testing.TB) *Frame {
 			k, day = row-rowsA, math.MaxInt32-int32(rowsA+rowsB-row)
 		}
 		f.SetDay(row, day)
-		f.SetInterpolated(row, k%5 == 1)
+		f.interp[row] = k%5 == 1
 		f.SetFirmware(row, firmware.Version(fmt.Sprintf("FW%d", (7*row)%200)))
 		c := 0
 		for _, slab := range [][]float64{f.SmartRow(row), f.WRow(row), f.BRow(row)} {
@@ -106,7 +106,7 @@ func TestMFPACRoundTripEdgeValues(t *testing.T) {
 	for _, blockRows := range []int{1, 7, 128, mfpacBlockRows} {
 		file := mfpacBytes(t, want, 1, blockRows)
 		for _, workers := range []int{1, 3} {
-			got, err := ReadMFPACWorkers(bytes.NewReader(file), workers)
+			got, err := readMFPAC(bytes.NewReader(file), len(file), workers)
 			if err != nil {
 				t.Fatalf("blockRows %d workers %d: %v", blockRows, workers, err)
 			}

@@ -29,7 +29,7 @@ func FuzzReadMFPAC(f *testing.F) {
 	f.Add(mut)
 
 	f.Fuzz(func(t *testing.T, input []byte) {
-		got, err := ReadMFPACWorkers(bytes.NewReader(input), 1)
+		got, err := readMFPAC(bytes.NewReader(input), len(input), 1)
 		if err != nil {
 			return
 		}
@@ -41,9 +41,9 @@ func FuzzReadMFPAC(f *testing.F) {
 			}
 			rows += d.Rows()
 		}
-		if rows != got.Len() || got.Len() != got.ArenaRows() {
+		if rows != got.Len() || got.Len() != len(got.day) {
 			t.Fatalf("decoded frame not dense: %d drive rows, Len %d, arena %d",
-				rows, got.Len(), got.ArenaRows())
+				rows, got.Len(), len(got.day))
 		}
 	})
 }

@@ -79,7 +79,7 @@ func TestMFPACRoundTrip(t *testing.T) {
 		for _, blockRows := range []int{1, 7, 64, mfpacBlockRows} {
 			file := mfpacBytes(t, want, 1, blockRows)
 			for _, workers := range []int{1, 0, 3} {
-				got, err := ReadMFPACWorkers(bytes.NewReader(file), workers)
+				got, err := readMFPAC(bytes.NewReader(file), len(file), workers)
 				if err != nil {
 					t.Fatalf("seed %d blockRows %d workers %d: %v", seed, blockRows, workers, err)
 				}
@@ -99,7 +99,7 @@ func TestMFPACRoundTripCumulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMFPAC(bytes.NewReader(mfpacBytes(t, want, 0, 16)))
+	got, err := readMFPAC(bytes.NewReader(mfpacBytes(t, want, 0, 16)), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestMFPACRoundTripGapPolicies(t *testing.T) {
 		if want.Drives() == 0 {
 			t.Fatalf("policy %+v dropped every drive; fixture too small", policy)
 		}
-		got, err := ReadMFPAC(bytes.NewReader(mfpacBytes(t, want, 0, 32)))
+		got, err := readMFPAC(bytes.NewReader(mfpacBytes(t, want, 0, 32)), 0, 0)
 		if err != nil {
 			t.Fatalf("policy %+v: %v", policy, err)
 		}
@@ -168,7 +168,7 @@ func TestMFPACMatchesCSVTwin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromMFPAC, err := ReadMFPAC(bytes.NewReader(mfpacBytes(t, src, 0, 0)))
+	fromMFPAC, err := readMFPAC(bytes.NewReader(mfpacBytes(t, src, 0, 0)), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,19 +186,19 @@ func TestMFPACFilterVendorView(t *testing.T) {
 	if view.Drives() == 0 || view.Drives() == full.Drives() {
 		t.Fatalf("fixture: vendor I has %d of %d drives", view.Drives(), full.Drives())
 	}
-	got, err := ReadMFPAC(bytes.NewReader(mfpacBytes(t, view, 0, 16)))
+	got, err := readMFPAC(bytes.NewReader(mfpacBytes(t, view, 0, 16)), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireFramesEqualBits(t, view, got)
-	if got.Len() != got.ArenaRows() {
-		t.Fatalf("decoded frame not dense: %d rows in %d-row arena", got.Len(), got.ArenaRows())
+	if got.Len() != len(got.day) {
+		t.Fatalf("decoded frame not dense: %d rows in %d-row arena", got.Len(), len(got.day))
 	}
 }
 
 // TestMFPACEmptyFrame round-trips a frame with no drives.
 func TestMFPACEmptyFrame(t *testing.T) {
-	got, err := ReadMFPAC(bytes.NewReader(mfpacBytes(t, NewFrameArena(0), 0, 0)))
+	got, err := readMFPAC(bytes.NewReader(mfpacBytes(t, NewFrameArena(0), 0, 0)), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestMFPACCorruption(t *testing.T) {
 
 	t.Run("truncated", func(t *testing.T) {
 		for n := 0; n < len(file); n += 1 + n/16 {
-			if _, err := ReadMFPAC(bytes.NewReader(file[:n])); err == nil {
+			if _, err := readMFPAC(bytes.NewReader(file[:n]), 0, 0); err == nil {
 				t.Fatalf("truncation to %d bytes decoded successfully", n)
 			}
 		}
@@ -231,7 +231,7 @@ func TestMFPACCorruption(t *testing.T) {
 		for i := range file {
 			copy(mut, file)
 			mut[i] ^= 1 << (i % 8)
-			if _, err := ReadMFPAC(bytes.NewReader(mut)); err == nil {
+			if _, err := readMFPAC(bytes.NewReader(mut), 0, 0); err == nil {
 				t.Fatalf("bit flip at byte %d of %d decoded successfully", i, len(file))
 			}
 		}
@@ -240,7 +240,7 @@ func TestMFPACCorruption(t *testing.T) {
 	t.Run("badmagic", func(t *testing.T) {
 		mut := append([]byte(nil), file...)
 		mut[0] = 'X'
-		if _, err := ReadMFPAC(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), "magic") {
+		if _, err := readMFPAC(bytes.NewReader(mut), 0, 0); err == nil || !strings.Contains(err.Error(), "magic") {
 			t.Fatalf("bad magic: got %v", err)
 		}
 	})
@@ -250,7 +250,7 @@ func TestMFPACCorruption(t *testing.T) {
 		mut[8] = 99 // version field; refresh the header CRC so only the
 		// version check can fire
 		patchMFPACHeaderCRC(mut)
-		if _, err := ReadMFPAC(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), "version") {
+		if _, err := readMFPAC(bytes.NewReader(mut), 0, 0); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("bad version: got %v", err)
 		}
 	})
@@ -259,7 +259,7 @@ func TestMFPACCorruption(t *testing.T) {
 		mut := append([]byte(nil), file...)
 		mut[12]++ // SMART width
 		patchMFPACHeaderCRC(mut)
-		if _, err := ReadMFPAC(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), "SMART columns") {
+		if _, err := readMFPAC(bytes.NewReader(mut), 0, 0); err == nil || !strings.Contains(err.Error(), "SMART columns") {
 			t.Fatalf("width mismatch: got %v", err)
 		}
 	})

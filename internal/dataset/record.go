@@ -50,9 +50,6 @@ type Record struct {
 	Interpolated bool
 }
 
-// CapacityGB returns the drive capacity recorded in the SMART vector.
-func (r *Record) CapacityGB() float64 { return r.Smart.Get(smartattr.Capacity) }
-
 // Clone returns a deep copy of the record (count vectors included).
 func (r *Record) Clone() Record {
 	c := *r

@@ -111,7 +111,7 @@ func TestFrameBuilderRejectsCorruptValues(t *testing.T) {
 				t.Fatalf("AppendRow = %v, want errors.Is %v", err, tc.wantErr)
 			}
 			// The rejected row must not have entered the frame.
-			if got := b.Len(); got != 1 {
+			if got := len(b.f.day); got != 1 {
 				t.Fatalf("builder holds %d rows after rejection, want 1", got)
 			}
 		})

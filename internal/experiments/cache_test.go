@@ -149,7 +149,10 @@ func BenchmarkPaperReproPass(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c, err := NewContext(0.02, 3)
+		cfg := simfleet.DefaultConfig()
+		cfg.FailureScale = 0.02
+		cfg.Seed = 3
+		c, err := NewContextWith(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -84,16 +84,6 @@ type work struct {
 	trained []core.Config
 }
 
-// NewContext simulates the default experiment fleet. failureScale
-// trades statistical resolution for runtime (the report uses 0.2, unit
-// tests far less); seed fixes the fleet.
-func NewContext(failureScale float64, seed int64) (*Context, error) {
-	cfg := simfleet.DefaultConfig()
-	cfg.FailureScale = failureScale
-	cfg.Seed = seed
-	return NewContextWith(cfg)
-}
-
 // NewContextWith simulates a fleet from an explicit configuration.
 func NewContextWith(cfg simfleet.Config) (*Context, error) {
 	fleet, err := simfleet.Simulate(cfg)
@@ -204,15 +194,6 @@ func (c *Context) SplitSet(vendor string, group features.Group) (train, test ml.
 	}
 	train, test = sampling.SplitFractionView(set.All(), p.Config.TrainFrac)
 	return train, test, p, nil
-}
-
-// VendorNames returns the simulated vendor names in spec order.
-func (c *Context) VendorNames() []string {
-	names := make([]string, 0, len(c.Fleet.Stats))
-	for _, s := range c.Fleet.Stats {
-		names = append(names, s.Name)
-	}
-	return names
 }
 
 // primaryVendor is the vendor used by the single-vendor studies; the

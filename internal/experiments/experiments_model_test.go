@@ -400,3 +400,21 @@ func TestCostStudy(t *testing.T) {
 		t.Fatal("rendering incomplete")
 	}
 }
+
+// Rank returns the 0-based rank of a feature, or -1 when absent.
+func (r *ImportanceResult) Rank(name string) int {
+	for i, n := range r.Names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// Score returns a feature's normalised importance (0 when absent).
+func (r *ImportanceResult) Score(name string) float64 {
+	if i := r.Rank(name); i >= 0 {
+		return r.Scores[i]
+	}
+	return 0
+}

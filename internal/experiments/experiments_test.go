@@ -35,10 +35,9 @@ func TestRegistryComplete(t *testing.T) {
 		"theta", "gaps", "segmentation", "crossval", "ratio", "cumulative", "poswindow",
 		"gridsearch", "importance", "channels", "seeds", "costs",
 	}
-	names := Names()
-	set := make(map[string]bool, len(names))
-	for _, n := range names {
-		set[n] = true
+	set := make(map[string]bool)
+	for _, r := range Registry() {
+		set[r.Name] = true
 	}
 	for _, w := range want {
 		if !set[w] {

@@ -55,24 +55,6 @@ func (c *Context) Importance() (*ImportanceResult, error) {
 	return res, nil
 }
 
-// Rank returns the 0-based rank of a feature, or -1 when absent.
-func (r *ImportanceResult) Rank(name string) int {
-	for i, n := range r.Names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Score returns a feature's normalised importance (0 when absent).
-func (r *ImportanceResult) Score(name string) float64 {
-	if i := r.Rank(name); i >= 0 {
-		return r.Scores[i]
-	}
-	return 0
-}
-
 // String renders the top of the ranking.
 func (r *ImportanceResult) String() string {
 	t := newTable("RF feature importance (mean decrease in impurity, vendor I, SFWB)",

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Registry lists every experiment by the paper artefact it regenerates.
@@ -52,15 +51,4 @@ func Lookup(name string) (Runner, bool) {
 		}
 	}
 	return Runner{}, false
-}
-
-// Names returns all experiment names, sorted.
-func Names() []string {
-	rs := Registry()
-	names := make([]string, len(rs))
-	for i, r := range rs {
-		names[i] = r.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -209,14 +209,14 @@ func TestIsTransient(t *testing.T) {
 func TestIOFaultsHooks(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/f"
-	if err := atomicio.WriteFileBytes(path, []byte("good")); err != nil {
+	if err := writeBytes(path, []byte("good")); err != nil {
 		t.Fatal(err)
 	}
 
 	f := NewIOFaults(IOConfig{Seed: 3, ShortWriteP: 1})
 	restore := atomicio.SetHooks(f.Hooks())
 	big := make([]byte, 1<<16)
-	err := atomicio.WriteFileBytes(path, big)
+	err := writeBytes(path, big)
 	restore()
 	if err == nil || f.ShortWrites != 1 {
 		t.Fatalf("short write did not fire: err=%v count=%d", err, f.ShortWrites)
@@ -227,7 +227,7 @@ func TestIOFaultsHooks(t *testing.T) {
 
 	f = NewIOFaults(IOConfig{Seed: 3, RenameFailP: 1})
 	restore = atomicio.SetHooks(f.Hooks())
-	err = atomicio.WriteFileBytes(path, []byte("new"))
+	err = writeBytes(path, []byte("new"))
 	restore()
 	if err == nil || f.RenameFails != 1 {
 		t.Fatalf("rename fault did not fire: err=%v count=%d", err, f.RenameFails)
@@ -262,4 +262,12 @@ func mustOpen(t *testing.T, path string) io.ReadCloser {
 	}
 	t.Cleanup(func() { rc.Close() })
 	return rc
+}
+
+// writeBytes atomically replaces path with data.
+func writeBytes(path string, data []byte) error {
+	return atomicio.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }

@@ -80,9 +80,6 @@ func buildNames(group Group) []string {
 	return names
 }
 
-// Group returns the extractor's feature group.
-func (e *Extractor) Group() Group { return e.group }
-
 // Width returns the feature vector length.
 func (e *Extractor) Width() int { return len(e.names) }
 

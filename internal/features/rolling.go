@@ -91,9 +91,6 @@ func NewRollingState() *RollingState { return &RollingState{lastDay: -1} }
 // first.
 func (st *RollingState) LastDay() int { return st.lastDay }
 
-// Observed returns the number of raw observations consumed.
-func (st *RollingState) Observed() int { return st.observed }
-
 // Rows returns the number of feature rows emitted (mean-filled days
 // included).
 func (st *RollingState) Rows() int { return st.rows }
@@ -102,13 +99,6 @@ func (st *RollingState) Rows() int { return st.rows }
 // the offline pipeline would exclude this drive; once set, Advance
 // consumes records without emitting rows.
 func (st *RollingState) Dropped() bool { return st.dropped }
-
-// CumW returns the running W cumulate (full catalogue width). The slice
-// aliases state; callers must not modify it.
-func (st *RollingState) CumW() []float64 { return st.cumW }
-
-// CumB returns the running B cumulate. Aliases state.
-func (st *RollingState) CumB() []float64 { return st.cumB }
 
 // WindowStats summarises the trailing RollingWindow emitted days.
 type WindowStats struct {

@@ -98,9 +98,6 @@ func MustNewRegistry(vendor string, releases []Release) *Registry {
 	return r
 }
 
-// Vendor returns the vendor name the registry belongs to.
-func (r *Registry) Vendor() string { return r.vendor }
-
 // Releases returns the vendor's releases in sequence order. The slice
 // is a copy.
 func (r *Registry) Releases() []Release {
@@ -116,15 +113,6 @@ func (r *Registry) Len() int { return len(r.releases) }
 // does not copy the backing slice, so per-drive sampling loops can
 // iterate the catalogue without allocating.
 func (r *Registry) At(i int) Release { return r.releases[i] }
-
-// BySeq returns the release with sequence seq.
-func (r *Registry) BySeq(seq int) (Release, bool) {
-	i, ok := r.bySeq[seq]
-	if !ok {
-		return Release{}, false
-	}
-	return r.releases[i], true
-}
 
 // ByVersion returns the release carrying version v.
 func (r *Registry) ByVersion(v Version) (Release, bool) {
@@ -196,14 +184,4 @@ func (e *Encoder) Unregistered() []Version {
 	}
 	sort.Slice(out, func(i, j int) bool { return e.extra[out[i]] < e.extra[out[j]] })
 	return out
-}
-
-// KnownCodes returns the number of distinct codes the encoder has
-// assigned or can assign from its registry.
-func (e *Encoder) KnownCodes() int {
-	n := len(e.extra)
-	if e.reg != nil {
-		n += e.reg.Len()
-	}
-	return n
 }

@@ -18,22 +18,15 @@ func TestNewRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Vendor() != "I" {
-		t.Errorf("Vendor = %q", r.Vendor())
+	if r.vendor != "I" {
+		t.Errorf("vendor = %q", r.vendor)
 	}
 	if r.Len() != 3 {
 		t.Errorf("Len = %d, want 3", r.Len())
 	}
-	rel, ok := r.BySeq(2)
-	if !ok || rel.Version != "FW2" {
-		t.Errorf("BySeq(2) = %+v, %v", rel, ok)
-	}
-	rel, ok = r.ByVersion("FW3")
+	rel, ok := r.ByVersion("FW3")
 	if !ok || rel.Seq != 3 {
 		t.Errorf("ByVersion(FW3) = %+v, %v", rel, ok)
-	}
-	if _, ok := r.BySeq(9); ok {
-		t.Error("BySeq(9) should miss")
 	}
 	if _, ok := r.ByVersion("nope"); ok {
 		t.Error("ByVersion(nope) should miss")
@@ -122,9 +115,6 @@ func TestEncoderUnknownVersions(t *testing.T) {
 	}
 	if again := e.Encode("MYSTERY"); again != a {
 		t.Fatalf("encoding not stable: %g then %g", a, again)
-	}
-	if got := e.KnownCodes(); got != 5 {
-		t.Fatalf("KnownCodes = %d, want 5", got)
 	}
 }
 

@@ -9,7 +9,6 @@ package fleetops
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -171,17 +170,5 @@ func (s *Service) History(vendor string) []IterationRecord {
 	}
 	out := make([]IterationRecord, len(st.history))
 	copy(out, st.history)
-	return out
-}
-
-// Vendors returns the vendors with at least one trained model, sorted.
-func (s *Service) Vendors() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.vendors))
-	for v := range s.vendors {
-		out = append(out, v)
-	}
-	sort.Strings(out)
 	return out
 }

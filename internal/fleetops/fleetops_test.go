@@ -91,9 +91,6 @@ func TestTrainAndIterate(t *testing.T) {
 	if len(hist) != 2 || hist[0].Day != 80 || hist[1].Day != 115 {
 		t.Fatalf("history = %+v", hist)
 	}
-	if got := s.Vendors(); len(got) != 1 || got[0] != "I" {
-		t.Fatalf("vendors = %v", got)
-	}
 }
 
 func TestTrainSeesOnlyThePast(t *testing.T) {

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,7 +37,8 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wantB.Append(rec); err != nil {
+		if err := wantB.AppendRow(rec.SerialNumber, rec.Vendor, rec.Model, rec.Day, rec.Firmware,
+			&rec.Smart, rec.WCounts, rec.BCounts, rec.Interpolated); err != nil {
 			t.Fatal(err)
 		}
 		if err := got.SnapshotInto(gotB, ts, page, 256); err != nil {
@@ -73,4 +75,22 @@ func TestSnapshotIntoRejectsBadHealthLog(t *testing.T) {
 	if err := c.SnapshotInto(b, c.Epoch.Add(24*time.Hour), []byte{1, 2, 3}, 1); err == nil {
 		t.Fatal("short health log accepted")
 	}
+}
+
+// SnapshotInto is Snapshot appending straight to a streaming frame
+// builder: the day's observation lands in the columnar arena without a
+// Record or fresh count vectors. The builder row is identical to what
+// Snapshot plus FrameBuilder.AppendRow would produce.
+func (c *Collector) SnapshotInto(b *dataset.FrameBuilder, ts time.Time, healthLog []byte, capacityGB float64) error {
+	values, err := smartattr.ParseHealthLog(healthLog, capacityGB)
+	if err != nil {
+		return err
+	}
+	day := c.dayIndex(ts)
+	if day < 0 {
+		return fmt.Errorf("ingest: snapshot predates epoch")
+	}
+	// Absent maps hand the builder nil counts, which it zero-fills.
+	return b.AppendRow(c.SerialNumber, c.Vendor, c.Model, day, c.Firmware,
+		&values, c.wByDay[day], c.bByDay[day], false)
 }

@@ -254,21 +254,3 @@ func (c *Collector) Snapshot(ts time.Time, healthLog []byte, capacityGB float64)
 	}
 	return rec, nil
 }
-
-// SnapshotInto is Snapshot appending straight to a streaming frame
-// builder: the day's observation lands in the columnar arena without a
-// Record or fresh count vectors. The builder row is identical to what
-// Snapshot plus FrameBuilder.Append would produce.
-func (c *Collector) SnapshotInto(b *dataset.FrameBuilder, ts time.Time, healthLog []byte, capacityGB float64) error {
-	values, err := smartattr.ParseHealthLog(healthLog, capacityGB)
-	if err != nil {
-		return err
-	}
-	day := c.dayIndex(ts)
-	if day < 0 {
-		return fmt.Errorf("ingest: snapshot predates epoch")
-	}
-	// Absent maps hand the builder nil counts, which it zero-fills.
-	return b.AppendRow(c.SerialNumber, c.Vendor, c.Model, day, c.Firmware,
-		&values, c.wByDay[day], c.bByDay[day], false)
-}

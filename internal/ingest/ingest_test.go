@@ -114,7 +114,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 	if got := rec.Smart.Get(smartattr.PowerOnHours); got != 1234 {
 		t.Errorf("PowerOnHours = %g", got)
 	}
-	if got := rec.CapacityGB(); got != 256 {
+	if got := rec.Smart.Get(smartattr.Capacity); got != 256 {
 		t.Errorf("capacity = %g", got)
 	}
 	if err := rec.Validate(); err != nil {

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -162,4 +163,31 @@ func TestSnapshotTornReadRecovers(t *testing.T) {
 			t.Fatalf("%s: recovery load failed: %v", name, err)
 		}
 	}
+}
+
+// The checkpoint helpers below compose atomicio's crash-safe writes with
+// the telemetry codecs: the tests above pin that the composition
+// survives a kill mid-write or a torn read. No binary checkpoints
+// collector telemetry this way.
+
+// SaveSnapshot writes frame telemetry to path: the MFPAC container
+// when the extension is .mfpac (case-insensitive), CSV otherwise. The
+// write is atomic — staged in a same-directory temp file, fsynced, and
+// renamed into place — so a crash mid-checkpoint leaves the previous
+// snapshot intact instead of a torn file.
+func SaveSnapshot(path string, f *dataset.Frame) error {
+	return atomicio.WriteFile(path, func(w io.Writer) error {
+		return dataset.WriteTelemetry(w, f, dataset.FormatForPath(path))
+	})
+}
+
+// LoadSnapshot reads a telemetry checkpoint of either format, detected
+// by its leading bytes.
+func LoadSnapshot(path string) (*dataset.Frame, error) {
+	in, err := atomicio.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer in.Close()
+	return dataset.ReadTelemetry(in)
 }

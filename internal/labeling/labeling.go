@@ -28,15 +28,6 @@ type Label struct {
 // from the map are healthy (no RaSRF ticket).
 type Labels map[string]Label
 
-// FaultySet returns the set of labelled (faulty) serial numbers.
-func (l Labels) FaultySet() map[string]bool {
-	out := make(map[string]bool, len(l))
-	for sn := range l {
-		out[sn] = true
-	}
-	return out
-}
-
 // Stats summarises a labelling pass for reports and the θ sensitivity
 // experiment.
 type Stats struct {

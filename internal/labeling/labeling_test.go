@@ -205,6 +205,15 @@ func TestSummarise(t *testing.T) {
 	}
 }
 
+// FaultySet returns the set of labelled (faulty) serial numbers.
+func (l Labels) FaultySet() map[string]bool {
+	out := make(map[string]bool, len(l))
+	for sn := range l {
+		out[sn] = true
+	}
+	return out
+}
+
 func TestFaultySet(t *testing.T) {
 	l := Labels{"A": {}, "B": {}}
 	set := l.FaultySet()

@@ -199,9 +199,6 @@ func (m *Model) NewRun() ml.Run {
 	return ml.PerRow{Classifier: m}
 }
 
-// Size returns the ensemble size.
-func (m *Model) Size() int { return len(m.trees) }
-
 // FeatureImportance returns the normalised mean-decrease-in-impurity
 // importance of each feature across the ensemble. The vector sums to 1
 // (or is all-zero for stump-only forests).

@@ -114,8 +114,8 @@ func TestForestSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := clf.(*Model).Size(); got != 7 {
-		t.Fatalf("Size = %d, want 7", got)
+	if got := len(clf.(*Model).trees); got != 7 {
+		t.Fatalf("%d trees, want 7", got)
 	}
 }
 

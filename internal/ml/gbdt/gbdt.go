@@ -235,9 +235,6 @@ func (m *Model) NewRun() ml.Run {
 	return ml.PerRow{Classifier: m}
 }
 
-// Rounds returns the number of boosted trees.
-func (m *Model) Rounds() int { return len(m.trees) }
-
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 
 func clampP(p float64) float64 {

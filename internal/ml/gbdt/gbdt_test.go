@@ -116,8 +116,8 @@ func TestRoundsAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := clf.(*Model).Rounds(); got != 17 {
-		t.Fatalf("Rounds = %d, want 17", got)
+	if got := len(clf.(*Model).trees); got != 17 {
+		t.Fatalf("%d rounds, want 17", got)
 	}
 }
 
@@ -175,7 +175,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 			t.Fatal("round trip changed predictions")
 		}
 	}
-	if restored.Rounds() != m.Rounds() {
+	if len(restored.trees) != len(m.trees) {
 		t.Fatal("round count changed")
 	}
 }

@@ -50,20 +50,6 @@ func (c *Confusion) FPR() float64 {
 	return ratio(float64(c.FP), float64(c.FP+c.TN))
 }
 
-// Precision is TP / (TP+FP); NaN when nothing was predicted positive.
-func (c *Confusion) Precision() float64 {
-	return ratio(float64(c.TP), float64(c.TP+c.FP))
-}
-
-// F1 is the harmonic mean of precision and TPR.
-func (c *Confusion) F1() float64 {
-	p, r := c.Precision(), c.TPR()
-	if math.IsNaN(p) || math.IsNaN(r) || p+r == 0 {
-		return math.NaN()
-	}
-	return 2 * p * r / (p + r)
-}
-
 // PDR is the paper's positive detection rate (TP+FP) / all cases: the
 // share of the fleet the model would flag for migration, a direct proxy
 // for the operational cost of acting on predictions.
@@ -180,45 +166,4 @@ func AUC(points []ROCPoint) float64 {
 		area += dx * (points[i].TPR + points[i-1].TPR) / 2
 	}
 	return area
-}
-
-// PRPoint is one operating point of a precision-recall curve.
-type PRPoint struct {
-	Threshold float64
-	Precision float64
-	Recall    float64
-}
-
-// PRFromScores builds the precision-recall curve from precomputed
-// scores, ordered from high thresholds (low recall) to low.
-func PRFromScores(scores []float64, labels []int) []PRPoint {
-	if len(scores) != len(labels) {
-		panic(fmt.Sprintf("metrics: %d scores but %d labels", len(scores), len(labels)))
-	}
-	var pos int
-	for _, y := range labels {
-		if y == 1 {
-			pos++
-		}
-	}
-	var points []PRPoint
-	tieGroups(scores, labels, func(s float64, tp, fp int) {
-		points = append(points, PRPoint{
-			Threshold: s,
-			Precision: float64(tp) / float64(tp+fp),
-			Recall:    safeDiv(tp, pos),
-		})
-	})
-	return points
-}
-
-// AveragePrecision computes the area under the precision-recall curve
-// by the step-wise (sklearn-style) rule: Σ (R_i − R_{i−1}) · P_i.
-func AveragePrecision(points []PRPoint) float64 {
-	var ap, prevRecall float64
-	for _, p := range points {
-		ap += (p.Recall - prevRecall) * p.Precision
-		prevRecall = p.Recall
-	}
-	return ap
 }

@@ -23,12 +23,6 @@ func TestConfusionRates(t *testing.T) {
 	if got := c.PDR(); got != 0.10 {
 		t.Errorf("PDR = %g", got)
 	}
-	if got := c.Precision(); got != 0.8 {
-		t.Errorf("Precision = %g", got)
-	}
-	if got := c.F1(); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("F1 = %g", got)
-	}
 	if c.Total() != 100 {
 		t.Errorf("Total = %d", c.Total())
 	}
@@ -36,7 +30,7 @@ func TestConfusionRates(t *testing.T) {
 
 func TestConfusionNaNWhenUndefined(t *testing.T) {
 	var c Confusion
-	for _, v := range []float64{c.TPR(), c.FPR(), c.Accuracy(), c.Precision(), c.PDR(), c.F1()} {
+	for _, v := range []float64{c.TPR(), c.FPR(), c.Accuracy(), c.PDR()} {
 		if !math.IsNaN(v) {
 			t.Fatalf("empty confusion yielded %g, want NaN", v)
 		}
@@ -154,63 +148,9 @@ func TestROCFromScoresPanicsOnMismatch(t *testing.T) {
 	ROCFromScores([]float64{1}, []int{1, 0})
 }
 
-func TestPRCurvePerfect(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.2, 0.1}
-	labels := []int{1, 1, 0, 0}
-	pts := PRFromScores(scores, labels)
-	if ap := AveragePrecision(pts); ap != 1 {
-		t.Fatalf("perfect AP = %g, want 1", ap)
-	}
-	last := pts[len(pts)-1]
-	if last.Recall != 1 {
-		t.Fatalf("curve does not reach recall 1: %+v", last)
-	}
-}
-
-func TestPRCurveRecallMonotone(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	scores := make([]float64, 300)
-	labels := make([]int, 300)
-	for i := range scores {
-		labels[i] = i % 2
-		scores[i] = r.Float64() + 0.3*float64(labels[i])
-	}
-	pts := PRFromScores(scores, labels)
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Recall < pts[i-1].Recall {
-			t.Fatal("recall not monotone")
-		}
-	}
-	ap := AveragePrecision(pts)
-	if ap <= 0.5 || ap > 1 {
-		t.Fatalf("AP = %g for a mildly informative scorer", ap)
-	}
-}
-
-func TestAveragePrecisionBaseRate(t *testing.T) {
-	// An uninformative scorer's AP approaches the positive base rate.
-	r := rand.New(rand.NewSource(6))
-	n := 4000
-	scores := make([]float64, n)
-	labels := make([]int, n)
-	pos := 0
-	for i := range scores {
-		scores[i] = r.Float64()
-		if r.Float64() < 0.2 {
-			labels[i] = 1
-			pos++
-		}
-	}
-	ap := AveragePrecision(PRFromScores(scores, labels))
-	base := float64(pos) / float64(n)
-	if math.Abs(ap-base) > 0.05 {
-		t.Fatalf("random AP = %g, base rate %g", ap, base)
-	}
-}
-
-// TestCurvesRankNaNScoresLast pins how both curves treat NaN scores, as
-// a diverged model emits them: they rank below every other score as one
-// tie group, and the curves still end at the (1, 1) corner.
+// TestCurvesRankNaNScoresLast pins how the ROC curve treats NaN scores,
+// as a diverged model emits them: they rank below every other score as
+// one tie group, and the curve still ends at the (1, 1) corner.
 func TestCurvesRankNaNScoresLast(t *testing.T) {
 	nan := math.NaN()
 	scores := []float64{0.2, nan, 0.9, nan, 0.2}
@@ -227,14 +167,6 @@ func TestCurvesRankNaNScoresLast(t *testing.T) {
 		if !sameScore(pt.Threshold, wantThr[i]) || pt.TPR != wantTPR[i] || pt.FPR != wantFPR[i] {
 			t.Fatalf("ROC point %d = %+v, want {%g %g %g}", i, pt, wantThr[i], wantTPR[i], wantFPR[i])
 		}
-	}
-
-	pr := PRFromScores(scores, labels)
-	if len(pr) != 3 {
-		t.Fatalf("PR has %d points, want 3: %+v", len(pr), pr)
-	}
-	if last := pr[2]; !math.IsNaN(last.Threshold) || last.Recall != 1 || last.Precision != 3.0/5 {
-		t.Fatalf("PR NaN group = %+v, want recall 1 at precision 0.6", last)
 	}
 }
 
@@ -265,7 +197,6 @@ func TestCurvesMatchIndexSortOracle(t *testing.T) {
 			}
 		}
 		want := []ROCPoint{{Threshold: math.Inf(1)}}
-		var wantPR []PRPoint
 		tp, fp := 0, 0
 		for i := 0; i < n; {
 			s := scores[idx[i]]
@@ -277,13 +208,9 @@ func TestCurvesMatchIndexSortOracle(t *testing.T) {
 				}
 			}
 			want = append(want, ROCPoint{Threshold: s, TPR: safeDiv(tp, pos), FPR: safeDiv(fp, neg)})
-			wantPR = append(wantPR, PRPoint{Threshold: s, Precision: float64(tp) / float64(tp+fp), Recall: safeDiv(tp, pos)})
 		}
 		if got := ROCFromScores(scores, labels); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: ROC\n got %+v\nwant %+v", trial, got, want)
-		}
-		if got := PRFromScores(scores, labels); !reflect.DeepEqual(got, wantPR) {
-			t.Fatalf("trial %d: PR\n got %+v\nwant %+v", trial, got, wantPR)
 		}
 	}
 }

@@ -256,16 +256,8 @@ func maxLeafDepth(nodes []tree.ExportedNode) (int32, error) {
 	return maxd, nil
 }
 
-// Trees returns the number of compiled trees.
-func (e *Ensemble) Trees() int { return len(e.roots) }
-
 // Nodes returns the total node count of the arena.
 func (e *Ensemble) Nodes() int { return len(e.feature) }
-
-// Width returns the minimum feature-vector length the ensemble reads
-// (one past the highest referenced feature index; 0 for leaf-only
-// ensembles).
-func (e *Ensemble) Width() int { return e.width }
 
 // PredictProba implements ml.Classifier on the flattened arena, for
 // callers that hold only the compiled form.

@@ -208,8 +208,8 @@ func TestSingleNodeTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Width() != 0 {
-		t.Fatalf("leaf-only width = %d, want 0", e.Width())
+	if e.width != 0 {
+		t.Fatalf("leaf-only width = %d, want 0", e.width)
 	}
 	out := make([]float64, 3)
 	e.PredictProbaBatch([][]float64{{}, {1}, {2, 3}}, out, 1)
@@ -279,8 +279,8 @@ func TestArenaAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Trees() != 3 {
-		t.Fatalf("Trees() = %d, want 3", e.Trees())
+	if len(e.roots) != 3 {
+		t.Fatalf("%d trees, want 3", len(e.roots))
 	}
 	total := 0
 	for _, tr := range trees {
@@ -289,7 +289,7 @@ func TestArenaAccounting(t *testing.T) {
 	if e.Nodes() != total {
 		t.Fatalf("Nodes() = %d, want %d", e.Nodes(), total)
 	}
-	if e.Width() < 1 || e.Width() > 4 {
-		t.Fatalf("Width() = %d out of range", e.Width())
+	if e.width < 1 || e.width > 4 {
+		t.Fatalf("Width() = %d out of range", e.width)
 	}
 }

@@ -271,13 +271,13 @@ func TestRunsEmptyAndMismatch(t *testing.T) {
 	pool := thresholdPool(r, 4, 0)
 	e = runEnsemble(t, r, 5, pool, false, false)
 	run := e.NewRun()
-	run.Score(make([]float64, e.Width()))
+	run.Score(make([]float64, e.width))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a row narrower than the ensemble was accepted")
 		}
 	}()
-	run.Score(make([]float64, e.Width()-1))
+	run.Score(make([]float64, e.width-1))
 }
 
 // FuzzRunResumeVsDirect interleaves k runs of one ensemble, as a

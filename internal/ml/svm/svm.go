@@ -144,12 +144,6 @@ func (m *Model) PredictProba(x []float64) float64 {
 	return 1 / (1 + math.Exp(-2*m.Margin(x)))
 }
 
-// Weights returns a copy of the weight vector (post-standardisation
-// space when Standardize was set).
-func (m *Model) Weights() []float64 {
-	return append([]float64(nil), m.w...)
-}
-
 func (m *Model) apply(x []float64) []float64 {
 	out := make([]float64, len(x))
 	for j, v := range x {

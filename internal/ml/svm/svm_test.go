@@ -96,7 +96,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wa, wb := a.(*Model).Weights(), b.(*Model).Weights()
+	wa, wb := a.(*Model).w, b.(*Model).w
 	for i := range wa {
 		if wa[i] != wb[i] {
 			t.Fatal("same seed produced different weights")

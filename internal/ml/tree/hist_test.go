@@ -166,8 +166,8 @@ func TestHistogramConstantFeaturesLeafOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := GrowClassifierBinned(m, ys, nil, Config{})
-	if tree.NodeCount() != 1 {
-		t.Fatalf("constant matrix grew %d nodes", tree.NodeCount())
+	if len(tree.nodes) != 1 {
+		t.Fatalf("constant matrix grew %d nodes", len(tree.nodes))
 	}
 	if got := tree.PredictProba([]float64{1, 2}); got != 0.75 {
 		t.Fatalf("leaf value = %g, want 0.75", got)
@@ -181,7 +181,7 @@ func TestHistogramSingleSampleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := GrowClassifierBinned(m, []float64{1}, nil, Config{})
-	if tree.NodeCount() != 1 || tree.PredictProba([]float64{3, 1}) != 1 {
+	if len(tree.nodes) != 1 || tree.PredictProba([]float64{3, 1}) != 1 {
 		t.Fatal("single-sample tree wrong")
 	}
 	reg := GrowRegressorBinned(m, []float64{2.5}, nil, Config{})
@@ -196,7 +196,7 @@ func TestHistogramAllZeroWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := GrowClassifierBinned(m, []float64{1, 1, 1}, []int{0, 0, 0}, Config{})
-	if tree.NodeCount() != 1 || tree.PredictProba([]float64{1}) != 0 {
+	if len(tree.nodes) != 1 || tree.PredictProba([]float64{1}) != 0 {
 		t.Fatal("all-zero weights should yield a degenerate zero leaf")
 	}
 }
@@ -244,8 +244,8 @@ func TestHistogramMinSamplesLeafWeighted(t *testing.T) {
 	big := GrowClassifierBinned(m, ys, w, Config{MaxDepth: 20, MinSamplesLeaf: 90})
 	// 200 rows × weight 3 = 600 weighted samples; a 90-sample floor
 	// keeps the tree tiny, as with 600 physical rows.
-	if big.NodeCount() > 13 {
-		t.Fatalf("tree has %d nodes despite weighted MinSamplesLeaf", big.NodeCount())
+	if len(big.nodes) > 13 {
+		t.Fatalf("tree has %d nodes despite weighted MinSamplesLeaf", len(big.nodes))
 	}
 }
 

@@ -12,18 +12,6 @@ func (t *Classifier) FeatureImportance() []float64 {
 	return importanceOf(t.nodes, t.width)
 }
 
-// FeatureImportance returns the regression tree's per-feature impurity
-// decrease.
-func (t *Regressor) FeatureImportance() []float64 {
-	width := 0
-	for _, n := range t.nodes {
-		if n.feature >= width {
-			width = n.feature + 1
-		}
-	}
-	return importanceOf(t.nodes, width)
-}
-
 func importanceOf(nodes []node, width int) []float64 {
 	imp := make([]float64, width)
 	for i := range nodes {

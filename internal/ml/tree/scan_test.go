@@ -97,8 +97,8 @@ func TestScanSparseBinsMatchesOracle(t *testing.T) {
 		if !reflect.DeepEqual(want.Export(), got.Export()) {
 			t.Fatalf("cfg %+v: sparse-bin tree differs from exact tree:\n got %+v\nwant %+v", cfg, got.Export(), want.Export())
 		}
-		if got.NodeCount() < 3 {
-			t.Fatalf("cfg %+v: %d nodes, want a split", cfg, got.NodeCount())
+		if len(got.nodes) < 3 {
+			t.Fatalf("cfg %+v: %d nodes, want a split", cfg, len(got.nodes))
 		}
 	}
 }
@@ -133,7 +133,7 @@ func TestScanSingleBinNode(t *testing.T) {
 	// Keep one row: every feature is single-bin at the root.
 	one := make([]int, len(xs))
 	one[7] = 3
-	if n := GrowClassifierBinned(m, ys, one, Config{}).NodeCount(); n != 1 {
+	if n := len(GrowClassifierBinned(m, ys, one, Config{}).nodes); n != 1 {
 		t.Fatalf("single-row tree has %d nodes", n)
 	}
 }

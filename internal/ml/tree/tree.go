@@ -90,12 +90,6 @@ func (t *Classifier) PredictProba(x []float64) float64 {
 	return t.nodes[descend(t.nodes, x)].value
 }
 
-// Depth returns the maximum depth of the tree (root = 0).
-func (t *Classifier) Depth() int { return depthOf(t.nodes, 0, 0) }
-
-// NodeCount returns the number of nodes.
-func (t *Classifier) NodeCount() int { return len(t.nodes) }
-
 // Regressor is a fitted squared-error regression tree whose leaf
 // values can be overwritten by an ensemble (GBDT's Newton step).
 type Regressor struct {
@@ -157,18 +151,6 @@ func descend(nodes []node, x []float64) int {
 		}
 	}
 	return i
-}
-
-func depthOf(nodes []node, i, d int) int {
-	if nodes[i].feature == -1 {
-		return d
-	}
-	l := depthOf(nodes, nodes[i].left, d+1)
-	r := depthOf(nodes, nodes[i].right, d+1)
-	if l > r {
-		return l
-	}
-	return r
 }
 
 // featureSampler draws k-feature subsets with a reusable partial

@@ -76,8 +76,8 @@ func TestPureLeafShortCircuit(t *testing.T) {
 	xs := [][]float64{{1}, {2}, {3}}
 	ys := []float64{1, 1, 1}
 	tree := growClassifier(t, xs, ys, Config{})
-	if tree.NodeCount() != 1 {
-		t.Fatalf("pure node grew %d nodes, want 1", tree.NodeCount())
+	if len(tree.nodes) != 1 {
+		t.Fatalf("pure node grew %d nodes, want 1", len(tree.nodes))
 	}
 	if tree.PredictProba([]float64{5}) != 1 {
 		t.Fatal("pure leaf should predict 1")
@@ -88,7 +88,7 @@ func TestMaxDepthRespected(t *testing.T) {
 	xs, ys := xorData(500, 3)
 	for _, depth := range []int{1, 2, 4} {
 		tree := growClassifier(t, xs, ys, Config{MaxDepth: depth})
-		if got := tree.Depth(); got > depth {
+		if got := depthOf(tree.nodes, 0, 0); got > depth {
 			t.Errorf("depth = %d, limit %d", got, depth)
 		}
 	}
@@ -98,8 +98,8 @@ func TestMinSamplesLeaf(t *testing.T) {
 	xs, ys := xorData(100, 4)
 	tree := growClassifier(t, xs, ys, Config{MaxDepth: 20, MinSamplesLeaf: 30})
 	// With a 30-sample leaf floor on 100 samples, the tree stays small.
-	if tree.NodeCount() > 9 {
-		t.Fatalf("tree has %d nodes despite MinSamplesLeaf", tree.NodeCount())
+	if len(tree.nodes) > 9 {
+		t.Fatalf("tree has %d nodes despite MinSamplesLeaf", len(tree.nodes))
 	}
 }
 
@@ -352,4 +352,18 @@ func TestWidenFeatures(t *testing.T) {
 	if got := clf.Export(); got.Width != 4 {
 		t.Fatalf("widened classifier width %d, want 4", got.Width)
 	}
+}
+
+// depthOf returns the depth of the subtree rooted at nodes[i], which
+// sits at depth d.
+func depthOf(nodes []node, i, d int) int {
+	if nodes[i].feature == -1 {
+		return d
+	}
+	l := depthOf(nodes, nodes[i].left, d+1)
+	r := depthOf(nodes, nodes[i].right, d+1)
+	if l > r {
+		return l
+	}
+	return r
 }

@@ -192,11 +192,3 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
-
-// vendors returns the configured vendor specs, defaulting to Table VI.
-func (c *Config) vendors() []VendorSpec {
-	if c.Vendors != nil {
-		return c.Vendors
-	}
-	return DefaultVendors()
-}

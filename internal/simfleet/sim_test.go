@@ -133,13 +133,13 @@ func TestNoTelemetryAfterFailure(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if s.LastDay() > truth.FailDay {
-			t.Errorf("drive %s logs on day %d after failing on day %d", sn, s.LastDay(), truth.FailDay)
+		if s.Records[len(s.Records)-1].Day > truth.FailDay {
+			t.Errorf("drive %s logs on day %d after failing on day %d", sn, s.Records[len(s.Records)-1].Day, truth.FailDay)
 		}
 		// The machine is on the day it dies, so the final record lands
 		// exactly on the failure day.
-		if s.LastDay() != truth.FailDay {
-			t.Errorf("drive %s last log %d != fail day %d", sn, s.LastDay(), truth.FailDay)
+		if s.Records[len(s.Records)-1].Day != truth.FailDay {
+			t.Errorf("drive %s last log %d != fail day %d", sn, s.Records[len(s.Records)-1].Day, truth.FailDay)
 		}
 	}
 }
@@ -277,7 +277,10 @@ func TestFaultyDrivesShowPrefailureSignals(t *testing.T) {
 		}
 		checked++
 		var w, b float64
-		for _, r := range s.Window(truth.FailDay-10, truth.FailDay) {
+		for _, r := range s.Records {
+			if r.Day < truth.FailDay-10 || r.Day > truth.FailDay {
+				continue
+			}
 			w += r.WCounts.Total()
 			b += r.BCounts.Total()
 		}
@@ -432,10 +435,10 @@ func TestAbandonmentWidensTicketGap(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if s.LastDay() > truth.FailDay {
+		if s.Records[len(s.Records)-1].Day > truth.FailDay {
 			t.Fatalf("drive %s logs after failure", sn)
 		}
-		if s.LastDay() < truth.FailDay {
+		if s.Records[len(s.Records)-1].Day < truth.FailDay {
 			early++
 		}
 	}

@@ -41,15 +41,6 @@ type VendorSpec struct {
 	Failures int
 }
 
-// ReplacementRate returns the vendor's nominal replacement rate
-// (failures / population), Table VI's Sum_RR.
-func (v *VendorSpec) ReplacementRate() float64 {
-	if v.Population == 0 {
-		return 0
-	}
-	return float64(v.Failures) / float64(v.Population)
-}
-
 // Validate reports spec errors.
 func (v *VendorSpec) Validate() error {
 	if v.Name == "" {

@@ -105,16 +105,6 @@ var catalogue = [Count]Info{
 	{Capacity, "Capacity", Constant, Neutral, 0, "GB"},
 }
 
-// Lookup returns the static description of id.
-// It panics if id is outside [1, Count]; attribute IDs are program
-// constants, so an out-of-range ID is a programming error.
-func Lookup(id ID) Info {
-	if !id.Valid() {
-		panic(fmt.Sprintf("smartattr: invalid attribute ID %d", int(id)))
-	}
-	return catalogue[id-1]
-}
-
 // All returns the full catalogue in ID order. The returned slice is a
 // copy; callers may modify it freely.
 func All() []Info {

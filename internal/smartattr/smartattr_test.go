@@ -6,6 +6,16 @@ import (
 	"testing/quick"
 )
 
+// Lookup returns the static description of id.
+// It panics if id is outside [1, Count]; attribute IDs are program
+// constants, so an out-of-range ID is a programming error.
+func Lookup(id ID) Info {
+	if !id.Valid() {
+		panic(fmt.Sprintf("smartattr: invalid attribute ID %d", int(id)))
+	}
+	return catalogue[id-1]
+}
+
 func TestCatalogueComplete(t *testing.T) {
 	all := All()
 	if len(all) != Count {

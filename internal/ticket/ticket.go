@@ -102,28 +102,6 @@ func AllCauses() []Cause {
 	return out
 }
 
-// LevelShare returns the total share of causes at level l.
-func LevelShare(l Level) float64 {
-	var s float64
-	for _, c := range causes {
-		if c.Level == l {
-			s += c.Share
-		}
-	}
-	return s
-}
-
-// CategoryShare returns the total share of causes in category c.
-func CategoryShare(cat Category) float64 {
-	var s float64
-	for _, c := range causes {
-		if c.Category == cat {
-			s += c.Share
-		}
-	}
-	return s
-}
-
 // Ticket is one after-sales trouble ticket identifying a replaced SSD.
 type Ticket struct {
 	// SerialNumber identifies the replaced drive (the S/N joined
@@ -187,17 +165,6 @@ func (s *Store) SerialNumbers() []string {
 	}
 	sort.Strings(sns)
 	return sns
-}
-
-// CountByLevel tallies stored tickets by failure level.
-func (s *Store) CountByLevel() map[Level]int {
-	out := make(map[Level]int)
-	for _, list := range s.bySN {
-		for _, t := range list {
-			out[causes[t.Cause].Level]++
-		}
-	}
-	return out
 }
 
 // CountByCause tallies stored tickets by cause index.

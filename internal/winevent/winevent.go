@@ -87,15 +87,6 @@ func Selected() []Info {
 	return out
 }
 
-// Lookup returns the description of id and whether id is catalogued.
-func Lookup(id ID) (Info, bool) {
-	i, ok := indexByID[id]
-	if !ok {
-		return Info{}, false
-	}
-	return catalogue[i], true
-}
-
 // Index returns the dense 0-based position of id within the catalogue,
 // used to index per-event count vectors. It panics on unknown IDs:
 // event IDs are program constants.

@@ -33,6 +33,15 @@ func TestSelectedCountMatchesTableV(t *testing.T) {
 	}
 }
 
+// Lookup returns the description of id and whether id is catalogued.
+func Lookup(id ID) (Info, bool) {
+	i, ok := indexByID[id]
+	if !ok {
+		return Info{}, false
+	}
+	return catalogue[i], true
+}
+
 func TestLookup(t *testing.T) {
 	info, ok := Lookup(PagingError)
 	if !ok {
