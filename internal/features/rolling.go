@@ -153,6 +153,11 @@ func (st *RollingState) Window() WindowStats {
 // policy.Validate and reproduces the clean stage of
 // dataset.PreparePipeline, including marking the drive Dropped (after which no rows
 // are emitted).
+//
+// A running W/B cumulate that overflows to ±Inf (or turns NaN) fails
+// the record with an error wrapping dataset.ErrNonFinite, and nothing is
+// appended to x or meta; the state is then unusable and the caller
+// must discard it.
 func (st *RollingState) Advance(e *Extractor, policy dataset.GapPolicy, rec *dataset.Record, x []float64, meta []EmittedRow) ([]float64, []EmittedRow, error) {
 	return st.advance(e, policy, rec.SerialNumber, rec.Vendor, rec.Day,
 		rec.Smart[:], rec.Firmware, rec.WCounts, rec.BCounts, x, meta)
@@ -168,6 +173,7 @@ func (st *RollingState) AdvanceRow(e *Extractor, policy dataset.GapPolicy, sn, v
 
 func (st *RollingState) advance(e *Extractor, policy dataset.GapPolicy, sn, vendor string, day int,
 	smart []float64, fw firmware.Version, w, b []float64, x []float64, meta []EmittedRow) ([]float64, []EmittedRow, error) {
+	x0, m0 := len(x), len(meta)
 	if policy != (dataset.GapPolicy{}) {
 		if err := policy.Validate(); err != nil {
 			return x, meta, err
@@ -235,6 +241,12 @@ func (st *RollingState) advance(e *Extractor, policy dataset.GapPolicy, sn, vend
 			st.cumB[i] += v
 		}
 	}
+	// A non-finite cumulate stays non-finite under further additions,
+	// so one check after the record's last addition also covers the
+	// filled days' rows emitted above.
+	if !finite(st.cumW) || !finite(st.cumB) {
+		return x[:x0], meta[:m0], fmt.Errorf("%w: drive %s day %d: running W/B cumulate overflowed", dataset.ErrNonFinite, sn, day)
+	}
 	x, meta = st.emit(e, vendor, day, smart, fw, w, b, false, x, meta)
 
 	copy(st.prevSmart[:], smart)
@@ -244,6 +256,17 @@ func (st *RollingState) advance(e *Extractor, policy dataset.GapPolicy, sn, vend
 	st.lastDay = day
 	st.observed++
 	return x, meta, nil
+}
+
+// finite reports whether every value of s is finite: v-v is NaN for ±Inf
+// and NaN, and 0 otherwise.
+func finite(s []float64) bool {
+	for _, v := range s {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // growTo resizes s to n elements, reusing its backing array when it is

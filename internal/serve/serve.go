@@ -118,7 +118,8 @@ const (
 	// day, or wrong counter widths.
 	QuarantineBadRecord
 	// QuarantineBadValue is value-level corruption: NaN/Inf telemetry
-	// or feature values, or negative event counters.
+	// or feature values, a running W/B cumulate that overflows, or
+	// negative event counters.
 	QuarantineBadValue
 	// QuarantineRollingError is a rolling-state failure: out-of-order
 	// or duplicate days, changed counter widths, or an unfillable gap.
@@ -380,6 +381,16 @@ func quarantineReasonFor(err error) QuarantineReason {
 	return QuarantineBadRecord
 }
 
+// advanceReason classifies a rolling-state error: an overflowed
+// cumulate is value-level corruption, anything else a rolling-state
+// failure.
+func advanceReason(err error) QuarantineReason {
+	if errors.Is(err, dataset.ErrNonFinite) {
+		return QuarantineBadValue
+	}
+	return QuarantineRollingError
+}
+
 // reject validates one record and, under StrictFirmware, looks its
 // firmware version up in the vendor's registry. It returns the
 // quarantine entry a failure earns, or the zero entry for a record the
@@ -555,7 +566,7 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 			sh.x, sh.meta = x, meta
 			if err != nil {
 				dr.q = QuarantineEntry{SerialNumber: rec.SerialNumber, Day: rec.Day,
-					Reason: QuarantineRollingError, Err: err.Error()}
+					Reason: advanceReason(err), Err: err.Error()}
 				s.plans[ri] = recPlan{shard: int32(si), kind: planQuar}
 				sh.stats.Quarantined++
 				continue
@@ -666,8 +677,8 @@ type ReplayStats struct {
 // needs). Scoring then resumes with ObserveDay for subsequent days.
 //
 // A drive whose history fails to advance is quarantined (ledger reason
-// rolling-error) and its remaining rows skipped; the other drives
-// replay unaffected.
+// rolling-error, or bad-value when a cumulate overflows) and its
+// remaining rows skipped; the other drives replay unaffected.
 func (s *Scorer) ReplayFrame(f *dataset.Frame) (ReplayStats, error) {
 	if f.Cumulated() {
 		return ReplayStats{}, fmt.Errorf("serve: ReplayFrame needs raw daily counts, got a cumulated frame")
@@ -701,7 +712,7 @@ func (s *Scorer) ReplayFrame(f *dataset.Frame) (ReplayStats, error) {
 				sh.meta = meta[:0]
 				if err != nil {
 					dr.q = QuarantineEntry{SerialNumber: d.SerialNumber, Day: int(f.Day(r)),
-						Reason: QuarantineRollingError, Err: err.Error()}
+						Reason: advanceReason(err), Err: err.Error()}
 					st.Quarantined++
 					break
 				}

@@ -316,3 +316,108 @@ func FuzzLoadState(f *testing.F) {
 		}
 	})
 }
+
+// TestOverflowingCumulateQuarantinesDrive: one drive reports W counter
+// 0 (not a feature of the model's group) at 1.5e308 on its first three
+// days, so every record is finite but its running W cumulate overflows
+// to +Inf. ObserveDay and ReplayFrame must quarantine that drive as
+// bad-value; the scorer's state must still save and load; and every
+// other drive's assessments must stay bit-identical.
+func TestOverflowingCumulateQuarantinesDrive(t *testing.T) {
+	fleet, model, regs := setup(t)
+	clean := dayBatches(fleet, "I")
+	sn := clean[0][0].SerialNumber
+	poisoned := make([][]dataset.Record, len(clean))
+	left := 3
+	for d, batch := range clean {
+		poisoned[d] = append([]dataset.Record(nil), batch...)
+		for i := range poisoned[d] {
+			if poisoned[d][i].SerialNumber == sn && left > 0 {
+				r := poisoned[d][i].Clone()
+				r.WCounts[0] = 1.5e308
+				poisoned[d][i] = r
+				left--
+			}
+		}
+	}
+	if left > 0 {
+		t.Fatalf("drive %s has fewer than 3 records", sn)
+	}
+	mk := func() *Scorer {
+		s, err := New(model, Options{Registries: regs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	others := func(as []Assessment) []Assessment {
+		var out []Assessment
+		for _, a := range as {
+			if a.SerialNumber != sn {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
+	check := func(path string, s *Scorer) {
+		t.Helper()
+		e, ok := s.Quarantined(sn)
+		if !ok || e.Reason != QuarantineBadValue || !strings.Contains(e.Err, "cumulate overflowed") {
+			t.Fatalf("%s: ledger entry %+v, %v; want bad-value from the overflowed cumulate", path, e, ok)
+		}
+		var buf bytes.Buffer
+		if err := s.SaveState(&buf); err != nil {
+			t.Fatalf("%s: SaveState: %v", path, err)
+		}
+		saved := append([]byte(nil), buf.Bytes()...)
+		restored := mk()
+		if err := restored.LoadState(&buf); err != nil {
+			t.Fatalf("%s: LoadState: %v", path, err)
+		}
+		var again bytes.Buffer
+		if err := restored.SaveState(&again); err != nil {
+			t.Fatalf("%s: SaveState after LoadState: %v", path, err)
+		}
+		if !bytes.Equal(again.Bytes(), saved) {
+			t.Fatalf("%s: state does not round-trip", path)
+		}
+	}
+
+	want := others(runDays(t, mk(), clean))
+	s := mk()
+	if err := sameAssessments(others(runDays(t, s, poisoned)), want); err != nil {
+		t.Fatalf("ObserveDay, other drives: %v", err)
+	}
+	check("ObserveDay", s)
+
+	half := len(clean) / 2
+	replay := func(batches [][]dataset.Record) (*Scorer, ReplayStats, []Assessment) {
+		d := dataset.New()
+		for _, batch := range batches[:half] {
+			for i := range batch {
+				if err := d.Append(batch[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		f, err := dataset.FrameFromDataset(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := mk()
+		stats, err := s.ReplayFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, stats, others(runDays(t, s, batches[half:]))
+	}
+	_, _, want = replay(clean)
+	s, stats, got := replay(poisoned)
+	if stats.Quarantined != 1 {
+		t.Fatalf("replay stats %+v, want the overflowing drive quarantined", stats)
+	}
+	if err := sameAssessments(got, want); err != nil {
+		t.Fatalf("ReplayFrame, other drives: %v", err)
+	}
+	check("ReplayFrame", s)
+}
