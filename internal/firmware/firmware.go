@@ -39,7 +39,6 @@ type Release struct {
 type Registry struct {
 	vendor   string
 	releases []Release // sorted by Seq
-	bySeq    map[int]int
 	byVer    map[Version]int
 }
 
@@ -58,7 +57,6 @@ func NewRegistry(vendor string, releases []Release) (*Registry, error) {
 	r := &Registry{
 		vendor:   vendor,
 		releases: rs,
-		bySeq:    make(map[int]int, len(rs)),
 		byVer:    make(map[Version]int, len(rs)),
 	}
 	var shareSum float64
@@ -66,7 +64,7 @@ func NewRegistry(vendor string, releases []Release) (*Registry, error) {
 		if rel.Seq <= 0 {
 			return nil, fmt.Errorf("firmware: vendor %s: release %q has non-positive seq %d", vendor, rel.Version, rel.Seq)
 		}
-		if _, dup := r.bySeq[rel.Seq]; dup {
+		if i > 0 && rel.Seq == rs[i-1].Seq {
 			return nil, fmt.Errorf("firmware: vendor %s: duplicate seq %d", vendor, rel.Seq)
 		}
 		if _, dup := r.byVer[rel.Version]; dup {
@@ -78,7 +76,6 @@ func NewRegistry(vendor string, releases []Release) (*Registry, error) {
 		if rel.ShipShare < 0 {
 			return nil, fmt.Errorf("firmware: vendor %s: release %q has negative ship share %g", vendor, rel.Version, rel.ShipShare)
 		}
-		r.bySeq[rel.Seq] = i
 		r.byVer[rel.Version] = i
 		shareSum += rel.ShipShare
 	}
