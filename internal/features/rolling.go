@@ -193,9 +193,14 @@ func (st *RollingState) advance(e *Extractor, policy dataset.GapPolicy, sn, vend
 		return x, meta, nil
 	}
 
+	// overflow records a non-finite cumulate. It stays non-finite under
+	// further additions, so checking each cumulate after the record's
+	// own addition also covers the filled days' rows emitted before it.
+	var overflow bool
 	if st.observed == 0 {
 		st.cumW = append(st.cumW[:0], w...)
 		st.cumB = append(st.cumB[:0], b...)
+		overflow = !finite(st.cumW) || !finite(st.cumB)
 	} else {
 		if len(w) != len(st.cumW) || len(b) != len(st.cumB) {
 			return x, meta, fmt.Errorf("features: drive %s: count widths changed (%d/%d, want %d/%d)",
@@ -235,16 +240,21 @@ func (st *RollingState) advance(e *Extractor, policy dataset.GapPolicy, sn, vend
 			}
 		}
 		for i, v := range w {
-			st.cumW[i] += v
+			c := st.cumW[i] + v
+			st.cumW[i] = c
+			if c-c != 0 {
+				overflow = true
+			}
 		}
 		for i, v := range b {
-			st.cumB[i] += v
+			c := st.cumB[i] + v
+			st.cumB[i] = c
+			if c-c != 0 {
+				overflow = true
+			}
 		}
 	}
-	// A non-finite cumulate stays non-finite under further additions,
-	// so one check after the record's last addition also covers the
-	// filled days' rows emitted above.
-	if !finite(st.cumW) || !finite(st.cumB) {
+	if overflow {
 		return x[:x0], meta[:m0], fmt.Errorf("%w: drive %s day %d: running W/B cumulate overflowed", dataset.ErrNonFinite, sn, day)
 	}
 	x, meta = st.emit(e, vendor, day, smart, fw, w, b, false, x, meta)
