@@ -47,9 +47,9 @@ func main() {
 }
 
 func run(w io.Writer) error {
-	module, err := modulePath("go.mod")
+	module, err := exec.Command("go", "list", "-m").Output()
 	if err != nil {
-		return err
+		return fmt.Errorf("go list -m: %w", err)
 	}
 	reached := map[string]bool{}
 	for _, dir := range []string{".", "bench"} {
@@ -57,7 +57,7 @@ func run(w io.Writer) error {
 			return err
 		}
 	}
-	fns, err := declared(".", module)
+	fns, err := declared(".", strings.TrimSpace(string(module)))
 	if err != nil {
 		return err
 	}
@@ -74,19 +74,6 @@ func run(w io.Writer) error {
 		return fmt.Errorf("%d problems (see above)", n)
 	}
 	return nil
-}
-
-func modulePath(gomod string) (string, error) {
-	b, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
-	}
-	for _, l := range strings.Split(string(b), "\n") {
-		if m, ok := strings.CutPrefix(strings.TrimSpace(l), "module "); ok {
-			return strings.TrimSpace(m), nil
-		}
-	}
-	return "", fmt.Errorf("%s: no module line", gomod)
 }
 
 // dumpMains builds every main package of the module in dir and adds
