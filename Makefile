@@ -44,15 +44,17 @@ chaos:
 # fuzz runs each fuzz target for a short fixed budget, one go test call
 # per target (go test accepts only one -fuzz target per package run):
 # the MFPAC container reader, the MFPAC block decoder on its own (past
-# the CRCs), the flattened tree kernel against the pointer walk, the
-# differential kernel for drive-ordered rows against the direct one,
-# and interleaved resumable runs (one per drive, as serving keeps them)
-# against the direct one, the seeded generator's streams against
-# math/rand's for any seed, and the scorer's state decoder on arbitrary
-# bytes.
+# the CRCs), the per-drive clean and cumulate step against
+# PreparePipeline and the record-form reference, the flattened tree
+# kernel against the pointer walk, the differential kernel for
+# drive-ordered rows against the direct one, and interleaved resumable
+# runs (one per drive, as serving keeps them) against the direct one,
+# the seeded generator's streams against math/rand's for any seed, and
+# the scorer's state decoder on arbitrary bytes.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMFPAC$$' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMFPACBlock$$' -fuzztime 10s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanStep$$' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzFlatVsPointer$$' -fuzztime 10s ./internal/ml/predict
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferentialVsDirect$$' -fuzztime 10s ./internal/ml/predict
 	$(GO) test -run '^$$' -fuzz '^FuzzRunResumeVsDirect$$' -fuzztime 10s ./internal/ml/predict

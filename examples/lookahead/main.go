@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/features"
 )
 
@@ -25,13 +26,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	model, report, err := mfpa.Train(fleet.Data, fleet.Tickets, mfpa.DefaultConfig("I"))
+	// Prepare once and train on the preparation: the probes below read
+	// its frame, and its extractor encodes firmware versions exactly as
+	// training did.
+	prep, err := mfpa.Prepare(fleet.Data, fleet.Tickets, mfpa.DefaultConfig("I"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The model's own preparation: its extractor encodes firmware
-	// versions exactly as training did.
-	prep := report.Prepared
+	model, _, err := core.Train(prep)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Sweep the lookahead window: probe each faulty drive exactly N
 	// days before its labelled failure.

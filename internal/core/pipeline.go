@@ -23,57 +23,76 @@ import (
 // experiment flow.
 type Prepared struct {
 	Config Config
-	// Frame is the prepared telemetry.
+	// Frame is the prepared telemetry. PrepareFrame fills it; on a
+	// TrainReport from TrainOnFrame, which streams the preparation into
+	// extraction without materialising it, it is nil, and the other
+	// fields are filled as PrepareFrame would fill them.
 	Frame      *dataset.Frame
 	Labels     labeling.Labels
 	Extractor  *features.Extractor
 	CleanStats dataset.CleanStats
 	LabelStats labeling.Stats
 	// Timing of the preprocessing stages (the Fig. 20 overhead rows).
+	// CleanTime covers the drop/fill plan, plus writing the prepared
+	// frame where one is materialised.
 	CleanTime   time.Duration
 	LabelTime   time.Duration
 	RecordCount int
 }
 
 // PrepareFrame runs MFPA's data stages on columnar telemetry: vendor
-// filter as a zero-copy drive-range view, then the fused
-// discontinuity-optimisation + cumulative W/B pass
-// (dataset.PreparePipeline, one traversal per drive), then
-// failure-time identification straight off the day column, then
-// extractor construction.
+// filter as a zero-copy drive-range view, the drop/fill plan
+// (dataset.NewPlan), failure-time identification off the plan's
+// prepared day column, extractor construction, and last the fused
+// discontinuity-optimisation + cumulative W/B pass writing the
+// prepared frame (one traversal per drive).
 func PrepareFrame(f *dataset.Frame, tickets *ticket.Store, cfg Config) (*Prepared, error) {
-	if err := cfg.Validate(); err != nil {
+	p, plan, err := prepare(f, tickets, cfg)
+	if err != nil {
 		return nil, err
+	}
+	start := time.Now()
+	if p.Frame, err = plan.Frame(); err != nil {
+		return nil, err
+	}
+	p.CleanTime += time.Since(start)
+	return p, nil
+}
+
+// prepare runs the data stages that need no prepared rows: vendor
+// view, drop/fill plan, labels off the plan's day column, extractor.
+func prepare(f *dataset.Frame, tickets *ticket.Store, cfg Config) (*Prepared, *dataset.Plan, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
 	}
 	cfg = cfg.WithDefaults()
 
 	if cfg.Vendor != "" {
 		f = f.FilterVendor(cfg.Vendor)
 		if f.Drives() == 0 {
-			return nil, fmt.Errorf("core: no drives for vendor %q", cfg.Vendor)
+			return nil, nil, fmt.Errorf("core: no drives for vendor %q", cfg.Vendor)
 		}
 	}
 
 	p := &Prepared{Config: cfg}
 	start := time.Now()
-	out, stats, err := dataset.PreparePipeline(f, dataset.PipelineOptions{
+	plan, err := dataset.NewPlan(f, dataset.PipelineOptions{
 		Policy:       cfg.GapPolicy,
 		SkipClean:    cfg.SkipClean,
 		SkipCumulate: cfg.SkipCumulate,
 		Workers:      cfg.Workers,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	p.Frame = out
-	p.CleanStats = stats
+	p.CleanStats = plan.Stats()
 	p.CleanTime = time.Since(start)
-	p.RecordCount = out.Len()
+	p.RecordCount = plan.Len()
 
 	start = time.Now()
-	labels, err := labeling.IdentifyFrame(out, tickets, cfg.Theta)
+	labels, err := labeling.Identify(plan, tickets, cfg.Theta)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.Labels = labels
 	p.LabelStats = labeling.Summarise(labels)
@@ -81,10 +100,10 @@ func PrepareFrame(f *dataset.Frame, tickets *ticket.Store, cfg Config) (*Prepare
 
 	ext, err := features.NewExtractor(cfg.Group, cfg.Registries)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.Extractor = ext
-	return p, nil
+	return p, plan, nil
 }
 
 // With returns a Prepared for cfg that shares p's frame, labels and
@@ -123,12 +142,18 @@ func (p *Prepared) With(cfg Config) (*Prepared, error) {
 // representation training shares across splits, calibration folds,
 // and search candidates. Flat algorithms get one row per drive-day;
 // the sequential CNN_LSTM gets one row per window of SeqLen
-// consecutive drive-days, of width SeqLen×Width.
+// consecutive drive-days, of width SeqLen×Width. It reads p.Frame.
 func (p *Prepared) BuildSampleSet() (*ml.SampleSet, error) {
+	return p.buildSampleSet(dataset.IdentityPlan(p.Frame))
+}
+
+// buildSampleSet is BuildSampleSet over the prepared rows plan
+// streams.
+func (p *Prepared) buildSampleSet(plan *dataset.Plan) (*ml.SampleSet, error) {
 	if p.Config.Algorithm.Sequential() {
-		return features.BuildSeqSampleSetFrame(p.Frame, p.Labels, p.Extractor, p.Config.SeqLen, p.buildOptions())
+		return features.BuildSeqSampleSet(plan, p.Labels, p.Extractor, p.Config.SeqLen, p.buildOptions())
 	}
-	return features.BuildSampleSetFrame(p.Frame, p.Labels, p.Extractor, p.buildOptions())
+	return features.BuildSampleSet(plan, p.Labels, p.Extractor, p.buildOptions())
 }
 
 func (p *Prepared) buildOptions() features.BuildOptions {
@@ -155,6 +180,8 @@ type Model struct {
 // TrainReport carries everything measured while training, including
 // the held-out evaluation and the per-stage overheads of Fig. 20.
 type TrainReport struct {
+	// Prepared is the preparation trained on. From TrainOnFrame its
+	// Frame is nil (see Prepared).
 	Prepared *Prepared
 	// TrainSamples/TestSamples are post-undersampling counts.
 	TrainSamples int
@@ -166,7 +193,8 @@ type TrainReport struct {
 	// Test is the held-out view Eval scores; Test.Set() is the whole
 	// extracted sample set it was split from.
 	Test ml.View
-	// Stage timings.
+	// Stage timings. SampleTime is extraction; from TrainOnFrame it
+	// also covers the mean-fill and cumulate the rows stream through.
 	SampleTime time.Duration
 	TrainTime  time.Duration
 	EvalTime   time.Duration
@@ -183,8 +211,14 @@ type TrainReport struct {
 // just the rows they train on — so the held-out test period cannot
 // reach the model or its threshold.
 func Train(p *Prepared) (*Model, *TrainReport, error) {
+	return train(p, dataset.IdentityPlan(p.Frame))
+}
+
+// train is Train with the samples extracted from the rows plan
+// streams.
+func train(p *Prepared, plan *dataset.Plan) (*Model, *TrainReport, error) {
 	start := time.Now()
-	set, err := p.BuildSampleSet()
+	set, err := p.buildSampleSet(plan)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -394,12 +428,17 @@ func bothClassesView(v ml.View) bool {
 	return neg > 0 && pos > 0
 }
 
-// TrainOnFrame is the one-call convenience: PrepareFrame followed by
-// Train.
+// TrainOnFrame is PrepareFrame followed by Train, bit for bit, without
+// the prepared frame: vendor view → drop/fill plan → labels → every
+// kept drive streamed through the per-drive clean and cumulate step
+// straight into extraction → TrainSet. No prepared copy of the
+// telemetry is allocated (the plan holds only the prepared day
+// column), so the report's Prepared.Frame is nil; call PrepareFrame
+// and Train for a preparation whose frame is read again.
 func TrainOnFrame(f *dataset.Frame, tickets *ticket.Store, cfg Config) (*Model, *TrainReport, error) {
-	p, err := PrepareFrame(f, tickets, cfg)
+	p, plan, err := prepare(f, tickets, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return Train(p)
+	return train(p, plan)
 }

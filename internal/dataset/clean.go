@@ -33,7 +33,7 @@ func (p GapPolicy) Validate() error {
 	return nil
 }
 
-// CleanStats summarises what the clean stage of PreparePipeline did.
+// CleanStats summarises what the clean stage of a Plan did.
 type CleanStats struct {
 	DrivesIn      int
 	DrivesDropped int

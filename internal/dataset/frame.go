@@ -100,8 +100,15 @@ func (f *Frame) DriveIndex(sn string) (int, bool) {
 // Len returns the total number of records (rows covered by drives).
 func (f *Frame) Len() int { return f.length }
 
+// Days returns drive i's observation days, strictly increasing. The
+// slice aliases the arena; callers must not modify it.
+func (f *Frame) Days(i int) []int32 {
+	d := &f.drives[i]
+	return f.day[d.Start:d.End:d.End]
+}
+
 // Cumulated reports whether the W/B columns hold running totals (set
-// by PreparePipeline, which refuses to cumulate a frame twice).
+// by Plan.Frame; NewPlan refuses to cumulate a frame twice).
 func (f *Frame) Cumulated() bool { return f.cumulated }
 
 // Day returns the observation day of row.

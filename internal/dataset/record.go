@@ -40,7 +40,7 @@ type Record struct {
 	// layer label-encodes it.
 	Firmware firmware.Version
 	// WCounts holds the per-day counts of the Table III Windows
-	// events. Once cumulated (PreparePipeline) they hold running totals.
+	// events. Once cumulated (Plan.Frame) they hold running totals.
 	WCounts winevent.Counts
 	// BCounts holds the per-day counts of the Table IV stop codes.
 	// Once cumulated they hold running totals.

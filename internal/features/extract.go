@@ -2,6 +2,7 @@ package features
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bsod"
 	"repro/internal/dataset"
@@ -25,9 +26,9 @@ type Extractor struct {
 	// vector, so the frame builder gathers W features straight from a
 	// column row without ID lookups.
 	wIdx []int
-	// primedForFrame remembers the last frame primed, so repeated
-	// builds over the same prepared frame skip the full firmware
-	// re-scan.
+	// primedForFrame remembers the last frame primed whole, so
+	// repeated builds over the same prepared frame skip the full
+	// firmware re-scan.
 	primedForFrame *dataset.Frame
 }
 
@@ -97,24 +98,30 @@ func (e *Extractor) encoder(vendor string) *firmware.Encoder {
 	return enc
 }
 
-// primeFrame registers every (vendor, firmware version) pair of f with
-// the extractor's encoders, visiting drives in frame order and rows in
-// day order. After priming, extraction over the frame only reads the
-// extractor, so the builders can fan it out across goroutines; it also
-// fixes the first-seen-order codes of registry-unknown versions to
-// frame order rather than extraction order, keeping the encoding
-// independent of scheduling. Rows with an unchanged interned firmware
-// code are skipped — encoding is per-version, so only code changes
-// matter. No-op for groups without the firmware feature.
-func (e *Extractor) primeFrame(f *dataset.Frame) {
+// primePlan registers every (vendor, firmware version) pair of p's kept
+// drives with the extractor's encoders, visiting drives in plan order
+// and rows in day order. After priming, extraction over the plan only
+// reads the extractor, so the builders can fan it out across
+// goroutines; it also fixes the first-seen-order codes of
+// registry-unknown versions to plan order rather than extraction
+// order, keeping the encoding independent of scheduling. Dropped
+// drives are not visited: a version seen only on them would otherwise
+// shift the codes of later ones. Fill rows carry the earlier row's
+// firmware, so the source rows hold every version; rows with an
+// unchanged interned firmware code are skipped — encoding is
+// per-version, so only code changes matter. No-op for groups without
+// the firmware feature.
+func (e *Extractor) primePlan(p *dataset.Plan) {
 	if !e.group.Firmware {
 		return
 	}
-	if e.primedForFrame == f {
+	f := p.Source()
+	all := p.Drives() == f.Drives()
+	if all && e.primedForFrame == f {
 		return
 	}
-	for di := 0; di < f.Drives(); di++ {
-		d := f.Drive(di)
+	for k := 0; k < p.Drives(); k++ {
+		d := p.Drive(k)
 		enc := e.encoder(d.Vendor)
 		last := int32(-1)
 		for r := int(d.Start); r < int(d.End); r++ {
@@ -124,7 +131,9 @@ func (e *Extractor) primeFrame(f *dataset.Frame) {
 			}
 		}
 	}
-	e.primedForFrame = f
+	if all {
+		e.primedForFrame = f
+	}
 }
 
 // PrimeFrame registers every (vendor, firmware version) pair of f with
@@ -133,7 +142,7 @@ func (e *Extractor) primeFrame(f *dataset.Frame) {
 // frame's versions performs only reads on the extractor, so serving
 // paths can fan out across goroutines. No-op for groups without the
 // firmware feature.
-func (e *Extractor) PrimeFrame(f *dataset.Frame) { e.primeFrame(f) }
+func (e *Extractor) PrimeFrame(f *dataset.Frame) { e.primePlan(dataset.IdentityPlan(f)) }
 
 // PrimeVersion registers one (vendor, firmware version) pair, creating
 // the vendor's encoder if needed. Online scorers call it serially for
@@ -186,34 +195,79 @@ func (e *Extractor) RestoreFirmware(vendor string, codes []FirmwareCode) error {
 	return nil
 }
 
-// appendCumRow appends the feature vector of one already-cumulated
-// drive-day — SMART values, firmware version, and the running W/B
-// totals held by a RollingState — to dst. It is ExtractInto without the
-// Record: the serving data plane keeps cumulates in flat slices and
-// never materialises records. After priming, it only reads the
-// extractor.
-func (e *Extractor) appendCumRow(vendor string, smart []float64, fw firmware.Version, cumW, cumB []float64, dst []float64) []float64 {
+// putRow writes the feature vector of one already-cumulated drive-day
+// — SMART values, the encoded firmware version, and the running W/B
+// totals — into row, which holds exactly Width values. It is the one
+// per-row extraction: the builders and the serving data plane both
+// reach it. fw is ignored for groups without the firmware feature.
+func (e *Extractor) putRow(row, smart []float64, fw float64, cumW, cumB []float64) {
+	k := 0
 	if e.group.SMART {
-		dst = append(dst, smart...)
+		k += copy(row, smart)
 	}
 	if e.group.Firmware {
-		dst = append(dst, e.encoder(vendor).Encode(fw))
+		row[k] = fw
+		k++
 	}
 	if e.group.WEvents {
 		for _, idx := range e.wIdx {
-			dst = append(dst, cumW[idx])
+			row[k] = cumW[idx]
+			k++
 		}
 	}
 	if e.group.BSOD {
-		dst = append(dst, cumB...)
+		k += copy(row[k:], cumB)
 		// Same index-order summation as Counts.Total.
 		tot := 0.0
 		for _, v := range cumB {
 			tot += v
 		}
-		dst = append(dst, tot)
+		row[k] = tot
 	}
+}
+
+// appendCumRow appends the feature vector of one already-cumulated
+// drive-day to dst. It is ExtractInto without the Record: the serving
+// data plane keeps cumulates in flat slices and never materialises
+// records. After priming, it only reads the extractor.
+func (e *Extractor) appendCumRow(vendor string, smart []float64, fw firmware.Version, cumW, cumB []float64, dst []float64) []float64 {
+	code := 0.0
+	if e.group.Firmware {
+		code = e.encoder(vendor).Encode(fw)
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, e.Width())[:n+e.Width()]
+	e.putRow(dst[n:], smart, code, cumW, cumB)
 	return dst
+}
+
+// fwCoder encodes the firmware codes of one drive's rows for one
+// goroutine, looking a version up only when the interned code changes.
+type fwCoder struct {
+	f        *dataset.Frame
+	enc      *firmware.Encoder // nil for groups without the firmware feature
+	lastID   int32
+	lastCode float64
+}
+
+// firmwareCoder returns the firmware encoding of vendor's rows of f.
+// After priming, it only reads the extractor.
+func (e *Extractor) firmwareCoder(f *dataset.Frame, vendor string) fwCoder {
+	c := fwCoder{f: f, lastID: -1}
+	if e.group.Firmware {
+		c.enc = e.encoder(vendor)
+	}
+	return c
+}
+
+// code returns the feature value of firmware code id (0 without the
+// firmware feature).
+func (c *fwCoder) code(id int32) float64 {
+	if c.enc != nil && id != c.lastID {
+		c.lastCode = c.enc.Encode(c.f.FirmwareByID(id))
+		c.lastID = id
+	}
+	return c.lastCode
 }
 
 // AppendFrameRow appends the feature vector of one row of a cumulated
@@ -226,7 +280,7 @@ func (e *Extractor) AppendFrameRow(f *dataset.Frame, drive, row int, dst []float
 }
 
 // Extract builds the feature vector of r. The W and B counters are used
-// as stored — pass records cumulated by dataset.PreparePipeline to
+// as stored — pass records of a prepared frame (dataset.Plan.Frame) to
 // follow the paper's accumulated-count preprocessing.
 func (e *Extractor) Extract(r *dataset.Record) []float64 {
 	return e.ExtractInto(r, make([]float64, 0, e.Width()))

@@ -2,7 +2,6 @@ package features
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/labeling"
@@ -11,39 +10,34 @@ import (
 )
 
 // BuildSampleSetFrame constructs the flat labelled samples of a
-// cleaned, cumulated frame straight into one columnar ml.SampleSet —
-// the arena the zero-copy view pipeline (splits, under-sampling, CV
-// folds, grid search, feature selection) operates on. Construction is
-// two-pass: a labelling pass over the day column counts each drive's
-// surviving rows, then every drive copies or gathers its column rows
-// in parallel into its pre-computed arena segment, looking firmware
-// codes up only when a drive's interned code changes. Rows follow
-// drive then day order, identical at any worker count.
+// cleaned, cumulated frame: BuildSampleSet over the frame's identity
+// plan.
 func BuildSampleSetFrame(f *dataset.Frame, labels labeling.Labels, e *Extractor, opts BuildOptions) (*ml.SampleSet, error) {
+	return BuildSampleSet(dataset.IdentityPlan(f), labels, e, opts)
+}
+
+// BuildSampleSet constructs the flat labelled samples of a plan's
+// prepared rows straight into one columnar ml.SampleSet — the arena
+// the zero-copy view pipeline (splits, under-sampling, CV folds, grid
+// search, feature selection) operates on. Construction is two-pass: a
+// labelling pass over the plan's day column counts each drive's
+// surviving rows, then every drive streams its prepared rows through
+// the per-drive step (dataset.Cursor) in parallel, extracting each
+// kept row into its pre-computed arena segment and looking firmware
+// codes up only when a drive's interned code changes. No prepared
+// frame is materialised. Rows follow drive then day order, identical
+// at any worker count.
+func BuildSampleSet(p *dataset.Plan, labels labeling.Labels, e *Extractor, opts BuildOptions) (*ml.SampleSet, error) {
 	if opts.PositiveWindowDays < 1 {
 		return nil, fmt.Errorf("features: PositiveWindowDays %d must be ≥ 1", opts.PositiveWindowDays)
 	}
-	e.primeFrame(f)
+	e.primePlan(p)
 	width := e.Width()
-	counts, err := parallel.Map(f.Drives(), opts.Workers, func(i int) (int, error) {
-		d := f.Drive(i)
-		label, faulty := labels[d.SerialNumber]
-		n := 0
-		for r := int(d.Start); r < int(d.End); r++ {
-			if _, keep := rowLabel(faulty, label.FailDay, int(f.Day(r)), &opts); keep {
-				n++
-			}
-		}
-		return n, nil
-	})
+	offs, err := sampleOffsets(p, labels, 1, &opts)
 	if err != nil {
 		return nil, err
 	}
-	offs := make([]int, f.Drives()+1)
-	for i, c := range counts {
-		offs[i+1] = offs[i] + c
-	}
-	total := offs[f.Drives()]
+	total := offs[p.Drives()]
 	if total == 0 {
 		return nil, fmt.Errorf("features: no samples produced")
 	}
@@ -51,57 +45,20 @@ func BuildSampleSetFrame(f *dataset.Frame, labels labeling.Labels, e *Extractor,
 	y := make([]int8, total)
 	day := make([]int32, total)
 	sn := make([]string, total)
-	g := e.group
-	if err := parallel.Do(f.Drives(), opts.Workers, func(i int) error {
-		d := f.Drive(i)
+	if err := p.Stream(opts.Workers, func(k int, c *dataset.Cursor) error {
+		d := p.Drive(k)
 		label, faulty := labels[d.SerialNumber]
-		var enc func(id int32) float64
-		if g.Firmware {
-			venc := e.encoder(d.Vendor)
-			lastID, lastCode := int32(-1), 0.0
-			enc = func(id int32) float64 {
-				if id != lastID {
-					lastCode = venc.Encode(f.FirmwareByID(id))
-					lastID = id
-				}
-				return lastCode
-			}
-		}
-		j := offs[i]
-		for r := int(d.Start); r < int(d.End); r++ {
-			rd := int(f.Day(r))
-			yk, keep := rowLabel(faulty, label.FailDay, rd, &opts)
+		fw := e.firmwareCoder(p.Source(), d.Vendor)
+		// The running totals need every row up to the drive's last kept
+		// one; the rows after it are not read.
+		for j := offs[k]; j < offs[k+1] && c.Next(); {
+			yk, keep := rowLabel(faulty, label.FailDay, int(c.Day), &opts)
 			if !keep {
 				continue
 			}
-			row := x[j*width : (j+1)*width]
-			k := 0
-			if g.SMART {
-				k += copy(row[k:], f.SmartRow(r))
-			}
-			if g.Firmware {
-				row[k] = enc(f.FirmwareID(r))
-				k++
-			}
-			if g.WEvents {
-				w := f.WRow(r)
-				for _, idx := range e.wIdx {
-					row[k] = w[idx]
-					k++
-				}
-			}
-			if g.BSOD {
-				b := f.BRow(r)
-				k += copy(row[k:], b)
-				// Same index-order summation as Counts.Total.
-				tot := 0.0
-				for _, v := range b {
-					tot += v
-				}
-				row[k] = tot
-			}
+			e.putRow(x[j*width:(j+1)*width], c.Smart, fw.code(c.Firmware), c.W, c.B)
 			y[j] = yk
-			day[j] = int32(rd)
+			day[j] = c.Day
 			sn[j] = d.SerialNumber
 			j++
 		}
@@ -112,36 +69,17 @@ func BuildSampleSetFrame(f *dataset.Frame, labels labeling.Labels, e *Extractor,
 	return ml.NewSampleSet(width, x, y, day, sn)
 }
 
-// BuildSeqSampleSetFrame constructs the sequence samples of the
-// CNN_LSTM straight into one columnar ml.SampleSet: a sliding window
-// of seqLen consecutive frame *rows* per drive, laid out time-major in
-// one arena row of width seqLen×Width (row[t*Width+j] is feature j of
-// the window's t-th drive-day). A window is labelled by its last row,
-// under the same rules as BuildSampleSetFrame. Because consumer
-// telemetry is discontinuous, the rows inside a window may span far
-// more calendar days than seqLen — exactly the data-quality hazard the
-// paper blames for CNN_LSTM's weaker results.
-//
-// Construction is two-pass like BuildSampleSetFrame: a labelling pass
-// counts each drive's surviving windows, then every drive extracts its
-// rows once and copies each window into its pre-computed arena
-// segment. Rows follow drive then window-end order, identical at any
-// worker count.
-func BuildSeqSampleSetFrame(f *dataset.Frame, labels labeling.Labels, e *Extractor, seqLen int, opts BuildOptions) (*ml.SampleSet, error) {
-	if seqLen < 1 {
-		return nil, fmt.Errorf("features: seqLen %d must be ≥ 1", seqLen)
-	}
-	if opts.PositiveWindowDays < 1 {
-		return nil, fmt.Errorf("features: PositiveWindowDays %d must be ≥ 1", opts.PositiveWindowDays)
-	}
-	e.primeFrame(f)
-	width := e.Width()
-	counts, err := parallel.Map(f.Drives(), opts.Workers, func(i int) (int, error) {
-		d := f.Drive(i)
-		label, faulty := labels[d.SerialNumber]
+// sampleOffsets is the builders' labelling pass: it counts the kept
+// samples of each drive — rows, or windows of seqLen rows labelled by
+// their last — off the plan's day column, and returns their prefix
+// sums, offs[k] being kept drive k's first arena row.
+func sampleOffsets(p *dataset.Plan, labels labeling.Labels, seqLen int, opts *BuildOptions) ([]int, error) {
+	counts, err := parallel.Map(p.Drives(), opts.Workers, func(k int) (int, error) {
+		label, faulty := labels[p.Drive(k).SerialNumber]
+		days := p.Days(k)
 		n := 0
-		for end := int(d.Start) + seqLen - 1; end < int(d.End); end++ {
-			if _, keep := rowLabel(faulty, label.FailDay, int(f.Day(end)), &opts); keep {
+		for end := seqLen - 1; end < len(days); end++ {
+			if _, keep := rowLabel(faulty, label.FailDay, int(days[end]), opts); keep {
 				n++
 			}
 		}
@@ -150,11 +88,42 @@ func BuildSeqSampleSetFrame(f *dataset.Frame, labels labeling.Labels, e *Extract
 	if err != nil {
 		return nil, err
 	}
-	offs := make([]int, f.Drives()+1)
-	for i, c := range counts {
-		offs[i+1] = offs[i] + c
+	offs := make([]int, p.Drives()+1)
+	for k, c := range counts {
+		offs[k+1] = offs[k] + c
 	}
-	total := offs[f.Drives()]
+	return offs, nil
+}
+
+// BuildSeqSampleSet constructs the sequence samples of the CNN_LSTM
+// straight into one columnar ml.SampleSet: a sliding window of seqLen
+// consecutive prepared *rows* per drive, laid out time-major in one
+// arena row of width seqLen×Width (row[t*Width+j] is feature j of the
+// window's t-th drive-day). A window is labelled by its last row, under
+// the same rules as BuildSampleSet. Because consumer telemetry is
+// discontinuous, the rows inside a window may span far more calendar
+// days than seqLen — exactly the data-quality hazard the paper blames
+// for CNN_LSTM's weaker results.
+//
+// Construction is two-pass like BuildSampleSet: a labelling pass counts
+// each drive's surviving windows, then every drive streams and
+// extracts its rows once and copies each window into its pre-computed
+// arena segment. Rows follow drive then window-end order, identical at
+// any worker count.
+func BuildSeqSampleSet(p *dataset.Plan, labels labeling.Labels, e *Extractor, seqLen int, opts BuildOptions) (*ml.SampleSet, error) {
+	if seqLen < 1 {
+		return nil, fmt.Errorf("features: seqLen %d must be ≥ 1", seqLen)
+	}
+	if opts.PositiveWindowDays < 1 {
+		return nil, fmt.Errorf("features: PositiveWindowDays %d must be ≥ 1", opts.PositiveWindowDays)
+	}
+	e.primePlan(p)
+	width := e.Width()
+	offs, err := sampleOffsets(p, labels, seqLen, &opts)
+	if err != nil {
+		return nil, err
+	}
+	total := offs[p.Drives()]
 	if total == 0 {
 		return nil, fmt.Errorf("features: no sequence samples produced")
 	}
@@ -163,21 +132,23 @@ func BuildSeqSampleSetFrame(f *dataset.Frame, labels labeling.Labels, e *Extract
 	y := make([]int8, total)
 	day := make([]int32, total)
 	sn := make([]string, total)
-	if err := parallel.Do(f.Drives(), opts.Workers, func(i int) error {
-		if counts[i] == 0 {
+	if err := p.Stream(opts.Workers, func(k int, c *dataset.Cursor) error {
+		if offs[k] == offs[k+1] {
 			return nil
 		}
-		d := f.Drive(i)
+		d := p.Drive(k)
 		label, faulty := labels[d.SerialNumber]
+		fw := e.firmwareCoder(p.Source(), d.Vendor)
+		days := p.Days(k)
 		// The drive's rows, extracted once: window k is the contiguous
 		// run vecs[k*width : (k+seqLen)*width].
-		vecs := make([]float64, 0, d.Rows()*width)
-		for r := int(d.Start); r < int(d.End); r++ {
-			vecs = e.AppendFrameRow(f, i, r, vecs)
+		vecs := make([]float64, len(days)*width)
+		for r := 0; c.Next(); r++ {
+			e.putRow(vecs[r*width:(r+1)*width], c.Smart, fw.code(c.Firmware), c.W, c.B)
 		}
-		j := offs[i]
-		for end := seqLen - 1; end < d.Rows(); end++ {
-			rd := int(f.Day(int(d.Start) + end))
+		j := offs[k]
+		for end := seqLen - 1; end < len(days); end++ {
+			rd := int(days[end])
 			yk, keep := rowLabel(faulty, label.FailDay, rd, &opts)
 			if !keep {
 				continue
@@ -213,7 +184,7 @@ func PositiveSamplesAt(f *dataset.Frame, labels labeling.Labels, e *Extractor, l
 		if target < 0 {
 			continue
 		}
-		r := closestRow(f, d, target)
+		r := int(d.Start) + labeling.Closest(f.Days(i), target)
 		rd := int(f.Day(r))
 		diff := rd - target
 		if diff < 0 {
@@ -230,22 +201,4 @@ func PositiveSamplesAt(f *dataset.Frame, labels labeling.Labels, e *Extractor, l
 		})
 	}
 	return samples
-}
-
-// closestRow returns the row of a non-empty drive whose day is nearest
-// to day, the earlier row winning ties.
-func closestRow(f *dataset.Frame, d *dataset.FrameDrive, day int) int {
-	start, n := int(d.Start), d.Rows()
-	k := sort.Search(n, func(k int) bool { return int(f.Day(start+k)) >= day })
-	switch {
-	case k == 0:
-		return start
-	case k == n:
-		return start + n - 1
-	}
-	before, after := start+k-1, start+k
-	if day-int(f.Day(before)) <= int(f.Day(after))-day {
-		return before
-	}
-	return after
 }

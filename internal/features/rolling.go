@@ -24,7 +24,7 @@ import (
 //     every filled day;
 //   - the running cumulates add each daily vector exactly once, in day
 //     order — the same additions, in the same order, as the offline
-//     cumulate stage of dataset.PreparePipeline;
+//     per-drive step, dataset.Cursor;
 //   - extraction is ExtractInto's field order over the cumulated view.
 //
 // The offline path drops a drive retroactively when any gap reaches
@@ -150,9 +150,9 @@ func (st *RollingState) Window() WindowStats {
 // policy is the discontinuity optimisation: the zero value disables it
 // (every record emits exactly one row, gaps ignored: pure cumulation);
 // any other value must satisfy
-// policy.Validate and reproduces the clean stage of
-// dataset.PreparePipeline, including marking the drive Dropped (after which no rows
-// are emitted).
+// policy.Validate and reproduces the offline clean stage
+// (dataset.NewPlan and its per-drive step), including marking the
+// drive Dropped (after which no rows are emitted).
 //
 // A running W/B cumulate that overflows to ±Inf (or turns NaN) fails
 // the record with an error wrapping dataset.ErrNonFinite, and nothing is

@@ -81,15 +81,26 @@ type refRow struct {
 	x      []float64
 }
 
-// prepared runs dataset.PreparePipeline over raw and returns the
+// prepared runs the batch preprocessing over raw and returns the
 // result in record form.
 func prepared(t *testing.T, raw *dataset.Dataset, opts dataset.PipelineOptions) *dataset.Dataset {
 	t.Helper()
-	out, _, err := dataset.PreparePipeline(frameOf(t, raw), opts)
+	return preparedFrame(t, frameOf(t, raw), opts).ToDataset()
+}
+
+// preparedFrame runs the batch preprocessing over raw: the drop/fill
+// plan, then the prepared frame.
+func preparedFrame(t *testing.T, raw *dataset.Frame, opts dataset.PipelineOptions) *dataset.Frame {
+	t.Helper()
+	p, err := dataset.NewPlan(raw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out.ToDataset()
+	out, err := p.Frame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // offlineRows runs the full offline preprocessing — clean, cumulate,
@@ -124,8 +135,9 @@ func bitsEqual(a, b []float64) bool {
 // TestRollingAdvanceMatchesOfflinePipeline is the incremental-vs-
 // offline equivalence property: over varied seeds (and offline worker
 // counts), Advance over each drive's raw records emits exactly the
-// feature rows the PreparePipeline→Extract pipeline produces, bit-identical via math.Float64bits, and agrees on which
-// drives the gap policy drops.
+// feature rows the offline preprocessing→Extract pipeline produces,
+// bit-identical via math.Float64bits, and agrees on which drives the
+// gap policy drops.
 func TestRollingAdvanceMatchesOfflinePipeline(t *testing.T) {
 	policy := dataset.DefaultGapPolicy()
 	for seed := int64(1); seed <= 6; seed++ {
@@ -201,10 +213,7 @@ func TestRollingAdvanceRowMatchesBuildSampleSetFrame(t *testing.T) {
 
 	// Offline fused path: clean+cumulate, then the columnar sample
 	// build over all rows (empty labels keep every row as a negative).
-	cleanedFrame, _, err := dataset.PreparePipeline(rawFrame, dataset.PipelineOptions{Policy: policy})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cleanedFrame := preparedFrame(t, rawFrame, dataset.PipelineOptions{Policy: policy})
 	opts := DefaultBuildOptions()
 	set, err := BuildSampleSetFrame(cleanedFrame, labeling.Labels{}, ext, opts)
 	if err != nil {
@@ -260,7 +269,7 @@ func TestRollingAdvanceRowMatchesBuildSampleSetFrame(t *testing.T) {
 
 // TestRollingZeroPolicyIsPureCumulate pins the zero gap policy to pure
 // cumulation: one row per record, cumulates matching
-// the cumulate-only PreparePipeline with gaps ignored.
+// the cumulate-only offline preprocessing with gaps ignored.
 func TestRollingZeroPolicyIsPureCumulate(t *testing.T) {
 	raw := randomRawFleet(t, 11, 6)
 	cum := prepared(t, raw, dataset.PipelineOptions{SkipClean: true})

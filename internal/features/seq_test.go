@@ -17,6 +17,12 @@ import (
 	"repro/internal/winevent"
 )
 
+// BuildSeqSampleSetFrame is BuildSeqSampleSet over a prepared frame's
+// identity plan, the form the sequence suites build through.
+func BuildSeqSampleSetFrame(f *dataset.Frame, labels labeling.Labels, e *Extractor, seqLen int, opts BuildOptions) (*ml.SampleSet, error) {
+	return BuildSeqSampleSet(dataset.IdentityPlan(f), labels, e, seqLen, opts)
+}
+
 // raggedFixture builds a labelled dataset whose drives differ in
 // length (4 to 24 records) and observe days with gaps, switch among
 // registry-unknown firmware versions mid-series, and carry cumulating

@@ -4,20 +4,28 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/dataset"
 	"repro/internal/ticket"
 )
 
-// IdentifyFrame resolves failure times for every ticketed drive
-// present in f. Ticketed drives with no telemetry are skipped (they
-// cannot contribute training samples); drives whose earliest ticket
-// precedes all telemetry are labelled at their first tracking point.
-// The tracking point closest to the IMT (earlier wins ties) is found by
-// binary search on the drive's day column; when it lies more than
-// theta days from the IMT the label falls back to IMT − theta, since
-// the drive was certainly degrading by then and labelling any earlier
-// would mix healthy-looking data into the positive class.
-func IdentifyFrame(f *dataset.Frame, tickets *ticket.Store, theta int) (Labels, error) {
+// DriveDays is what failure-time identification reads of telemetry:
+// each drive's observation days, strictly increasing, looked up by
+// serial number. A prepared dataset.Frame and a dataset.Plan's prepared
+// day column both provide it.
+type DriveDays interface {
+	DriveIndex(sn string) (int, bool)
+	Days(i int) []int32
+}
+
+// Identify resolves failure times for every ticketed drive present in
+// src. Ticketed drives with no telemetry are skipped (they cannot
+// contribute training samples); drives whose earliest ticket precedes
+// all telemetry are labelled at their first tracking point. The
+// tracking point closest to the IMT (Closest) is found by binary search
+// on the drive's days; when it lies more than theta days from the IMT
+// the label falls back to IMT − theta, since the drive was certainly
+// degrading by then and labelling any earlier would mix healthy-looking
+// data into the positive class.
+func Identify(src DriveDays, tickets *ticket.Store, theta int) (Labels, error) {
 	if theta < 0 {
 		return nil, fmt.Errorf("labeling: theta %d must be ≥ 0", theta)
 	}
@@ -27,12 +35,12 @@ func IdentifyFrame(f *dataset.Frame, tickets *ticket.Store, theta int) (Labels, 
 		if !ok {
 			continue
 		}
-		di, ok := f.DriveIndex(sn)
+		di, ok := src.DriveIndex(sn)
 		if !ok {
 			continue
 		}
-		d := f.Drive(di)
-		day := closestDay(f, d, t.IMT)
+		days := src.Days(di)
+		day := int(days[Closest(days, t.IMT)])
 		interval := t.IMT - day
 		if interval < 0 {
 			interval = -interval
@@ -52,20 +60,19 @@ func IdentifyFrame(f *dataset.Frame, tickets *ticket.Store, theta int) (Labels, 
 	return labels, nil
 }
 
-// closestDay returns the drive's observation day nearest to target
-// (earlier wins ties). Frame drives always have at least one row.
-func closestDay(f *dataset.Frame, d *dataset.FrameDrive, target int) int {
-	lo, hi := int(d.Start), int(d.End)
-	i := lo + sort.Search(hi-lo, func(k int) bool { return int(f.Day(lo+k)) >= target })
+// Closest returns the index of the day in days (non-empty, strictly
+// increasing) nearest to target, the earlier day winning ties.
+func Closest(days []int32, target int) int {
+	n := len(days)
+	i := sort.Search(n, func(k int) bool { return int(days[k]) >= target })
 	switch {
-	case i == lo:
-		return int(f.Day(lo))
-	case i == hi:
-		return int(f.Day(hi - 1))
+	case i == 0:
+		return 0
+	case i == n:
+		return n - 1
 	}
-	before, after := int(f.Day(i-1)), int(f.Day(i))
-	if target-before <= after-target {
-		return before
+	if target-int(days[i-1]) <= int(days[i])-target {
+		return i - 1
 	}
-	return after
+	return i
 }

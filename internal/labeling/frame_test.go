@@ -48,7 +48,7 @@ func TestIdentifyFrameMatchesIdentify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := IdentifyFrame(frameOf(t, data), store, theta)
+		got, err := Identify(frameOf(t, data), store, theta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestIdentifyFrameEquidistantPrefersEarlierDay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := IdentifyFrame(frameOf(t, data), store, 7)
+	got, err := Identify(frameOf(t, data), store, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestIdentifyFrameEquidistantPrefersEarlierDay(t *testing.T) {
 
 func TestIdentifyFrameRejectsNegativeTheta(t *testing.T) {
 	data := buildData(t, map[string][]int{"A": {1}})
-	if _, err := IdentifyFrame(frameOf(t, data), ticket.NewStore(), -1); err == nil {
+	if _, err := Identify(frameOf(t, data), ticket.NewStore(), -1); err == nil {
 		t.Fatal("negative θ accepted")
 	}
 }

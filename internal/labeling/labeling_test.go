@@ -46,7 +46,7 @@ func closestRef(s *dataset.DriveSeries, day int) *dataset.Record {
 }
 
 // identifyRef is the record-form failure-time identification, kept as
-// the oracle IdentifyFrame is pinned against: a linear DriveSeries
+// the oracle Identify is pinned against: a linear DriveSeries
 // walk instead of a binary search over the day column.
 func identifyRef(data *dataset.Dataset, tickets *ticket.Store, theta int) (Labels, error) {
 	if theta < 0 {
@@ -98,7 +98,7 @@ func TestIdentifyClosePoint(t *testing.T) {
 	// Last record on day 20; IMT on day 24 → interval 4 ≤ θ=7 → label
 	// the closest tracking point (day 20).
 	data := buildData(t, map[string][]int{"A": {10, 15, 20}})
-	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 24}), 7)
+	labels, err := Identify(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 24}), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestIdentifyFallback(t *testing.T) {
 	// Last record on day 10; IMT on day 30 → interval 20 > θ=7 →
 	// fall back to IMT − θ = 23.
 	data := buildData(t, map[string][]int{"A": {5, 10}})
-	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 30}), 7)
+	labels, err := Identify(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 30}), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestIdentifyClampsAtZero(t *testing.T) {
 	data := buildData(t, map[string][]int{"A": {50}})
 	// IMT 3 with θ 7 → fallback would be negative → clamp to 0. The
 	// closest record (day 50) is 47 away, so the fallback path fires.
-	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 3}), 7)
+	labels, err := Identify(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 3}), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestIdentifyClampsAtZero(t *testing.T) {
 
 func TestIdentifySkipsDrivesWithoutTelemetry(t *testing.T) {
 	data := buildData(t, map[string][]int{"A": {1}})
-	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "GHOST", IMT: 5}), 7)
+	labels, err := Identify(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "GHOST", IMT: 5}), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestIdentifySkipsDrivesWithoutTelemetry(t *testing.T) {
 
 func TestIdentifyUsesEarliestTicket(t *testing.T) {
 	data := buildData(t, map[string][]int{"A": {10, 20, 30}})
-	labels, err := IdentifyFrame(frameOf(t, data), storeWith(
+	labels, err := Identify(frameOf(t, data), storeWith(
 		ticket.Ticket{SerialNumber: "A", IMT: 32},
 		ticket.Ticket{SerialNumber: "A", IMT: 12},
 	), 7)
@@ -174,7 +174,7 @@ func TestIdentifyUsesEarliestTicket(t *testing.T) {
 
 func TestIdentifyRejectsNegativeTheta(t *testing.T) {
 	data := buildData(t, map[string][]int{"A": {1}})
-	if _, err := IdentifyFrame(frameOf(t, data), ticket.NewStore(), -1); err == nil {
+	if _, err := Identify(frameOf(t, data), ticket.NewStore(), -1); err == nil {
 		t.Fatal("negative θ accepted")
 	}
 }
@@ -182,7 +182,7 @@ func TestIdentifyRejectsNegativeTheta(t *testing.T) {
 func TestThetaZeroIsExact(t *testing.T) {
 	// θ=0: only a tracking point exactly on the IMT qualifies.
 	data := buildData(t, map[string][]int{"A": {10}})
-	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 10}), 0)
+	labels, err := Identify(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 10}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

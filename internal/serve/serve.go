@@ -10,9 +10,9 @@
 // features barely moved since yesterday re-walks few trees or none —
 // and per-shard results are merged back into input order
 // deterministically. Feature rows and scores are bit-identical to the
-// offline batch pipeline (dataset.PreparePipeline →
-// features.BuildSampleSetFrame, scored by ml.ScoreBatch) at any worker
-// or shard count.
+// offline batch pipeline (dataset.NewPlan and its per-drive step →
+// features.BuildSampleSet, scored by ml.ScoreBatch) at any worker or
+// shard count.
 //
 // ObserveDay alternates serial passes with shard fan-outs. One serial
 // pass routes each record to its drive's shard. In the validation

@@ -336,7 +336,11 @@ func TestBootstrapThenServeAcrossRetrain(t *testing.T) {
 // TestReplayFrameRejectsCumulated pins the raw-frame contract.
 func TestReplayFrameRejectsCumulated(t *testing.T) {
 	_, model, regs := setup(t)
-	f, _, err := dataset.PreparePipeline(cachedFrame, dataset.PipelineOptions{SkipClean: true})
+	plan, err := dataset.NewPlan(cachedFrame, dataset.PipelineOptions{SkipClean: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := plan.Frame()
 	if err != nil {
 		t.Fatal(err)
 	}

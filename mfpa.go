@@ -94,7 +94,9 @@ func DefaultFleetConfig() FleetConfig { return simfleet.DefaultConfig() }
 func SimulateFleet(cfg FleetConfig) (*Fleet, error) { return simfleet.Simulate(cfg) }
 
 // Train runs the full MFPA pipeline (prepare + train + held-out
-// evaluation) on a fleet's telemetry and tickets.
+// evaluation) on a fleet's telemetry and tickets. The preparation is
+// streamed into extraction, so the report's Prepared.Frame is nil;
+// callers that read the prepared telemetry again use Prepare.
 func Train(data *Dataset, tickets *TicketStore, cfg Config) (*Model, *TrainReport, error) {
 	f, err := dataset.FrameFromDataset(data)
 	if err != nil {
